@@ -1,5 +1,6 @@
 """Word problem and area certificates for finitely presented metabelian groups."""
 
+from .bounds import Bound
 from .collection import (CostLedger, OrderedForm, commutator_collect,
                          conjugate_normalize, cost_bounds, ordered_form,
                          push_letter, render_ordered_word, split_conjugates)
@@ -11,7 +12,7 @@ from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,
 from .geometry import GeometryReport, geometry_constants, tameness_check
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, growth_function, laurent_embed,
-                       normal_form, reduce_step)
+                       normal_form, reduce_step, verify_certificate)
 from .order import (compare_elements, compare_integers, compare_monomials,
                     compare_terms)
 from .presentation import (GroupWord, Presentation, TamenessDatum,

@@ -1,0 +1,254 @@
+"""Closed-form bounds: exact integers kept as sums of powers.
+
+The paper states its area bounds in closed form, for instance
+``C^(n^(2k)) + (n + n^2)^2 C^(2n) + ...``; expanded, such a bound has
+millions of digits.  A ``Bound`` keeps the form ``(sum_i c_i b_i^e_i) / d``
+and answers ``bit_length()``, ``log2()`` and comparisons exactly.  Short
+bounds are expanded outright; longer ones are decided from a padded
+floating-point interval on log2 of every power and expanded only when that
+interval cannot decide.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+# Bounds of at most this many bits carry their decimal value in ``str()`` and
+# JSON; longer ones render as their closed form alone.  Bounds whose terms
+# stay within it are cheaper to expand than to bracket with floats.
+VALUE_MAX_BITS = 1024
+
+# Relative slack on every float log2.  math.log2, one product and one sum
+# round by a few units in the last place (about 1e-16 relative each).
+_REL_PAD = 1e-12
+
+
+def _expand(terms) -> int:
+    """The exact value of ``sum c * b**e``: the only place a power is expanded."""
+    return sum(c * b ** e for c, b, e in terms)
+
+
+def _normalize(terms) -> dict:
+    """Merge terms into ``{(odd base, exponent, power of two): coefficient}``.
+
+    Powers of two are split out of bases and coefficients, so that terms such
+    as ``4^n`` and ``2^(2n)`` merge and cancel exactly.
+    """
+    out: dict = {}
+    for c, b, e in terms:
+        if c == 0 or (b == 0 and e > 0):
+            continue
+        if e == 0:
+            b = 1
+        s = (b & -b).bit_length() - 1
+        odd = b >> s
+        v = (c & -c).bit_length() - 1
+        key = (odd, e if odd > 1 else 0, s * e + v)
+        out[key] = out.get(key, 0) + (c >> v)
+    return {k: c for k, c in out.items() if c}
+
+
+def _sum_span(spans):
+    """An interval containing log2 of the sum of numbers with the given spans."""
+    if len(spans) < 2:
+        return spans[0] if spans else None
+    top_lo = max(lo for lo, _ in spans)
+    top_hi = max(hi for _, hi in spans)
+    lo = top_lo + math.log2(sum(2.0 ** (lo - top_lo) for lo, _ in spans))
+    # The floor of 2^-1000 keeps far smaller terms from vanishing in the sum.
+    hi = top_hi + math.log2(sum(2.0 ** max(hi - top_hi, -1000.0) for _, hi in spans))
+    pad = _REL_PAD * (1.0 + abs(lo) + abs(hi))
+    return lo - pad, hi + pad
+
+
+def _parts(terms):
+    """Spans of log2 of the positive and of the negative part of the sum of
+    ``c * b^e * 2^t`` over ``(c, b, e, t)``; None for an empty part."""
+    pos, neg = [], []
+    for c, b, e, t in terms:
+        if c == 0 or (b == 0 and e > 0):
+            continue
+        a = math.log2(abs(c))
+        x = e * math.log2(b) if b > 1 and e else 0.0
+        mid = a + x + t
+        pad = _REL_PAD * (1.0 + abs(a) + x + abs(t))
+        (pos if c > 0 else neg).append((mid - pad, mid + pad))
+    return _sum_span(pos), _sum_span(neg)
+
+
+def _sign(terms) -> int:
+    norm = _normalize(terms)
+    pos, neg = _parts((c, odd, e, two) for (odd, e, two), c in norm.items())
+    if neg is None:
+        return 1 if pos else 0
+    if pos is None:
+        return -1
+    if pos[0] > neg[1]:
+        return 1
+    if neg[0] > pos[1]:
+        return -1
+    value = _expand((c << two, odd, e) for (odd, e, two), c in norm.items())
+    return (value > 0) - (value < 0)
+
+
+def _render_term(c: int, b: int, e: int) -> str:
+    if e == 0 or b == 1:
+        return str(c)
+    power = str(b) if e == 1 else f"{b}^{e}"
+    return power if c == 1 else f"{c}*{power}"
+
+
+class Bound:
+    """An exact integer ``(sum_i c_i * b_i^e_i) / d``.
+
+    ``terms`` holds the ``(c, b, e)`` triples of the closed form (``b, e >= 0``,
+    any sign of ``c``) and ``divisor`` the positive ``d``, which must divide
+    the sum.  Comparisons against ints and other bounds, ``bit_length()`` and
+    ``hash()`` agree with ``int(bound)``, which expands the powers.
+    """
+
+    __slots__ = ("terms", "divisor", "_span", "_value")
+
+    def __init__(self, terms, divisor: int = 1):
+        self.terms = tuple((int(c), int(b), int(e)) for c, b, e in terms)
+        self.divisor = int(divisor)
+        if self.divisor < 1 or any(b < 0 or e < 0 for _, b, e in self.terms):
+            raise ValueError("bounds need non-negative bases and exponents "
+                             "and a positive divisor")
+        self._span = None
+        self._value = None
+
+    @staticmethod
+    def of(value: int) -> "Bound":
+        return Bound(((value, 1, 1),))
+
+    @property
+    def expression(self) -> str:
+        text = ""
+        for c, b, e in self.terms:
+            part = _render_term(abs(c), b, e)
+            if not text:
+                text = part if c >= 0 else f"-{part}"
+            else:
+                text += f" - {part}" if c < 0 else f" + {part}"
+        text = text or "0"
+        return text if self.divisor == 1 else f"({text})/{self.divisor}"
+
+    def __int__(self) -> int:
+        if self._value is None:
+            self._value = _expand(self.terms) // self.divisor
+        return self._value
+
+    def _log2_span(self):
+        """An interval containing log2(int(self)), or None: use int(self).
+
+        None stands for bounds short enough to expand at once, for values
+        <= 0, and for sums whose negative part nearly cancels the positive.
+        """
+        if self._span is None:
+            span = None
+            size = max((abs(c).bit_length() + e * b.bit_length()
+                        for c, b, e in self.terms), default=0)
+            if size > VALUE_MAX_BITS:
+                pos, neg = _parts((c, b, e, 0) for c, b, e in self.terms)
+                if neg is None:
+                    span = pos
+                elif pos is not None and neg[1] < pos[0] - 1:
+                    # pos - neg, with the subtracted part at most half of pos
+                    span = (pos[0] + math.log2(1.0 - 2.0 ** (neg[1] - pos[0])),
+                            pos[1] + math.log2(1.0 - 2.0 ** (neg[0] - pos[1])))
+            if span is not None:
+                shift = math.log2(self.divisor)
+                pad = _REL_PAD * (1.0 + abs(shift) + abs(span[0]))
+                span = (span[0] - shift - pad, span[1] - shift + pad)
+            self._span = (span,)
+        return self._span[0]
+
+    def log2(self) -> float:
+        span = self._log2_span()
+        if span is not None:
+            return (span[0] + span[1]) / 2
+        value = int(self)
+        return math.log2(value) if value else -math.inf
+
+    def bit_length(self) -> int:
+        span = self._log2_span()
+        if span is None or span[1] - span[0] > 1:
+            return int(self).bit_length()
+        top = math.floor(span[1])
+        if math.floor(span[0]) == top:
+            return top + 1
+        # 2^(top-1) <= self < 2^(top+1); compare with 2^top symbolically.
+        above = _sign(self.terms + ((-self.divisor, 2, top),)) >= 0
+        return top + 1 if above else top
+
+    def is_short(self) -> bool:
+        return self.bit_length() <= VALUE_MAX_BITS
+
+    def __str__(self) -> str:
+        return str(int(self)) if self.is_short() else self.expression
+
+    def __repr__(self) -> str:
+        return f"Bound({self.expression!r})"
+
+    def to_json(self) -> dict:
+        doc = {"expression": self.expression, "log2": round(self.log2(), 6)}
+        if self.is_short():
+            doc["value"] = str(int(self))
+        return doc
+
+    def _compare(self, other) -> int:
+        if isinstance(other, Bound):
+            if (self.terms, self.divisor) == (other.terms, other.divisor):
+                return 0
+            return _sign(tuple((c * other.divisor, b, e) for c, b, e in self.terms)
+                         + tuple((-c * self.divisor, b, e) for c, b, e in other.terms))
+        span = self._log2_span()
+        if span is not None:
+            if other <= 0:
+                return 1
+            x = math.log2(other)
+            pad = _REL_PAD * (1.0 + abs(x))
+            if span[0] > x + pad:
+                return 1
+            if span[1] < x - pad:
+                return -1
+        value = int(self)
+        return (value > other) - (value < other)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Bound, int)):
+            return NotImplemented
+        return self._compare(other) == 0
+
+    def __lt__(self, other):
+        if not isinstance(other, (Bound, int)):
+            return NotImplemented
+        return self._compare(other) < 0
+
+    def __le__(self, other):
+        if not isinstance(other, (Bound, int)):
+            return NotImplemented
+        return self._compare(other) <= 0
+
+    def __gt__(self, other):
+        if not isinstance(other, (Bound, int)):
+            return NotImplemented
+        return self._compare(other) > 0
+
+    def __ge__(self, other):
+        if not isinstance(other, (Bound, int)):
+            return NotImplemented
+        return self._compare(other) >= 0
+
+    def __hash__(self):
+        # hash(int) reduces modulo a prime, so the powers reduce the same way.
+        m = sys.hash_info.modulus
+        if self.divisor % m == 0:
+            return hash(int(self))
+        r = sum(c * pow(b, e, m) for c, b, e in self.terms) * pow(self.divisor, -1, m) % m
+        if self._compare(0) >= 0:
+            return r
+        r = -((m - r) % m)
+        return -2 if r == -1 else r

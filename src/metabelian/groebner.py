@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .bounds import Bound
 from .elements import Ambient, ModuleElement, Monomial, Term
 from .errors import AmbientMismatch, BudgetExceeded
 from .order import int_key
@@ -127,7 +128,7 @@ class DivisionCertificate:
     residue: ModuleElement
     steps: int
     size: int
-    bound: int
+    bound: Bound
 
     def to_json(self) -> dict:
         return {
@@ -135,7 +136,7 @@ class DivisionCertificate:
             "residue": self.residue.render(),
             "steps": self.steps,
             "size": str(self.size),
-            "bound": str(self.bound),
+            "bound": self.bound.to_json(),
         }
 
 
@@ -325,16 +326,34 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
     return DivisionCertificate(tuple(alphas), h, steps, size, bound)
 
 
-def certificate_bound(g: ModuleElement, G: GroebnerBasis) -> int:
+def certificate_bound(g: ModuleElement, G: GroebnerBasis) -> Bound:
     """p * sum_{j<R} (1+C)^j with R = m*G_k(deg g), C = max generator length."""
     p = max(g.length, 1)
     if not G.generators:
-        return p
+        return Bound.of(p)
     c = max(1, max(f.length for f in G.generators))
     m = g.ambient.rank
     r = m * growth_function(g.ambient.nvars, g.degree)
-    # geometric series 1 + (1+C) + ... + (1+C)^(R-1)
-    return p * (((1 + c) ** r - 1) // c)
+    # geometric series 1 + (1+C) + ... + (1+C)^(R-1) = ((1+C)^R - 1)/C
+    return Bound(((p, 1 + c, r), (-p, 1, 1)), c)
+
+
+def verify_certificate(g: ModuleElement, cert: DivisionCertificate,
+                       G: GroebnerBasis) -> bool:
+    """Check a division certificate with plain ring arithmetic.
+
+    Recomputes ``residue + sum_i alpha_i * f_i`` and compares it with ``g``,
+    recounts ``size`` from the alphas and checks it against the closed-form
+    bound recomputed for ``g``; nothing here runs the divider.
+    """
+    if len(cert.coefficients) != len(G.generators):
+        return False
+    total = cert.residue
+    for alpha, f in zip(cert.coefficients, G.generators):
+        total = total + f.mul_ring(alpha)
+    bound = certificate_bound(g, G)
+    return (total == g and cert.size == sum(a.length for a in cert.coefficients)
+            and cert.bound == bound and cert.size <= bound)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .bounds import Bound
 from .collection import CostLedger, OrderedForm, ordered_form, render_ordered_word
 from .elements import ModuleElement, Monomial, monomial_word_degree
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
@@ -65,8 +66,8 @@ class AreaCertificate:
     ordered: Optional[OrderedForm]
     ledger: CostLedger
     membership: Optional[DivisionCertificate]
-    assembly_bound: Optional[int]
-    relative_bound: Optional[int]
+    assembly_bound: Optional[Bound]
+    relative_bound: Optional[Bound]
 
     @property
     def witnessed_cost(self) -> int:
@@ -86,15 +87,16 @@ class AreaCertificate:
             "ledger": self.ledger.to_json(),
             "membership": self.membership.to_json() if self.membership else None,
             "witnessed_cost": self.witnessed_cost,
-            "assembly_bound": str(self.assembly_bound)
+            "assembly_bound": self.assembly_bound.to_json()
             if self.assembly_bound is not None else None,
-            "relative_bound": str(self.relative_bound)
+            "relative_bound": self.relative_bound.to_json()
             if self.relative_bound is not None else None,
         }
 
 
 def _assembly_bound(n: int, K: Optional[int], basis: GroebnerBasis,
-                    m: int, k: int) -> Optional[int]:
+                    m: int, k: int) -> Optional[Bound]:
+    """C^(n^(2k)) + (n + n^2)^2 C^(2n) + (n + n^2) (2C)^n + n^2, unexpanded."""
     if K is None:
         return None
     n = max(n, 1)
@@ -102,14 +104,15 @@ def _assembly_bound(n: int, K: Optional[int], basis: GroebnerBasis,
     Q = max([f.degree for f in basis.generators], default=1) or 1
     C = max(K, 4 * max(m, 1) ** 2 * P ** 2 * Q * K)
     exponent = n ** (2 * k) if k > 0 else 1
-    return (C ** exponent + (n + n ** 2) ** 2 * C ** (2 * n)
-            + (n + n ** 2) * (2 * C) ** n + n ** 2)
+    return Bound(((1, C, exponent), ((n + n ** 2) ** 2, C, 2 * n),
+                  (n + n ** 2, 2 * C, n), (1, n, 2)))
 
 
-def _relative_bound(n: int, size: int) -> int:
+def _relative_bound(n: int, size: int) -> Bound:
+    """n^2 + (4n-3)(n+n^2) + (4n-3)^2 (n+n^2)^2 + s + s^3."""
     n = max(n, 1)
-    return (n ** 2 + (4 * n - 3) * (n + n ** 2)
-            + (4 * n - 3) ** 2 * (n + n ** 2) ** 2 + size + size ** 3)
+    return Bound(((1, n, 2), (4 * n - 3, n + n ** 2, 1),
+                  ((4 * n - 3) ** 2, n + n ** 2, 2), (1, size, 1), (1, size, 3)))
 
 
 def is_identity(w: GroupWord, p: Presentation,
@@ -145,7 +148,7 @@ class RelativeAreaReport:
     commutation_cost: int
     normalization_cost: int
     membership_size: int
-    relative_bound: int
+    relative_bound: Bound
 
     def to_json(self) -> dict:
         return {
@@ -383,7 +386,7 @@ def dehn_profile(p: Presentation, n_max: int, samples: int = 10, seed: int = 0,
             max_cost = max(max_cost, cert.witnessed_cost)
             max_size = max(max_size, cert.membership.size)
         bound = _assembly_bound(n, K, ctx.basis, len(p.module_gens), p.free_rank)
-        rows.append((n, max_cost, max_size, bound if bound is not None else ""))
+        rows.append((n, max_cost, max_size, str(bound) if bound is not None else ""))
     return rows
 
 

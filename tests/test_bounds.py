@@ -1,0 +1,118 @@
+"""Closed-form bounds agree exactly with their expanded integers."""
+
+import math
+import random
+
+import pytest
+
+from _helpers import BS2, random_element
+from metabelian import bounds
+from metabelian.bounds import VALUE_MAX_BITS, Bound
+from metabelian.elements import Ambient
+from metabelian.groebner import buchberger_strong, certificate_bound
+from metabelian.presets import PresetSpec, build
+from metabelian.wordproblem import _assembly_bound, _relative_bound, constant_k, module_context
+
+BS3 = build(PresetSpec("bs", n=3))
+LENGTHS = list(range(1, 201)) + [256, 512]
+
+
+def assembly(p, n):
+    return _assembly_bound(n, constant_k(p), module_context(p).basis,
+                           len(p.module_gens), p.free_rank)
+
+
+def expanded(b: Bound) -> int:
+    return bounds._expand(b.terms) // b.divisor
+
+
+def assert_exact(b: Bound):
+    v = expanded(b)
+    assert b.bit_length() == v.bit_length()
+    for x in (v - 1, v, v + 1):
+        assert (b < x) == (v < x)
+        assert (b <= x) == (v <= x)
+        assert (b == x) == (v == x)
+        assert (b >= x) == (v >= x)
+        assert (b > x) == (v > x)
+    assert hash(b) == hash(v)
+    assert int(b) == v
+
+
+@pytest.mark.parametrize("p", [BS2, BS3], ids=["bs2", "bs3"])
+def test_assembly_bound_exact(p):
+    for n in LENGTHS:
+        assert_exact(assembly(p, n))
+
+
+def test_relative_bound_exact():
+    rng = random.Random(11)
+    for _ in range(300):
+        size = rng.choice([0, 1, rng.randrange(10 ** 6), rng.getrandbits(500)])
+        assert_exact(_relative_bound(rng.randrange(0, 600), size))
+
+
+def test_certificate_bound_exact():
+    rng = random.Random(12)
+    amb = Ambient(("x", "y"), (0, 0), 2, ("e1", "e2"), laurent=False)
+    checked = 0
+    while checked < 300:
+        gens = [g for g in (random_element(rng, amb) for _ in range(2))
+                if not g.is_zero()]
+        gb = buchberger_strong(gens)
+        for _ in range(10):
+            g = random_element(rng, amb, max_degree=rng.randrange(0, 12),
+                               max_coeff=50, max_terms=4)
+            assert_exact(certificate_bound(g, gb))
+            checked += 1
+
+
+def test_cancelling_powers_of_two():
+    rng = random.Random(13)
+    for _ in range(200):
+        t = rng.randrange(0, 3000)
+        assert_exact(Bound(((1, 4, t), (rng.randrange(0, 5), 3, rng.randrange(0, t + 1)))))
+        assert_exact(Bound(((3, 8, t), (-1, 2, 3 * t), (1, 1, 1))))
+        assert_exact(Bound(((1, 2, t), (-1, 1, 1)), 1))
+
+
+def test_compares_with_bounds():
+    a, b = assembly(BS2, 40), assembly(BS2, 41)
+    assert a < b and b > a and a != b and a == assembly(BS2, 40)
+    assert Bound(((1, 4, 50),)) == Bound(((1, 2, 100),))
+    assert Bound(((1, 4, 50),)) < Bound(((1, 2, 100), (1, 1, 1)))
+
+
+def test_value_present_iff_short():
+    for n in LENGTHS:
+        for b in (assembly(BS2, n), assembly(BS3, n), _relative_bound(n, 2 ** n)):
+            doc = b.to_json()
+            short = int(b).bit_length() <= VALUE_MAX_BITS
+            assert ("value" in doc) == short
+            assert doc["expression"] == b.expression
+            assert doc["log2"] == pytest.approx(math.log2(int(b)), rel=1e-9, abs=1e-6)
+            if short:
+                assert doc["value"] == str(int(b)) == str(b)
+            else:
+                assert str(b) == b.expression
+
+
+def test_huge_bound_renders_without_expansion(monkeypatch):
+    def refuse(terms):
+        raise AssertionError("a closed-form bound was expanded")
+
+    monkeypatch.setattr(bounds, "_expand", refuse)
+    b = assembly(BS2, 4121)  # about 155M bits
+    doc = b.to_json()
+    assert "value" not in doc
+    assert doc["expression"].startswith("576^16982641 + ")
+    assert b.bit_length() == math.floor(16982641 * math.log2(576)) + 1
+    assert b > 10 ** 4000 and 5 <= b and b != 0
+    assert str(b) == doc["expression"]
+
+
+def test_rejects_bad_parts():
+    with pytest.raises(ValueError):
+        Bound(((1, 2, 3),), 0)
+    with pytest.raises(ValueError):
+        Bound(((1, -2, 3),))

@@ -97,6 +97,29 @@ class TestCommands:
         parse_presentation(out)
 
 
+class TestLongBounds:
+    def test_profile_bound_column(self, bs_file):
+        code, out = run(["profile", "-p", bs_file, "-n", "45", "--samples", "0"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[1] == "n,max_witnessed,max_cert_size,bound"
+        first, last = lines[2].split(","), lines[-1].split(",")
+        assert first[0] == "2" and first[3].isdigit()
+        assert last[0] == "45" and last[3].startswith("576^2025 + ")
+
+    def test_solve_long_witness(self):
+        code, out = run(["solve", "--preset", "bs", "--n", "2",
+                         "-w", "t^8*a*t^-8*a^-256"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["identity"] is True and doc["membership"]["size"] == "255"
+        assembly = doc["assembly_bound"]
+        assert "value" not in assembly
+        assert assembly["expression"].startswith("576^74529 + ")
+        assert assembly["log2"] > 683425
+        assert doc["relative_bound"]["value"].isdigit()
+
+
 class TestDeterminism:
     def test_profile_byte_identical(self):
         a = run(["profile", "--preset", "bs", "--n", "2", "-n", "5",
