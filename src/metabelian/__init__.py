@@ -4,17 +4,14 @@ from .bounds import Bound
 from .collection import (CostLedger, OrderedForm, commutator_collect,
                          conjugate_normalize, cost_bounds, ordered_form,
                          push_letter, render_ordered_word, split_conjugates)
-from .elements import (Ambient, ModuleElement, Monomial, Term, add,
-                       leading_data, measures, parse_element, render_element,
-                       scale_translate)
+from .elements import (Ambient, ModuleElement, Monomial, Term, parse_element,
+                       render_element)
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,
                      ExponentSumError, ParseError, TamenessViolation)
 from .geometry import GeometryReport, geometry_constants, tameness_check
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, growth_function, laurent_embed,
                        normal_form, reduce_step, verify_certificate)
-from .order import (compare_elements, compare_integers, compare_monomials,
-                    compare_terms)
 from .presentation import (GroupWord, Presentation, TamenessDatum,
                            exponent_sums, parse_presentation, parse_word,
                            relator_module)

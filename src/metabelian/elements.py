@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import AmbientMismatch, EmptyElementError, ParseError
-from .order import monomial_key, int_key
+from .order import monomial_key
 
 
 @dataclass(frozen=True)
@@ -209,27 +209,6 @@ class ModuleElement:
 
     def __str__(self) -> str:
         return self.render()
-
-
-# Spec-facing operation names.
-
-def add(g: ModuleElement, h: ModuleElement) -> ModuleElement:
-    return g + h
-
-
-def scale_translate(c: int, u: Monomial, g: ModuleElement) -> ModuleElement:
-    return g.scale_translate(c, u)
-
-
-def leading_data(g: ModuleElement):
-    """Return (LT, LM, LC) of a nonzero element."""
-    t = g.leading_term()
-    return t, t.monomial, t.coefficient
-
-
-def measures(g: ModuleElement) -> tuple[int, int, int]:
-    """(length, degree, support size); the zero element measures (0, 0, 0)."""
-    return (g.length, g.degree, g.support_size)
 
 
 def monomial_word_degree(ambient: Ambient, exponents) -> int:

@@ -12,7 +12,7 @@ and torsion problems embed via inverse variables and unit relators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import Bound
@@ -80,32 +80,43 @@ def reduce_step(g: ModuleElement, F, rng=None):
     return h, idx, Term(q, quot)
 
 
-def normal_form(g: ModuleElement, G, rng=None, step_budget=DEFAULT_STEP_BUDGET):
-    """Fixed point of reduce_step; equals NF(g) for a Groebner basis."""
-    gens = G.generators if isinstance(G, GroebnerBasis) else list(G)
-    steps = 0
+def _reduce(g: ModuleElement, gens, budget: list, what: str, alphas=None, rng=None):
+    """Apply reduce_step to ``g`` modulo ``gens`` until it is irreducible.
+
+    ``budget`` is a one-element list of steps left, shared across the calls
+    of one construction; the step after it runs out raises BudgetExceeded
+    naming ``what``.  With ``alphas`` (ring elements aligned with ``gens``)
+    each quotient term is added to the alpha of the generator it used.
+    """
     while True:
         out = reduce_step(g, gens, rng=rng)
         if out is None:
             return g
-        g = out[0]
-        steps += 1
-        if steps > step_budget:
-            raise BudgetExceeded(f"normal form exceeded {step_budget} reduction steps")
+        g, idx, quot = out
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BudgetExceeded(f"{what} exceeded its step budget")
+        if alphas is not None:
+            alphas[idx] = alphas[idx] + ModuleElement.from_term(
+                alphas[idx].ambient, quot.coefficient, quot.monomial.exponents)
+
+
+def normal_form(g: ModuleElement, G, rng=None, step_budget=DEFAULT_STEP_BUDGET):
+    """Fixed point of reduce_step; equals NF(g) for a Groebner basis."""
+    gens = G.generators if isinstance(G, GroebnerBasis) else list(G)
+    return _reduce(g, gens, [step_budget], "normal form", rng=rng)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Auto-reduced strong basis; every generator has positive leading coefficient.
 
-    ``origin`` keeps the user generators the basis was computed from and
-    ``provenance[i]`` expresses ``generators[i]`` as a combination of them.
+    ``origin`` keeps the user generators the basis was computed from.
     """
 
     ambient: Ambient
     generators: tuple[ModuleElement, ...]
     origin: tuple[ModuleElement, ...]
-    provenance: tuple[tuple[ModuleElement, ...], ...] = ()
 
     def __len__(self):
         return len(self.generators)
@@ -147,35 +158,8 @@ def growth_function(k: int, n: int) -> int:
     return math.comb(n + k, k)
 
 
-class _Tracked:
-    """A module element plus its expression over the original generators."""
-
-    __slots__ = ("elem", "combo")
-
-    def __init__(self, elem, combo):
-        self.elem = elem
-        self.combo = combo  # list of ring elements, aligned with the origin
-
-    def sub_scaled(self, other, c, quot):
-        elem = self.elem - other.elem.scale_translate(c, quot)
-        combo = [a - b.scale_translate(c, quot)
-                 for a, b in zip(self.combo, other.combo)]
-        return _Tracked(elem, combo)
-
-    def neg(self):
-        return _Tracked(-self.elem, [-a for a in self.combo])
-
-
-def _fully_reduce(t: _Tracked, basis: list, budget) -> _Tracked:
-    while True:
-        out = reduce_step(t.elem, [b.elem for b in basis])
-        if out is None:
-            return t
-        _, idx, quot = out
-        t = t.sub_scaled(basis[idx], quot.coefficient, quot.monomial)
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded("Groebner construction exceeded its step budget")
+def _positive(f: ModuleElement) -> ModuleElement:
+    return -f if f.leading_term().coefficient < 0 else f
 
 
 def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
@@ -188,97 +172,67 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
-        return GroebnerBasis(
-            ambient=None if not F else F[0].ambient, generators=(), origin=(),
-            provenance=())
+        return GroebnerBasis(ambient=None, generators=(), origin=())
     ambient = F[0].ambient
-    ring = ambient.ring()
-    zero_ring = ModuleElement.zero(ring)
-    one = ModuleElement.from_term(ring, 1, (0,) * ring.nvars)
     for f in F:
         if f.ambient != ambient:
             raise AmbientMismatch("generators live in different ambients")
         _check_polynomial(f)
 
+    what = "Groebner construction"
     budget = [step_budget]
-    basis: list[_Tracked] = []
-
-    def normalized(t: _Tracked) -> _Tracked:
-        return t.neg() if t.elem.leading_term().coefficient < 0 else t
-
-    def add_element(t: _Tracked):
-        t = _fully_reduce(t, basis, budget)
-        if t.elem.is_zero():
-            return
-        t = normalized(t)
-        new_idx = len(basis)
-        basis.append(t)
-        for j in range(new_idx):
-            _enqueue(j, new_idx)
-
+    basis: list[ModuleElement] = []
+    # ((sum(lcm), lcm), i, j); basis entries do not change until the queue
+    # is empty, so the lcm stays valid.
     pairs: list[tuple[tuple, int, int]] = []
 
-    def _enqueue(i, j):
-        fi, fj = basis[i].elem, basis[j].elem
-        mi, mj = fi.leading_term().monomial, fj.leading_term().monomial
-        if mi.basis != mj.basis:
+    def add_element(f: ModuleElement):
+        f = _reduce(f, basis, budget, what)
+        if f.is_zero():
             return
-        lcm = tuple(max(a, b) for a, b in zip(mi.exponents, mj.exponents))
-        pairs.append(((sum(lcm), lcm), i, j))
+        basis.append(_positive(f))
+        mj = basis[-1].leading_term().monomial
+        for i, fi in enumerate(basis[:-1]):
+            mi = fi.leading_term().monomial
+            if mi.basis == mj.basis:
+                lcm = tuple(max(a, b) for a, b in zip(mi.exponents, mj.exponents))
+                pairs.append(((sum(lcm), lcm), i, len(basis) - 1))
 
-    for pos, f in enumerate(F):
-        combo = [one if i == pos else zero_ring for i in range(len(F))]
-        add_element(_Tracked(f, combo))
+    for f in F:
+        add_element(f)
 
     while pairs:
         pairs.sort(key=lambda p: p[0])
-        _, i, j = pairs.pop(0)
+        (_, lcm), i, j = pairs.pop(0)
         fi, fj = basis[i], basis[j]
-        ti, tj = fi.elem.leading_term(), fj.elem.leading_term()
-        if ti.monomial.basis != tj.monomial.basis:
-            continue
-        lcm_exps = tuple(max(a, b) for a, b in
-                         zip(ti.monomial.exponents, tj.monomial.exponents))
-        qi = Monomial(tuple(l - e for l, e in zip(lcm_exps, ti.monomial.exponents)))
-        qj = Monomial(tuple(l - e for l, e in zip(lcm_exps, tj.monomial.exponents)))
+        ti, tj = fi.leading_term(), fj.leading_term()
+        qi = Monomial(tuple(l - e for l, e in zip(lcm, ti.monomial.exponents)))
+        qj = Monomial(tuple(l - e for l, e in zip(lcm, tj.monomial.exponents)))
         ci, cj = ti.coefficient, tj.coefficient
         c = abs(ci * cj) // math.gcd(ci, cj)
-        spoly = _Tracked(
-            fi.elem.scale_translate(c // ci, qi) - fj.elem.scale_translate(c // cj, qj),
-            [a.scale_translate(c // ci, qi) - b.scale_translate(c // cj, qj)
-             for a, b in zip(fi.combo, fj.combo)])
-        add_element(spoly)
+        add_element(fi.scale_translate(c // ci, qi) - fj.scale_translate(c // cj, qj))
         d = math.gcd(ci, cj)
         if d != abs(ci) and d != abs(cj):
             a, b = _bezout(ci, cj)
-            gpoly = _Tracked(
-                fi.elem.scale_translate(a, qi) + fj.elem.scale_translate(b, qj),
-                [x.scale_translate(a, qi) + y.scale_translate(b, qj)
-                 for x, y in zip(fi.combo, fj.combo)])
-            add_element(gpoly)
+            add_element(fi.scale_translate(a, qi) + fj.scale_translate(b, qj))
 
     # Tail auto-reduction until stable.
     changed = True
     while changed:
         changed = False
         for idx in range(len(basis)):
-            rest = basis[:idx] + basis[idx + 1:]
-            reduced = _fully_reduce(basis[idx], rest, budget)
-            if reduced.elem.is_zero():
+            reduced = _reduce(basis[idx], basis[:idx] + basis[idx + 1:], budget, what)
+            if reduced.is_zero():
                 del basis[idx]
                 changed = True
                 break
-            if reduced.elem != basis[idx].elem:
-                basis[idx] = normalized(reduced)
+            if reduced != basis[idx]:
+                basis[idx] = _positive(reduced)
                 changed = True
                 break
 
-    basis.sort(key=lambda t: t.elem.leading_term().monomial.key())
-    return GroebnerBasis(
-        ambient=ambient,
-        generators=tuple(t.elem for t in basis),
-        origin=tuple(F),
-        provenance=tuple(tuple(t.combo) for t in basis))
+    basis.sort(key=lambda f: f.leading_term().monomial.key())
+    return GroebnerBasis(ambient=ambient, generators=tuple(basis), origin=tuple(F))
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -308,22 +262,11 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
     _check_polynomial(g)
     ring = g.ambient.ring()
     alphas = [ModuleElement.zero(ring) for _ in G.generators]
-    h = g
-    steps = 0
-    gens = list(G.generators)
-    while True:
-        out = reduce_step(h, gens)
-        if out is None:
-            break
-        h, idx, quot = out
-        alphas[idx] = alphas[idx] + ModuleElement.from_term(
-            ring, quot.coefficient, quot.monomial.exponents)
-        steps += 1
-        if steps > step_budget:
-            raise BudgetExceeded("division exceeded its step budget")
+    budget = [step_budget]
+    residue = _reduce(g, G.generators, budget, "division", alphas=alphas)
     size = sum(a.length for a in alphas)
-    bound = certificate_bound(g, G)
-    return DivisionCertificate(tuple(alphas), h, steps, size, bound)
+    return DivisionCertificate(tuple(alphas), residue, step_budget - budget[0],
+                               size, certificate_bound(g, G))
 
 
 def certificate_bound(g: ModuleElement, G: GroebnerBasis) -> Bound:

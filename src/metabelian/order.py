@@ -11,19 +11,10 @@ terms.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 def int_key(a: int) -> tuple[int, int]:
     """Sort key realizing 0 < 1 < 2 < ... < -1 < -2 < ..."""
     return (0, a) if a >= 0 else (1, -a)
-
-
-def compare_integers(a: int, b: int) -> int:
-    ka, kb = int_key(a), int_key(b)
-    return LESS if ka < kb else GREATER if ka > kb else EQUAL
 
 
 def monomial_key(exponents, basis=None):
@@ -40,27 +31,10 @@ def monomial_key(exponents, basis=None):
     return (deg, exponents, -basis)
 
 
-def compare_monomials(u, v) -> int:
-    """Compare two Monomial values over the same variable set."""
-    if len(u.exponents) != len(v.exponents):
-        raise AmbientMismatch(
-            f"monomials over {len(u.exponents)} and {len(v.exponents)} variables"
-        )
-    if (u.basis is None) != (v.basis is None):
-        raise AmbientMismatch("cannot compare a ring monomial with a module monomial")
-    ku, kv = monomial_key(u.exponents, u.basis), monomial_key(v.exponents, v.basis)
-    return LESS if ku < kv else GREATER if ku > kv else EQUAL
-
-
 def term_key(term):
     """Ascending key for a term: monomial, then coefficient under int_key."""
     return (monomial_key(term.monomial.exponents, term.monomial.basis),
             int_key(term.coefficient))
-
-
-def compare_terms(s, t) -> int:
-    ks, kt = term_key(s), term_key(t)
-    return LESS if ks < kt else GREATER if ks > kt else EQUAL
 
 
 def element_key(g):
@@ -71,10 +45,3 @@ def element_key(g):
     is smaller, which matches 0 being the least element.
     """
     return tuple(term_key(t) for t in g.terms)
-
-
-def compare_elements(g, h) -> int:
-    if g.ambient != h.ambient:
-        raise AmbientMismatch("elements of different ambients")
-    kg, kh = element_key(g), element_key(h)
-    return LESS if kg < kh else GREATER if kg > kh else EQUAL

@@ -1,33 +1,51 @@
-"""Golden certificates: the full ``solve`` JSON of a fixed word deck.
+"""Golden certificates and Groebner bases.
 
 ``golden/solve.jsonl`` holds one line per word: the preset spec, the word
 text and ``json.dumps(cert.to_json(), sort_keys=True)``.  A change that moves
 any certificate field fails here; after declaring such a change, rewrite the
 certificates of the same words with ``PYTHONPATH=src python tests/test_golden.py``.
+
+``golden/groebner.jsonl`` holds one line per Groebner input (a preset spec,
+whose basis is the cached relator basis, or a list of generator texts over
+``RANDOM_AMBIENT``) and ``json.dumps(basis.to_json(), sort_keys=True)``.  The
+same command regenerates it from ``_groebner_inputs``.
 """
 
 import json
 import os
+import random
 
 import pytest
 
+from _helpers import random_element
 from metabelian.bounds import Bound
-from metabelian.elements import ModuleElement
-from metabelian.groebner import verify_certificate
+from metabelian.elements import Ambient, ModuleElement, parse_element
+from metabelian.groebner import buchberger_strong, verify_certificate
 from metabelian.presentation import parse_word
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import is_identity, module_context
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "solve.jsonl")
+GROEBNER = os.path.join(os.path.dirname(__file__), "golden", "groebner.jsonl")
+RANDOM_AMBIENT = Ambient(("x",), (0,), 2, ("e1", "e2"), laurent=False)
 
 
-def _load():
-    with open(GOLDEN, encoding="utf-8") as fh:
+def _load(path=GOLDEN):
+    with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def _preset(spec: dict):
+    fields = dict(spec)
+    if "fs" in fields:
+        fields["fs"] = tuple(tuple(c) for c in fields["fs"])
+    if "torsion_orders" in fields:
+        fields["torsion_orders"] = tuple(fields["torsion_orders"])
+    return build(PresetSpec(**fields))
+
+
 def _solve(entry):
-    p = build(PresetSpec(**entry["preset"]))
+    p = _preset(entry["preset"])
     _, cert = is_identity(parse_word(entry["word"], p), p)
     return p, cert
 
@@ -94,14 +112,76 @@ def test_independent_checker_rejects_wrong_size_and_bound():
     assert not verify_certificate(g, wrong_bound, basis)
 
 
+def _groebner_inputs():
+    """Every preset of the certificate deck, two wf groups with torsion, and
+    30 random generator sets of rank 2 over Z[x] (``random.Random(3)``)."""
+    specs = []
+    for entry in _load():
+        if entry["preset"] not in specs:
+            specs.append(entry["preset"])
+    specs += [{"name": "wf", "r": 2, "k": 2, "fs": [[1, 2, 1], [1, 1]],
+               "torsion_orders": [3]},
+              {"name": "wf", "r": 1, "k": 1, "fs": [[1, 1, 1]],
+               "torsion_orders": [2]}]
+    inputs = [{"preset": spec} for spec in specs]
+    rng = random.Random(3)
+    for _ in range(30):
+        gens = [g for g in (random_element(rng, RANDOM_AMBIENT) for _ in range(3))
+                if not g.is_zero()]
+        inputs.append({"generators": [g.render() for g in gens]})
+    return inputs
+
+
+def _basis(entry):
+    if "preset" in entry:
+        return module_context(_preset(entry["preset"])).basis
+    return buchberger_strong([parse_element(text, RANDOM_AMBIENT)
+                              for text in entry["generators"]])
+
+
+GROEBNER_ENTRIES = _load(GROEBNER) if os.path.exists(GROEBNER) else []
+
+
+def test_groebner_inputs_unchanged():
+    assert [{k: v for k, v in e.items() if k != "basis"}
+            for e in GROEBNER_ENTRIES] == _groebner_inputs()
+
+
+@pytest.mark.parametrize("entry", GROEBNER_ENTRIES,
+                         ids=[f"{i}:{json.dumps(e.get('preset', 'random'))}"
+                              for i, e in enumerate(GROEBNER_ENTRIES)])
+def test_groebner_basis_byte_identical(entry):
+    assert json.dumps(_basis(entry).to_json(), sort_keys=True) == entry["basis"]
+
+
+def _check_provenance(basis):
+    """Where the basis records ``provenance`` (each generator as a combination
+    of ``origin``), check it.  The engine records none now; the differential
+    tests check from outside that the basis does not over-generate."""
+    for gen, combo in zip(basis.generators, getattr(basis, "provenance", ())):
+        total = ModuleElement.zero(gen.ambient)
+        for lam, f in zip(combo, basis.origin):
+            total = total + f.mul_ring(lam)
+        assert total == gen
+
+
 def _rewrite():
-    """Re-render the certificates of the words already in the golden file."""
+    """Re-render the certificates of the words already in the golden file,
+    and the Groebner bases of ``_groebner_inputs``."""
     lines = []
     for entry in _load():
         _, cert = _solve(entry)
         entry["certificate"] = json.dumps(cert.to_json(), sort_keys=True)
         lines.append(json.dumps(entry, sort_keys=True))
     with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    lines = []
+    for entry in _groebner_inputs():
+        basis = _basis(entry)
+        _check_provenance(basis)
+        entry["basis"] = json.dumps(basis.to_json(), sort_keys=True)
+        lines.append(json.dumps(entry, sort_keys=True))
+    with open(GROEBNER, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
