@@ -9,16 +9,24 @@ certificates of the same words with ``PYTHONPATH=src python tests/test_golden.py
 whose basis is the cached relator basis, or a list of generator texts over
 ``RANDOM_AMBIENT``) and ``json.dumps(basis.to_json(), sort_keys=True)``.  The
 same command regenerates it from ``_groebner_inputs``.
+
+``golden/ledger.jsonl`` holds one line per random kernel word of
+``_ledger_inputs``: the preset spec, the word, the rendered ordered vector
+and all six ``CostLedger`` fields.  Certificates carry only the sum of
+``rel_r2_merge`` and ``rel_r2_normalize``, so this file pins each charge of
+collection on its own.  The same command regenerates it.
 """
 
+import dataclasses
 import json
 import os
 import random
 
 import pytest
 
-from _helpers import random_element
+from _helpers import random_element, random_kernel_word
 from metabelian.bounds import Bound
+from metabelian.collection import ordered_form
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.groebner import buchberger_strong, verify_certificate
 from metabelian.presentation import parse_word
@@ -27,6 +35,7 @@ from metabelian.wordproblem import is_identity, module_context
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "solve.jsonl")
 GROEBNER = os.path.join(os.path.dirname(__file__), "golden", "groebner.jsonl")
+LEDGER = os.path.join(os.path.dirname(__file__), "golden", "ledger.jsonl")
 RANDOM_AMBIENT = Ambient(("x",), (0,), 2, ("e1", "e2"), laurent=False)
 
 
@@ -112,18 +121,22 @@ def test_independent_checker_rejects_wrong_size_and_bound():
     assert not verify_certificate(g, wrong_bound, basis)
 
 
-def _groebner_inputs():
-    """Every preset of the certificate deck, two wf groups with torsion, and
-    30 random generator sets of rank 2 over Z[x] (``random.Random(3)``)."""
+def _preset_specs():
+    """Every preset of the certificate deck and two wf groups with torsion."""
     specs = []
     for entry in _load():
         if entry["preset"] not in specs:
             specs.append(entry["preset"])
-    specs += [{"name": "wf", "r": 2, "k": 2, "fs": [[1, 2, 1], [1, 1]],
-               "torsion_orders": [3]},
-              {"name": "wf", "r": 1, "k": 1, "fs": [[1, 1, 1]],
-               "torsion_orders": [2]}]
-    inputs = [{"preset": spec} for spec in specs]
+    return specs + [{"name": "wf", "r": 2, "k": 2, "fs": [[1, 2, 1], [1, 1]],
+                     "torsion_orders": [3]},
+                    {"name": "wf", "r": 1, "k": 1, "fs": [[1, 1, 1]],
+                     "torsion_orders": [2]}]
+
+
+def _groebner_inputs():
+    """The presets of ``_preset_specs`` and 30 random generator sets of
+    rank 2 over Z[x] (``random.Random(3)``)."""
+    inputs = [{"preset": spec} for spec in _preset_specs()]
     rng = random.Random(3)
     for _ in range(30):
         gens = [g for g in (random_element(rng, RANDOM_AMBIENT) for _ in range(3))
@@ -154,6 +167,42 @@ def test_groebner_basis_byte_identical(entry):
     assert json.dumps(_basis(entry).to_json(), sort_keys=True) == entry["basis"]
 
 
+def _ledger_inputs():
+    """30 random kernel words of 0-24 drawn letters (``random.Random(4)``)
+    per preset of ``_preset_specs`` and the lamplighter with m = 3."""
+    inputs = []
+    rng = random.Random(4)
+    for spec in _preset_specs() + [{"name": "lamplighter", "m": 3}]:
+        p = _preset(spec)
+        for _ in range(30):
+            w = random_kernel_word(p, rng, rng.randrange(0, 25))
+            inputs.append({"preset": spec, "word": w.render()})
+    return inputs
+
+
+def _ledger_line(entry) -> dict:
+    p = _preset(entry["preset"])
+    form, ledger = ordered_form(parse_word(entry["word"], p), p)
+    return dict(entry, vector=form.vector.render(),
+                ledger=dataclasses.asdict(ledger))
+
+
+LEDGER_ENTRIES = _load(LEDGER) if os.path.exists(LEDGER) else []
+
+
+def test_ledger_inputs_unchanged():
+    assert [{"preset": e["preset"], "word": e["word"]}
+            for e in LEDGER_ENTRIES] == _ledger_inputs()
+
+
+@pytest.mark.parametrize("entry", LEDGER_ENTRIES,
+                         ids=[f"{i}:{json.dumps(e['preset'])}"
+                              for i, e in enumerate(LEDGER_ENTRIES)])
+def test_ledger_byte_identical(entry):
+    line = _ledger_line({"preset": entry["preset"], "word": entry["word"]})
+    assert json.dumps(line, sort_keys=True) == json.dumps(entry, sort_keys=True)
+
+
 def _check_provenance(basis):
     """Where the basis records ``provenance`` (each generator as a combination
     of ``origin``), check it.  The engine records none now; the differential
@@ -167,7 +216,8 @@ def _check_provenance(basis):
 
 def _rewrite():
     """Re-render the certificates of the words already in the golden file,
-    and the Groebner bases of ``_groebner_inputs``."""
+    the Groebner bases of ``_groebner_inputs`` and the ledgers of
+    ``_ledger_inputs``."""
     lines = []
     for entry in _load():
         _, cert = _solve(entry)
@@ -182,6 +232,10 @@ def _rewrite():
         entry["basis"] = json.dumps(basis.to_json(), sort_keys=True)
         lines.append(json.dumps(entry, sort_keys=True))
     with open(GROEBNER, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    lines = [json.dumps(_ledger_line(entry), sort_keys=True)
+             for entry in _ledger_inputs()]
+    with open(LEDGER, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
