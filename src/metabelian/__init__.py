@@ -2,8 +2,7 @@
 
 from .bounds import Bound
 from .collection import (CostLedger, OrderedForm, commutator_collect,
-                         conjugate_normalize, cost_bounds, ordered_form,
-                         push_letter, render_ordered_word, split_conjugates)
+                         ordered_form, render_ordered_word, split_conjugates)
 from .elements import (Ambient, ModuleElement, Monomial, Term, parse_element,
                        render_element)
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,

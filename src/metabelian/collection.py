@@ -19,12 +19,11 @@ metabelian variety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .elements import ModuleElement, monomial_word_degree
 from .errors import ExponentSumError
-from .presentation import (EMPTY_WORD, GroupWord, Presentation, commutator,
-                           exponent_sums)
+from .presentation import GroupWord, Presentation, exponent_sums
 
 
 @dataclass
@@ -202,56 +201,42 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
     return items, ledger
 
 
-def push_letter(prefix, letter: tuple[str, int], p: Presentation, ledger=None):
-    """Insert one t-letter into an ordered monomial word.
-
-    ``prefix`` is the exponent vector of the ordered word; returns the new
-    vector and the emitted commutator conjugates (sign, s, j, conjugator) in
-    the order they appear in the rewritten word.  When a ledger is given,
-    each emission charges two r1 applications (the conjugate pair turns into
-    module letters on both sides).
-    """
-    name, eps = letter
-    if eps not in (1, -1):
-        raise ValueError("push one letter at a time")
-    s = p.t_index(name)
-    exps = list(prefix)
-    emissions = []
-    crossed: list[tuple[str, int]] = []
-    for j in range(len(exps) - 1, s, -1):
-        b = exps[j]
-        if b == 0:
-            continue
-        step = 1 if b > 0 else -1
-        for _ in range(abs(b)):
-            emissions.append(_swap_emission(p, s, j, eps, step, crossed))
-            crossed.insert(0, (p.t_names[j], step))
-    exps[s] += eps
-    emissions.reverse()
-    if ledger is not None:
-        ledger.r1_commutators += 2 * len(emissions)
-    return tuple(exps), emissions
-
-
 def _normalize_word(v: GroupWord, p: Presentation, ledger: CostLedger):
     """Ordered exponent vector of a conjugator word, with all charges.
 
-    Emission pairs cancel around the conjugated letter: two r1 to turn the
-    pair into module letters plus one commutation each, priced relatively by
-    the emission's own conjugator length.  Torsion exponents wrap into
+    Each unit letter t_s^eps is pushed left past every unit of t_j (j > s)
+    already in the ordered word, emitting one commutator conjugate per unit
+    crossed.  Emission pairs cancel around the conjugated letter: two r1 to
+    turn the pair into module letters plus one commutation each, priced
+    relatively by the length of the emission's conjugator.  That conjugator
+    is the swap template of ``_SWAP_CASES`` (t_s^-1 when eps < 0, t_j^-1 when
+    the crossed unit is negative) followed by the units already crossed, so
+    its exponent vector is tracked in place.  Torsion exponents wrap into
     [0, order) at one module relation per wrap.
     """
     amb = p.module_ambient()
-    exps = tuple([0] * len(p.t_names))
-    for unit in _word_units(v):
-        exps, emissions = push_letter(exps, unit, p, ledger)
-        for sign, s, j, conj in emissions:
-            conj_exps = amb.wrap(_word_exponents(conj, p))
-            price = max(1, 4 * monomial_word_degree(amb, conj_exps) - 3)
-            ledger.r2_commutations += 1
-            ledger.rel_r2_normalize += price
+    index = {name: i for i, name in enumerate(amb.variables)}
+    exps = [0] * amb.nvars
+    for name, exp in v.letters:
+        s = index[name]
+        eps = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            conj = [0] * amb.nvars
+            conj[s] = min(eps, 0)
+            for j in range(amb.nvars - 1, s, -1):
+                b = exps[j]
+                # the conjugator's t_j exponent runs over 0..b-1 when the
+                # crossed units are positive and over -1..b when negative
+                for e in range(b) if b > 0 else range(-1, b - 1, -1):
+                    conj[j] = e
+                    price = max(1, 4 * monomial_word_degree(amb, conj) - 3)
+                    ledger.r1_commutators += 2
+                    ledger.r2_commutations += 1
+                    ledger.rel_r2_normalize += price
+                conj[j] = b
+            exps[s] += eps
     wrapped = []
-    for e, d in zip(exps, p.torsion_orders):
+    for e, d in zip(exps, amb.torsion):
         if d and not 0 <= e < d:
             ledger.module_relations += abs(e // d)
             e %= d
@@ -259,25 +244,9 @@ def _normalize_word(v: GroupWord, p: Presentation, ledger: CostLedger):
     return tuple(wrapped)
 
 
-def _word_exponents(v: GroupWord, p: Presentation) -> tuple[int, ...]:
-    sums = [0] * len(p.t_names)
-    for name, exp in v.letters:
-        sums[p.t_index(name)] += exp
-    return tuple(sums)
-
-
-def conjugate_normalize(sign: int, gen: str, v: GroupWord, p: Presentation):
-    """Normalize b^v to a signed module monomial; returns (element, ledger)."""
-    delta = CostLedger()
-    exps = _normalize_word(v, p, delta)
-    amb = p.module_ambient()
-    elem = ModuleElement.from_term(amb, sign, exps, p.module_index(gen))
-    return elem, delta
-
-
 def _merge_price(amb, a_exps, b_exps) -> int:
     diff = tuple(x - y for x, y in zip(a_exps, b_exps))
-    return max(1, 4 * monomial_word_degree(amb, amb.wrap(diff)) - 3)
+    return max(1, 4 * monomial_word_degree(amb, diff) - 3)
 
 
 def ordered_form(w: GroupWord, p: Presentation):
@@ -374,7 +343,6 @@ def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:
     amb = vector.ambient
     for b in range(1, amb.rank + 1):
         terms = [t for t in vector.terms if t.monomial.basis == b]
-        terms.sort(key=lambda t: t.monomial.key(), reverse=True)
         name = amb.basis_names[b - 1]
         for t in terms:
             conj = []
@@ -385,22 +353,3 @@ def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:
             letters.append((name, t.coefficient))
             letters.extend(conj)
     return GroupWord.from_letters(letters)
-
-
-def cost_bounds(n: int, p: int, K: int, Q: int, P: int, m: int, k: int) -> dict:
-    """Closed-form cost bounds as exact integers.
-
-    ``p`` doubles as the scalar magnitude |c| in the power-cost form.
-    """
-    if min(n, p, K, Q, P, m, k) < 0:
-        raise ValueError("cost bounds need non-negative arguments")
-    return {
-        "abelian": n ** 2,
-        "conjugate": K ** n,
-        "organizer": (2 * K) ** n,
-        "module_add": m ** 2 * P ** 2 * K ** (2 * Q),
-        "module_scale": max(0, p - 1) * m ** 2 * P ** 2 * K ** (2 * Q),
-        "module_translate": (m * P) * (2 * K) ** (k * (Q + n)),
-        "pipeline_chain": n ** 2 + (n ** 2 + n) * (2 * K) ** n
-                          + (n ** 2 + n) ** 2 * K ** (2 * n),
-    }

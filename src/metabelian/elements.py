@@ -269,7 +269,6 @@ def render_element(g: ModuleElement) -> str:
         terms = [t for t in g.terms if t.monomial.basis == b]
         if not terms:
             continue
-        terms.sort(key=lambda t: t.monomial.key(), reverse=True)
         name = amb.basis_names[b - 1]
         if len(terms) == 1:
             t = terms[0]

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from .elements import Ambient, ModuleElement
 from .presentation import (GroupWord, Presentation, TamenessDatum, commutator,
                            parse_element)
+from .wordproblem import fit_exp
 
 PRESET_NAMES = ("bs", "lamplighter", "zwrz", "baumslag_gamma", "wf",
                 "free_abelian")
@@ -217,8 +218,7 @@ def norm_growth(f: ModuleElement, N: int):
         norms.append(power.length)
         power = power.mul_ring(f)
     xs = list(range(1, N + 1))
-    slope = _lsq_slope(xs, [math.log(v) for v in norms])
-    alpha = math.exp(slope)
+    alpha = math.exp(fit_exp(xs, norms))
     if alpha <= 1.0:
         raise ValueError("growth base must exceed 1 for this polynomial shape")
     return norms, alpha
@@ -234,10 +234,3 @@ def _check_growth_shape(f: ModuleElement):
     if d < 1 or coeffs.get(0) != 1 or coeffs.get(d) != 1:
         raise ValueError("growth polynomials have the shape 1 + ... + t^d, d >= 1")
 
-
-def _lsq_slope(xs, ys) -> float:
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    den = sum((x - mean_x) ** 2 for x in xs)
-    return num / den if den else 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import Bound
-from .collection import CostLedger, OrderedForm, ordered_form, render_ordered_word
+from .collection import CostLedger, OrderedForm, ordered_form
 from .elements import ModuleElement, Monomial, monomial_word_degree
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, laurent_embed)
@@ -328,36 +328,25 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
     return sorted(by_norm.items())
 
 
-def _balance(word_letters, p: Presentation) -> GroupWord:
-    w = GroupWord.from_letters(word_letters)
-    sums = exponent_sums(w, p)
-    fix = []
-    for i, s in enumerate(sums):
-        d = p.torsion_orders[i]
-        if d:
-            if s:
-                fix.append((p.t_names[i], d - s))
-        elif s:
-            fix.append((p.t_names[i], -s))
-    return w * GroupWord.from_letters(fix)
-
-
 def random_identity_word(p: Presentation, n: int, rng: random.Random) -> GroupWord:
-    """A random trivial word.
+    """A random trivial word of about ``n`` letters.
 
-    A random balanced word is used directly when it already represents the
-    identity (so certificate sizes stay visible); otherwise it is multiplied
-    by the inverse of its collected form.
+    It is a product of at least one conjugate ``r^v`` of a relator or its
+    inverse by a random t-word ``v`` of at most ``n // 2`` letters, so it is
+    trivial by construction and its certificate sizes stay visible.  Without
+    a non-empty relator it is the empty word.
     """
-    names = list(p.module_gens) + list(p.t_names)
-    letters = []
-    for _ in range(max(1, n // 2)):
-        letters.append((rng.choice(names), rng.choice([-1, 1])))
-    v = _balance(letters, p)
-    if is_identity(v, p)[0]:
-        return v
-    form, _ = ordered_form(v, p)
-    return v * render_ordered_word(form.vector, p).inverse()
+    relators = [r for r in p.relators if r.length]
+    w = GroupWord(())
+    while relators:
+        r = rng.choice(relators)
+        size = rng.randrange(n // 2 + 1) if p.t_names else 0
+        v = GroupWord.from_letters(
+            [(rng.choice(p.t_names), rng.choice([-1, 1])) for _ in range(size)])
+        w = w * (r if rng.random() < 0.5 else r.inverse()).conjugate_by(v)
+        if w.length >= n:
+            break
+    return w
 
 
 def dehn_profile(p: Presentation, n_max: int, samples: int = 10, seed: int = 0,

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word)
-from metabelian.collection import conjugate_normalize, ordered_form
+from metabelian.collection import ordered_form
 from metabelian.elements import Ambient, ModuleElement, Monomial, parse_element
 from metabelian.groebner import (buchberger_strong, divide_with_certificate,
                                  laurent_embed)
@@ -175,7 +175,7 @@ def test_criterion_06_relative_pricing():
                 ok, cert = is_identity(w, p)
                 assert ok
                 assert cert.ledger.rel_r2_merge <= max(1, 4 * u.length - 3)
-                _, delta = conjugate_normalize(1, a, u, p)
+                _, delta = ordered_form(GroupWord(((a, 1),)).conjugate_by(u), p)
                 measured = (delta.r1_commutators + delta.module_relations
                             + delta.rel_r2_normalize)
                 assert measured <= 4 * u.length ** 2 + 2 * u.length

@@ -1,5 +1,6 @@
 """Identity decisions, certificates, the oracle, and the growth profile."""
 
+import json
 import random
 
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word)
 from metabelian.elements import parse_element
-from metabelian.presentation import parse_word
+from metabelian.presentation import parse_presentation, parse_word
 from metabelian.presets import PresetSpec, build, witness_family
 from metabelian.wordproblem import (area_certificate,
                                     brute_force_min_certificate, dehn_profile,
                                     fit_exp, fit_power, is_identity,
                                     module_dehn_upper, module_norm,
+                                    random_identity_word,
                                     relative_area_certificate)
 
 
@@ -228,6 +230,23 @@ class TestWfFalsity:
 
 
 class TestDehnProfile:
+    @pytest.mark.parametrize("p", [BS2, LAMPLIGHTER2, build(PresetSpec("zwrz")),
+                                   WF11], ids=["bs", "lamplighter", "zwrz", "wf"])
+    def test_sampled_words_nonempty_identities(self, p):
+        rng = random.Random(0)
+        for _ in range(200):
+            w = random_identity_word(p, 8, rng)
+            assert w.length > 0 and is_identity(w, p)[0]
+
+    @pytest.mark.parametrize("doc", [
+        {"module_generators": ["a"], "free_generators": ["t"], "relators": []},
+        {"module_generators": ["a"], "free_generators": [], "relators": ["a^3"]},
+    ], ids=["no-relators", "no-t-generators"])
+    def test_degenerate_presentations(self, doc):
+        p = parse_presentation(json.dumps(doc))
+        rows = dehn_profile(p, 4, samples=3, seed=0)
+        assert [r[0] for r in rows] == [2, 3, 4]
+
     def test_bs_witness_column(self):
         fam = witness_family(PresetSpec("bs", n=2))
         rows = dehn_profile(BS2, 8, samples=3, seed=0, witnesses=fam)
