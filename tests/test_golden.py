@@ -15,6 +15,12 @@ same command regenerates it from ``_groebner_inputs``.
 and all six ``CostLedger`` fields.  Certificates carry only the sum of
 ``rel_r2_merge`` and ``rel_r2_normalize``, so this file pins each charge of
 collection on its own.  The same command regenerates it.
+
+``golden/parse.jsonl`` holds one line per text of ``_parse_inputs``: seeded
+word texts parsed against ``GAMMA`` and element texts over ``PARSE_RING`` and
+``PARSE_MODULE``, about a tenth of them with one corrupting character.  Each
+line carries either the parsed ``letters`` (words) or ``render()`` (elements),
+or the error type and message.  The same command regenerates it.
 """
 
 import dataclasses
@@ -24,7 +30,7 @@ import random
 
 import pytest
 
-from _helpers import random_element, random_kernel_word
+from _helpers import GAMMA, random_element, random_kernel_word
 from metabelian.bounds import Bound
 from metabelian.collection import ordered_form
 from metabelian.elements import Ambient, ModuleElement, parse_element
@@ -36,7 +42,10 @@ from metabelian.wordproblem import is_identity, module_context
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "solve.jsonl")
 GROEBNER = os.path.join(os.path.dirname(__file__), "golden", "groebner.jsonl")
 LEDGER = os.path.join(os.path.dirname(__file__), "golden", "ledger.jsonl")
+PARSE = os.path.join(os.path.dirname(__file__), "golden", "parse.jsonl")
 RANDOM_AMBIENT = Ambient(("x",), (0,), 2, ("e1", "e2"), laurent=False)
+PARSE_MODULE = Ambient(("t", "s"), (0, 3), 2, ("e1", "e2"), laurent=True)
+PARSE_RING = PARSE_MODULE.ring()
 
 
 def _load(path=GOLDEN):
@@ -203,6 +212,125 @@ def test_ledger_byte_identical(entry):
     assert json.dumps(line, sort_keys=True) == json.dumps(entry, sort_keys=True)
 
 
+# Word texts over GAMMA's generators, then element
+# texts; the fixed texts pin the one-syllable power rule on huge exponents.
+_WORD_NAMES = ("a", "b", "s", "t")
+_FIXED_WORDS = ("1", "(a*t)^3", "(a*t)^-2", "(a*t)^0", "[a, b]", "[a^t, b^-2]",
+                "a^(t*s)", "a^t^t", "a^-(2^200)", f"a^-{2 ** 200}",
+                f"(a*a)^{2 ** 200}", f"(a*t*t^-1)^-{2 ** 200}",
+                "", "q", "a^", "a*", "[a, b",
+                "(a", "a^()", "a^1^2", "a ^ - 3", "1^5")
+_FIXED_ELEMENTS = ("0", "1", "-1", "t", "t^-1*s^4", "2*3*t", "+t", "--t",
+                   "t^x", "(t^2 - 2*t)*e1 + 3*e2", "-(t + 1)*e1",
+                   "e1*e2", "e1^2", "t*(e1 + s*e2)", "2*-t*e1", "e1 + 1",
+                   "s^3 - 1", "x", "(t", "t +", "t^")
+_CORRUPT = "^*()[],-+1x# "
+
+
+def _word_text(rng, depth=0) -> str:
+    return "*".join(_word_factor(rng, depth) for _ in range(rng.randint(1, 3)))
+
+
+def _word_factor(rng, depth) -> str:
+    r = rng.random()
+    if depth >= 2 or r < 0.4:
+        atom = rng.choice(_WORD_NAMES + ("1",))
+    elif r < 0.7:
+        atom = f"({_word_text(rng, depth + 1)})"
+    else:
+        atom = f"[{_word_text(rng, depth + 1)}, {_word_text(rng, depth + 1)}]"
+    r = rng.random()
+    if r < 0.4:
+        return atom
+    if r < 0.7:
+        return f"{atom}^{rng.randint(-4, 4)}"
+    if r < 0.85:
+        return f"{atom}^{rng.choice(_WORD_NAMES)}"
+    return f"{atom}^({_word_text(rng, depth + 1)})"
+
+
+def _element_text(rng, module, depth=0) -> str:
+    out = rng.choice(("", "", "-", "+"))
+    for i in range(rng.randint(1, 3)):
+        if i:
+            out += rng.choice((" + ", " - "))
+        factors = [_element_factor(rng, depth) for _ in range(rng.randint(1, 3))]
+        if module and rng.random() < 0.8:
+            factors.insert(rng.randrange(len(factors) + 1),
+                           rng.choice(("e1", "e2")))
+        out += "*".join(factors)
+    return out
+
+
+def _element_factor(rng, depth) -> str:
+    r = rng.random()
+    if r < 0.3:
+        return str(rng.randint(0, 5))
+    if r < 0.85 or depth >= 1:
+        var = rng.choice(("t", "s"))
+        e = rng.randint(-4, 4)
+        return var if e == 1 else f"{var}^{e}"
+    if r < 0.9:
+        return f"-{_element_factor(rng, depth + 1)}"
+    return f"({_element_text(rng, rng.random() < 0.3, depth + 1)})"
+
+
+def _corrupt(rng, text: str) -> str:
+    if rng.random() >= 0.1:
+        return text
+    at = rng.randrange(len(text) + 1)
+    return text[:at] + rng.choice(_CORRUPT) + text[at:]
+
+
+def _parse_inputs():
+    """The fixed texts, 580 word texts and 380 element texts
+    (``random.Random(5)``); half the element texts are over the ring ambient,
+    about a tenth of the drawn texts carry one inserted character."""
+    rng = random.Random(5)
+    inputs = [{"kind": "word", "text": t} for t in _FIXED_WORDS]
+    inputs += [{"kind": "word", "text": _corrupt(rng, _word_text(rng))}
+               for _ in range(580)]
+    for amb in ("ring", "module"):
+        inputs += [{"kind": "element", "ambient": amb, "text": t}
+                   for t in _FIXED_ELEMENTS]
+        for _ in range(190):
+            if rng.random() < 0.25:
+                ambient = PARSE_RING if amb == "ring" else PARSE_MODULE
+                text = random_element(rng, ambient).render()
+            else:
+                text = _element_text(rng, amb == "module")
+            inputs.append({"kind": "element", "ambient": amb,
+                           "text": _corrupt(rng, text)})
+    return inputs
+
+
+def _parse_line(entry) -> dict:
+    try:
+        if entry["kind"] == "word":
+            return dict(entry, letters=parse_word(entry["text"], GAMMA).letters)
+        ambient = PARSE_RING if entry["ambient"] == "ring" else PARSE_MODULE
+        return dict(entry, render=parse_element(entry["text"], ambient).render())
+    except Exception as exc:  # the golden file pins every failure mode
+        return dict(entry, error=type(exc).__name__, message=str(exc))
+
+
+PARSE_ENTRIES = _load(PARSE) if os.path.exists(PARSE) else []
+
+
+def _parse_key(entry) -> dict:
+    return {k: entry[k] for k in ("kind", "ambient", "text") if k in entry}
+
+
+def test_parse_inputs_unchanged():
+    assert [_parse_key(e) for e in PARSE_ENTRIES] == _parse_inputs()
+
+
+def test_parse_byte_identical():
+    lines = [(json.dumps(_parse_line(_parse_key(e)), sort_keys=True),
+              json.dumps(e, sort_keys=True)) for e in PARSE_ENTRIES]
+    assert [got for got, want in lines if got != want] == []
+
+
 def _check_provenance(basis):
     """Where the basis records ``provenance`` (each generator as a combination
     of ``origin``), check it.  The engine records none now; the differential
@@ -236,6 +364,10 @@ def _rewrite():
     lines = [json.dumps(_ledger_line(entry), sort_keys=True)
              for entry in _ledger_inputs()]
     with open(LEDGER, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    lines = [json.dumps(_parse_line(entry), sort_keys=True)
+             for entry in _parse_inputs()]
+    with open(PARSE, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -46,7 +46,11 @@ class TestParsePresentation:
             parse_presentation(bad)
 
     def test_roundtrip_all_presets(self):
-        for p in (BS2, GAMMA, LAMPLIGHTER2, WF11):
+        from metabelian.presets import PresetSpec, build
+        wf = build(PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1)),
+                              torsion_orders=(3,)))
+        assert len(wf.relators) == 636
+        for p in (BS2, GAMMA, LAMPLIGHTER2, WF11, wf):
             assert parse_presentation(p.render()) == p
 
     def test_bad_torsion_order(self):
