@@ -16,14 +16,15 @@ from .errors import BudgetExceeded, ParseError, TamenessViolation
 from .geometry import presentation_constants, tameness_check
 from .groebner import divide_with_certificate, normal_form
 from .presentation import Presentation, parse_presentation, parse_word
-from .presets import PresetSpec, build, norm_growth, witness_family
+from .presets import (PRESET_NAMES, PresetSpec, build, norm_growth,
+                      witness_family)
 from .wordproblem import (area_certificate, brute_force_min_certificate,
                           dehn_profile, is_identity, module_context,
                           module_dehn_upper, relative_area_certificate)
 
 
 def _load_presentation(args) -> Presentation:
-    if getattr(args, "preset", None):
+    if args.preset:
         return build(_preset_spec(args))
     if not args.presentation:
         raise ParseError("a presentation file (-p) or --preset is required")
@@ -31,17 +32,25 @@ def _load_presentation(args) -> Presentation:
         return parse_presentation(fh.read())
 
 
+def _preset_options(sp) -> None:
+    sp.add_argument("--n", type=int, default=2, help="bs: a^t = a^n")
+    sp.add_argument("--m", type=int, default=2, help="lamplighter: torsion m")
+    sp.add_argument("--r", type=int, default=1, help="wf: module rank")
+    sp.add_argument("--k", type=int, default=1, help="wf: acting pairs")
+    sp.add_argument("--f", help="wf polynomials, e.g. '1,1;1,2,1'")
+    sp.add_argument("--orders", help="wf torsion orders, e.g. '2,3'")
+
+
 def _preset_spec(args) -> PresetSpec:
     fs = ()
-    if getattr(args, "f", None):
+    if args.f:
         fs = tuple(tuple(int(c) for c in chunk.split(","))
                    for chunk in args.f.split(";"))
     orders = ()
-    if getattr(args, "orders", None):
+    if args.orders:
         orders = tuple(int(c) for c in args.orders.split(","))
-    return PresetSpec(name=args.preset, n=args.n or 2, m=args.m or 2,
-                      r=args.r or 1, k=args.k or 1, fs=fs,
-                      torsion_orders=orders)
+    return PresetSpec(name=args.preset, n=args.n, m=args.m, r=args.r, k=args.k,
+                      fs=fs, torsion_orders=orders)
 
 
 def _emit_json(doc) -> None:
@@ -73,20 +82,10 @@ def main(argv=None) -> int:
                     "presented metabelian groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, presentation=True):
-        if presentation:
-            sp.add_argument("-p", "--presentation", help="presentation file")
-            sp.add_argument("--preset", choices=(
-                "bs", "lamplighter", "zwrz", "baumslag_gamma", "wf",
-                "free_abelian"))
-            sp.add_argument("--n", type=int, default=None)
-            sp.add_argument("--m", type=int, default=None)
-            sp.add_argument("--r", type=int, default=None)
-            sp.add_argument("--k", type=int, default=None)
-            sp.add_argument("--f", help="wf polynomials, e.g. '1,1;1,2,1'")
-            sp.add_argument("--orders", help="wf torsion orders, e.g. '2,3'")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp):
+        sp.add_argument("-p", "--presentation", help="presentation file")
+        sp.add_argument("--preset", choices=PRESET_NAMES)
+        _preset_options(sp)
 
     sp = sub.add_parser("groebner", help="basis of the relator submodule")
     common(sp)
@@ -109,12 +108,14 @@ def main(argv=None) -> int:
     sp = sub.add_parser("module-dehn", help="certificate sizes over small norms")
     common(sp)
     sp.add_argument("-n", type=int, default=4, dest="norm")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sampler", choices=("exhaustive", "random"),
                     default="exhaustive")
     sp.add_argument("--samples", type=int, default=200)
     sp = sub.add_parser("profile", help="growth table of witnessed costs")
     common(sp)
     sp.add_argument("-n", type=int, default=6, dest="nmax")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=10)
     sp = sub.add_parser("constants", help="geometric constants of the datum")
     common(sp)
@@ -123,14 +124,8 @@ def main(argv=None) -> int:
     sp.add_argument("-n", type=int, default=10, dest="nmax")
     sp.add_argument("--format", choices=("json", "csv"), default=None)
     sp = sub.add_parser("preset", help="emit a preset presentation file")
-    sp.add_argument("name", choices=("bs", "lamplighter", "zwrz",
-                                     "baumslag_gamma", "wf", "free_abelian"))
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--r", type=int, default=1)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--f", help="wf polynomials, e.g. '1,1;1,2,1'")
-    sp.add_argument("--orders", help="wf torsion orders")
+    sp.add_argument("preset", choices=PRESET_NAMES)
+    _preset_options(sp)
     sp = sub.add_parser("oracle", help="brute-force minimal certificate")
     common(sp)
     sp.add_argument("-e", "--element", required=True)
@@ -152,13 +147,7 @@ def _run(args) -> int:
     cmd = args.command
 
     if cmd == "preset":
-        spec = PresetSpec(
-            name=args.name, n=args.n, m=args.m, r=args.r, k=args.k,
-            fs=tuple(tuple(int(c) for c in chunk.split(","))
-                     for chunk in args.f.split(";")) if args.f else (),
-            torsion_orders=tuple(int(c) for c in args.orders.split(","))
-            if args.orders else ())
-        sys.stdout.write(build(spec).render() + "\n")
+        sys.stdout.write(build(_preset_spec(args)).render() + "\n")
         return 0
 
     if cmd == "norm-growth":

@@ -44,14 +44,6 @@ class CostLedger:
         return (self.r1_commutators + self.module_relations
                 + self.rel_r2_merge + self.rel_r2_normalize)
 
-    def add(self, other: "CostLedger"):
-        self.r1_commutators += other.r1_commutators
-        self.r2_commutations += other.r2_commutations
-        self.module_relations += other.module_relations
-        self.free_steps += other.free_steps
-        self.rel_r2_merge += other.rel_r2_merge
-        self.rel_r2_normalize += other.rel_r2_normalize
-
     def to_json(self) -> dict:
         return {
             "r1_commutators": self.r1_commutators,
@@ -69,9 +61,6 @@ class OrderedForm:
 
     vector: ModuleElement
     source_length: int
-
-    def render_word(self, p: Presentation) -> GroupWord:
-        return render_ordered_word(self.vector, p)
 
 
 # Sign cases for one adjacent swap t_j^delta * t_s^eps -> t_s^eps * t_j^delta * c^g,

@@ -178,13 +178,6 @@ class ModuleElement:
                 raw[key] = raw.get(key, 0) + lt.coefficient * t.coefficient
         return ModuleElement.from_dict(self.ambient, raw)
 
-    def component(self, basis: int) -> "ModuleElement":
-        """The basis-``basis`` coordinate as a ring element."""
-        ring = self.ambient.ring()
-        raw = {(t.monomial.exponents, None): t.coefficient
-               for t in self.terms if t.monomial.basis == basis}
-        return ModuleElement.from_dict(ring, raw)
-
     @property
     def length(self) -> int:
         return sum(abs(t.coefficient) for t in self.terms)
@@ -288,13 +281,19 @@ def render_element(g: ModuleElement) -> str:
     return out
 
 
-class _ElementParser:
-    def __init__(self, text: str, ambient: Ambient):
-        self.ambient = ambient
+class _Tokens:
+    """Token cursor shared by the element and the word parser.
+
+    Each parser passes its token pattern, its end-of-text message and its
+    message for a malformed integer.
+    """
+
+    def __init__(self, text: str, pattern, end_message: str,
+                 integer_message: str):
         self.tokens = []
         pos = 0
         while pos < len(text):
-            m = _TOKEN.match(text, pos)
+            m = pattern.match(text, pos)
             if not m:
                 if text[pos:].strip():
                     raise ParseError(f"unexpected character {text[pos]!r}", pos)
@@ -302,23 +301,50 @@ class _ElementParser:
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
         self.i = 0
+        self.end_message = end_message
+        self.integer_message = integer_message
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
     def next(self):
         if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input")
+            raise ParseError(self.end_message)
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def parse(self) -> ModuleElement:
-        g = self.element()
-        if self.peek() is not None:
+    def expect(self, token: str, message: Optional[str] = None):
+        tok, pos = self.next()
+        if tok != token:
+            raise ParseError(message or f"expected {token!r}", pos)
+
+    def done(self, result):
+        """``result``, once every token has been read."""
+        if self.i < len(self.tokens):
             tok, pos = self.tokens[self.i]
             raise ParseError(f"unexpected token {tok!r}", pos)
-        return g
+        return result
+
+    def integer(self) -> int:
+        tok, pos = self.next()
+        sign = 1
+        if tok == "-":
+            sign = -1
+            tok, pos = self.next()
+        if not tok.isdigit():
+            raise ParseError(self.integer_message, pos)
+        return sign * int(tok)
+
+
+class _ElementParser(_Tokens):
+    def __init__(self, text: str, ambient: Ambient):
+        super().__init__(text, _TOKEN, "unexpected end of input",
+                         "expected an integer exponent")
+        self.ambient = ambient
+
+    def parse(self) -> ModuleElement:
+        return self.done(self.element())
 
     def element(self) -> ModuleElement:
         sign = 1
@@ -348,9 +374,7 @@ class _ElementParser:
         amb = self.ambient
         if tok == "(":
             g = self.element()
-            closing, cpos = self.next()
-            if closing != ")":
-                raise ParseError("expected ')'", cpos)
+            self.expect(")")
             return g
         if tok.isdigit():
             return ModuleElement.from_term(amb, int(tok), (0,) * amb.nvars)
@@ -362,7 +386,7 @@ class _ElementParser:
         exp = 1
         if self.peek() == "^":
             self.next()
-            exp = self._integer()
+            exp = self.integer()
         if not amb.is_ring() and tok in amb.basis_names:
             if exp != 1:
                 raise ParseError(f"basis vector {tok!r} cannot carry an exponent", pos)
@@ -373,16 +397,6 @@ class _ElementParser:
             exps = tuple(exp if i == j else 0 for i in range(amb.nvars))
             return ModuleElement.from_term(amb, 1, exps)
         raise ParseError(f"unknown name {tok!r}", pos)
-
-    def _integer(self) -> int:
-        tok, pos = self.next()
-        sign = 1
-        if tok == "-":
-            sign = -1
-            tok, pos = self.next()
-        if not tok.isdigit():
-            raise ParseError("expected an integer exponent", pos)
-        return sign * int(tok)
 
     def _mul(self, g: ModuleElement, h: ModuleElement) -> ModuleElement:
         g_mod = any(t.monomial.basis is not None for t in g.terms)

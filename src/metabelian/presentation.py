@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .elements import Ambient, ModuleElement, parse_element
+from .elements import Ambient, ModuleElement, _Tokens, parse_element
 from .errors import ParseError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -36,6 +36,10 @@ def _condense(letters):
     return tuple(out)
 
 
+def _inverse(letters) -> list:
+    return [(n, -e) for n, e in reversed(letters)]
+
+
 @dataclass(frozen=True)
 class GroupWord:
     """Freely condensed word: adjacent letters carry distinct generator names."""
@@ -51,7 +55,7 @@ class GroupWord:
         return sum(abs(e) for _, e in self.letters)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(tuple((n, -e) for n, e in reversed(self.letters)))
+        return GroupWord(tuple(_inverse(self.letters)))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         return GroupWord.from_letters(self.letters + other.letters)
@@ -164,51 +168,29 @@ class Presentation:
 # Word DSL.
 
 
-class _WordParser:
+class _WordParser(_Tokens):
     """word := factor ('*' factor)*; factor := atom ('^' exponent)?;
-    exponent := integer | name | '(' word ')'; atom := name |
+    exponent := integer | name | '(' word ')'; atom := name | '1' |
     '[' word ',' word ']' | '(' word ')'.  Nested conjugation needs
-    explicit parentheses."""
+    explicit parentheses.  Every rule returns a syllable list; ``parse``
+    condenses it once."""
 
     def __init__(self, text: str, names):
+        super().__init__(text, _WORD_TOKEN, "unexpected end of word",
+                         "expected an integer")
         self.names = names
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _WORD_TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
-                break
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of word")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def parse(self) -> GroupWord:
-        w = self.word()
-        if self.peek() is not None:
-            tok, pos = self.tokens[self.i]
-            raise ParseError(f"unexpected token {tok!r}", pos)
-        return w
+        return GroupWord.from_letters(self.done(self.word()))
 
-    def word(self) -> GroupWord:
+    def word(self) -> list:
         w = self.factor()
         while self.peek() == "*":
             self.next()
-            w = w * self.factor()
+            w += self.factor()
         return w
 
-    def factor(self) -> GroupWord:
+    def factor(self) -> list:
         w = self.atom()
         if self.peek() == "^":
             self.next()
@@ -216,19 +198,21 @@ class _WordParser:
             if tok == "(":
                 self.next()
                 v = self.word()
-                closing, cpos = self.next()
-                if closing != ")":
-                    raise ParseError("expected ')'", cpos)
-                w = w.conjugate_by(v)
+                self.expect(")")
+                w = _inverse(v) + w + v
             elif tok == "-" or (tok is not None and tok.isdigit()):
-                e = self._integer()
-                w = GroupWord.from_letters(tuple((n, x * e) for n, x in w.letters)
-                                           if len(w.letters) == 1 else
-                                           self._power(w, e))
+                e = self.integer()
+                base = _condense(w)
+                # A one-syllable base scales its exponent, so a^-N stays
+                # one syllable for any N; any other base is repeated.
+                if len(base) == 1:
+                    w = [(base[0][0], base[0][1] * e)]
+                else:
+                    w = list(base if e > 0 else _inverse(base)) * abs(e)
             elif tok is not None and _NAME.fullmatch(tok):
                 nm, pos = self.next()
                 self._check_name(nm, pos)
-                w = w.conjugate_by(GroupWord(((nm, 1),)))
+                w = [(nm, -1)] + w + [(nm, 1)]
             else:
                 raise ParseError("expected an exponent after '^'")
             if self.peek() == "^":
@@ -236,47 +220,24 @@ class _WordParser:
                     "nested conjugation needs parentheses, e.g. a^(t*s)")
         return w
 
-    @staticmethod
-    def _power(w: GroupWord, e: int):
-        if e == 0:
-            return ()
-        base = w.letters if e > 0 else w.inverse().letters
-        return base * abs(e)
-
-    def atom(self) -> GroupWord:
+    def atom(self) -> list:
         tok, pos = self.next()
         if tok == "(":
             w = self.word()
-            closing, cpos = self.next()
-            if closing != ")":
-                raise ParseError("expected ')'", cpos)
+            self.expect(")")
             return w
         if tok == "[":
             x = self.word()
-            comma, cpos = self.next()
-            if comma != ",":
-                raise ParseError("expected ',' in commutator", cpos)
+            self.expect(",", "expected ',' in commutator")
             y = self.word()
-            closing, cpos = self.next()
-            if closing != "]":
-                raise ParseError("expected ']'", cpos)
-            return commutator(x, y)
+            self.expect("]")
+            return _inverse(x) + _inverse(y) + x + y
         if tok == "1":
-            return EMPTY_WORD
+            return []
         if _NAME.fullmatch(tok):
             self._check_name(tok, pos)
-            return GroupWord(((tok, 1),))
+            return [(tok, 1)]
         raise ParseError(f"unexpected token {tok!r}", pos)
-
-    def _integer(self) -> int:
-        tok, pos = self.next()
-        sign = 1
-        if tok == "-":
-            sign = -1
-            tok, pos = self.next()
-        if not tok.isdigit():
-            raise ParseError("expected an integer", pos)
-        return sign * int(tok)
 
     def _check_name(self, name: str, pos: int):
         if self.names is not None and name not in self.names:
@@ -314,6 +275,15 @@ def relator_module(p: Presentation) -> list[ModuleElement]:
 # Presentation files.
 
 
+def _list(doc: dict, key: str, kind=str) -> list:
+    """``doc[key]`` (default empty), checked to be a list of ``kind``."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise ParseError(f"{key!r} must be a list of "
+                         f"{'strings' if kind is str else 'objects'}")
+    return value
+
+
 def parse_presentation(text: str) -> Presentation:
     try:
         doc = json.loads(text)
@@ -322,13 +292,13 @@ def parse_presentation(text: str) -> Presentation:
     if not isinstance(doc, dict):
         raise ParseError("presentation file must be a JSON object")
 
-    module_gens = tuple(doc.get("module_generators", []))
-    free_gens = tuple(doc.get("free_generators", []))
+    module_gens = tuple(_list(doc, "module_generators"))
+    free_gens = tuple(_list(doc, "free_generators"))
     torsion_gens = tuple((t["name"], int(t["order"]))
-                         for t in doc.get("torsion_generators", []))
+                         for t in _list(doc, "torsion_generators", dict))
     names = list(module_gens) + list(free_gens) + [n for n, _ in torsion_gens]
     for n in names:
-        if not _NAME.fullmatch(n):
+        if not isinstance(n, str) or not _NAME.fullmatch(n):
             raise ParseError(f"invalid generator name {n!r}")
         if n.endswith("__inv"):
             raise ParseError(f"generator name {n!r} collides with inverse variables")
@@ -338,30 +308,29 @@ def parse_presentation(text: str) -> Presentation:
         if d < 2:
             raise ParseError(f"torsion generator {n!r} needs order >= 2")
 
-    table = []
-    for row in doc.get("commutator_table", []):
-        pair = tuple(row["pair"])
-        gen = row["equals"]
+    table, targets = [], {}
+    for row in _list(doc, "commutator_table", dict):
+        pair, gen = row.get("pair"), row.get("equals")
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(n, str) for n in pair)):
+            raise ParseError(f"commutator table pair {pair!r} must list two names")
+        pair = tuple(pair)
         if gen not in module_gens:
             raise ParseError(f"commutator table target {gen!r} is not a module generator")
+        if targets.setdefault(pair, gen) != gen:
+            raise ParseError(f"commutator table gives the pair {pair} two targets")
         table.append((pair, gen))
 
-    p = Presentation(
-        module_gens=module_gens,
-        free_gens=free_gens,
-        torsion_gens=torsion_gens,
-        relators=(),
-        commutator_table=tuple(table),
-        tameness=None)
+    p = Presentation(module_gens=module_gens, free_gens=free_gens,
+                     torsion_gens=torsion_gens, relators=(),
+                     commutator_table=tuple(table))
 
     t_names = p.t_names
-    if len(t_names) >= 2:
-        have = {pair for pair, _ in p.commutator_table}
-        for i in range(len(t_names)):
-            for j in range(i + 1, len(t_names)):
-                if (t_names[i], t_names[j]) not in have:
-                    raise ParseError(
-                        f"commutator table misses the pair ({t_names[i]}, {t_names[j]})")
+    for i in range(len(t_names)):
+        for j in range(i + 1, len(t_names)):
+            if (t_names[i], t_names[j]) not in targets:
+                raise ParseError(
+                    f"commutator table misses the pair ({t_names[i]}, {t_names[j]})")
     for pair, _ in p.commutator_table:
         if pair[0] not in t_names or pair[1] not in t_names:
             raise ParseError(f"commutator table pair {pair} uses unknown generators")
@@ -369,7 +338,7 @@ def parse_presentation(text: str) -> Presentation:
             raise ParseError(f"commutator table pair {pair} must be ordered (i < j)")
 
     relators = []
-    for rtext in doc.get("relators", []):
+    for rtext in _list(doc, "relators"):
         w = parse_word(rtext, p)
         sums = exponent_sums(w, p)
         if any(sums):
@@ -378,27 +347,23 @@ def parse_presentation(text: str) -> Presentation:
         relators.append(w)
 
     tameness = None
-    if "lambda" in doc and doc["lambda"]:
+    lam = doc.get("lambda")
+    if lam:
+        if not isinstance(lam, dict):
+            raise ParseError("'lambda' must be an object of centralizer and "
+                             "co_centralizer lists")
         ring = p.ring_ambient()
-        lam = doc["lambda"]
 
-        def _parse_all(entries):
+        def _parse_all(key):
             out = []
-            for etext in entries:
+            for etext in _list(lam, key):
                 e = parse_element(etext, ring)
                 if e.is_zero():
                     raise ParseError("tameness datum elements must be nonzero")
                 out.append(e)
             return tuple(out)
 
-        tameness = TamenessDatum(
-            centralizer=_parse_all(lam.get("centralizer", [])),
-            co_centralizer=_parse_all(lam.get("co_centralizer", [])))
+        tameness = TamenessDatum(centralizer=_parse_all("centralizer"),
+                                 co_centralizer=_parse_all("co_centralizer"))
 
-    return Presentation(
-        module_gens=module_gens,
-        free_gens=free_gens,
-        torsion_gens=torsion_gens,
-        relators=tuple(relators),
-        commutator_table=tuple(table),
-        tameness=tameness)
+    return replace(p, relators=tuple(relators), tameness=tameness)

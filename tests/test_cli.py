@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
 from metabelian.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 @pytest.fixture()
@@ -154,3 +159,37 @@ class TestExitCodes:
     def test_bad_budget(self, bs_file):
         code, _ = run(["oracle", "-p", bs_file, "-e", "a", "--budget", "1,2"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "bs", "--n", "0", "-w", "a"],
+        ["preset", "bs", "--n", "0"],
+        ["solve", "--preset", "lamplighter", "--m", "0", "-w", "a"],
+        ["preset", "lamplighter", "--m", "0"],
+    ])
+    def test_degenerate_preset_parameter(self, argv):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+
+    def test_malformed_file_exits_2_without_traceback(self, tmp_path):
+        from _helpers import BS2
+        doc = BS2.to_json()
+        doc["lambda"] = ["2*t"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "metabelian.cli", "solve", "-p", str(path),
+             "-w", "a"], capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "bs", "-w", "a", "--format", "json"],
+        ["groebner", "--preset", "bs", "--seed", "1"],
+    ])
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -1,5 +1,6 @@
 """Presentation files, the word DSL, exponent sums, relator vectors."""
 
+import json
 import random
 
 import pytest
@@ -158,3 +159,60 @@ class TestRelatorModule:
         p = parse_presentation(BS_FILE)
         vecs = relator_module(p)
         assert [v.render() for v in vecs] == ["(t - 2)*a"]
+
+
+class TestFileShape:
+    """Malformed presentation files raise ParseError, never a bare
+    AttributeError or TypeError, and are never half-read."""
+
+    @staticmethod
+    def _doc(**changes):
+        doc = json.loads(BS_FILE)
+        doc.update(changes)
+        return json.dumps(doc)
+
+    def test_lambda_must_be_an_object(self):
+        with pytest.raises(ParseError, match="'lambda' must be an object"):
+            parse_presentation(self._doc(**{"lambda": ["2*t"]}))
+
+    def test_lambda_entries_must_be_strings(self):
+        with pytest.raises(ParseError, match="'centralizer' must be a list"):
+            parse_presentation(self._doc(**{"lambda": {"centralizer": [2]}}))
+
+    def test_relators_must_be_strings(self):
+        with pytest.raises(ParseError, match="'relators' must be a list of strings"):
+            parse_presentation(self._doc(relators=[5]))
+
+    def test_generators_must_be_a_list(self):
+        with pytest.raises(ParseError, match="'module_generators' must be a list"):
+            parse_presentation(self._doc(module_generators="ab"))
+
+    def test_generator_names_must_be_strings(self):
+        with pytest.raises(ParseError, match="'free_generators' must be a list of strings"):
+            parse_presentation(self._doc(free_generators=[5]))
+        with pytest.raises(ParseError, match="invalid generator name 5"):
+            parse_presentation(self._doc(
+                torsion_generators=[{"name": 5, "order": 2}]))
+
+    def test_pair_with_two_targets(self):
+        bad = """
+        {"module_generators": ["a", "b"], "free_generators": ["s", "t"],
+         "commutator_table": [{"pair": ["s", "t"], "equals": "a"},
+                              {"pair": ["s", "t"], "equals": "b"}],
+         "relators": []}
+        """
+        with pytest.raises(ParseError, match="two targets"):
+            parse_presentation(bad)
+
+    def test_pair_of_three(self):
+        bad = """
+        {"module_generators": ["a"], "free_generators": ["s", "t", "u"],
+         "commutator_table": [{"pair": ["s", "t", "u"], "equals": "a"}],
+         "relators": []}
+        """
+        with pytest.raises(ParseError, match="must list two names"):
+            parse_presentation(bad)
+
+    def test_table_rows_must_be_objects(self):
+        with pytest.raises(ParseError, match="'commutator_table' must be a list of objects"):
+            parse_presentation(self._doc(commutator_table=[["s", "t"]]))
