@@ -73,16 +73,6 @@ _SWAP_CASES = {
 }
 
 
-def _swap_emission(p: Presentation, s: int, j: int, eps: int, delta: int,
-                   right_letters) -> tuple[int, int, int, GroupWord]:
-    """Emission for pushing t_s^eps left past t_j^delta; returns
-    (sign, s, j, conjugator word) with the right context appended."""
-    sign, template = _SWAP_CASES[(eps, delta)]
-    names = {"s": p.t_names[s], "j": p.t_names[j]}
-    letters = tuple((names[slot], e) for slot, e in template) + tuple(right_letters)
-    return sign, s, j, GroupWord.from_letters(letters)
-
-
 def _word_units(w: GroupWord):
     """Explode a condensed word into unit letters (name, +-1)."""
     units = []
@@ -121,20 +111,22 @@ def _cancel_units(units):
     return out
 
 
-def collect_tail(tail: GroupWord, p: Presentation):
-    """Gather t-letters index by index, recording commutator emissions.
+def _collect_units(tail: GroupWord, p: Presentation):
+    """``collect_tail`` with each conjugator a freely reduced tuple of unit
+    letters ``(name, +-1)``.
 
-    The working word is kept freely reduced between gathering steps.
-    Returns ``(emissions, blocks)`` where emissions are
-    ``(sign, s, j, conjugator)`` in the order they appear in the rewritten
-    word and blocks are the gathered front powers ``(var_index, net_exp)``.
-    Freely, ``tail = prod(blocks) * prod(emissions as [t_s,t_j]^(sign*conj))``.
+    Moving a letter from ``pos`` down to ``front`` emits one commutator per
+    swap; the conjugator is the swap template followed by the letters to the
+    right of the moved one.  Those right contexts are all suffixes of
+    ``letters[front:pos] + rest``, which is freely reduced except where the
+    two parts meet, so they are cut from that list instead of re-reduced.
     """
     sums = exponent_sums(tail, p)
     if any(sums):
         raise ExponentSumError(f"tail {tail} has nonzero exponent sums {sums}")
+    names = p.t_names
+    index = {n: i for i, n in enumerate(names)}
     letters = _word_units(tail)
-    index = {n: i for i, n in enumerate(p.t_names)}
     emissions = []
     blocks = []
     while True:
@@ -142,7 +134,7 @@ def collect_tail(tail: GroupWord, p: Presentation):
         if not letters:
             break
         i = min(index[n] for n, _ in letters)
-        name = p.t_names[i]
+        name = names[i]
         front = 0
         while front < len(letters) and letters[front][0] == name:
             front += 1
@@ -154,26 +146,45 @@ def collect_tail(tail: GroupWord, p: Presentation):
             letters = letters[front:]
             continue
         eps = letters[pos][1]
-        q = pos
-        while q > front:
-            other = letters[q - 1]
-            j = index[other[0]]
-            emissions.append(_swap_emission(
-                p, i, j, eps, other[1], letters[q + 1:]))
-            letters[q - 1], letters[q] = letters[q], letters[q - 1]
-            q -= 1
+        rest = letters[pos + 1:]
+        # units cancelling where letters[front:pos] meets rest
+        cut = 0
+        while (cut < pos - front and cut < len(rest)
+               and letters[pos - 1 - cut] == (rest[cut][0], -rest[cut][1])):
+            cut += 1
+        for q in range(pos, front, -1):
+            other, delta = letters[q - 1]
+            sign, template = _SWAP_CASES[(eps, delta)]
+            head = [(name if slot == "s" else other, e) for slot, e in template]
+            k = min(cut, pos - q)
+            body = letters[q:pos - k] + rest[k:]
+            while head and body and head[-1] == (body[0][0], -body[0][1]):
+                head.pop()
+                body = body[1:]
+            emissions.append((sign, i, index[other], tuple(head + body)))
+        letters = letters[:front] + [letters[pos]] + letters[front:pos] + rest
     emissions.reverse()
     return emissions, blocks
 
 
-def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
-    """Rewrite a zero-sum tail into module-letter conjugates via the table.
+def collect_tail(tail: GroupWord, p: Presentation):
+    """Gather t-letters index by index, recording commutator emissions.
 
-    Charges one r1 per commutator replacement and one module relation per
-    torsion power eliminated; free-generator front blocks cancel freely.
+    The working word is kept freely reduced between gathering steps.
+    Returns ``(emissions, blocks)`` where emissions are
+    ``(sign, s, j, conjugator)`` in the order they appear in the rewritten
+    word and blocks are the gathered front powers ``(var_index, net_exp)``.
+    Freely, ``tail = prod(blocks) * prod(emissions as [t_s,t_j]^(sign*conj))``.
     """
-    ledger = ledger if ledger is not None else CostLedger()
-    emissions, blocks = collect_tail(tail, p)
+    emissions, blocks = _collect_units(tail, p)
+    return [(sign, s, j, GroupWord.from_letters(conj))
+            for sign, s, j, conj in emissions], blocks
+
+
+def _tail_items(tail: GroupWord, p: Presentation, ledger: CostLedger):
+    """Module-letter conjugates ``(sign, basis, conjugator units)`` of a
+    zero-sum tail, charged to ``ledger``."""
+    emissions, blocks = _collect_units(tail, p)
     items = []
     for sign, s, j, conj in emissions:
         gen = p.commutator_gen(s, j)
@@ -187,11 +198,24 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
             raise ExponentSumError(
                 f"tail leaves a nonzero block {p.t_names[var]}^{net}")
         ledger.module_relations += abs(net) // d
+    return items
+
+
+def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
+    """Rewrite a zero-sum tail into module-letter conjugates via the table.
+
+    Charges one r1 per commutator replacement and one module relation per
+    torsion power eliminated; free-generator front blocks cancel freely.
+    """
+    ledger = ledger if ledger is not None else CostLedger()
+    items = [(sign, basis, GroupWord.from_letters(conj))
+             for sign, basis, conj in _tail_items(tail, p, ledger)]
     return items, ledger
 
 
-def _normalize_word(v: GroupWord, p: Presentation, ledger: CostLedger):
-    """Ordered exponent vector of a conjugator word, with all charges.
+def _normalize_word(letters, p: Presentation, ledger: CostLedger):
+    """Ordered exponent vector of a freely reduced conjugator, given as its
+    letters ``(name, exp)``, with all charges.
 
     Each unit letter t_s^eps is pushed left past every unit of t_j (j > s)
     already in the ordered word, emitting one commutator conjugate per unit
@@ -206,7 +230,7 @@ def _normalize_word(v: GroupWord, p: Presentation, ledger: CostLedger):
     amb = p.module_ambient()
     index = {name: i for i, name in enumerate(amb.variables)}
     exps = [0] * amb.nvars
-    for name, exp in v.letters:
+    for name, exp in letters:
         s = index[name]
         eps = 1 if exp > 0 else -1
         for _ in range(abs(exp)):
@@ -249,14 +273,14 @@ def ordered_form(w: GroupWord, p: Presentation):
 
     split_items, tail = split_conjugates(w, p)
     ledger.free_steps += len(split_items) + 1
-    tail_items, _ = commutator_collect(tail, p, ledger)
+    tail_items = _tail_items(tail, p, ledger)
 
     sequence = []
     for coeff, basis, v in split_items:
-        exps = _normalize_word(v, p, ledger)
+        exps = _normalize_word(v.letters, p, ledger)
         sequence.append((coeff, basis, exps))
-    for sign, basis, v in tail_items:
-        exps = _normalize_word(v, p, ledger)
+    for sign, basis, conj in tail_items:
+        exps = _normalize_word(conj, p, ledger)
         sequence.append((sign, basis, exps))
 
     raw: dict = {}

@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import count
+from operator import add, le, neg, sub
 from typing import Optional
 
 from .bounds import Bound
@@ -26,6 +30,10 @@ INVERSE_SUFFIX = "__inv"
 
 
 def _check_polynomial(g: ModuleElement):
+    amb = g.ambient
+    if amb.laurent and any(amb.torsion):
+        raise AmbientMismatch(
+            "torsion exponents wrap: embed Laurent elements first (laurent_embed)")
     for t in g.terms:
         if any(e < 0 for e in t.monomial.exponents):
             raise AmbientMismatch(
@@ -50,7 +58,8 @@ def reduce_step(g: ModuleElement, F, rng=None):
     is irreducible.  Deterministically the largest reducible term is
     cancelled, preferring the generator leaving the smallest remainder;
     passing ``rng`` picks a random reducible (term, generator) pair
-    instead, which is used by the confluence tests.
+    instead, which is used by the confluence tests.  This is the one-step
+    reference for the reduction kernel ``_reduce``.
     """
     if not F:
         return None
@@ -80,31 +89,112 @@ def reduce_step(g: ModuleElement, F, rng=None):
     return h, idx, Term(q, quot)
 
 
-def _reduce(g: ModuleElement, gens, budget: list, what: str, alphas=None, rng=None):
-    """Apply reduce_step to ``g`` modulo ``gens`` until it is irreducible.
+def _table(f: ModuleElement):
+    """``(lead exponents, lead basis, lead coefficient, tail)`` of a generator,
+    the tail as ``(exponents, basis, coefficient)`` tuples; None for zero."""
+    if f.is_zero():
+        return None
+    lead = f.terms[0].monomial
+    return (lead.exponents, lead.basis, f.terms[0].coefficient,
+            tuple((t.monomial.exponents, t.monomial.basis, t.coefficient)
+                  for t in f.terms[1:]))
 
-    ``budget`` is a one-element list of steps left, shared across the calls
-    of one construction; the step after it runs out raises BudgetExceeded
-    naming ``what``.  With ``alphas`` (ring elements aligned with ``gens``)
-    each quotient term is added to the alpha of the generator it used.
+
+def _add_multiple(terms: dict, table, c: int, u: tuple):
+    """``terms += c * u * f`` for the generator ``f`` of ``table``."""
+    lead, basis, lc, tail = table
+    for exps, b, coeff in ((lead, basis, lc),) + tail:
+        key = (tuple(map(add, exps, u)), b)
+        v = terms.get(key, 0) + c * coeff
+        if v:
+            terms[key] = v
+        else:
+            del terms[key]
+
+
+def _descending(key):
+    """Heap entry for a monomial key: heapq pops the largest monomial first."""
+    exps, basis = key
+    return (-sum(exps), tuple(map(neg, exps)), basis, key)
+
+
+def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
+            alphas=None) -> ModuleElement:
+    """Reduce ``terms`` modulo the generators of ``tables`` until irreducible.
+
+    ``terms`` maps ``(exponents, basis)`` to a nonzero coefficient and is
+    consumed.  A max-heap of monomials gives the next term; a reducible
+    term is reduced once, by the generator leaving the smallest remainder
+    (ties to the lowest index).  That remainder is irreducible: a generator
+    that could reduce it could reduce the term too, leaving a smaller
+    remainder.  A reduction only changes terms below the one it reduces, so
+    this is the fixed point of ``reduce_step``, step for step.  ``budget`` is a one-element list of steps left, shared
+    across the calls of one construction; the step after it runs out raises
+    BudgetExceeded naming ``what``.  With ``alphas`` (dicts from quotient
+    exponents to coefficients, aligned with ``tables``) each quotient term
+    is added to the alpha of the generator it used.
     """
-    while True:
-        out = reduce_step(g, gens, rng=rng)
-        if out is None:
-            return g
-        g, idx, quot = out
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded(f"{what} exceeded its step budget")
-        if alphas is not None:
-            alphas[idx] = alphas[idx] + ModuleElement.from_term(
-                alphas[idx].ambient, quot.coefficient, quot.monomial.exponents)
+    heap = [_descending(key) for key in terms]
+    heapify(heap)
+    residue = []
+    while heap:
+        key = heappop(heap)[-1]
+        c = terms.pop(key, 0)
+        if not c:
+            continue  # cancelled, or a duplicate heap entry
+        exps, basis = key
+        best = None
+        for idx, table in enumerate(tables):
+            if (table is None or table[1] != basis
+                    or not all(map(le, table[0], exps))
+                    or not _reducible(c, table[2])):
+                continue
+            q, r = _euclid(c, table[2])
+            if best is None or r < best[0]:
+                best = (r, idx, q)
+        if best is not None:
+            r, idx, q = best
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise BudgetExceeded(f"{what} exceeded its step budget")
+            lead, _, _, tail = tables[idx]
+            u = tuple(map(sub, exps, lead))
+            for texps, b, coeff in tail:
+                k = (tuple(map(add, texps, u)), b)
+                v = terms.get(k)
+                if v is None:
+                    terms[k] = -q * coeff
+                    heappush(heap, _descending(k))
+                elif v == q * coeff:
+                    del terms[k]
+                else:
+                    terms[k] = v - q * coeff
+            if alphas is not None:
+                alpha = alphas[idx]
+                v = alpha.get(u, 0) + q
+                if v:
+                    alpha[u] = v
+                else:
+                    del alpha[u]
+            c = r
+        if c:
+            residue.append(Term(c, Monomial(exps, basis)))
+    return ModuleElement(ambient, tuple(residue))
 
 
-def normal_form(g: ModuleElement, G, rng=None, step_budget=DEFAULT_STEP_BUDGET):
+def normal_form(g: ModuleElement, G, step_budget=DEFAULT_STEP_BUDGET):
     """Fixed point of reduce_step; equals NF(g) for a Groebner basis."""
-    gens = G.generators if isinstance(G, GroebnerBasis) else list(G)
-    return _reduce(g, gens, [step_budget], "normal form", rng=rng)
+    _check_polynomial(g)
+    if isinstance(G, GroebnerBasis):
+        gens, tables = G.generators, G._tables
+    else:
+        gens = list(G)
+        for f in gens:
+            _check_polynomial(f)
+        tables = [_table(f) for f in gens]
+    if any(f.ambient != g.ambient for f in gens):
+        raise AmbientMismatch("element and generators live in different ambients")
+    return _reduce(g.ambient, g.as_dict(), tables, [step_budget], "normal form")
 
 
 @dataclass(frozen=True)
@@ -120,6 +210,11 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.generators)
+
+    @cached_property
+    def _tables(self):
+        """Reduction tables of the generators, built once per basis."""
+        return [_table(f) for f in self.generators]
 
     def to_json(self) -> dict:
         return {
@@ -182,52 +277,60 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     what = "Groebner construction"
     budget = [step_budget]
     basis: list[ModuleElement] = []
-    # ((sum(lcm), lcm), i, j); basis entries do not change until the queue
-    # is empty, so the lcm stays valid.
-    pairs: list[tuple[tuple, int, int]] = []
+    tables: list = []
+    # heap of ((sum(lcm), lcm), insertion number, i, j): pops in the order of
+    # a stable sort on the lcm key; basis entries do not change until the
+    # queue is empty, so the lcm stays valid.
+    pairs: list = []
+    inserted = count()
 
-    def add_element(f: ModuleElement):
-        f = _reduce(f, basis, budget, what)
+    def add_element(terms: dict):
+        f = _reduce(ambient, terms, tables, budget, what)
         if f.is_zero():
             return
         basis.append(_positive(f))
-        mj = basis[-1].leading_term().monomial
-        for i, fi in enumerate(basis[:-1]):
-            mi = fi.leading_term().monomial
-            if mi.basis == mj.basis:
-                lcm = tuple(max(a, b) for a, b in zip(mi.exponents, mj.exponents))
-                pairs.append(((sum(lcm), lcm), i, len(basis) - 1))
+        tables.append(_table(basis[-1]))
+        mj, bj = tables[-1][0], tables[-1][1]
+        for i, (mi, bi, _, _) in enumerate(tables[:-1]):
+            if bi == bj:
+                lcm = tuple(map(max, mi, mj))
+                heappush(pairs, ((sum(lcm), lcm), next(inserted), i, len(tables) - 1))
 
     for f in F:
-        add_element(f)
+        add_element(f.as_dict())
 
     while pairs:
-        pairs.sort(key=lambda p: p[0])
-        (_, lcm), i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        ti, tj = fi.leading_term(), fj.leading_term()
-        qi = Monomial(tuple(l - e for l, e in zip(lcm, ti.monomial.exponents)))
-        qj = Monomial(tuple(l - e for l, e in zip(lcm, tj.monomial.exponents)))
-        ci, cj = ti.coefficient, tj.coefficient
+        (_, lcm), _, i, j = heappop(pairs)
+        ti, tj = tables[i], tables[j]
+        qi, qj = tuple(map(sub, lcm, ti[0])), tuple(map(sub, lcm, tj[0]))
+        ci, cj = ti[2], tj[2]
         c = abs(ci * cj) // math.gcd(ci, cj)
-        add_element(fi.scale_translate(c // ci, qi) - fj.scale_translate(c // cj, qj))
+        s_poly: dict = {}
+        _add_multiple(s_poly, ti, c // ci, qi)
+        _add_multiple(s_poly, tj, -(c // cj), qj)
+        add_element(s_poly)
         d = math.gcd(ci, cj)
         if d != abs(ci) and d != abs(cj):
             a, b = _bezout(ci, cj)
-            add_element(fi.scale_translate(a, qi) + fj.scale_translate(b, qj))
+            gcd_poly: dict = {}
+            _add_multiple(gcd_poly, ti, a, qi)
+            _add_multiple(gcd_poly, tj, b, qj)
+            add_element(gcd_poly)
 
     # Tail auto-reduction until stable.
     changed = True
     while changed:
         changed = False
         for idx in range(len(basis)):
-            reduced = _reduce(basis[idx], basis[:idx] + basis[idx + 1:], budget, what)
+            reduced = _reduce(ambient, basis[idx].as_dict(),
+                              tables[:idx] + tables[idx + 1:], budget, what)
             if reduced.is_zero():
-                del basis[idx]
+                del basis[idx], tables[idx]
                 changed = True
                 break
             if reduced != basis[idx]:
                 basis[idx] = _positive(reduced)
+                tables[idx] = _table(basis[idx])
                 changed = True
                 break
 
@@ -261,11 +364,14 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
         raise AmbientMismatch("element and basis live in different ambients")
     _check_polynomial(g)
     ring = g.ambient.ring()
-    alphas = [ModuleElement.zero(ring) for _ in G.generators]
+    alphas = [{} for _ in G.generators]
     budget = [step_budget]
-    residue = _reduce(g, G.generators, budget, "division", alphas=alphas)
-    size = sum(a.length for a in alphas)
-    return DivisionCertificate(tuple(alphas), residue, step_budget - budget[0],
+    residue = _reduce(g.ambient, g.as_dict(), G._tables, budget, "division", alphas)
+    coefficients = tuple(
+        ModuleElement.from_dict(ring, {(u, None): c for u, c in alpha.items()})
+        for alpha in alphas)
+    size = sum(a.length for a in coefficients)
+    return DivisionCertificate(coefficients, residue, step_budget - budget[0],
                                size, certificate_bound(g, G))
 
 

@@ -294,8 +294,13 @@ def parse_presentation(text: str) -> Presentation:
 
     module_gens = tuple(_list(doc, "module_generators"))
     free_gens = tuple(_list(doc, "free_generators"))
-    torsion_gens = tuple((t["name"], int(t["order"]))
-                         for t in _list(doc, "torsion_generators", dict))
+    torsion_gens = []
+    for t in _list(doc, "torsion_generators", dict):
+        name, order = t.get("name"), t.get("order")
+        if type(order) is not int:
+            raise ParseError(f"torsion generator {name!r} needs an integer 'order'")
+        torsion_gens.append((name, order))
+    torsion_gens = tuple(torsion_gens)
     names = list(module_gens) + list(free_gens) + [n for n, _ in torsion_gens]
     for n in names:
         if not isinstance(n, str) or not _NAME.fullmatch(n):

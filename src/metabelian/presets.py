@@ -97,6 +97,8 @@ def build(spec: PresetSpec) -> Presentation:
             relators=(_word((("c", 1),)),),
             commutator_table=((("t1", "t2"), "c"),))
     if spec.name == "wf":
+        if spec.r < 1 or spec.k < 1:
+            raise ValueError("wf needs module rank r >= 1 and k >= 1 acting pairs")
         return _build_wf(spec)
     raise ValueError(f"unknown preset {spec.name!r}")
 

@@ -124,6 +124,16 @@ class TestLongBounds:
         assert assembly["log2"] > 683425
         assert doc["relative_bound"]["value"].isdigit()
 
+    def test_solve_long_division(self):
+        """t^2000 a t^-2000 a^-1 is not the identity; its division takes one
+        step per unit of the exponent."""
+        code, out = run(["solve", "--preset", "bs", "--n", "2",
+                         "-w", "t^2000*a*t^-2000*a^-1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["identity"] is False
+        assert doc["membership"]["steps"] == 2000
+
 
 class TestDeterminism:
     def test_profile_byte_identical(self):
@@ -165,6 +175,8 @@ class TestExitCodes:
         ["preset", "bs", "--n", "0"],
         ["solve", "--preset", "lamplighter", "--m", "0", "-w", "a"],
         ["preset", "lamplighter", "--m", "0"],
+        ["preset", "wf", "--r", "0"],
+        ["solve", "--preset", "wf", "--k", "0", "-w", "z"],
     ])
     def test_degenerate_preset_parameter(self, argv):
         code, out = run(argv)

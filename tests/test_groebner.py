@@ -6,10 +6,11 @@ import pytest
 
 from _helpers import random_element
 from metabelian.elements import Ambient, ModuleElement, Monomial, parse_element
-from metabelian.errors import AmbientMismatch
-from metabelian.groebner import (buchberger_strong, certificate_bound,
-                                 divide_with_certificate, growth_function,
-                                 laurent_embed, normal_form, reduce_step)
+from metabelian.errors import AmbientMismatch, BudgetExceeded
+from metabelian.groebner import (GroebnerBasis, buchberger_strong,
+                                 certificate_bound, divide_with_certificate,
+                                 growth_function, laurent_embed, normal_form,
+                                 reduce_step)
 from metabelian.order import element_key
 from metabelian.wordproblem import brute_force_min_certificate
 
@@ -166,6 +167,88 @@ class TestDivision:
         assert certificate_bound(g, gb) == 9 * ((3 ** 1 - 1) // 2)
 
 
+def reference_division(g, gens, step_budget):
+    """Loop reduce_step: (residue, alphas, steps), raising BudgetExceeded
+    at the step after ``step_budget`` steps."""
+    ring = g.ambient.ring()
+    alphas = [ModuleElement.zero(ring) for _ in gens]
+    steps = 0
+    while (out := reduce_step(g, gens)) is not None:
+        steps += 1
+        if steps > step_budget:
+            raise BudgetExceeded("reference exceeded its step budget")
+        g, idx, quot = out
+        alphas[idx] = alphas[idx] + ModuleElement.from_term(
+            ring, quot.coefficient, quot.monomial.exponents)
+    return g, alphas, steps
+
+
+def random_polynomial(rng, amb, max_terms=4, max_degree=3, big=True):
+    raw = {}
+    for _ in range(rng.randrange(0, max_terms + 1)):
+        exps = tuple(rng.randint(0, max_degree) for _ in range(amb.nvars))
+        c = rng.randint(-9, 9)
+        if big and rng.random() < 0.5:
+            c = rng.randint(-10 ** 20, 10 ** 20)
+        raw[(exps, rng.randint(1, amb.rank))] = c
+    return ModuleElement.from_dict(amb, raw)
+
+
+def random_generators(rng, amb, big):
+    """Generator lists with zero elements and competing leading terms."""
+    gens = [random_polynomial(rng, amb, max_terms=3, max_degree=2, big=big)
+            for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 2)):
+        f = rng.choice(gens)
+        if not f.is_zero():
+            # same leading term, another tail: ties on the remainder
+            lead = f.terms[0]
+            tail = random_polynomial(rng, amb, max_terms=2, max_degree=1, big=big)
+            below = tuple(t for t in tail.terms
+                          if t.monomial.key() < lead.monomial.key())
+            gens.insert(rng.randrange(len(gens) + 1), ModuleElement(amb, (lead,) + below))
+    if rng.random() < 0.5:
+        gens.insert(rng.randrange(len(gens) + 1), ModuleElement.zero(amb))
+    return gens
+
+
+class TestKernelDifferential:
+    """normal_form and divide_with_certificate against a loop over reduce_step."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_reduce_step(self, rank):
+        rng = random.Random(100 + rank)
+        checked = raised = 0
+        for trial in range(150):
+            nvars = rng.randint(1, 3)
+            amb = Ambient(tuple(f"x{i}" for i in range(nvars)), (0,) * nvars, rank,
+                          tuple(f"e{b}" for b in range(1, rank + 1)), laurent=False)
+            # every third list is a strong basis, built from small coefficients
+            gens = random_generators(rng, amb, big=trial % 3 != 0)
+            if trial % 3 == 0:
+                gens = list(buchberger_strong(gens).generators)
+            basis = GroebnerBasis(amb, tuple(gens), ())
+            g = random_polynomial(rng, amb, max_terms=5, max_degree=4)
+            residue, alphas, steps = reference_division(g, gens, 10 ** 6)
+            cert = divide_with_certificate(g, basis)
+            assert cert.residue == residue
+            assert list(cert.coefficients) == alphas
+            assert cert.steps == steps
+            assert normal_form(g, gens) == residue
+            assert normal_form(g, basis, step_budget=steps) == residue
+            checked += steps > 0
+            if steps:
+                budget = rng.randrange(steps)
+                with pytest.raises(BudgetExceeded):
+                    reference_division(g, gens, budget)
+                with pytest.raises(BudgetExceeded, match="division exceeded"):
+                    divide_with_certificate(g, basis, step_budget=budget)
+                with pytest.raises(BudgetExceeded, match="normal form exceeded"):
+                    normal_form(g, gens, step_budget=steps - 1)
+                raised += 1
+        assert checked > 50 and raised == checked
+
+
 class TestConfluence:
     def test_random_reduction_order_agrees(self):
         rng = random.Random(5)
@@ -178,7 +261,11 @@ class TestConfluence:
                 g = random_element(rng, amb, max_degree=3, max_coeff=6)
                 nf = normal_form(g, gb)
                 for seed in range(3):
-                    assert normal_form(g, gb, rng=random.Random(seed)) == nf
+                    order = random.Random(seed)
+                    h = g
+                    while (out := reduce_step(h, gb.generators, rng=order)) is not None:
+                        h = out[0]
+                    assert h == nf
 
 
 class TestOracleEquivalence:

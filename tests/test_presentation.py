@@ -213,6 +213,22 @@ class TestFileShape:
         with pytest.raises(ParseError, match="must list two names"):
             parse_presentation(bad)
 
+    @pytest.mark.parametrize("entry", [
+        {"name": "s"},
+        {"name": "s", "order": "x"},
+        {"name": "s", "order": "3"},
+        {"name": "s", "order": 2.5},
+        {"name": "s", "order": True},
+        {"name": "s", "order": None},
+    ])
+    def test_torsion_order_must_be_an_integer(self, entry):
+        with pytest.raises(ParseError, match="needs an integer 'order'"):
+            parse_presentation(self._doc(torsion_generators=[entry]))
+
+    def test_torsion_entry_needs_a_name(self):
+        with pytest.raises(ParseError, match="invalid generator name None"):
+            parse_presentation(self._doc(torsion_generators=[{"order": 2}]))
+
     def test_table_rows_must_be_objects(self):
         with pytest.raises(ParseError, match="'commutator_table' must be a list of objects"):
             parse_presentation(self._doc(commutator_table=[["s", "t"]]))
