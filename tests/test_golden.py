@@ -35,7 +35,7 @@ from metabelian.bounds import Bound
 from metabelian.collection import ordered_form
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.groebner import buchberger_strong, verify_certificate
-from metabelian.presentation import parse_word
+from metabelian.presentation import GroupWord, commutator, parse_word
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import is_identity, module_context
 
@@ -176,9 +176,48 @@ def test_groebner_basis_byte_identical(entry):
     assert json.dumps(_basis(entry).to_json(), sort_keys=True) == entry["basis"]
 
 
+# Presets of the long ledger words: two acting pairs, Gamma's commutator
+# table, and torsion generators of orders 5 and 2.
+_LONG_SPECS = ({"name": "wf", "r": 1, "k": 2}, {"name": "baumslag_gamma"},
+               {"name": "wf", "r": 1, "k": 1, "torsion_orders": [5, 2]})
+
+
+def _random_word(p, rng, n) -> GroupWord:
+    names = list(p.module_gens) + list(p.t_names)
+    return GroupWord.from_letters([(rng.choice(names), rng.choice((-1, 1)))
+                                   for _ in range(n)])
+
+
+def _law_word(p, rng) -> GroupWord:
+    """``[[x,y],[z,w]]`` of 40-60 letters for random factors of 2-5 letters."""
+    while True:
+        x, y, z, w = (_random_word(p, rng, rng.randint(2, 5)) for _ in range(4))
+        law = commutator(commutator(x, y), commutator(z, w))
+        if 40 <= law.length <= 60:
+            return law
+
+
+def _relator_product(p, rng) -> GroupWord:
+    """A product of 40-60 letters of relators (or inverses) of at most 20
+    letters, each conjugated by a random word of 1-6 letters."""
+    short = [r for r in p.relators if r.length <= 20]
+    while True:
+        w = GroupWord.from_letters(())
+        while w.length < 40:
+            r = rng.choice(short)
+            if rng.random() < 0.5:
+                r = r.inverse()
+            w = w * r.conjugate_by(_random_word(p, rng, rng.randint(1, 6)))
+        if w.length <= 60:
+            return w
+
+
 def _ledger_inputs():
     """30 random kernel words of 0-24 drawn letters (``random.Random(4)``)
-    per preset of ``_preset_specs`` and the lamplighter with m = 3."""
+    per preset of ``_preset_specs`` and the lamplighter with m = 3, then four
+    law words and four relator products per preset of ``_LONG_SPECS``
+    (``random.Random(6)``), where merge groups of several items and
+    conjugator letters with ``|exp| >= 2`` are common."""
     inputs = []
     rng = random.Random(4)
     for spec in _preset_specs() + [{"name": "lamplighter", "m": 3}]:
@@ -186,6 +225,12 @@ def _ledger_inputs():
         for _ in range(30):
             w = random_kernel_word(p, rng, rng.randrange(0, 25))
             inputs.append({"preset": spec, "word": w.render()})
+    rng = random.Random(6)
+    for spec in _LONG_SPECS:
+        p = _preset(spec)
+        words = [_law_word(p, rng) for _ in range(4)]
+        words += [_relator_product(p, rng) for _ in range(4)]
+        inputs += [{"preset": spec, "word": w.render()} for w in words]
     return inputs
 
 
