@@ -1,8 +1,8 @@
 """Word problem and area certificates for finitely presented metabelian groups."""
 
 from .bounds import Bound
-from .collection import (CostLedger, OrderedForm, commutator_collect,
-                         ordered_form, render_ordered_word, split_conjugates)
+from .collection import (CostLedger, commutator_collect, ordered_form,
+                         render_ordered_word, split_conjugates)
 from .elements import (Ambient, ModuleElement, Monomial, Term, parse_element,
                        render_element)
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,

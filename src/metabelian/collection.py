@@ -55,14 +55,6 @@ class CostLedger:
         }
 
 
-@dataclass(frozen=True)
-class OrderedForm:
-    """Canonical module vector of a kernel word, with the source length."""
-
-    vector: ModuleElement
-    source_length: int
-
-
 # Sign cases for one adjacent swap t_j^delta * t_s^eps -> t_s^eps * t_j^delta * c^g,
 # c = [t_s, t_j]; values are (sign of c, local conjugator letters in s/j slots).
 _SWAP_CASES = {
@@ -112,8 +104,16 @@ def _cancel_units(units):
 
 
 def _collect_units(tail: GroupWord, p: Presentation):
-    """``collect_tail`` with each conjugator a freely reduced tuple of unit
-    letters ``(name, +-1)``.
+    """Gather the t-letters of a zero-sum tail index by index, recording
+    commutator emissions.
+
+    The working word is kept freely reduced between gathering steps.
+    Returns ``(emissions, blocks)`` where emissions are
+    ``(sign, s, j, conjugator)`` in the order they appear in the rewritten
+    word, each conjugator a freely reduced tuple of unit letters
+    ``(name, +-1)``, and blocks are the gathered front powers
+    ``(var_index, net_exp)``.  Freely,
+    ``tail = prod(blocks) * prod(emissions as [t_s,t_j]^(sign*conj))``.
 
     Moving a letter from ``pos`` down to ``front`` emits one commutator per
     swap; the conjugator is the swap template followed by the letters to the
@@ -121,9 +121,6 @@ def _collect_units(tail: GroupWord, p: Presentation):
     ``letters[front:pos] + rest``, which is freely reduced except where the
     two parts meet, so they are cut from that list instead of re-reduced.
     """
-    sums = exponent_sums(tail, p)
-    if any(sums):
-        raise ExponentSumError(f"tail {tail} has nonzero exponent sums {sums}")
     names = p.t_names
     index = {n: i for i, n in enumerate(names)}
     letters = _word_units(tail)
@@ -167,20 +164,6 @@ def _collect_units(tail: GroupWord, p: Presentation):
     return emissions, blocks
 
 
-def collect_tail(tail: GroupWord, p: Presentation):
-    """Gather t-letters index by index, recording commutator emissions.
-
-    The working word is kept freely reduced between gathering steps.
-    Returns ``(emissions, blocks)`` where emissions are
-    ``(sign, s, j, conjugator)`` in the order they appear in the rewritten
-    word and blocks are the gathered front powers ``(var_index, net_exp)``.
-    Freely, ``tail = prod(blocks) * prod(emissions as [t_s,t_j]^(sign*conj))``.
-    """
-    emissions, blocks = _collect_units(tail, p)
-    return [(sign, s, j, GroupWord.from_letters(conj))
-            for sign, s, j, conj in emissions], blocks
-
-
 def _tail_items(tail: GroupWord, p: Presentation, ledger: CostLedger):
     """Module-letter conjugates ``(sign, basis, conjugator units)`` of a
     zero-sum tail, charged to ``ledger``."""
@@ -207,15 +190,19 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
     Charges one r1 per commutator replacement and one module relation per
     torsion power eliminated; free-generator front blocks cancel freely.
     """
+    sums = exponent_sums(tail, p)
+    if any(sums):
+        raise ExponentSumError(f"tail {tail} has nonzero exponent sums {sums}")
     ledger = ledger if ledger is not None else CostLedger()
     items = [(sign, basis, GroupWord.from_letters(conj))
              for sign, basis, conj in _tail_items(tail, p, ledger)]
     return items, ledger
 
 
-def _normalize_word(letters, p: Presentation, ledger: CostLedger):
+def _normalize_word(letters, amb, index, ledger: CostLedger):
     """Ordered exponent vector of a freely reduced conjugator, given as its
-    letters ``(name, exp)``, with all charges.
+    letters ``(name, exp)`` over the module ambient ``amb`` whose variable
+    positions are ``index``, with all charges.
 
     Each unit letter t_s^eps is pushed left past every unit of t_j (j > s)
     already in the ordered word, emitting one commutator conjugate per unit
@@ -224,30 +211,31 @@ def _normalize_word(letters, p: Presentation, ledger: CostLedger):
     relatively by the length of the emission's conjugator.  That conjugator
     is the swap template of ``_SWAP_CASES`` (t_s^-1 when eps < 0, t_j^-1 when
     the crossed unit is negative) followed by the units already crossed, so
-    its exponent vector is tracked in place.  Torsion exponents wrap into
-    [0, order) at one module relation per wrap.
+    its exponent vector is tracked in place.  It reads only exponents j > s,
+    which pushing t_s leaves alone, so every unit of a letter t_s^exp pays
+    the same and the letter is charged once, times ``|exp|``.  Torsion
+    exponents wrap into [0, order) at one module relation per wrap.
     """
-    amb = p.module_ambient()
-    index = {name: i for i, name in enumerate(amb.variables)}
     exps = [0] * amb.nvars
     for name, exp in letters:
         s = index[name]
-        eps = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            conj = [0] * amb.nvars
-            conj[s] = min(eps, 0)
-            for j in range(amb.nvars - 1, s, -1):
-                b = exps[j]
-                # the conjugator's t_j exponent runs over 0..b-1 when the
-                # crossed units are positive and over -1..b when negative
-                for e in range(b) if b > 0 else range(-1, b - 1, -1):
-                    conj[j] = e
-                    price = max(1, 4 * monomial_word_degree(amb, conj) - 3)
-                    ledger.r1_commutators += 2
-                    ledger.r2_commutations += 1
-                    ledger.rel_r2_normalize += price
-                conj[j] = b
-            exps[s] += eps
+        conj = [0] * amb.nvars
+        conj[s] = -1 if exp < 0 else 0
+        units = rel = 0
+        for j in range(amb.nvars - 1, s, -1):
+            b = exps[j]
+            # the conjugator's t_j exponent runs over 0..b-1 when the
+            # crossed units are positive and over -1..b when negative
+            for e in range(b) if b > 0 else range(-1, b - 1, -1):
+                conj[j] = e
+                rel += max(1, 4 * monomial_word_degree(amb, conj) - 3)
+            units += abs(b)
+            conj[j] = b
+        n = abs(exp)
+        ledger.r1_commutators += 2 * units * n
+        ledger.r2_commutations += units * n
+        ledger.rel_r2_normalize += rel * n
+        exps[s] += exp
     wrapped = []
     for e, d in zip(exps, amb.torsion):
         if d and not 0 <= e < d:
@@ -264,24 +252,22 @@ def _merge_price(amb, a_exps, b_exps) -> int:
 
 def ordered_form(w: GroupWord, p: Presentation):
     """Full pipeline: split, collect the tail, normalize, sort; returns
-    (OrderedForm, CostLedger)."""
+    the module vector and the CostLedger."""
     sums = exponent_sums(w, p)
     if any(sums):
         raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
     ledger = CostLedger()
     amb = p.module_ambient()
+    index = {name: i for i, name in enumerate(amb.variables)}
 
     split_items, tail = split_conjugates(w, p)
     ledger.free_steps += len(split_items) + 1
     tail_items = _tail_items(tail, p, ledger)
 
-    sequence = []
-    for coeff, basis, v in split_items:
-        exps = _normalize_word(v.letters, p, ledger)
-        sequence.append((coeff, basis, exps))
-    for sign, basis, conj in tail_items:
-        exps = _normalize_word(conj, p, ledger)
-        sequence.append((sign, basis, exps))
+    sequence = [(coeff, basis, _normalize_word(v.letters, amb, index, ledger))
+                for coeff, basis, v in split_items]
+    sequence += [(sign, basis, _normalize_word(conj, amb, index, ledger))
+                 for sign, basis, conj in tail_items]
 
     raw: dict = {}
     for coeff, basis, exps in sequence:
@@ -290,7 +276,7 @@ def ordered_form(w: GroupWord, p: Presentation):
     vector = ModuleElement.from_dict(amb, raw)
 
     _charge_merge(sequence, amb, ledger)
-    return OrderedForm(vector, w.length), ledger
+    return vector, ledger
 
 
 def _charge_merge(sequence, amb, ledger: CostLedger):
@@ -300,45 +286,54 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
     (cheapest pair each round, paying one transposition per unit crossed),
     then the remainder is sorted, paying one transposition per strictly
     inverted pair of unit conjugates.
+
+    Each opposite pair keeps ``[units, rel]``, the units it crosses and
+    their relative price, summed once.  Cancelling ``m`` units at item q
+    lowers exactly the pairs around q of another monomial, by ``m`` units
+    and ``m`` crossings of q.  Signs never flip, so pairs only go away, and
+    zeroed items stay in place, so the index order of the rest is kept.
     """
     from .order import monomial_key
 
     items = [[coeff, basis, exps] for coeff, basis, exps in sequence if coeff]
+    ids: dict = {}
+    group = [ids.setdefault((basis, exps), len(ids)) for _, basis, exps in items]
 
-    def crossing_cost(i, j):
-        units = 0
-        rel = 0
-        key = (items[i][1], items[i][2])
-        for q in range(i + 1, j):
-            if (items[q][1], items[q][2]) == key:
-                continue
-            units += abs(items[q][0])
-            rel += abs(items[q][0]) * _merge_price(amb, items[j][2], items[q][2])
-        return units, rel
+    def opposite(a, b):
+        return group[a] == group[b] and (items[a][0] > 0) != (items[b][0] > 0)
 
-    while True:
-        best = None
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if (items[i][1], items[i][2]) != (items[j][1], items[j][2]):
-                    continue
-                if (items[i][0] > 0) == (items[j][0] > 0):
-                    continue
-                units, rel = crossing_cost(i, j)
-                mag = min(abs(items[i][0]), abs(items[j][0]))
-                cand = (units * mag, rel * mag, i, j)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            break
-        units, rel, i, j = best
+    pairs = {}
+    for a in range(len(items)):
+        end = max((b for b in range(a + 1, len(items)) if opposite(a, b)),
+                  default=a)
+        units = rel = 0
+        for b in range(a + 1, end + 1):
+            c = abs(items[b][0])
+            if group[b] != group[a]:
+                units += c
+                rel += c * _merge_price(amb, items[a][2], items[b][2])
+            elif opposite(a, b):
+                pairs[a, b] = [units, rel]
+
+    while pairs:
+        units, rel, i, j = min(
+            (u * (m := min(abs(items[a][0]), abs(items[b][0]))), r * m, a, b)
+            for (a, b), (u, r) in pairs.items())
         ledger.r2_commutations += units
         ledger.rel_r2_merge += rel
-        mag = min(abs(items[i][0]), abs(items[j][0]))
-        items[i][0] -= mag if items[i][0] > 0 else -mag
-        items[j][0] -= mag if items[j][0] > 0 else -mag
-        items = [it for it in items if it[0]]
+        m = min(abs(items[i][0]), abs(items[j][0]))
+        for q in (i, j):
+            items[q][0] -= m if items[q][0] > 0 else -m
+        for (a, b), cost in list(pairs.items()):
+            if not (items[a][0] and items[b][0]):
+                del pairs[a, b]
+                continue
+            for q in (i, j):
+                if a < q < b and group[a] != group[q]:
+                    cost[0] -= m
+                    cost[1] -= m * _merge_price(amb, items[b][2], items[q][2])
 
+    items = [it for it in items if it[0]]
     keys = [(basis, monomial_key(tuple(exps))) for _, basis, exps in items]
     for a in range(len(items)):
         for b in range(a + 1, len(items)):

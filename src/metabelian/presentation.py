@@ -268,7 +268,7 @@ def relator_module(p: Presentation) -> list[ModuleElement]:
     """Module vectors of all relators; they generate the relation submodule."""
     from .collection import ordered_form
 
-    return [ordered_form(r, p)[0].vector for r in p.relators]
+    return [ordered_form(r, p)[0] for r in p.relators]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,10 @@ def parse_presentation(text: str) -> Presentation:
 
     tameness = None
     lam = doc.get("lambda")
+    if lam is not None and not isinstance(lam, dict):
+        raise ParseError("'lambda' must be an object of centralizer and "
+                         "co_centralizer lists")
     if lam:
-        if not isinstance(lam, dict):
-            raise ParseError("'lambda' must be an object of centralizer and "
-                             "co_centralizer lists")
         ring = p.ring_ambient()
 
         def _parse_all(key):

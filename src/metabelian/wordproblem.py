@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import Bound
-from .collection import CostLedger, OrderedForm, ordered_form
+from .collection import CostLedger, ordered_form
 from .elements import ModuleElement, Monomial, monomial_word_degree
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, laurent_embed)
@@ -63,7 +63,7 @@ def constant_k(p: Presentation, k1: int = 2) -> Optional[int]:
 class AreaCertificate:
     word_length: int
     identity: bool
-    ordered: Optional[OrderedForm]
+    ordered: Optional[ModuleElement]
     ledger: CostLedger
     membership: Optional[DivisionCertificate]
     assembly_bound: Optional[Bound]
@@ -83,7 +83,8 @@ class AreaCertificate:
         return {
             "identity": self.identity,
             "word_length": self.word_length,
-            "ordered_form": self.ordered.vector.render() if self.ordered else None,
+            "ordered_form": self.ordered.render()
+            if self.ordered is not None else None,
             "ledger": self.ledger.to_json(),
             "membership": self.membership.to_json() if self.membership else None,
             "witnessed_cost": self.witnessed_cost,
@@ -122,14 +123,14 @@ def is_identity(w: GroupWord, p: Presentation,
     if any(exponent_sums(w, p)):
         cert = AreaCertificate(n, False, None, CostLedger(), None, None, None)
         return False, cert
-    form, ledger = ordered_form(w, p)
+    vector, ledger = ordered_form(w, p)
     ctx = module_context(p)
-    membership = divide_with_certificate(ctx.embed(form.vector), ctx.basis)
+    membership = divide_with_certificate(ctx.embed(vector), ctx.basis)
     identity = membership.residue.is_zero()
     K = K if K is not None else constant_k(p)
     bound = _assembly_bound(n, K, ctx.basis, len(p.module_gens), p.free_rank)
     rel = _relative_bound(n, membership.size)
-    cert = AreaCertificate(n, identity, form, ledger, membership, bound, rel)
+    cert = AreaCertificate(n, identity, vector, ledger, membership, bound, rel)
     return identity, cert
 
 

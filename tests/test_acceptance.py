@@ -139,9 +139,9 @@ def test_criterion_04_collection_homomorphism():
                 v1, _ = ordered_form(w1, p)
                 v2, _ = ordered_form(w2, p)
                 v12, _ = ordered_form(w1 * w2, p)
-                assert v12.vector == v1.vector + v2.vector
+                assert v12 == v1 + v2
                 vc, _ = ordered_form(w1.conjugate_by(t0), p)
-                assert vc.vector == v1.vector.scale_translate(1, shift)
+                assert vc == v1.scale_translate(1, shift)
 
 
 def test_criterion_05_bs_witness_family():

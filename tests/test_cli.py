@@ -182,6 +182,16 @@ class TestExitCodes:
         code, out = run(argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("lam", [[], 0, False, ""])
+    def test_falsy_lambda_exits_2(self, lam, tmp_path):
+        from _helpers import BS2
+        doc = BS2.to_json()
+        doc["lambda"] = lam
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["solve", "-p", str(path), "-w", "a"])
+        assert code == 2 and out == ""
+
     def test_malformed_file_exits_2_without_traceback(self, tmp_path):
         from _helpers import BS2
         doc = BS2.to_json()

@@ -96,7 +96,7 @@ MEMBERSHIP = [e for e in ENTRIES
 def test_independent_checker_accepts(entry):
     p, cert = _solve(entry)
     ctx = module_context(p)
-    g = ctx.embed(cert.ordered.vector)
+    g = ctx.embed(cert.ordered)
     assert verify_certificate(g, cert.membership, ctx.basis)
 
 
@@ -105,7 +105,7 @@ def _bs_witness_certificate():
                  and e["word"] == "t^5*a*t^-5*a^-32")
     p, cert = _solve(entry)
     ctx = module_context(p)
-    return ctx.embed(cert.ordered.vector), cert.membership, ctx.basis
+    return ctx.embed(cert.ordered), cert.membership, ctx.basis
 
 
 def test_independent_checker_rejects_tampered_alpha():
@@ -236,8 +236,8 @@ def _ledger_inputs():
 
 def _ledger_line(entry) -> dict:
     p = _preset(entry["preset"])
-    form, ledger = ordered_form(parse_word(entry["word"], p), p)
-    return dict(entry, vector=form.vector.render(),
+    vector, ledger = ordered_form(parse_word(entry["word"], p), p)
+    return dict(entry, vector=vector.render(),
                 ledger=dataclasses.asdict(ledger))
 
 

@@ -172,8 +172,13 @@ class TestFileShape:
         return json.dumps(doc)
 
     def test_lambda_must_be_an_object(self):
-        with pytest.raises(ParseError, match="'lambda' must be an object"):
-            parse_presentation(self._doc(**{"lambda": ["2*t"]}))
+        # only an absent key, null and {} mean "no datum"; falsy lists,
+        # numbers and strings are malformed like any other non-object
+        for lam in (["2*t"], [], 0, False, "", "x"):
+            with pytest.raises(ParseError, match="'lambda' must be an object"):
+                parse_presentation(self._doc(**{"lambda": lam}))
+        for lam in (None, {}):
+            assert parse_presentation(self._doc(**{"lambda": lam})).tameness is None
 
     def test_lambda_entries_must_be_strings(self):
         with pytest.raises(ParseError, match="'centralizer' must be a list"):
