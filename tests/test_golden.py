@@ -212,12 +212,43 @@ def _relator_product(p, rng) -> GroupWord:
             return w
 
 
+# Presets of the sort-heavy ledger words, free and with torsion.
+_SORT_SPECS = ({"name": "wf", "r": 1, "k": 2},
+               {"name": "wf", "r": 2, "k": 2, "torsion_orders": [3]},
+               {"name": "wf", "r": 1, "k": 1, "torsion_orders": [5, 2]})
+
+
+def _commutator_product(p, rng) -> GroupWord:
+    """A product of two or three commutators of random words of 8-20
+    letters, 100-140 letters in all: not an identity, so about 50-140
+    conjugates are left to sort after cancellation."""
+    while True:
+        w = GroupWord.from_letters(())
+        for _ in range(rng.randint(2, 3)):
+            w = w * commutator(_random_word(p, rng, rng.randint(8, 20)),
+                               _random_word(p, rng, rng.randint(8, 20)))
+        if 100 <= w.length <= 140:
+            return w
+
+
+def _z2_commutator(rng) -> GroupWord:
+    """``[t1^a, t2^b]`` with ``64 <= a*b <= 300``: as many distinct
+    conjugates, none of which cancel."""
+    while True:
+        a, b = rng.randint(2, 40), rng.randint(2, 40)
+        if 64 <= a * b <= 300:
+            return commutator(GroupWord.from_letters((("t1", a),)),
+                              GroupWord.from_letters((("t2", b),)))
+
+
 def _ledger_inputs():
     """30 random kernel words of 0-24 drawn letters (``random.Random(4)``)
     per preset of ``_preset_specs`` and the lamplighter with m = 3, then four
     law words and four relator products per preset of ``_LONG_SPECS``
     (``random.Random(6)``), where merge groups of several items and
-    conjugator letters with ``|exp| >= 2`` are common."""
+    conjugator letters with ``|exp| >= 2`` are common, then eight commutator
+    products per preset of ``_SORT_SPECS`` and six Z^2 commutators
+    (``random.Random(7)``), where the final sort has many items."""
     inputs = []
     rng = random.Random(4)
     for spec in _preset_specs() + [{"name": "lamplighter", "m": 3}]:
@@ -231,6 +262,13 @@ def _ledger_inputs():
         words = [_law_word(p, rng) for _ in range(4)]
         words += [_relator_product(p, rng) for _ in range(4)]
         inputs += [{"preset": spec, "word": w.render()} for w in words]
+    rng = random.Random(7)
+    for spec in _SORT_SPECS:
+        p = _preset(spec)
+        inputs += [{"preset": spec, "word": _commutator_product(p, rng).render()}
+                   for _ in range(8)]
+    inputs += [{"preset": {"name": "free_abelian"},
+                "word": _z2_commutator(rng).render()} for _ in range(6)]
     return inputs
 
 
