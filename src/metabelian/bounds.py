@@ -184,6 +184,10 @@ class Bound:
         return top + 1 if above else top
 
     def is_short(self) -> bool:
+        # A wide interval far above the cut needs no exact bit length.
+        span = self._log2_span()
+        if span is not None and span[0] >= VALUE_MAX_BITS:
+            return False
         return self.bit_length() <= VALUE_MAX_BITS
 
     def __str__(self) -> str:

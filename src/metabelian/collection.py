@@ -19,6 +19,7 @@ metabelian variety.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .elements import ModuleElement, monomial_word_degree
@@ -199,6 +200,30 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
     return items, ledger
 
 
+def _length(e: int, d: int) -> int:
+    """Word length of t^e for a generator of order d (0: infinite)."""
+    if d:
+        e %= d
+        return min(e, d - e)
+    return abs(e)
+
+
+def _run_price(base: int, start: int, n: int, d: int) -> int:
+    """Sum of ``max(1, 4*(base + _length(e, d)) - 3)`` over
+    ``start <= e < start + n``, in closed form: an arithmetic series on a
+    free coordinate, where the ``max`` binds only at ``base + e = 0``, and
+    whole cycles plus fewer than ``d`` terms on a torsion one."""
+    if not d:
+        return (n * (4 * (base + start) - 3) + 2 * n * (n - 1)
+                + 4 * (n > 0 and base + start == 0))
+
+    def price(e):
+        return max(1, 4 * (base + _length(e, d)) - 3)
+    cycles, extra = divmod(n, d)
+    return (cycles * sum(map(price, range(d)))
+            + sum(map(price, range(start, start + extra))))
+
+
 def _normalize_word(letters, amb, index, ledger: CostLedger):
     """Ordered exponent vector of a freely reduced conjugator, given as its
     letters ``(name, exp)`` over the module ambient ``amb`` whose variable
@@ -210,27 +235,32 @@ def _normalize_word(letters, amb, index, ledger: CostLedger):
     turn the pair into module letters plus one commutation each, priced
     relatively by the length of the emission's conjugator.  That conjugator
     is the swap template of ``_SWAP_CASES`` (t_s^-1 when eps < 0, t_j^-1 when
-    the crossed unit is negative) followed by the units already crossed, so
-    its exponent vector is tracked in place.  It reads only exponents j > s,
-    which pushing t_s leaves alone, so every unit of a letter t_s^exp pays
-    the same and the letter is charged once, times ``|exp|``.  Torsion
-    exponents wrap into [0, order) at one module relation per wrap.
+    the crossed unit is negative) followed by the units already crossed.  It
+    reads only exponents j > s, which pushing t_s leaves alone, so every
+    unit of a run of t_s letters of one sign pays the same: the run is
+    charged once, times its length, and the crossings of each t_j are priced
+    together by ``_run_price``.  Torsion exponents wrap into [0, order) at
+    one module relation per wrap.
     """
-    exps = [0] * amb.nvars
+    runs: list[list] = []
     for name, exp in letters:
+        if runs and runs[-1][0] == name and (runs[-1][1] > 0) == (exp > 0):
+            runs[-1][1] += exp
+        else:
+            runs.append([name, exp])
+    exps = [0] * amb.nvars
+    for name, exp in runs:
         s = index[name]
-        conj = [0] * amb.nvars
-        conj[s] = -1 if exp < 0 else 0
+        base = 1 if exp < 0 else 0  # the template letter t_s^-1
         units = rel = 0
         for j in range(amb.nvars - 1, s, -1):
-            b = exps[j]
-            # the conjugator's t_j exponent runs over 0..b-1 when the
-            # crossed units are positive and over -1..b when negative
-            for e in range(b) if b > 0 else range(-1, b - 1, -1):
-                conj[j] = e
-                rel += max(1, 4 * monomial_word_degree(amb, conj) - 3)
-            units += abs(b)
-            conj[j] = b
+            b, d = exps[j], amb.torsion[j]
+            if b:
+                # the conjugator's t_j exponent runs over 0..b-1 when the
+                # crossed units are positive and over -1..b when negative
+                rel += _run_price(base, 0 if b > 0 else 1, abs(b), d)
+                units += abs(b)
+                base += _length(b, d)
         n = abs(exp)
         ledger.r1_commutators += 2 * units * n
         ledger.r2_commutations += units * n
@@ -285,34 +315,42 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
     Opposite conjugates of the same monomial are cancelled greedily first
     (cheapest pair each round, paying one transposition per unit crossed),
     then the remainder is sorted, paying one transposition per strictly
-    inverted pair of unit conjugates.
+    inverted pair of unit conjugates (``_inversion_charge``).
 
     Each opposite pair keeps ``[units, rel]``, the units it crosses and
-    their relative price, summed once.  Cancelling ``m`` units at item q
-    lowers exactly the pairs around q of another monomial, by ``m`` units
-    and ``m`` crossings of q.  Signs never flip, so pairs only go away, and
-    zeroed items stay in place, so the index order of the rest is kept.
+    their relative price, summed once up to each item's furthest opposite
+    partner.  Cancelling ``m`` units at item q lowers exactly the pairs
+    around q of another monomial, by ``m`` units and ``m`` crossings of q.
+    Signs never flip, so pairs only go away, and zeroed items stay in place,
+    so the index order of the rest is kept.  Equal monomials cross at equal
+    prices, so prices are kept per pair of monomials.
     """
     from .order import monomial_key
 
     items = [[coeff, basis, exps] for coeff, basis, exps in sequence if coeff]
+    monos: dict = {}
+    mono = [monos.setdefault(exps, len(monos)) for _, _, exps in items]
+    exps_of = list(monos)
     ids: dict = {}
     group = [ids.setdefault((basis, exps), len(ids)) for _, basis, exps in items]
+    memo: dict = {}
 
-    def opposite(a, b):
-        return group[a] == group[b] and (items[a][0] > 0) != (items[b][0] > 0)
+    def price(m, n):
+        key = (m, n) if m < n else (n, m)
+        if key not in memo:
+            memo[key] = _merge_price(amb, exps_of[m], exps_of[n])
+        return memo[key]
 
+    last = {(group[b], c > 0): b for b, (c, _, _) in enumerate(items)}
     pairs = {}
-    for a in range(len(items)):
-        end = max((b for b in range(a + 1, len(items)) if opposite(a, b)),
-                  default=a)
+    for a, (ca, _, _) in enumerate(items):
         units = rel = 0
-        for b in range(a + 1, end + 1):
-            c = abs(items[b][0])
+        for b in range(a + 1, last.get((group[a], ca < 0), a) + 1):
+            c = items[b][0]
             if group[b] != group[a]:
-                units += c
-                rel += c * _merge_price(amb, items[a][2], items[b][2])
-            elif opposite(a, b):
+                units += abs(c)
+                rel += abs(c) * price(mono[a], mono[b])
+            elif (c > 0) != (ca > 0):
                 pairs[a, b] = [units, rel]
 
     while pairs:
@@ -331,18 +369,98 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
             for q in (i, j):
                 if a < q < b and group[a] != group[q]:
                     cost[0] -= m
-                    cost[1] -= m * _merge_price(amb, items[b][2], items[q][2])
+                    cost[1] -= m * price(mono[b], mono[q])
 
-    items = [it for it in items if it[0]]
-    keys = [(basis, monomial_key(tuple(exps))) for _, basis, exps in items]
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            (ba, ka), (bb, kb) = keys[a], keys[b]
-            if ba > bb or (ba == bb and ka < kb):
-                units = abs(items[a][0]) * abs(items[b][0])
-                ledger.r2_commutations += units
-                ledger.rel_r2_merge += units * _merge_price(
-                    amb, items[a][2], items[b][2])
+    # ordered form puts e1 first and larger monomials first within a basis
+    rest = [(abs(c), (-basis, monomial_key(exps)), exps, m)
+            for (c, basis, exps), m in zip(items, mono) if c]
+    units, rel, _ = _inversion_charge(rest, amb.torsion, price)
+    ledger.r2_commutations += units
+    ledger.rel_r2_merge += rel
+
+
+_BLOCK = 16  # _inversion_charge prices blocks this small pair by pair
+
+
+def _inversion_charge(items, torsion, price):
+    """``(units, rel, items by rising key)`` for sorting ``items``
+    ``(weight, key, exps, monomial id)`` by falling key: over the pairs
+    a < b with key_a < key_b, the sum of ``w_a*w_b`` and of
+    ``w_a*w_b*price(m_a, m_b)``.
+
+    Merge sort on position, merging by key: each right item b meets the
+    left items of smaller key.  With d the length of exps_a - exps_b, the
+    price is 4d - 3 except 1 at d = 0, i.e. at equal exponents on another
+    basis, so the sum is ``4*sum(w_a*w_b*d) - 3*sum(w_a*w_b) + 4*sum over
+    equal exponents of w_a*w_b``.  d sums one term per coordinate: |x_a - x_b|
+    on a free one, read off Fenwick trees of the inserted weights and
+    weighted values over the left block's values, and the cyclic distance
+    on a torsion one, read off a table of the inserted weight per residue.
+    """
+    if len(items) <= _BLOCK:
+        units = rel = 0
+        for a, (wa, ka, _, ma) in enumerate(items):
+            for wb, kb, _, mb in items[a + 1:]:
+                if ka < kb:
+                    units += wa * wb
+                    rel += wa * wb * price(ma, mb)
+        return units, rel, sorted(items, key=lambda it: it[1])
+    half = len(items) // 2
+    units, rel, left = _inversion_charge(items[:half], torsion, price)
+    more_units, more_rel, right = _inversion_charge(items[half:], torsion, price)
+    units, rel = units + more_units, rel + more_rel
+    free = [i for i, d in enumerate(torsion) if not d]
+    values = {i: sorted({x[i] for _, _, x, _ in left}) for i in free}
+    weights = {i: [0] * (len(values[i]) + 1) for i in free}
+    moments = {i: [0] * (len(values[i]) + 1) for i in free}
+    residues = {i: [0] * d for i, d in enumerate(torsion) if d}
+    total, total_moment, same, k, merged = 0, [0] * len(torsion), {}, 0, []
+    for wb, kb, y, mb in right:
+        while k < len(left) and left[k][1] < kb:
+            wa, _, x, ma = left[k]
+            total += wa
+            same[ma] = same.get(ma, 0) + wa
+            for i in free:
+                at = bisect_left(values[i], x[i])
+                _fenwick_add(weights[i], at, wa)
+                _fenwick_add(moments[i], at, wa * x[i])
+                total_moment[i] += wa * x[i]
+            for i, table in residues.items():
+                table[x[i] % torsion[i]] += wa
+            merged.append(left[k])
+            k += 1
+        merged.append((wb, kb, y, mb))
+        if not total:
+            continue
+        dist = 0
+        for i in free:
+            at = bisect_left(values[i], y[i])
+            below, below_moment = (_fenwick_sum(weights[i], at),
+                                   _fenwick_sum(moments[i], at))
+            dist += (total_moment[i] - 2 * below_moment
+                     - y[i] * (total - 2 * below))
+        for i, table in residues.items():
+            dist += sum(w * _length(r - y[i], torsion[i])
+                        for r, w in enumerate(table) if w)
+        units += total * wb
+        rel += wb * (4 * dist - 3 * total + 4 * same.get(mb, 0))
+    return units, rel, merged + left[k:]
+
+
+def _fenwick_add(tree, at, value):
+    at += 1
+    while at < len(tree):
+        tree[at] += value
+        at += at & -at
+
+
+def _fenwick_sum(tree, end):
+    """Sum of the first ``end`` entries."""
+    total = 0
+    while end:
+        total += tree[end]
+        end &= end - 1
+    return total
 
 
 def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:

@@ -111,6 +111,21 @@ def test_huge_bound_renders_without_expansion(monkeypatch):
     assert str(b) == doc["expression"]
 
 
+def test_wide_interval_renders_without_expansion(monkeypatch):
+    """log2 near 1.5e12: the padded interval is several units wide, so the
+    bit length is undecided, but the bound is far above the cut."""
+    def refuse(terms):
+        raise AssertionError("a closed-form bound was expanded")
+
+    monkeypatch.setattr(bounds, "_expand", refuse)
+    b = Bound(((1, 4, 759817695078), (-1, 1, 0)), 3)
+    doc = b.to_json()
+    assert "value" not in doc
+    assert doc["log2"] == pytest.approx(2 * 759817695078 - math.log2(3))
+    assert doc["expression"] == "(4^759817695078 - 1)/3"
+    assert str(b) == doc["expression"]
+
+
 def test_rejects_bad_parts():
     with pytest.raises(ValueError):
         Bound(((1, 2, 3),), 0)

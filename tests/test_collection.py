@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
-from metabelian.collection import (_collect_units, commutator_collect,
+from metabelian.collection import (CostLedger, _charge_merge, _collect_units,
+                                   _run_price, commutator_collect,
                                    ordered_form, render_ordered_word,
                                    split_conjugates)
-from metabelian.elements import Monomial
+from metabelian.elements import Ambient, Monomial, monomial_word_degree
+from metabelian.order import monomial_key
 from metabelian.errors import ExponentSumError
 from metabelian.presentation import (GroupWord, commutator, exponent_sums,
                                      parse_word)
@@ -209,3 +212,67 @@ class TestOrderedForm:
             chain = (n ** 2 + (n ** 2 + n) * (2 * K) ** n
                      + (n ** 2 + n) ** 2 * K ** (2 * n))
             assert ledger.absolute_total <= chain
+
+
+def _unit_run_price(base, b, d):
+    """One crossing at a time, as a run of b units of t_j is crossed."""
+    amb = Ambient(("t",), (d,), 1)
+    return sum(max(1, 4 * (base + monomial_word_degree(amb, (e,))) - 3)
+               for e in (range(b) if b > 0 else range(-1, b - 1, -1)))
+
+
+@given(st.sampled_from((0, 2, 3, 5)), st.integers(-60, 60), st.integers(0, 6))
+def test_run_price_matches_unit_loop(d, b, base):
+    assert _run_price(base, 0 if b > 0 else 1, abs(b), d) == \
+        _unit_run_price(base, b, d)
+
+
+def _pairwise_sort_charge(sequence, amb):
+    """``(r2_commutations, rel_r2_merge)`` of sorting conjugates none of
+    which cancel: every strictly inverted pair, one at a time."""
+    keys = [(basis, monomial_key(exps)) for _, basis, exps in sequence]
+    units = rel = 0
+    for a in range(len(sequence)):
+        for b in range(a + 1, len(sequence)):
+            (ba, ka), (bb, kb) = keys[a], keys[b]
+            if ba > bb or (ba == bb and ka < kb):
+                w = abs(sequence[a][0]) * abs(sequence[b][0])
+                diff = tuple(x - y for x, y in
+                             zip(sequence[a][2], sequence[b][2]))
+                units += w
+                rel += w * max(1, 4 * monomial_word_degree(amb, diff) - 3)
+    return units, rel
+
+
+@st.composite
+def sort_inputs(draw):
+    """An ambient with free and torsion coordinates and up to 300
+    conjugates drawn from a small pool, so equal monomials, equal exponents
+    on different bases and long runs of one rank all occur.  Each
+    (basis, exponents) keeps one sign, so nothing cancels."""
+    torsion = tuple(draw(st.lists(st.sampled_from((0, 0, 2, 3, 5)),
+                                  min_size=1, max_size=3)))
+    rank = draw(st.integers(1, 3))
+    amb = Ambient(tuple(f"t{i}" for i in range(len(torsion))), torsion, rank,
+                  tuple(f"e{i}" for i in range(rank)))
+    coordinate = [st.integers(0, d - 1) if d else st.integers(-4, 4)
+                  for d in torsion]
+    pool = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=40))
+    signs: dict = {}
+    sequence = []
+    for _ in range(draw(st.integers(0, 300))):
+        basis = draw(st.integers(1, rank))
+        exps = draw(st.sampled_from(pool))
+        sign = signs.setdefault((basis, exps), draw(st.sampled_from((1, -1))))
+        sequence.append((sign * draw(st.integers(1, 4)), basis, exps))
+    return amb, sequence
+
+
+@settings(max_examples=40, deadline=None)
+@given(sort_inputs())
+def test_sort_charge_matches_pairwise(case):
+    amb, sequence = case
+    ledger = CostLedger()
+    _charge_merge(sequence, amb, ledger)
+    assert (ledger.r2_commutations, ledger.rel_r2_merge) == \
+        _pairwise_sort_charge(sequence, amb)
