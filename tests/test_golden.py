@@ -18,7 +18,9 @@ collection on its own.  The same command regenerates it.
 
 ``golden/parse.jsonl`` holds one line per text of ``_parse_inputs``: seeded
 word texts parsed against ``GAMMA`` and element texts over ``PARSE_RING`` and
-``PARSE_MODULE``, about a tenth of them with one corrupting character.  Each
+``PARSE_MODULE``, about a tenth of them with one corrupting character, then
+300 flat word texts (``name^int*name*...`` with awkward spacing, exponents
+and unknown names) over ``GAMMA``.  Each
 line carries either the parsed ``letters`` (words) or ``render()`` (elements),
 or the error type and message.  The same command regenerates it.
 """
@@ -308,6 +310,53 @@ _FIXED_ELEMENTS = ("0", "1", "-1", "t", "t^-1*s^4", "2*3*t", "+t", "--t",
                    "e1*e2", "e1^2", "t*(e1 + s*e2)", "2*-t*e1", "e1 + 1",
                    "s^3 - 1", "x", "(t", "t +", "t^")
 _CORRUPT = "^*()[],-+1x# "
+# Flat products ``name^int*name*...`` over GAMMA, with the spellings a
+# one-scan reader could split wrongly: whitespace around every token, signed
+# zero, leading zeros, 30-digit exponents, equal neighbours that condense,
+# unknown names at the first, a middle and the last syllable, and inserted
+# characters that are not ASCII ('\u00b2' is no digit, '\u0663' is one).
+_FLAT_UNKNOWN = ("q", "x1", "ab", "t_", "S")
+_FLAT_SPACE = ("", "", "", " ", "  ", "\t", "\n")
+_FLAT_CORRUPT = "^*()[],-1x%# \u00b2\u0663"
+
+
+def _flat_exponent(rng) -> str:
+    r = rng.random()
+    if r < 0.5:
+        return str(rng.choice((-3, -2, -1, 1, 2, 3, 4)))
+    if r < 0.6:
+        return rng.choice(("0", "-0", "007", "-007", "00"))
+    if r < 0.75:
+        digits = str(rng.randint(10 ** 29, 10 ** 30 - 1))
+        return digits if rng.random() < 0.5 else "-" + digits
+    return str(rng.randint(-99, 99))
+
+
+def _flat_text(rng) -> str:
+    names = [rng.choice(_WORD_NAMES) for _ in range(rng.randint(1, 6))]
+    for i in range(1, len(names)):
+        if rng.random() < 0.25:
+            names[i] = names[i - 1]
+    if rng.random() < 0.15:
+        at = rng.choice((0, len(names) // 2, len(names) - 1))
+        names[at] = rng.choice(_FLAT_UNKNOWN)
+    spaces = _FLAT_SPACE if rng.random() < 0.6 else ("",)
+    sp = lambda: rng.choice(spaces)  # noqa: E731
+    out = sp()
+    for i, name in enumerate(names):
+        if i:
+            out += sp() + "*" + sp()
+        out += name
+        if rng.random() < 0.7:
+            e = _flat_exponent(rng)
+            if e.startswith("-"):
+                e = "-" + sp() + e[1:]
+            out += sp() + "^" + sp() + e
+    out += sp()
+    if rng.random() >= 0.1:
+        return out
+    at = rng.randrange(len(out) + 1)
+    return out[:at] + rng.choice(_FLAT_CORRUPT) + out[at:]
 
 
 def _word_text(rng, depth=0) -> str:
@@ -368,7 +417,8 @@ def _corrupt(rng, text: str) -> str:
 def _parse_inputs():
     """The fixed texts, 580 word texts and 380 element texts
     (``random.Random(5)``); half the element texts are over the ring ambient,
-    about a tenth of the drawn texts carry one inserted character."""
+    about a tenth of the drawn texts carry one inserted character.  Then 300
+    flat word texts (``random.Random(8)``, ``_flat_text``)."""
     rng = random.Random(5)
     inputs = [{"kind": "word", "text": t} for t in _FIXED_WORDS]
     inputs += [{"kind": "word", "text": _corrupt(rng, _word_text(rng))}
@@ -384,6 +434,8 @@ def _parse_inputs():
                 text = _element_text(rng, amb == "module")
             inputs.append({"kind": "element", "ambient": amb,
                            "text": _corrupt(rng, text)})
+    rng = random.Random(8)
+    inputs += [{"kind": "word", "text": _flat_text(rng)} for _ in range(300)]
     return inputs
 
 
