@@ -283,6 +283,15 @@ def _merge_price(amb, a_exps, b_exps) -> int:
 def ordered_form(w: GroupWord, p: Presentation):
     """Full pipeline: split, collect the tail, normalize, sort; returns
     the module vector and the CostLedger."""
+    vector, sequence, amb, ledger = _module_vector(w, p)
+    _charge_merge(sequence, amb, ledger)
+    return vector, ledger
+
+
+def _module_vector(w: GroupWord, p: Presentation):
+    """Split, collect the tail and normalize, without pricing the sort:
+    the module vector, the normalized conjugates, the ambient and the
+    ledger so far."""
     sums = exponent_sums(w, p)
     if any(sums):
         raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
@@ -303,10 +312,7 @@ def ordered_form(w: GroupWord, p: Presentation):
     for coeff, basis, exps in sequence:
         key = (exps, basis)
         raw[key] = raw.get(key, 0) + coeff
-    vector = ModuleElement.from_dict(amb, raw)
-
-    _charge_merge(sequence, amb, ledger)
-    return vector, ledger
+    return ModuleElement.from_dict(amb, raw), sequence, amb, ledger
 
 
 def _charge_merge(sequence, amb, ledger: CostLedger):

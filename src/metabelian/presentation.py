@@ -19,6 +19,11 @@ from .errors import ParseError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\[|\]|\(|\)|,|\-)")
+# A flat product ``name^int*name*...``, spaced as the tokenizer allows.  No
+# two ``\s*`` meet, so a text that does not match fails in linear time.
+_SYLLABLE = r"([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(?:(-)\s*)?(\d+))?"
+_FLAT = re.compile(rf"\s*{_SYLLABLE}(?:\s*\*\s*{_SYLLABLE})*\s*")
+_FLAT_SYLLABLE = re.compile(_SYLLABLE)
 
 
 def _condense(letters):
@@ -248,6 +253,18 @@ def parse_word(text: str, p: Optional[Presentation] = None) -> GroupWord:
     names = None
     if p is not None:
         names = set(p.module_gens) | set(p.t_names)
+    return _parse_word(text, names)
+
+
+def _parse_word(text: str, names) -> GroupWord:
+    """A flat product of known names in one scan; any other text, and every
+    error, through the grammar."""
+    if _FLAT.fullmatch(text):
+        syllables = _FLAT_SYLLABLE.findall(text)
+        if names is None or all(n in names for n, _, _ in syllables):
+            return GroupWord.from_letters(
+                [(n, (-int(d) if sign else int(d)) if d else 1)
+                 for n, sign, d in syllables])
     return _WordParser(text, names).parse()
 
 
@@ -265,10 +282,11 @@ def exponent_sums(w: GroupWord, p: Presentation) -> tuple[int, ...]:
 
 
 def relator_module(p: Presentation) -> list[ModuleElement]:
-    """Module vectors of all relators; they generate the relation submodule."""
-    from .collection import ordered_form
+    """Module vectors of all relators; they generate the relation submodule.
+    Their collection is not priced: nothing reads a relator's ledger."""
+    from .collection import _module_vector
 
-    return [ordered_form(r, p)[0] for r in p.relators]
+    return [_module_vector(r, p)[0] for r in p.relators]
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +360,9 @@ def parse_presentation(text: str) -> Presentation:
         if p.t_index(pair[0]) >= p.t_index(pair[1]):
             raise ParseError(f"commutator table pair {pair} must be ordered (i < j)")
 
-    relators = []
+    relators, names = [], set(names)
     for rtext in _list(doc, "relators"):
-        w = parse_word(rtext, p)
+        w = _parse_word(rtext, names)
         sums = exponent_sums(w, p)
         if any(sums):
             raise ParseError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +33,11 @@ class ModuleContext:
     embed: callable
 
 
-_CONTEXTS: dict[Presentation, ModuleContext] = {}
+# The contexts of the last _CONTEXT_LIMIT presentations used, least recently
+# used first.  A hit moves its entry and keeps its key, so an equal
+# presentation parsed again is not held twice.
+_CONTEXT_LIMIT = 64
+_CONTEXTS: OrderedDict[Presentation, ModuleContext] = OrderedDict()
 
 
 def module_context(p: Presentation) -> ModuleContext:
@@ -43,6 +48,10 @@ def module_context(p: Presentation) -> ModuleContext:
         basis = buchberger_strong(embedded)
         ctx = ModuleContext(p, vectors, basis, embed)
         _CONTEXTS[p] = ctx
+        if len(_CONTEXTS) > _CONTEXT_LIMIT:
+            _CONTEXTS.popitem(last=False)
+    else:
+        _CONTEXTS.move_to_end(p)
     return ctx
 
 

@@ -37,7 +37,8 @@ from metabelian.bounds import Bound
 from metabelian.collection import ordered_form
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.groebner import buchberger_strong, verify_certificate
-from metabelian.presentation import GroupWord, commutator, parse_word
+from metabelian.presentation import (GroupWord, commutator, parse_word,
+                                     relator_module)
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import is_identity, module_context
 
@@ -142,6 +143,13 @@ def _preset_specs():
                      "torsion_orders": [3]},
                     {"name": "wf", "r": 1, "k": 1, "fs": [[1, 1, 1]],
                      "torsion_orders": [2]}]
+
+
+@pytest.mark.parametrize("spec", _preset_specs(), ids=json.dumps)
+def test_relator_vectors_match_ordered_form(spec):
+    """``relator_module`` skips pricing the sort, not any of the vector."""
+    p = _preset(spec)
+    assert relator_module(p) == [ordered_form(r, p)[0] for r in p.relators]
 
 
 def _groebner_inputs():
@@ -341,7 +349,10 @@ def _flat_text(rng) -> str:
         at = rng.choice((0, len(names) // 2, len(names) - 1))
         names[at] = rng.choice(_FLAT_UNKNOWN)
     spaces = _FLAT_SPACE if rng.random() < 0.6 else ("",)
-    sp = lambda: rng.choice(spaces)  # noqa: E731
+
+    def sp():
+        return rng.choice(spaces)
+
     out = sp()
     for i, name in enumerate(names):
         if i:

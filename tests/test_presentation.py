@@ -4,10 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
 from metabelian.errors import ParseError
-from metabelian.presentation import (GroupWord, exponent_sums,
+from metabelian.presentation import (GroupWord, _WordParser, exponent_sums,
                                      parse_presentation, parse_word,
                                      relator_module)
 
@@ -96,6 +97,57 @@ class TestWordDsl:
                        for _ in range(rng.randrange(0, 6))]
             w = GroupWord.from_letters(letters)
             assert parse_word(w.render(), GAMMA) == w
+
+
+# Flat and near-flat texts over GAMMA: two of the names are unknown, the
+# spacing, signs and digits are the ones a one-scan reader could get wrong,
+# and a quarter of the texts carry one inserted character.
+_SPACE = st.sampled_from(["", "", " ", "\t", "\n "])
+_DIGITS = st.one_of(st.integers(0, 99).map(str),
+                    st.sampled_from(["007", "00", "\u0663", "1\u0663"]),
+                    st.integers(10 ** 29, 10 ** 30).map(str))
+_INSERT = st.sampled_from(list("%\u00b2\u0663[]()^*-,1 "))
+
+
+@st.composite
+def _flat_texts(draw):
+    text = draw(_SPACE)
+    for i in range(draw(st.integers(1, 5))):
+        if i:
+            text += draw(_SPACE) + "*" + draw(_SPACE)
+        text += draw(st.sampled_from(["a", "b", "s", "t", "q", "ab"]))
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from(["", "-", "-" + draw(_SPACE)]))
+            text += draw(_SPACE) + "^" + draw(_SPACE) + sign + draw(_DIGITS)
+    text += draw(_SPACE)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_INSERT) + text[at:]
+    return text
+
+
+def _outcome(parse):
+    try:
+        return "letters", parse().letters
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+def test_flat_words_match_the_grammar():
+    """``parse_word`` reads flat texts in one scan; the recursive-descent
+    grammar is the reference for every text, letters and errors alike."""
+    names = set(GAMMA.module_gens) | set(GAMMA.t_names)
+    seen = set()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_flat_texts())
+    def check(text):
+        got = _outcome(lambda: parse_word(text, GAMMA))
+        assert got == _outcome(lambda: _WordParser(text, names).parse())
+        seen.add(got[0])
+
+    check()
+    assert seen == {"letters", "ParseError"}
 
 
 class TestExponentSums:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -9,12 +10,13 @@ from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word)
 from metabelian.elements import parse_element
 from metabelian.presentation import parse_presentation, parse_word
+from metabelian import wordproblem
 from metabelian.presets import PresetSpec, build, witness_family
 from metabelian.wordproblem import (area_certificate,
                                     brute_force_min_certificate, dehn_profile,
                                     fit_exp, fit_power, is_identity,
-                                    module_dehn_upper, module_norm,
-                                    random_identity_word,
+                                    module_context, module_dehn_upper,
+                                    module_norm, random_identity_word,
                                     relative_area_certificate)
 
 
@@ -274,3 +276,21 @@ class TestDehnProfile:
         r1 = dehn_profile(BS2, 5, samples=4, seed=9)
         r2 = dehn_profile(BS2, 5, samples=4, seed=9)
         assert r1 == r2
+
+
+def test_context_cache_keeps_the_64_most_recent(monkeypatch):
+    monkeypatch.setattr(wordproblem, "_CONTEXTS", OrderedDict())
+    cache = wordproblem._CONTEXTS
+    ps = [build(PresetSpec("bs", n=n)) for n in range(2, 67)]
+    first = [module_context(p) for p in ps[:64]]
+    assert len(cache) == 64
+    again = build(PresetSpec("bs", n=2))      # equal to ps[0], not the same
+    assert again is not ps[0]
+    assert module_context(again) is first[0]   # a hit: ps[1] is now oldest
+    assert [k for k in cache if k == again][0] is ps[0]
+    module_context(ps[64])
+    assert len(cache) == 64
+    assert ps[1] not in cache and ps[0] in cache and ps[64] in cache
+    rebuilt = module_context(ps[1])
+    assert rebuilt is not first[1] and rebuilt.basis == first[1].basis
+    assert ps[2] not in cache
