@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .elements import ModuleElement, monomial_word_degree
 from .errors import ExponentSumError
-from .presentation import GroupWord, Presentation, exponent_sums
+from .presentation import GroupWord, Presentation, _condense, exponent_sums
 
 
 @dataclass
@@ -81,13 +81,14 @@ def split_conjugates(w: GroupWord, p: Presentation):
     Items keep the letter multiplicity: ``(coeff, basis_index, v)`` stands
     for ``coeff`` copies of the same conjugate.  Costs nothing.
     """
-    module = set(p.module_gens)
+    basis_of = p._basis_indexes
     prefix: list[tuple[str, int]] = []
     items = []
     for name, exp in w.letters:
-        if name in module:
+        basis = basis_of.get(name)
+        if basis is not None:
             v = GroupWord.from_letters(tuple((n, -e) for n, e in reversed(prefix)))
-            items.append((exp, p.module_index(name), v))
+            items.append((exp, basis, v))
         else:
             prefix.append((name, exp))
     tail = GroupWord.from_letters(prefix)
@@ -122,8 +123,7 @@ def _collect_units(tail: GroupWord, p: Presentation):
     ``letters[front:pos] + rest``, which is freely reduced except where the
     two parts meet, so they are cut from that list instead of re-reduced.
     """
-    names = p.t_names
-    index = {n: i for i, n in enumerate(names)}
+    names, index = p.t_names, p._t_positions
     letters = _word_units(tail)
     emissions = []
     blocks = []
@@ -169,10 +169,10 @@ def _tail_items(tail: GroupWord, p: Presentation, ledger: CostLedger):
     """Module-letter conjugates ``(sign, basis, conjugator units)`` of a
     zero-sum tail, charged to ``ledger``."""
     emissions, blocks = _collect_units(tail, p)
+    basis_of = p._basis_indexes
     items = []
     for sign, s, j, conj in emissions:
-        gen = p.commutator_gen(s, j)
-        items.append((sign, p.module_index(gen), conj))
+        items.append((sign, basis_of[p.commutator_gen(s, j)], conj))
         ledger.r1_commutators += 1
     for var, net in blocks:
         if net == 0:
@@ -224,10 +224,9 @@ def _run_price(base: int, start: int, n: int, d: int) -> int:
             + sum(map(price, range(start, start + extra))))
 
 
-def _normalize_word(letters, amb, index, ledger: CostLedger):
-    """Ordered exponent vector of a freely reduced conjugator, given as its
-    letters ``(name, exp)`` over the module ambient ``amb`` whose variable
-    positions are ``index``, with all charges.
+def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
+    """Charge ``ledger`` for normalizing a freely reduced conjugator, given
+    as its letters ``(name, exp)``, into its ordered exponent vector.
 
     Each unit letter t_s^eps is pushed left past every unit of t_j (j > s)
     already in the ordered word, emitting one commutator conjugate per unit
@@ -240,7 +239,8 @@ def _normalize_word(letters, amb, index, ledger: CostLedger):
     unit of a run of t_s letters of one sign pays the same: the run is
     charged once, times its length, and the crossings of each t_j are priced
     together by ``_run_price``.  Torsion exponents wrap into [0, order) at
-    one module relation per wrap.
+    one module relation per wrap.  The vector itself is the conjugator's
+    wrapped exponent sums, which ``_conjugates`` reads without this.
     """
     runs: list[list] = []
     for name, exp in letters:
@@ -248,13 +248,15 @@ def _normalize_word(letters, amb, index, ledger: CostLedger):
             runs[-1][1] += exp
         else:
             runs.append([name, exp])
-    exps = [0] * amb.nvars
+    index, torsion = p._t_positions, p.torsion_orders
+    nvars = len(torsion)
+    exps = [0] * nvars
     for name, exp in runs:
         s = index[name]
         base = 1 if exp < 0 else 0  # the template letter t_s^-1
         units = rel = 0
-        for j in range(amb.nvars - 1, s, -1):
-            b, d = exps[j], amb.torsion[j]
+        for j in range(nvars - 1, s, -1):
+            b, d = exps[j], torsion[j]
             if b:
                 # the conjugator's t_j exponent runs over 0..b-1 when the
                 # crossed units are positive and over -1..b when negative
@@ -266,13 +268,9 @@ def _normalize_word(letters, amb, index, ledger: CostLedger):
         ledger.r2_commutations += units * n
         ledger.rel_r2_normalize += rel * n
         exps[s] += exp
-    wrapped = []
-    for e, d in zip(exps, amb.torsion):
+    for e, d in zip(exps, torsion):
         if d and not 0 <= e < d:
             ledger.module_relations += abs(e // d)
-            e %= d
-        wrapped.append(e)
-    return tuple(wrapped)
 
 
 def _merge_price(amb, a_exps, b_exps) -> int:
@@ -282,37 +280,82 @@ def _merge_price(amb, a_exps, b_exps) -> int:
 
 def ordered_form(w: GroupWord, p: Presentation):
     """Full pipeline: split, collect the tail, normalize, sort; returns
-    the module vector and the CostLedger."""
-    vector, sequence, amb, ledger = _module_vector(w, p)
-    _charge_merge(sequence, amb, ledger)
-    return vector, ledger
+    the module vector and the CostLedger.  The vector and the sequence the
+    sort prices come from ``_conjugates``; the conjugators are built and
+    priced for the ledger alone."""
+    ledger = CostLedger()
+    sequence, tail_conjugators = _conjugates(w, p, ledger)
+    split_items, _ = split_conjugates(w, p)
+    ledger.free_steps += len(split_items) + 1
+    for _, _, v in split_items:
+        _price_conjugator(v.letters, p, ledger)
+    for conj in tail_conjugators:
+        _price_conjugator(conj, p, ledger)
+    _charge_merge(sequence, p.module_ambient(), ledger)
+    return _vector(sequence, p), ledger
 
 
-def _module_vector(w: GroupWord, p: Presentation):
-    """Split, collect the tail and normalize, without pricing the sort:
-    the module vector, the normalized conjugates, the ambient and the
-    ledger so far."""
-    sums = exponent_sums(w, p)
+def _module_vector(w: GroupWord, p: Presentation) -> ModuleElement:
+    """The module vector of a kernel word, with nothing priced."""
+    return _vector(_conjugates(w, p, CostLedger())[0], p)
+
+
+def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
+    """The module-letter conjugates ``(coeff, basis, exponents)`` of a
+    kernel word, in the order the free rewrite puts them, and the
+    conjugators of the tail's emissions as unit letters.
+
+    A module letter's conjugator is the inverse of the t-letters before it,
+    so its exponents are the negated running exponent sums, torsion
+    wrapped; an emission's are its conjugator's wrapped sums.  Only a
+    nonempty freely reduced tail goes through the tail step, which charges
+    ``ledger``.
+    """
+    t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
+    sums = [0] * len(torsion)
+    conj = tuple(sums)
+    sequence, tail, unknown = [], [], None
+    for name, exp in w.letters:
+        basis = basis_of.get(name)
+        if basis is not None:
+            if conj is None:
+                conj = tuple(-s % d if d else -s for s, d in zip(sums, torsion))
+            sequence.append((exp, basis, conj))
+            continue
+        i = t_pos.get(name)
+        if i is None:
+            unknown = unknown or name
+        else:
+            sums[i] += exp
+            conj = None
+        tail.append((name, exp))
+    sums = _wrapped(sums, torsion)
     if any(sums):
         raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
-    ledger = CostLedger()
-    amb = p.module_ambient()
-    index = {name: i for i, name in enumerate(amb.variables)}
+    if unknown is not None:
+        raise KeyError(unknown)
+    tail = _condense(tail)
+    if not tail:
+        return sequence, []
+    items = _tail_items(GroupWord(tail), p, ledger)
+    for sign, basis, units in items:
+        exps = [0] * len(torsion)
+        for name, e in units:
+            exps[t_pos[name]] += e
+        sequence.append((sign, basis, _wrapped(exps, torsion)))
+    return sequence, [units for _, _, units in items]
 
-    split_items, tail = split_conjugates(w, p)
-    ledger.free_steps += len(split_items) + 1
-    tail_items = _tail_items(tail, p, ledger)
 
-    sequence = [(coeff, basis, _normalize_word(v.letters, amb, index, ledger))
-                for coeff, basis, v in split_items]
-    sequence += [(sign, basis, _normalize_word(conj, amb, index, ledger))
-                 for sign, basis, conj in tail_items]
+def _wrapped(exps, torsion) -> tuple[int, ...]:
+    return tuple(e % d if d else e for e, d in zip(exps, torsion))
 
+
+def _vector(sequence, p: Presentation) -> ModuleElement:
     raw: dict = {}
     for coeff, basis, exps in sequence:
         key = (exps, basis)
         raw[key] = raw.get(key, 0) + coeff
-    return ModuleElement.from_dict(amb, raw), sequence, amb, ledger
+    return ModuleElement.from_dict(p.module_ambient(), raw)
 
 
 def _charge_merge(sequence, amb, ledger: CostLedger):

@@ -264,6 +264,15 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     leading coefficients) and, when neither leading coefficient divides the
     other, the gcd-polynomial (Bezout combination) are reduced and kept when
     nonzero.  The result is tail-autoreduced so normal forms are canonical.
+
+    Buchberger's product criterion skips a pair of generators ``f = phi*e``
+    and ``g = gamma*e`` whose terms all lie on one basis vector ``e``, whose
+    leading coefficients are 1 and whose leading monomials share no
+    variable: the S-polynomial is then ``phi'*g - gamma'*f`` (primes drop
+    the leading term), a representation below the lcm, and unit leading
+    coefficients form no gcd-polynomial.  A generator with terms on another
+    basis vector has no such representation: ``x*e1 + e2`` and ``y*e1``
+    leave ``y*e2``.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -283,6 +292,8 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     # queue is empty, so the lcm stays valid.
     pairs: list = []
     inserted = count()
+    # per generator: leading coefficient 1 and every term on the lead's basis
+    unit_single: list[bool] = []
 
     def add_element(terms: dict):
         f = _reduce(ambient, terms, tables, budget, what)
@@ -290,11 +301,15 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
             return
         basis.append(_positive(f))
         tables.append(_table(basis[-1]))
-        mj, bj = tables[-1][0], tables[-1][1]
+        mj, bj, cj, tail = tables[-1]
+        unit_single.append(cj == 1 and all(b == bj for _, b, _ in tail))
         for i, (mi, bi, _, _) in enumerate(tables[:-1]):
-            if bi == bj:
-                lcm = tuple(map(max, mi, mj))
-                heappush(pairs, ((sum(lcm), lcm), next(inserted), i, len(tables) - 1))
+            if bi != bj:
+                continue
+            lcm = tuple(map(max, mi, mj))
+            if unit_single[i] and unit_single[-1] and lcm == tuple(map(add, mi, mj)):
+                continue  # product criterion
+            heappush(pairs, ((sum(lcm), lcm), next(inserted), i, len(tables) - 1))
 
     for f in F:
         add_element(f.as_dict())

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .elements import Ambient, ModuleElement, _Tokens, parse_element
@@ -107,12 +109,15 @@ class Presentation:
     tameness: Optional[TamenessDatum] = None
 
     # -- derived structure ---------------------------------------------------
+    # Derived once per instance: a cached value lives in the instance's
+    # ``__dict__``, outside the fields that ``==``, ``hash`` and ``replace``
+    # read, so an equal presentation built again derives its own.
 
-    @property
+    @cached_property
     def t_names(self) -> tuple[str, ...]:
         return self.free_gens + tuple(n for n, _ in self.torsion_gens)
 
-    @property
+    @cached_property
     def torsion_orders(self) -> tuple[int, ...]:
         return (0,) * len(self.free_gens) + tuple(d for _, d in self.torsion_gens)
 
@@ -120,30 +125,60 @@ class Presentation:
     def free_rank(self) -> int:
         return len(self.free_gens)
 
-    def module_ambient(self) -> Ambient:
+    @cached_property
+    def _module_ambient(self) -> Ambient:
         return Ambient(self.t_names, self.torsion_orders,
                        len(self.module_gens), self.module_gens, laurent=True)
 
+    def module_ambient(self) -> Ambient:
+        return self._module_ambient
+
     def ring_ambient(self) -> Ambient:
-        return self.module_ambient().ring()
+        return self._module_ambient.ring()
+
+    @cached_property
+    def _t_positions(self) -> dict[str, int]:
+        return {n: i for i, n in enumerate(self.t_names)}
+
+    @cached_property
+    def _basis_indexes(self) -> dict[str, int]:
+        return {n: b for b, n in enumerate(self.module_gens, 1)}
+
+    @cached_property
+    def _commutator_gens(self) -> dict[tuple[int, int], str]:
+        """``(i, j) -> generator`` over the table's pairs of known names; the
+        first row of a pair wins."""
+        pos, gens = self._t_positions, {}
+        for (a, b), gen in self.commutator_table:
+            if a in pos and b in pos:
+                gens.setdefault((pos[a], pos[b]), gen)
+        return gens
+
+    @cached_property
+    def _names(self) -> frozenset[str]:
+        """Every generator name a word over this presentation may use."""
+        return frozenset(self.module_gens + self.t_names)
 
     def module_index(self, name: str) -> int:
         """1-based basis index of a module generator."""
-        return self.module_gens.index(name) + 1
+        try:
+            return self._basis_indexes[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not a module generator") from None
 
     def t_index(self, name: str) -> int:
         try:
-            return self.t_names.index(name)
-        except ValueError:
+            return self._t_positions[name]
+        except KeyError:
             raise KeyError(f"unknown t-generator {name!r}") from None
 
     def commutator_gen(self, i: int, j: int) -> str:
         """Module generator realizing the commutator of t-generators i < j."""
-        ni, nj = self.t_names[i], self.t_names[j]
-        for (a, b), gen in self.commutator_table:
-            if (a, b) == (ni, nj):
-                return gen
-        raise KeyError(f"commutator table misses the pair ({ni}, {nj})")
+        try:
+            return self._commutator_gens[i, j]
+        except KeyError:
+            raise KeyError(f"commutator table misses the pair "
+                           f"({self.t_names[i]}, {self.t_names[j]})") from None
 
     # -- serialization --------------------------------------------------------
 
@@ -209,9 +244,13 @@ class _WordParser(_Tokens):
                 e = self.integer()
                 base = _condense(w)
                 # A one-syllable base scales its exponent, so a^-N stays
-                # one syllable for any N; any other base is repeated.
-                if len(base) == 1:
-                    w = [(base[0][0], base[0][1] * e)]
+                # one syllable for any N, and an empty base stays empty;
+                # any other base is repeated.
+                if len(base) <= 1:
+                    w = [(n, x * e) for n, x in base]
+                elif abs(e) > sys.maxsize:
+                    raise ParseError(f"power {e} repeats a word of "
+                                     f"{len(base)} syllables too often")
                 else:
                     w = list(base if e > 0 else _inverse(base)) * abs(e)
             elif tok is not None and _NAME.fullmatch(tok):
@@ -250,10 +289,7 @@ class _WordParser(_Tokens):
 
 
 def parse_word(text: str, p: Optional[Presentation] = None) -> GroupWord:
-    names = None
-    if p is not None:
-        names = set(p.module_gens) | set(p.t_names)
-    return _parse_word(text, names)
+    return _parse_word(text, None if p is None else p._names)
 
 
 def _parse_word(text: str, names) -> GroupWord:
@@ -270,23 +306,23 @@ def _parse_word(text: str, names) -> GroupWord:
 
 def exponent_sums(w: GroupWord, p: Presentation) -> tuple[int, ...]:
     """Image of the word in T as an exponent vector (torsion reduced)."""
-    sums = [0] * len(p.t_names)
-    index = {n: i for i, n in enumerate(p.t_names)}
+    index = p._t_positions
+    sums = [0] * len(index)
     for name, exp in w.letters:
         if name in index:
             sums[index[name]] += exp
-    for i, d in enumerate(p.torsion_orders):
-        if d:
-            sums[i] %= d
+    if p.torsion_gens:
+        return tuple(s % d if d else s for s, d in zip(sums, p.torsion_orders))
     return tuple(sums)
 
 
 def relator_module(p: Presentation) -> list[ModuleElement]:
     """Module vectors of all relators; they generate the relation submodule.
-    Their collection is not priced: nothing reads a relator's ledger."""
+    They are read off exponent sums: nothing reads a relator's ledger, so no
+    conjugator is built or priced."""
     from .collection import _module_vector
 
-    return [_module_vector(r, p)[0] for r in p.relators]
+    return [_module_vector(r, p) for r in p.relators]
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +396,9 @@ def parse_presentation(text: str) -> Presentation:
         if p.t_index(pair[0]) >= p.t_index(pair[1]):
             raise ParseError(f"commutator table pair {pair} must be ordered (i < j)")
 
-    relators, names = [], set(names)
+    relators = []
     for rtext in _list(doc, "relators"):
-        w = _parse_word(rtext, names)
+        w = _parse_word(rtext, p._names)
         sums = exponent_sums(w, p)
         if any(sums):
             raise ParseError(

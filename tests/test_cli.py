@@ -205,6 +205,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("word, code", [
+        ("1^99999999999999999999", 0), ("(a*a^-1)^99999999999999999999", 0),
+        ("(a*t)^99999999999999999999", 2)])
+    def test_huge_powers_exit_without_traceback(self, word, code):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "metabelian.cli", "solve", "--preset", "bs",
+             "--n", "2", "-w", word], capture_output=True, text=True, env=env,
+            check=False)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["identity"] is True
+
 
 class TestRemovedOptions:
     @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Collection pipeline: splitting, gathering, normalization, pricing."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,13 @@ from metabelian.collection import (CostLedger, _charge_merge, _collect_units,
                                    _run_price, commutator_collect,
                                    ordered_form, render_ordered_word,
                                    split_conjugates)
-from metabelian.elements import Ambient, Monomial, monomial_word_degree
+from metabelian.elements import (Ambient, ModuleElement, Monomial,
+                                 monomial_word_degree)
 from metabelian.order import monomial_key
 from metabelian.errors import ExponentSumError
 from metabelian.presentation import (GroupWord, commutator, exponent_sums,
-                                     parse_word)
+                                     parse_word, relator_module)
+from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import constant_k
 
 
@@ -276,3 +279,66 @@ def test_sort_charge_matches_pairwise(case):
     _charge_merge(sequence, amb, ledger)
     assert (ledger.r2_commutations, ledger.rel_r2_merge) == \
         _pairwise_sort_charge(sequence, amb)
+
+
+# wf without torsion, with torsion (3,), and wf(1,1) with torsion (5, 2)
+_VECTOR_PRESETS = (build(PresetSpec("wf", r=1, k=2)),
+                   build(PresetSpec("wf", r=1, k=2, torsion_orders=(3,))),
+                   build(PresetSpec("wf", r=1, k=1, torsion_orders=(5, 2))))
+
+
+@st.composite
+def tailed_kernel_words(draw):
+    """``(p, w)``: a commutator of powers ``[x^m, y^n]`` or a law word
+    ``[[x,y],[z,w]]`` of random factors, whose t-tail is not empty."""
+    p = draw(st.sampled_from(_VECTOR_PRESETS))
+    names = p.module_gens + p.t_names
+
+    def factor():
+        return GroupWord.from_letters(draw(st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from((-2, -1, 1, 2))),
+            min_size=1, max_size=4)))
+
+    def power(x):
+        e = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        return GroupWord.from_letters((x if e > 0 else x.inverse()).letters * abs(e))
+
+    if draw(st.booleans()):
+        w = commutator(power(factor()), power(factor()))
+    else:
+        w = commutator(commutator(factor(), factor()),
+                       commutator(factor(), factor()))
+    if split_conjugates(w, p)[1].is_empty():
+        w = w * commutator(GroupWord(((p.t_names[0], 1),)),
+                           GroupWord(((p.t_names[-1], 1),)))
+    return p, w
+
+
+def _conjugate_sum(w, p):
+    """The vector from the split's conjugators and the collected tail's,
+    each at its own exponent sums."""
+    items, tail = split_conjugates(w, p)
+    items += commutator_collect(tail, p)[0]
+    raw = {}
+    for coeff, basis, v in items:
+        key = (exponent_sums(v, p), basis)
+        raw[key] = raw.get(key, 0) + coeff
+    return ModuleElement.from_dict(p.module_ambient(), raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tailed_kernel_words())
+def test_relator_vector_path_matches_ordered_form(case):
+    """Vectors read off running exponent sums equal the priced pipeline's
+    and the built conjugators', and an unbalanced word is refused by both
+    paths."""
+    p, w = case
+    assert not split_conjugates(w, p)[1].is_empty()
+    vector = ordered_form(w, p)[0]
+    assert relator_module(replace(p, relators=(w,))) == [vector]
+    assert vector == _conjugate_sum(w, p)
+    unbalanced = w * GroupWord(((p.t_names[0], 1),))
+    with pytest.raises(ExponentSumError):
+        relator_module(replace(p, relators=(unbalanced,)))
+    with pytest.raises(ExponentSumError):
+        ordered_form(unbalanced, p)

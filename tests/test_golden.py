@@ -147,7 +147,8 @@ def _preset_specs():
 
 @pytest.mark.parametrize("spec", _preset_specs(), ids=json.dumps)
 def test_relator_vectors_match_ordered_form(spec):
-    """``relator_module`` skips pricing the sort, not any of the vector."""
+    """``relator_module`` builds and prices no conjugator, and loses none
+    of the vector."""
     p = _preset(spec)
     assert relator_module(p) == [ordered_form(r, p)[0] for r in p.relators]
 

@@ -1,8 +1,10 @@
 """Reduction, strong basis construction, division certificates, embedding."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import random_element
 from metabelian.elements import Ambient, ModuleElement, Monomial, parse_element
@@ -115,6 +117,83 @@ class TestBuchberger:
                     if not g.is_zero()]
             gb = buchberger_strong(gens)
             assert all(g.leading_term().coefficient > 0 for g in gb.generators)
+
+
+class TestProductCriterion:
+    """Pairs skipped by Buchberger's product criterion lose nothing."""
+
+    XY2 = Ambient(("x", "y"), (0, 0), 2, ("e1", "e2"), laurent=False)
+
+    def test_generator_off_the_lead_basis_keeps_its_pair(self):
+        # coprime leads x*e1 and y*e1 with unit coefficients, but x*e1 + e2
+        # has a term on e2: its S-polynomial y*e2 reduces by neither
+        f = parse_element("x*e1 + e2", self.XY2)
+        g = parse_element("y*e1", self.XY2)
+        gb = buchberger_strong([f, g])
+        y_e2 = parse_element("y*e2", self.XY2)
+        assert y_e2 in gb.generators
+        assert normal_form(y_e2, gb).is_zero()
+
+
+def _reduces_to_zero(g, gens, limit=10 ** 4):
+    for _ in range(limit):
+        out = reduce_step(g, gens)
+        if out is None:
+            return g.is_zero()
+        g = out[0]
+    raise AssertionError("reduce_step did not stop")
+
+
+def _pair_polynomials(f, g):
+    """The S-polynomial of two generators on one basis vector, and their
+    gcd-polynomial when neither leading coefficient divides the other."""
+    (cf, mf), (cg, mg) = ((h.leading_term().coefficient, h.leading_term().monomial)
+                          for h in (f, g))
+    lcm = tuple(map(max, mf.exponents, mg.exponents))
+    uf = Monomial(tuple(a - b for a, b in zip(lcm, mf.exponents)))
+    ug = Monomial(tuple(a - b for a, b in zip(lcm, mg.exponents)))
+    c = abs(cf * cg) // math.gcd(cf, cg)
+    out = [f.scale_translate(c // cf, uf) - g.scale_translate(c // cg, ug)]
+    d = math.gcd(cf, cg)
+    if d not in (abs(cf), abs(cg)):
+        a = next(a for a in range(abs(cg)) if (a * cf - d) % cg == 0)
+        out.append(f.scale_translate(a, uf)
+                   + g.scale_translate((d - a * cf) // cg, ug))
+    return out
+
+
+@st.composite
+def generator_sets(draw):
+    """Rank 1-3 over Z[x, y]: leading coefficients unit or not, leading
+    monomials shared or coprime, terms on one basis vector or on several."""
+    rank = draw(st.integers(1, 3))
+    amb = Ambient(("x", "y"), (0, 0), rank,
+                  tuple(f"e{b}" for b in range(1, rank + 1)), laurent=False)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        lead = draw(st.sampled_from([(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]))
+        basis = draw(st.integers(1, rank))
+        raw = {(lead, basis): draw(st.sampled_from([1, 1, -1, 2, 3, 6]))}
+        for _ in range(draw(st.integers(0, 2))):
+            exps = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+            b = draw(st.sampled_from([basis, basis, draw(st.integers(1, rank))]))
+            raw.setdefault((exps, b), draw(st.integers(-3, 3)))
+        gens.append(ModuleElement.from_dict(amb, raw))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_strong_basis_checked_by_reduce_step(gens):
+    gb = buchberger_strong(gens)
+    basis = list(gb.generators)
+    assert all(f.leading_term().coefficient > 0 for f in basis)
+    assert all(_reduces_to_zero(f, basis) for f in gens)
+    for i, f in enumerate(basis):
+        for g in basis[i + 1:]:
+            if f.leading_term().monomial.basis == g.leading_term().monomial.basis:
+                assert all(_reduces_to_zero(h, basis)
+                           for h in _pair_polynomials(f, g))
 
 
 class TestDivision:

@@ -2,11 +2,13 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
+from metabelian.elements import Ambient
 from metabelian.errors import ParseError
 from metabelian.presentation import (GroupWord, _WordParser, exponent_sums,
                                      parse_presentation, parse_word,
@@ -89,6 +91,18 @@ class TestWordDsl:
         with pytest.raises(ParseError, match="unknown generator"):
             parse_word("q", BS2)
 
+    @pytest.mark.parametrize("text", [
+        "1^99999999999999999999", "(1*1)^99999999999999999999",
+        "(a*a^-1)^99999999999999999999", "(a^t*(a^-1)^t)^-99999999999999999999"])
+    def test_huge_power_of_an_empty_base(self, text):
+        assert parse_word(text, BS2).is_empty()
+
+    @pytest.mark.parametrize("text", [
+        "(a*t)^99999999999999999999", "[a, t]^-99999999999999999999"])
+    def test_huge_power_of_a_long_base(self, text):
+        with pytest.raises(ParseError, match="too often"):
+            parse_word(text, BS2)
+
     def test_roundtrip_random_words(self):
         rng = random.Random(0)
         names = ["a", "b", "s", "t"]
@@ -148,6 +162,43 @@ def test_flat_words_match_the_grammar():
 
     check()
     assert seen == {"letters", "ParseError"}
+
+
+class TestDerivedTables:
+    def test_ambient_built_once(self):
+        p = parse_presentation(GAMMA.render())
+        assert p.module_ambient() is p.module_ambient()
+        assert p.module_ambient() == Ambient(
+            p.t_names, p.torsion_orders, len(p.module_gens), p.module_gens,
+            laurent=True)
+
+    def test_replace_derives_again(self):
+        p = WF11
+        p.module_ambient(), p.t_names, p.torsion_orders
+        q = replace(p, torsion_gens=(("r", 4),))
+        assert q.t_names == p.t_names + ("r",)
+        assert q.torsion_orders == p.torsion_orders + (4,)
+        assert q.module_ambient().variables == q.t_names
+        assert q.module_ambient().torsion == q.torsion_orders
+        assert exponent_sums(GroupWord((("r", 6),)), q)[-1] == 2
+
+    @pytest.mark.parametrize("read", [
+        lambda p: None, lambda p: p.module_ambient(), lambda p: p.t_names,
+        lambda p: parse_word("[u1, t1]", p), lambda p: relator_module(p)])
+    def test_parses_stay_equal_whatever_was_read(self, read):
+        text = WF11.render()
+        first, second = parse_presentation(text), parse_presentation(text)
+        read(first)
+        assert first == second and hash(first) == hash(second)
+
+    def test_lookup_errors(self):
+        with pytest.raises(ValueError):
+            GAMMA.module_index("s")
+        with pytest.raises(KeyError):
+            GAMMA.t_index("a")
+        with pytest.raises(KeyError, match="misses the pair"):
+            replace(GAMMA, commutator_table=()).commutator_gen(0, 1)
+        assert GAMMA.module_index("a") == 1 and GAMMA.t_index("t") == 1
 
 
 class TestExponentSums:
