@@ -1,10 +1,10 @@
 """Collection of words in the module kernel into ordered form, with costs.
 
-The pipeline splits a word into module-letter conjugates and a pure-T tail,
-rewrites the tail into commutator conjugates (which the commutator table
-turns into module letters), normalizes every conjugator into an ordered
-monomial, and finally sorts all conjugates into the canonical vector,
-charging the ledger per relation class:
+One scan splits a word into module-letter conjugates and a pure-T tail and
+prices normalizing each conjugator into an ordered monomial; the tail is
+rewritten into commutator conjugates (which the commutator table turns
+into module letters), and all conjugates are sorted into the canonical
+vector, charging the ledger per relation class:
 
 * r1: commutator introductions/eliminations (one per tail replacement, two
   per emitted pair during conjugator normalization),
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .elements import ModuleElement, monomial_word_degree
 from .errors import ExponentSumError
-from .presentation import GroupWord, Presentation, _condense, exponent_sums
+from .presentation import GroupWord, Presentation, _inverse, exponent_sums
 
 
 @dataclass
@@ -165,15 +165,13 @@ def _collect_units(tail: GroupWord, p: Presentation):
     return emissions, blocks
 
 
-def _tail_items(tail: GroupWord, p: Presentation, ledger: CostLedger):
+def _tail_items(tail: GroupWord, p: Presentation, ledger=None):
     """Module-letter conjugates ``(sign, basis, conjugator units)`` of a
-    zero-sum tail, charged to ``ledger``."""
+    zero-sum tail, charged to ``ledger`` when one is given."""
     emissions, blocks = _collect_units(tail, p)
     basis_of = p._basis_indexes
-    items = []
-    for sign, s, j, conj in emissions:
-        items.append((sign, basis_of[p.commutator_gen(s, j)], conj))
-        ledger.r1_commutators += 1
+    items = [(sign, basis_of[p.commutator_gen(s, j)], conj)
+             for sign, s, j, conj in emissions]
     for var, net in blocks:
         if net == 0:
             continue
@@ -181,7 +179,10 @@ def _tail_items(tail: GroupWord, p: Presentation, ledger: CostLedger):
         if d == 0 or net % d != 0:
             raise ExponentSumError(
                 f"tail leaves a nonzero block {p.t_names[var]}^{net}")
-        ledger.module_relations += abs(net) // d
+        if ledger is not None:
+            ledger.module_relations += abs(net) // d
+    if ledger is not None:
+        ledger.r1_commutators += len(items)
     return items
 
 
@@ -280,70 +281,70 @@ def _merge_price(amb, a_exps, b_exps) -> int:
 
 def ordered_form(w: GroupWord, p: Presentation):
     """Full pipeline: split, collect the tail, normalize, sort; returns
-    the module vector and the CostLedger.  The vector and the sequence the
-    sort prices come from ``_conjugates``; the conjugators are built and
-    priced for the ledger alone."""
+    the module vector and the CostLedger.  ``_conjugates`` reads the
+    conjugates and prices their conjugators in one scan of the word."""
     ledger = CostLedger()
-    sequence, tail_conjugators = _conjugates(w, p, ledger)
-    split_items, _ = split_conjugates(w, p)
-    ledger.free_steps += len(split_items) + 1
-    for _, _, v in split_items:
-        _price_conjugator(v.letters, p, ledger)
-    for conj in tail_conjugators:
-        _price_conjugator(conj, p, ledger)
+    sequence = _conjugates(w, p, ledger)
     _charge_merge(sequence, p.module_ambient(), ledger)
     return _vector(sequence, p), ledger
 
 
 def _module_vector(w: GroupWord, p: Presentation) -> ModuleElement:
     """The module vector of a kernel word, with nothing priced."""
-    return _vector(_conjugates(w, p, CostLedger())[0], p)
+    return _vector(_conjugates(w, p), p)
 
 
-def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
+def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     """The module-letter conjugates ``(coeff, basis, exponents)`` of a
-    kernel word, in the order the free rewrite puts them, and the
-    conjugators of the tail's emissions as unit letters.
+    kernel word, in the order the free rewrite puts them.
 
     A module letter's conjugator is the inverse of the t-letters before it,
     so its exponents are the negated running exponent sums, torsion
-    wrapped; an emission's are its conjugator's wrapped sums.  Only a
-    nonempty freely reduced tail goes through the tail step, which charges
-    ``ledger``.
+    wrapped; an emission's are its conjugator's wrapped sums.  The t-letters
+    seen so far are kept freely condensed on a stack, the tail at the end.
+    Given a ``ledger``, each conjugator is priced into it as it is met, a
+    module letter's from the inverse of the stack; without one nothing is.
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
     sums = [0] * len(torsion)
     conj = tuple(sums)
-    sequence, tail, unknown = [], [], None
+    sequence, stack, unknown = [], [], None
     for name, exp in w.letters:
         basis = basis_of.get(name)
         if basis is not None:
             if conj is None:
                 conj = tuple(-s % d if d else -s for s, d in zip(sums, torsion))
             sequence.append((exp, basis, conj))
+            if ledger is not None:
+                _price_conjugator(_inverse(stack), p, ledger)
             continue
         i = t_pos.get(name)
         if i is None:
             unknown = unknown or name
-        else:
-            sums[i] += exp
-            conj = None
-        tail.append((name, exp))
+            continue
+        sums[i] += exp
+        conj = None
+        if stack and stack[-1][0] == name:
+            exp += stack.pop()[1]
+        if exp:
+            stack.append((name, exp))
     sums = _wrapped(sums, torsion)
     if any(sums):
         raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
     if unknown is not None:
         raise KeyError(unknown)
-    tail = _condense(tail)
-    if not tail:
-        return sequence, []
-    items = _tail_items(GroupWord(tail), p, ledger)
-    for sign, basis, units in items:
+    if ledger is not None:
+        ledger.free_steps += len(sequence) + 1
+    if not stack:
+        return sequence
+    for sign, basis, units in _tail_items(GroupWord(tuple(stack)), p, ledger):
         exps = [0] * len(torsion)
         for name, e in units:
             exps[t_pos[name]] += e
         sequence.append((sign, basis, _wrapped(exps, torsion)))
-    return sequence, [units for _, _, units in items]
+        if ledger is not None:
+            _price_conjugator(units, p, ledger)
+    return sequence
 
 
 def _wrapped(exps, torsion) -> tuple[int, ...]:

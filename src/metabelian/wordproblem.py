@@ -27,7 +27,6 @@ from .presentation import GroupWord, Presentation, exponent_sums, relator_module
 class ModuleContext:
     """Cached relator-submodule data for one presentation."""
 
-    presentation: Presentation
     relator_vectors: tuple[ModuleElement, ...]
     basis: GroebnerBasis
     embed: callable
@@ -46,7 +45,7 @@ def module_context(p: Presentation) -> ModuleContext:
         vectors = tuple(relator_module(p))
         _, embedded, embed = laurent_embed(list(vectors), p.module_ambient())
         basis = buchberger_strong(embedded)
-        ctx = ModuleContext(p, vectors, basis, embed)
+        ctx = ModuleContext(vectors, basis, embed)
         _CONTEXTS[p] = ctx
         if len(_CONTEXTS) > _CONTEXT_LIMIT:
             _CONTEXTS.popitem(last=False)

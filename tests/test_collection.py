@@ -2,15 +2,17 @@
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
+from metabelian import collection
 from metabelian.collection import (CostLedger, _charge_merge, _collect_units,
-                                   _run_price, commutator_collect,
-                                   ordered_form, render_ordered_word,
-                                   split_conjugates)
+                                   _price_conjugator, _run_price,
+                                   commutator_collect, ordered_form,
+                                   render_ordered_word, split_conjugates)
 from metabelian.elements import (Ambient, ModuleElement, Monomial,
                                  monomial_word_degree)
 from metabelian.order import monomial_key
@@ -342,3 +344,61 @@ def test_relator_vector_path_matches_ordered_form(case):
         relator_module(replace(p, relators=(unbalanced,)))
     with pytest.raises(ExponentSumError):
         ordered_form(unbalanced, p)
+
+
+def _two_pass_ledger(w, p):
+    """The ledger of pricing every conjugator that ``split_conjugates``
+    and ``commutator_collect`` build, then the sort of their conjugates."""
+    ledger = CostLedger()
+    items, tail = split_conjugates(w, p)
+    ledger.free_steps = len(items) + 1
+    items += commutator_collect(tail, p, ledger)[0]
+    for _, _, v in items:
+        _price_conjugator(v.letters, p, ledger)
+    _charge_merge([(c, b, exponent_sums(v, p)) for c, b, v in items],
+                  p.module_ambient(), ledger)
+    return ledger
+
+
+@st.composite
+def kernel_words(draw):
+    """``(p, w)``: a word of ``tailed_kernel_words`` or a random kernel
+    word over BS(1,2), Gamma or the lamplighter of order 2."""
+    if draw(st.booleans()):
+        return draw(tailed_kernel_words())
+    p = draw(st.sampled_from((BS2, GAMMA, LAMPLIGHTER2)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return p, random_kernel_word(p, rng, draw(st.integers(0, 24)))
+
+
+# the t-prefix cancels back to empty before the last module letter
+@example((BS2, parse_word("t*a*t^-1*a^-1", BS2)))
+@example((GAMMA, parse_word("s*t*a*t^-1*s^-1*b*s^2*a^-1*s^-2", GAMMA)))
+@example((LAMPLIGHTER2, parse_word("t^2*a*t^-1*a*t^-1*a", LAMPLIGHTER2)))
+@settings(max_examples=200, deadline=None)
+@given(kernel_words())
+def test_one_scan_ledger_matches_two_pass_reference(case):
+    """Conjugators priced from the condensed t-prefix of one scan charge
+    what pricing the built conjugators charges, field by field."""
+    p, w = case
+    assert ordered_form(w, p)[1] == _two_pass_ledger(w, p)
+
+
+def test_relator_vectors_are_not_priced():
+    """``relator_module`` reads vectors from the scan that ``ordered_form``
+    prices, without pricing a conjugator: torsion powers leave tails of
+    blocks, and an added ``[t^2, t']`` a tail of emissions."""
+    refuse = mock.patch.object(collection, "_price_conjugator",
+                               side_effect=AssertionError("priced"))
+    for p in _VECTOR_PRESETS:
+        emitting = commutator(GroupWord(((p.t_names[0], 2),)),
+                              GroupWord(((p.t_names[-1], 1),)))
+        p = replace(p, relators=p.relators + (emitting,))
+        tailed = [r for r in p.relators
+                  if not split_conjugates(r, p)[1].is_empty()]
+        assert len(tailed) == len(p.torsion_gens) + 1
+        expected = relator_module(p)
+        with refuse:
+            assert relator_module(p) == expected
+            with pytest.raises(AssertionError, match="priced"):
+                ordered_form(emitting, p)
