@@ -3,8 +3,9 @@
 One scan splits a word into module-letter conjugates and a pure-T tail and
 prices normalizing each conjugator into an ordered monomial; the tail is
 rewritten into commutator conjugates (which the commutator table turns
-into module letters), and all conjugates are sorted into the canonical
-vector, charging the ledger per relation class:
+into module letters) by gathering its condensed t-syllables index by index,
+and all conjugates are sorted into the canonical vector, charging the
+ledger per relation class:
 
 * r1: commutator introductions/eliminations (one per tail replacement, two
   per emitted pair during conjugator normalization),
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 from .elements import ModuleElement, monomial_word_degree
 from .errors import ExponentSumError
-from .presentation import GroupWord, Presentation, _inverse, exponent_sums
+from .presentation import (GroupWord, Presentation, _condense, _inverse,
+                           exponent_sums)
 
 
 @dataclass
@@ -66,15 +68,6 @@ _SWAP_CASES = {
 }
 
 
-def _word_units(w: GroupWord):
-    """Explode a condensed word into unit letters (name, +-1)."""
-    units = []
-    for name, exp in w.letters:
-        step = 1 if exp > 0 else -1
-        units.extend((name, step) for _ in range(abs(exp)))
-    return units
-
-
 def split_conjugates(w: GroupWord, p: Presentation):
     """Free rewrite w = prod_i b_i^{v_i} * tail with v_i the inverse prefix.
 
@@ -95,78 +88,60 @@ def split_conjugates(w: GroupWord, p: Presentation):
     return items, tail
 
 
-def _cancel_units(units):
-    out = []
-    for u in units:
-        if out and out[-1][0] == u[0] and out[-1][1] == -u[1]:
-            out.pop()
-        else:
-            out.append(u)
-    return out
-
-
 def _collect_units(tail: GroupWord, p: Presentation):
-    """Gather the t-letters of a zero-sum tail index by index, recording
+    """Gather the t-syllables of a zero-sum tail index by index, recording
     commutator emissions.
 
-    The working word is kept freely reduced between gathering steps.
     Returns ``(emissions, blocks)`` where emissions are
     ``(sign, s, j, conjugator)`` in the order they appear in the rewritten
-    word, each conjugator a freely reduced tuple of unit letters
-    ``(name, +-1)``, and blocks are the gathered front powers
+    word, each conjugator a freely condensed tuple of letters
+    ``(name, exp)``, and blocks are the gathered front powers
     ``(var_index, net_exp)``.  Freely,
     ``tail = prod(blocks) * prod(emissions as [t_s,t_j]^(sign*conj))``.
 
-    Moving a letter from ``pos`` down to ``front`` emits one commutator per
-    swap; the conjugator is the swap template followed by the letters to the
-    right of the moved one.  Those right contexts are all suffixes of
-    ``letters[front:pos] + rest``, which is freely reduced except where the
-    two parts meet, so they are cut from that list instead of re-reduced.
+    The working word is kept condensed.  Each step moves the next syllable
+    ``t_i^a`` of the smallest index down to the front one unit at a time;
+    each unit emits one commutator per unit it crosses, whose conjugator is
+    the swap template followed by the letters to the right of the moved
+    unit: the rest of the crossed syllable, the syllables after it, the
+    units of ``t_i^a`` not yet moved and the word after ``t_i^a``.
     """
     names, index = p.t_names, p._t_positions
-    letters = _word_units(tail)
+    word = list(_condense(tail.letters))
     emissions = []
     blocks = []
-    while True:
-        letters = _cancel_units(letters)
-        if not letters:
-            break
-        i = min(index[n] for n, _ in letters)
+    while word:
+        i = min(index[n] for n, _ in word)
         name = names[i]
-        front = 0
-        while front < len(letters) and letters[front][0] == name:
-            front += 1
-        pos = next((q for q in range(front, len(letters))
-                    if letters[q][0] == name), None)
+        front = 1 if word[0][0] == name else 0
+        pos = next((q for q in range(front, len(word))
+                    if word[q][0] == name), None)
         if pos is None:
-            # everything gathered; cut the front power off and continue
-            blocks.append((i, sum(e for _, e in letters[:front])))
-            letters = letters[front:]
+            blocks.append((i, word[0][1]))
+            word = word[1:]
             continue
-        eps = letters[pos][1]
-        rest = letters[pos + 1:]
-        # units cancelling where letters[front:pos] meets rest
-        cut = 0
-        while (cut < pos - front and cut < len(rest)
-               and letters[pos - 1 - cut] == (rest[cut][0], -rest[cut][1])):
-            cut += 1
-        for q in range(pos, front, -1):
-            other, delta = letters[q - 1]
-            sign, template = _SWAP_CASES[(eps, delta)]
-            head = [(name if slot == "s" else other, e) for slot, e in template]
-            k = min(cut, pos - q)
-            body = letters[q:pos - k] + rest[k:]
-            while head and body and head[-1] == (body[0][0], -body[0][1]):
-                head.pop()
-                body = body[1:]
-            emissions.append((sign, i, index[other], tuple(head + body)))
-        letters = letters[:front] + [letters[pos]] + letters[front:pos] + rest
+        a = word[pos][1]
+        eps = 1 if a > 0 else -1
+        middle, rest = word[front:pos], word[pos + 1:]
+        for k in range(1, abs(a) + 1):
+            right = [(name, a - k * eps)] + rest if k < abs(a) else rest
+            for m in range(len(middle) - 1, -1, -1):
+                other, b = middle[m]
+                delta = 1 if b > 0 else -1
+                sign, template = _SWAP_CASES[(eps, delta)]
+                head = [(name if slot == "s" else other, e)
+                        for slot, e in template]
+                after = middle[m + 1:] + right
+                for crossed in range(abs(b)):
+                    emissions.append((sign, i, index[other], _condense(
+                        head + [(other, delta * crossed)] + after)))
+        word = list(_condense(word[:front] + [(name, a)] + middle + rest))
     emissions.reverse()
     return emissions, blocks
 
 
 def _tail_items(tail: GroupWord, p: Presentation, ledger=None):
-    """Module-letter conjugates ``(sign, basis, conjugator units)`` of a
+    """Module-letter conjugates ``(sign, basis, conjugator letters)`` of a
     zero-sum tail, charged to ``ledger`` when one is given."""
     emissions, blocks = _collect_units(tail, p)
     basis_of = p._basis_indexes
@@ -226,33 +201,29 @@ def _run_price(base: int, start: int, n: int, d: int) -> int:
 
 
 def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
-    """Charge ``ledger`` for normalizing a freely reduced conjugator, given
-    as its letters ``(name, exp)``, into its ordered exponent vector.
+    """Charge ``ledger`` for normalizing a freely condensed conjugator,
+    given as its syllables ``(name, exp)``, into its ordered exponent vector.
 
-    Each unit letter t_s^eps is pushed left past every unit of t_j (j > s)
-    already in the ordered word, emitting one commutator conjugate per unit
-    crossed.  Emission pairs cancel around the conjugated letter: two r1 to
-    turn the pair into module letters plus one commutation each, priced
-    relatively by the length of the emission's conjugator.  That conjugator
-    is the swap template of ``_SWAP_CASES`` (t_s^-1 when eps < 0, t_j^-1 when
-    the crossed unit is negative) followed by the units already crossed.  It
-    reads only exponents j > s, which pushing t_s leaves alone, so every
-    unit of a run of t_s letters of one sign pays the same: the run is
-    charged once, times its length, and the crossings of each t_j are priced
-    together by ``_run_price``.  Torsion exponents wrap into [0, order) at
-    one module relation per wrap.  The vector itself is the conjugator's
-    wrapped exponent sums, which ``_conjugates`` reads without this.
+    Each unit of a syllable t_s^exp (sign eps) is pushed left past every
+    unit of t_j (j > s) already in the ordered word, emitting one commutator
+    conjugate per unit crossed.  Emission pairs cancel around the conjugated
+    letter: two r1 to turn the pair into module letters plus one commutation
+    each, priced relatively by the length of the emission's conjugator.
+    That conjugator is the swap template of ``_SWAP_CASES`` (t_s^-1 when
+    eps < 0, t_j^-1 when the crossed unit is negative) followed by the units
+    already crossed.  It reads only exponents j > s, which pushing t_s
+    leaves alone, so every unit of the syllable pays the same: the syllable
+    is charged once, times ``|exp|``, and the crossings of each t_j are
+    priced together by ``_run_price``.  The same reason makes pricing the
+    syllable unit by unit charge the same sums.  Torsion exponents wrap
+    into [0, order) at one module relation per wrap.  The vector itself is
+    the conjugator's wrapped exponent sums, which ``_conjugates`` reads
+    without this.
     """
-    runs: list[list] = []
-    for name, exp in letters:
-        if runs and runs[-1][0] == name and (runs[-1][1] > 0) == (exp > 0):
-            runs[-1][1] += exp
-        else:
-            runs.append([name, exp])
     index, torsion = p._t_positions, p.torsion_orders
     nvars = len(torsion)
     exps = [0] * nvars
-    for name, exp in runs:
+    for name, exp in letters:
         s = index[name]
         base = 1 if exp < 0 else 0  # the template letter t_s^-1
         units = rel = 0
@@ -337,13 +308,13 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         ledger.free_steps += len(sequence) + 1
     if not stack:
         return sequence
-    for sign, basis, units in _tail_items(GroupWord(tuple(stack)), p, ledger):
+    for sign, basis, conj in _tail_items(GroupWord(tuple(stack)), p, ledger):
         exps = [0] * len(torsion)
-        for name, e in units:
+        for name, e in conj:
             exps[t_pos[name]] += e
         sequence.append((sign, basis, _wrapped(exps, torsion)))
         if ledger is not None:
-            _price_conjugator(units, p, ledger)
+            _price_conjugator(conj, p, ledger)
     return sequence
 
 

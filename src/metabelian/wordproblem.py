@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .bounds import Bound
@@ -32,26 +32,14 @@ class ModuleContext:
     embed: callable
 
 
-# The contexts of the last _CONTEXT_LIMIT presentations used, least recently
-# used first.  A hit moves its entry and keeps its key, so an equal
-# presentation parsed again is not held twice.
-_CONTEXT_LIMIT = 64
-_CONTEXTS: OrderedDict[Presentation, ModuleContext] = OrderedDict()
-
-
+# The contexts of the last 64 presentations used.  A hit keeps the first
+# key, so an equal presentation parsed again is not held twice;
+# ``module_context.cache_info()`` counts hits and misses.
+@lru_cache(maxsize=64)
 def module_context(p: Presentation) -> ModuleContext:
-    ctx = _CONTEXTS.get(p)
-    if ctx is None:
-        vectors = tuple(relator_module(p))
-        _, embedded, embed = laurent_embed(list(vectors), p.module_ambient())
-        basis = buchberger_strong(embedded)
-        ctx = ModuleContext(vectors, basis, embed)
-        _CONTEXTS[p] = ctx
-        if len(_CONTEXTS) > _CONTEXT_LIMIT:
-            _CONTEXTS.popitem(last=False)
-    else:
-        _CONTEXTS.move_to_end(p)
-    return ctx
+    vectors = tuple(relator_module(p))
+    _, embedded, embed = laurent_embed(list(vectors), p.module_ambient())
+    return ModuleContext(vectors, buchberger_strong(embedded), embed)
 
 
 def constant_k(p: Presentation, k1: int = 2) -> Optional[int]:

@@ -7,18 +7,20 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
+from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
+                      random_kernel_word)
 from metabelian import collection
-from metabelian.collection import (CostLedger, _charge_merge, _collect_units,
-                                   _price_conjugator, _run_price,
-                                   commutator_collect, ordered_form,
-                                   render_ordered_word, split_conjugates)
+from metabelian.collection import (_SWAP_CASES, CostLedger, _charge_merge,
+                                   _collect_units, _price_conjugator,
+                                   _run_price, commutator_collect,
+                                   ordered_form, render_ordered_word,
+                                   split_conjugates)
 from metabelian.elements import (Ambient, ModuleElement, Monomial,
                                  monomial_word_degree)
 from metabelian.order import monomial_key
 from metabelian.errors import ExponentSumError
-from metabelian.presentation import (GroupWord, commutator, exponent_sums,
-                                     parse_word, relator_module)
+from metabelian.presentation import (GroupWord, _condense, commutator,
+                                     exponent_sums, parse_word, relator_module)
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import constant_k
 
@@ -113,6 +115,130 @@ class TestCollectTail:
                     c = c.inverse()
                 recon = recon * c.conjugate_by(GroupWord.from_letters(conj))
             assert recon == tail
+
+
+def _reference_word_units(w: GroupWord):
+    """Explode a condensed word into unit letters (name, +-1)."""
+    units = []
+    for name, exp in w.letters:
+        step = 1 if exp > 0 else -1
+        units.extend((name, step) for _ in range(abs(exp)))
+    return units
+
+
+def _reference_cancel_units(units):
+    out = []
+    for u in units:
+        if out and out[-1][0] == u[0] and out[-1][1] == -u[1]:
+            out.pop()
+        else:
+            out.append(u)
+    return out
+
+
+def _reference_collect_units(tail: GroupWord, p):
+    """The tail step on unit letters: the working word is exploded into
+    units and freely reduced again after each unit is moved to the front;
+    conjugators are freely reduced tuples of units."""
+    names, index = p.t_names, p._t_positions
+    letters = _reference_word_units(tail)
+    emissions = []
+    blocks = []
+    while True:
+        letters = _reference_cancel_units(letters)
+        if not letters:
+            break
+        i = min(index[n] for n, _ in letters)
+        name = names[i]
+        front = 0
+        while front < len(letters) and letters[front][0] == name:
+            front += 1
+        pos = next((q for q in range(front, len(letters))
+                    if letters[q][0] == name), None)
+        if pos is None:
+            blocks.append((i, sum(e for _, e in letters[:front])))
+            letters = letters[front:]
+            continue
+        eps = letters[pos][1]
+        rest = letters[pos + 1:]
+        cut = 0
+        while (cut < pos - front and cut < len(rest)
+               and letters[pos - 1 - cut] == (rest[cut][0], -rest[cut][1])):
+            cut += 1
+        for q in range(pos, front, -1):
+            other, delta = letters[q - 1]
+            sign, template = _SWAP_CASES[(eps, delta)]
+            head = [(name if slot == "s" else other, e) for slot, e in template]
+            k = min(cut, pos - q)
+            body = letters[q:pos - k] + rest[k:]
+            while head and body and head[-1] == (body[0][0], -body[0][1]):
+                head.pop()
+                body = body[1:]
+            emissions.append((sign, i, index[other], tuple(head + body)))
+        letters = letters[:front] + [letters[pos]] + letters[front:pos] + rest
+    emissions.reverse()
+    return emissions, blocks
+
+
+# Gamma, wf(1,2) without and with torsion (3,), wf(1,1) with torsion (5, 2)
+# and the free abelian group of rank 2
+_TAIL_PRESETS = (GAMMA, build(PresetSpec("wf", r=1, k=2)),
+                 build(PresetSpec("wf", r=1, k=2, torsion_orders=(3,))),
+                 build(PresetSpec("wf", r=1, k=1, torsion_orders=(5, 2))),
+                 FREE_ABELIAN)
+
+
+@st.composite
+def raw_tails(draw):
+    """``(p, tail)``: t-letters with exponents in -3..3, zeros included,
+    not condensed, balanced by fix letters appended in random order; a
+    torsion coordinate may be left at a multiple of its order."""
+    p = draw(st.sampled_from(_TAIL_PRESETS))
+    letters = draw(st.lists(st.tuples(st.sampled_from(p.t_names),
+                                      st.integers(-3, 3)), max_size=12))
+    sums = exponent_sums(GroupWord(tuple(letters)), p)
+    fix = [(name, -s + d * draw(st.integers(-1, 1)))
+           for name, s, d in zip(p.t_names, sums, p.torsion_orders)]
+    return p, GroupWord(tuple(letters + draw(st.permutations(fix))))
+
+
+# not condensed: a cancelling pair, zero exponents, split syllables
+@example((GAMMA, GroupWord((("t", 1), ("s", 1), ("s", -1), ("t", -1)))))
+@example((GAMMA, GroupWord((("s", 0), ("t", 3), ("t", -3)))))
+@example((GAMMA, GroupWord((("s", 0), ("t", 2), ("s", 1), ("t", -2),
+                            ("s", -1)))))
+@settings(max_examples=300, deadline=None)
+@given(raw_tails())
+def test_syllable_tail_step_matches_unit_reference(case):
+    """Gathering condensed syllables emits what gathering unit letters
+    emits, in the same order, with the same conjugators and blocks."""
+    p, tail = case
+    emissions, blocks = _reference_collect_units(tail, p)
+    assert _collect_units(tail, p) == (
+        [(sign, s, j, _condense(conj)) for sign, s, j, conj in emissions],
+        blocks)
+
+
+@st.composite
+def priced_conjugators(draw):
+    """``(p, letters)``: a condensed conjugator over the t-names of a free
+    or torsion preset, exponents large enough to wrap a torsion one."""
+    p = draw(st.sampled_from(_TAIL_PRESETS))
+    letters = draw(st.lists(st.tuples(st.sampled_from(p.t_names),
+                                      st.integers(-7, 7)), max_size=10))
+    return p, GroupWord.from_letters(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(priced_conjugators())
+def test_units_and_syllables_price_the_same(case):
+    """A syllable t_s^exp is charged what its |exp| units are charged one
+    by one: each unit's crossings read only later t-names."""
+    p, v = case
+    by_units, by_syllables = CostLedger(), CostLedger()
+    _price_conjugator(_reference_word_units(v), p, by_units)
+    _price_conjugator(v.letters, p, by_syllables)
+    assert by_units == by_syllables
 
 
 def conjugate_form(sign, gen, v, p):

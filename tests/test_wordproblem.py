@@ -2,7 +2,7 @@
 
 import json
 import random
-from collections import OrderedDict
+import weakref
 
 import pytest
 
@@ -10,7 +10,6 @@ from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word)
 from metabelian.elements import parse_element
 from metabelian.presentation import parse_presentation, parse_word
-from metabelian import wordproblem
 from metabelian.presets import PresetSpec, build, witness_family
 from metabelian.wordproblem import (area_certificate,
                                     brute_force_min_certificate, dehn_profile,
@@ -278,19 +277,25 @@ class TestDehnProfile:
         assert r1 == r2
 
 
-def test_context_cache_keeps_the_64_most_recent(monkeypatch):
-    monkeypatch.setattr(wordproblem, "_CONTEXTS", OrderedDict())
-    cache = wordproblem._CONTEXTS
+def test_context_cache_keeps_the_64_most_recent():
+    module_context.cache_clear()
     ps = [build(PresetSpec("bs", n=n)) for n in range(2, 67)]
     first = [module_context(p) for p in ps[:64]]
-    assert len(cache) == 64
+    assert module_context.cache_info().currsize == 64
     again = build(PresetSpec("bs", n=2))      # equal to ps[0], not the same
     assert again is not ps[0]
+    released = weakref.ref(again)
     assert module_context(again) is first[0]   # a hit: ps[1] is now oldest
-    assert [k for k in cache if k == again][0] is ps[0]
+    assert module_context.cache_info().hits == 1
+    del again
+    assert released() is None                  # the first key is kept
     module_context(ps[64])
-    assert len(cache) == 64
-    assert ps[1] not in cache and ps[0] in cache and ps[64] in cache
-    rebuilt = module_context(ps[1])
+    assert module_context.cache_info().currsize == 64
+    assert module_context(ps[0]) is first[0]
+    assert module_context(ps[64]) is module_context(ps[64])
+    assert module_context.cache_info().hits == 4
+    rebuilt = module_context(ps[1])            # ps[1] went, ps[2] is oldest
     assert rebuilt is not first[1] and rebuilt.basis == first[1].basis
-    assert ps[2] not in cache
+    assert module_context.cache_info().misses == 66
+    assert module_context(ps[3]) is first[3]
+    assert module_context(ps[2]) is not first[2]
