@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -124,6 +125,54 @@ def test_wide_interval_renders_without_expansion(monkeypatch):
     assert doc["log2"] == pytest.approx(2 * 759817695078 - math.log2(3))
     assert doc["expression"] == "(4^759817695078 - 1)/3"
     assert str(b) == doc["expression"]
+
+
+def test_huge_bound_compares_with_ints_without_expansion(monkeypatch):
+    def refuse(terms):
+        raise AssertionError("a closed-form bound was expanded")
+
+    monkeypatch.setattr(bounds, "_expand", refuse)
+    b = assembly(BS2, 4121)  # about 155M bits
+    below, above = 1 << 150_000_000, 1 << 160_000_000
+    for x in (0, -1, -(10 ** 30), -above, below + 1):
+        assert (b < x, b <= x, b == x, b >= x, b > x) == \
+            (False, False, False, True, True)
+    assert (b < above, b <= above, b == above, b >= above, b > above) == \
+        (True, True, False, False, False)
+    assert below < b < above and b != below
+
+
+def test_compares_with_zero_and_negative_ints():
+    for b in (Bound(((1, 2, 10), (-5000, 1, 1))),           # -3976
+              Bound(((1, 2, 3000), (-1, 3, 2000))),         # about -2^3170
+              Bound(((1, 1, 1), (-1, 1, 0))),               # 0
+              Bound(((7, 3, 1),), 7)):                      # 3
+        assert_exact(b)
+        v = expanded(b)
+        for x in (0, -1, -3976, -(1 << 4000)):
+            assert (b < x, b <= x, b == x, b >= x, b > x) == \
+                (v < x, v <= x, v == x, v >= x, v > x)
+
+
+@pytest.mark.parametrize("other", [1.0, 0.0, float("inf"), "1", "x"])
+def test_other_types_do_not_compare(other):
+    b = Bound(((1, 2, 10),))
+    assert (b == other) is False and (b != other) is True
+    for op in (lambda: b < other, lambda: b <= other,
+               lambda: b > other, lambda: b >= other):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_hash_of_negative_bounds_and_modulus_divisors():
+    m = sys.hash_info.modulus
+    for b in (Bound(((1, 2, 10), (-5000, 1, 1))),
+              Bound(((1, 2, 3000), (-1, 3, 2000))),
+              Bound(((1, 1, 1), (-2, 1, 1))),               # -1 hashes to -2
+              Bound(((m, 2, 5), (m, 1, 0)), m),             # 33
+              Bound(((m, 2, 200), (-m, 3, 300)), m),
+              Bound(((-m, 1, 1),), m)):
+        assert hash(b) == hash(int(b))
 
 
 def test_rejects_bad_parts():

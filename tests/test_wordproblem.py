@@ -192,6 +192,24 @@ class TestModuleDehn:
         assert module_norm(parse_element("(t - 2)*a", amb)) == 5
         assert module_norm(parse_element("2*a", amb)) == 2
 
+    @pytest.mark.parametrize("spec, n, options, rows", [
+        (PresetSpec("bs", n=2), 8, {}, [(5, 1), (7, 1)]),
+        (PresetSpec("lamplighter"), 6, {}, [(2, 1), (4, 2), (6, 3)]),
+        (PresetSpec("zwrz"), 5, {}, []),
+        (PresetSpec("free_abelian"), 5, {},
+         [(1, 1), (2, 2), (3, 3), (4, 4), (5, 3)]),
+        (PresetSpec("baumslag_gamma"), 4, {}, [(1, 1), (2, 2), (3, 3), (4, 4)]),
+        (PresetSpec("wf"), 4, {}, [(1, 1), (2, 2), (3, 3), (4, 4)]),
+        (PresetSpec("wf", k=2), 3, {}, [(1, 1), (2, 2), (3, 3)]),
+        (PresetSpec("bs", n=2), 9,
+         {"sampler": "random", "samples": 300, "seed": 3}, [(5, 1), (7, 1)]),
+        (PresetSpec("wf"), 7, {"sampler": "random", "seed": 1},
+         [(1, 1), (2, 2), (3, 1), (5, 1), (6, 2), (7, 1)]),
+    ], ids=["bs2-8", "lamplighter-6", "zwrz-5", "free_abelian-5", "gamma-4",
+            "wf-4", "wf-k2-3", "bs2-9-random", "wf-7-random"])
+    def test_pinned_tables(self, spec, n, options, rows):
+        assert module_dehn_upper(build(spec), n, **options) == rows
+
 
 class TestWfFalsity:
     def test_pure_t_elements_rejected(self):
