@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import total_ordering
 
 # Bounds of at most this many bits carry their decimal value in ``str()`` and
 # JSON; longer ones render as their closed form alone.  Bounds whose terms
@@ -99,6 +100,7 @@ def _render_term(c: int, b: int, e: int) -> str:
     return power if c == 1 else f"{c}*{power}"
 
 
+@total_ordering
 class Bound:
     """An exact integer ``(sum_i c_i * b_i^e_i) / d``.
 
@@ -208,18 +210,7 @@ class Bound:
                 return 0
             return _sign(tuple((c * other.divisor, b, e) for c, b, e in self.terms)
                          + tuple((-c * self.divisor, b, e) for c, b, e in other.terms))
-        span = self._log2_span()
-        if span is not None:
-            if other <= 0:
-                return 1
-            x = math.log2(other)
-            pad = _REL_PAD * (1.0 + abs(x))
-            if span[0] > x + pad:
-                return 1
-            if span[1] < x - pad:
-                return -1
-        value = int(self)
-        return (value > other) - (value < other)
+        return _sign(self.terms + ((-other * self.divisor, 1, 1),))
 
     def __eq__(self, other):
         if not isinstance(other, (Bound, int)):
@@ -230,21 +221,6 @@ class Bound:
         if not isinstance(other, (Bound, int)):
             return NotImplemented
         return self._compare(other) < 0
-
-    def __le__(self, other):
-        if not isinstance(other, (Bound, int)):
-            return NotImplemented
-        return self._compare(other) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, (Bound, int)):
-            return NotImplemented
-        return self._compare(other) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, (Bound, int)):
-            return NotImplemented
-        return self._compare(other) >= 0
 
     def __hash__(self):
         # hash(int) reduces modulo a prime, so the powers reduce the same way.

@@ -23,9 +23,20 @@ from .wordproblem import (area_certificate, brute_force_min_certificate,
                           module_dehn_upper, relative_area_certificate)
 
 
+# The options each preset reads; a preset reads none that it does not list.
+_PRESET_READS = {"bs": ("n",), "lamplighter": ("m",),
+                 "wf": ("r", "k", "f", "orders")}
+_PRESET_OPTIONS = ("n", "m", "r", "k", "f", "orders")
+
+
 def _load_presentation(args) -> Presentation:
     if args.preset:
+        if args.presentation:
+            raise ParseError("give a presentation file (-p) or --preset, not both")
         return build(_preset_spec(args))
+    for name in _PRESET_OPTIONS:
+        if getattr(args, name) is not None:
+            raise ParseError(f"--{name} is a preset option and needs --preset")
     if not args.presentation:
         raise ParseError("a presentation file (-p) or --preset is required")
     with open(args.presentation, "r", encoding="utf-8") as fh:
@@ -33,24 +44,27 @@ def _load_presentation(args) -> Presentation:
 
 
 def _preset_options(sp) -> None:
-    sp.add_argument("--n", type=int, default=2, help="bs: a^t = a^n")
-    sp.add_argument("--m", type=int, default=2, help="lamplighter: torsion m")
-    sp.add_argument("--r", type=int, default=1, help="wf: module rank")
-    sp.add_argument("--k", type=int, default=1, help="wf: acting pairs")
+    sp.add_argument("--n", type=int, help="bs: a^t = a^n (default 2)")
+    sp.add_argument("--m", type=int, help="lamplighter: torsion m (default 2)")
+    sp.add_argument("--r", type=int, help="wf: module rank (default 1)")
+    sp.add_argument("--k", type=int, help="wf: acting pairs (default 1)")
     sp.add_argument("--f", help="wf polynomials, e.g. '1,1;1,2,1'")
     sp.add_argument("--orders", help="wf torsion orders, e.g. '2,3'")
 
 
 def _preset_spec(args) -> PresetSpec:
-    fs = ()
-    if args.f:
-        fs = tuple(tuple(int(c) for c in chunk.split(","))
-                   for chunk in args.f.split(";"))
-    orders = ()
-    if args.orders:
-        orders = tuple(int(c) for c in args.orders.split(","))
-    return PresetSpec(name=args.preset, n=args.n, m=args.m, r=args.r, k=args.k,
-                      fs=fs, torsion_orders=orders)
+    given = {name: getattr(args, name) for name in _PRESET_OPTIONS
+             if getattr(args, name) is not None}
+    for name in given:
+        if name not in _PRESET_READS.get(args.preset, ()):
+            raise ParseError(f"preset {args.preset!r} does not read --{name}")
+    f, orders = given.pop("f", None), given.pop("orders", None)
+    if f:
+        given["fs"] = tuple(tuple(int(c) for c in chunk.split(","))
+                            for chunk in f.split(";"))
+    if orders:
+        given["torsion_orders"] = tuple(int(c) for c in orders.split(","))
+    return PresetSpec(name=args.preset, **given)
 
 
 def _emit_json(doc) -> None:

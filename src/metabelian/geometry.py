@@ -148,12 +148,11 @@ def geometry_constants(datum: TamenessDatum, k: int,
                     f"direction {worst[1]} has max-min inner product "
                     f"{worst[0]} <= 0", direction=worst[1])
             C = low
-            if prev is not None and abs(C - prev) <= 0.01 * max(abs(C), 1e-12):
+            settled = prev is not None and abs(C - prev) <= 0.01 * max(abs(C), 1e-12)
+            if settled or n >= 1 << 16:
                 break
             prev = C
             n *= 2
-            if n > 1 << 16:
-                break
         method = f"sampled({n})"
         if C <= 0:
             # fall back to the raw sampled minimum as an uncertified estimate

@@ -202,27 +202,14 @@ def _monomial_pool(ambient, max_degree: int):
     return pool
 
 
-def brute_force_min_certificate(g: ModuleElement, gens, budget):
-    """Exhaustive minimal certificate search; None means budget exhausted.
+def _walk(products, total: int, max_mag: int, visit) -> bool:
+    """Call ``visit`` on the term dict of every sum ``sum_i c_i products[i]``
+    over increasing indices with ``1 <= |c_i| <= max_mag`` and
+    ``sum_i |c_i| = total``; stop and return True once ``visit`` does.
 
-    Enumerates combinations sum_i alpha_i * gens_i with alpha monomials of
-    degree <= budget[0], coefficients bounded by budget[1], in increasing
-    total size, and returns the first total size reproducing g exactly.
+    One dict is updated in place along the walk, so ``visit`` must copy what
+    it keeps.
     """
-    max_degree, max_coeff, max_size = budget
-    gens = [f for f in gens if not f.is_zero()]
-    target = {k: v for k, v in g.as_dict().items()}
-    if not gens:
-        return 0 if not target else None
-    ambient = gens[0].ambient
-    pool = _monomial_pool(ambient, max_degree)
-    products = []
-    for f in gens:
-        for exps in pool:
-            prod = f.scale_translate(1, Monomial(exps, None))
-            if not prod.is_zero():
-                products.append(prod.as_dict())
-
     partial: dict = {}
 
     def bump(delta: dict, c: int):
@@ -233,14 +220,11 @@ def brute_force_min_certificate(g: ModuleElement, gens, budget):
             else:
                 partial.pop(key, None)
 
-    def matches() -> bool:
-        return partial == target
-
     def search(start: int, remaining: int) -> bool:
         if remaining == 0:
-            return matches()
+            return visit(partial)
         for idx in range(start, len(products)):
-            for mag in range(1, min(max_coeff, remaining) + 1):
+            for mag in range(1, min(max_mag, remaining) + 1):
                 for sign in (1, -1):
                     bump(products[idx], sign * mag)
                     if search(idx + 1, remaining - mag):
@@ -248,8 +232,26 @@ def brute_force_min_certificate(g: ModuleElement, gens, budget):
                     bump(products[idx], -sign * mag)
         return False
 
+    return search(0, total)
+
+
+def brute_force_min_certificate(g: ModuleElement, gens, budget):
+    """Exhaustive minimal certificate search; None means budget exhausted.
+
+    Enumerates combinations sum_i alpha_i * gens_i with alpha monomials of
+    degree <= budget[0], coefficients bounded by budget[1], in increasing
+    total size, and returns the first total size reproducing g exactly.
+    """
+    max_degree, max_coeff, max_size = budget
+    gens = [f for f in gens if not f.is_zero()]
+    target = g.as_dict()
+    if not gens:
+        return 0 if not target else None
+    pool = _monomial_pool(gens[0].ambient, max_degree)
+    products = [f.scale_translate(1, Monomial(e, None)).as_dict()
+                for f in gens for e in pool]
     for size in range(0, max_size + 1):
-        if search(0, size):
+        if _walk(products, size, max_coeff, target.__eq__):
             return size
     return None
 
@@ -289,21 +291,11 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
     ambient = gens[0].ambient
     if sampler == "exhaustive":
         pool = _monomial_pool(ambient, max_degree=max(0, (n - 1) // 2))
-        products = [f.scale_translate(1, Monomial(e, None))
+        products = [f.scale_translate(1, Monomial(e, None)).as_dict()
                     for f in gens for e in pool]
-
-        def rec(start, remaining, acc):
-            consider(acc)
-            if remaining == 0:
-                return
-            for idx in range(start, len(products)):
-                for mag in range(1, remaining + 1):
-                    for sign in (1, -1):
-                        scaled = products[idx].scale_translate(
-                            sign * mag, Monomial((0,) * ambient.nvars, None))
-                        rec(idx + 1, remaining - mag, acc + scaled)
-
-        rec(0, min(n, 4), ModuleElement.zero(ambient))
+        for total in range(min(n, 4) + 1):
+            _walk(products, total, total,
+                  lambda raw: consider(ModuleElement.from_dict(ambient, raw)))
     elif sampler == "random":
         rng = random.Random(seed)
         pool = _monomial_pool(ambient, max_degree=max(1, n // 2))

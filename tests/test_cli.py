@@ -228,3 +228,49 @@ class TestRemovedOptions:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestPresetOptions:
+    def test_defaults_apply_only_when_absent(self):
+        code, out = run(["solve", "--preset", "bs", "-w", "t*a*t^-1*a^-2"])
+        assert code == 0 and json.loads(out)["identity"] is True
+        code, out = run(["solve", "--preset", "bs", "--n", "5",
+                         "-w", "t*a*t^-1*a^-2"])
+        assert code == 0 and json.loads(out)["identity"] is False
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "-p", "{file}", "--n", "5", "-w", "t*a*t^-1*a^-2"],
+         "--n is a preset option and needs --preset"),
+        (["module-dehn", "-p", "{file}", "--orders", "2"],
+         "--orders is a preset option and needs --preset"),
+        (["solve", "--preset", "bs", "--m", "7", "-w", "a"],
+         "preset 'bs' does not read --m"),
+        (["solve", "--preset", "zwrz", "--k", "3", "--f", "1,2,1", "-w", "a"],
+         "preset 'zwrz' does not read --k"),
+        (["profile", "--preset", "lamplighter", "--n", "3", "-n", "3"],
+         "preset 'lamplighter' does not read --n"),
+        (["preset", "free_abelian", "--r", "2"],
+         "preset 'free_abelian' does not read --r"),
+        (["solve", "-p", "{file}", "--preset", "bs", "-w", "a"],
+         "give a presentation file (-p) or --preset, not both"),
+    ], ids=["option-without-preset", "orders-without-preset", "bs-m",
+            "zwrz-k-f", "lamplighter-n", "preset-command", "file-and-preset"])
+    def test_unread_options_are_rejected(self, argv, message, bs_file, capsys):
+        argv = [bs_file if a == "{file}" else a for a in argv]
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_budget_exceeded_exits_3(monkeypatch, capsys):
+    import metabelian.cli as cli
+    from metabelian.errors import BudgetExceeded
+
+    def exhausted(w, p):
+        raise BudgetExceeded("division exceeded its step budget")
+
+    monkeypatch.setattr(cli, "is_identity", exhausted)
+    code, out = run(["solve", "--preset", "bs", "-w", "a"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == \
+        "budget exceeded: division exceeded its step budget\n"

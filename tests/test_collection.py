@@ -528,3 +528,25 @@ def test_relator_vectors_are_not_priced():
             assert relator_module(p) == expected
             with pytest.raises(AssertionError, match="priced"):
                 ordered_form(emitting, p)
+
+
+@pytest.mark.parametrize("p", [BS2, GAMMA, WF11], ids=["bs", "gamma", "wf"])
+def test_unknown_generators_after_exponent_sums(p):
+    """A name that is neither a module letter nor a t-letter is reported
+    only once the t-exponent sums vanish: an unbalanced word is refused
+    for its sums first."""
+    from metabelian.wordproblem import is_identity
+
+    t = p.t_names[0]
+    balanced = GroupWord(((t, 1), ("q", 2), (p.module_gens[0], 1), (t, -1)))
+    for call in (lambda: ordered_form(balanced, p),
+                lambda: relator_module(replace(p, relators=(balanced,))),
+                lambda: is_identity(balanced, p)):
+        with pytest.raises(KeyError, match="'q'"):
+            call()
+    unbalanced = GroupWord(((t, 1), ("q", 2), (p.module_gens[0], 1)))
+    with pytest.raises(ExponentSumError):
+        ordered_form(unbalanced, p)
+    ok, cert = is_identity(unbalanced, p)
+    assert ok is False and cert.to_json()["identity"] is False
+    assert cert.ordered is None and cert.membership is None

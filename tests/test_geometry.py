@@ -116,3 +116,48 @@ class TestRankTwoSampling:
         exact = geometry_constants(datum, 1)
         sampled = min(_f_value(u, family) for u in _directions(1, 2))
         assert sampled == exact.C
+
+
+def axis_datum(k, both_signs=True):
+    """The datum {x_i} (and {x_i^-1}) over variables x1..xk."""
+    ring = Ambient(tuple(f"x{i + 1}" for i in range(k)), (0,) * k, 1, None,
+                   laurent=True)
+    names = [f"x{i + 1}" for i in range(k)]
+    return TamenessDatum(
+        centralizer=tuple(parse_element(x, ring) for x in names),
+        co_centralizer=tuple(parse_element(f"{x}^-1", ring) for x in names)
+        if both_signs else ())
+
+
+@pytest.mark.parametrize("k", [3, 4])
+class TestHigherRank:
+    def test_axes_both_ways_are_tame(self, k):
+        # f(u) = max_i |u_i| on the sphere, so the infimum is 1/sqrt(k)
+        datum = axis_datum(k)
+        verdict, info = tameness_check(datum, k)
+        assert verdict is True and info["min_value"] > 0
+        report = geometry_constants(datum, k)
+        assert 0 < report.C <= 1 / math.sqrt(k)
+        assert report.D == 1
+        # k = 3 settles on the grid of 65536 directions and k = 4 stops
+        # there at the cap: the method names that grid, not the next one
+        assert report.method == "sampled(65536)"
+
+    def test_axes_one_way_are_not_tame(self, k):
+        # u = -(1, ..., 1)/sqrt(k) meets every support negatively
+        datum = axis_datum(k, both_signs=False)
+        verdict, info = tameness_check(datum, k)
+        assert verdict is False and info["min_value"] < 0
+        with pytest.raises(TamenessViolation) as err:
+            geometry_constants(datum, k)
+        assert len(err.value.direction) == k
+
+    def test_directions_are_unit_vectors(self, k):
+        from metabelian.geometry import _directions
+        for n in (64, 1000):
+            dirs = _directions(k, n)
+            assert len(dirs) == n
+            assert all(len(u) == k and
+                       math.isclose(sum(x * x for x in u), 1.0, rel_tol=1e-12)
+                       for u in dirs)
+
