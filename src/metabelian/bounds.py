@@ -12,8 +12,8 @@ interval cannot decide.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from functools import total_ordering
 
 # Bounds of at most this many bits carry their decimal value in ``str()`` and
 # JSON; longer ones render as their closed form alone.  Bounds whose terms
@@ -78,7 +78,9 @@ def _parts(terms):
     return _sum_span(pos), _sum_span(neg)
 
 
-def _sign(terms) -> int:
+def _sign(terms, exact=None) -> int:
+    """The sign of ``sum c * b**e``, read from float intervals where they
+    decide; otherwise ``exact()`` when given, else the expanded sum's."""
     norm = _normalize(terms)
     pos, neg = _parts((c, odd, e, two) for (odd, e, two), c in norm.items())
     if neg is None:
@@ -89,6 +91,8 @@ def _sign(terms) -> int:
         return 1
     if neg[0] > pos[1]:
         return -1
+    if exact is not None:
+        return exact()
     value = _expand((c << two, odd, e) for (odd, e, two), c in norm.items())
     return (value > 0) - (value < 0)
 
@@ -100,7 +104,6 @@ def _render_term(c: int, b: int, e: int) -> str:
     return power if c == 1 else f"{c}*{power}"
 
 
-@total_ordering
 class Bound:
     """An exact integer ``(sum_i c_i * b_i^e_i) / d``.
 
@@ -210,17 +213,29 @@ class Bound:
                 return 0
             return _sign(tuple((c * other.divisor, b, e) for c, b, e in self.terms)
                          + tuple((-c * self.divisor, b, e) for c, b, e in other.terms))
-        return _sign(self.terms + ((-other * self.divisor, 1, 1),))
+        # Undecided by the floats, the value is expanded once and kept.
+        return _sign(self.terms + ((-other * self.divisor, 1, 1),),
+                     lambda: (int(self) > other) - (int(self) < other))
+
+    def _test(self, other, op):
+        if not isinstance(other, (Bound, int)):
+            return NotImplemented
+        return op(self._compare(other), 0)
 
     def __eq__(self, other):
-        if not isinstance(other, (Bound, int)):
-            return NotImplemented
-        return self._compare(other) == 0
+        return self._test(other, operator.eq)
 
     def __lt__(self, other):
-        if not isinstance(other, (Bound, int)):
-            return NotImplemented
-        return self._compare(other) < 0
+        return self._test(other, operator.lt)
+
+    def __le__(self, other):
+        return self._test(other, operator.le)
+
+    def __gt__(self, other):
+        return self._test(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._test(other, operator.ge)
 
     def __hash__(self):
         # hash(int) reduces modulo a prime, so the powers reduce the same way.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -21,11 +21,10 @@ from .errors import ParseError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\[|\]|\(|\)|,|\-)")
-# A flat product ``name^int*name*...``, spaced as the tokenizer allows.  No
-# two ``\s*`` meet, so a text that does not match fails in linear time.
-_SYLLABLE = r"([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(?:(-)\s*)?(\d+))?"
-_FLAT = re.compile(rf"\s*{_SYLLABLE}(?:\s*\*\s*{_SYLLABLE})*\s*")
-_FLAT_SYLLABLE = re.compile(_SYLLABLE)
+# One syllable ``name^int``, spaced as the tokenizer allows.  Neither ``\s``
+# nor a syllable holds ``*``, so a text is a flat product ``name^int*name*...``
+# exactly when each of its ``*``-separated parts is a syllable.
+_SYLLABLE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(?:(-)\s*)?(\d+))?\s*")
 
 
 def _condense(letters):
@@ -289,19 +288,52 @@ class _WordParser(_Tokens):
 
 
 def parse_word(text: str, p: Optional[Presentation] = None) -> GroupWord:
-    return _parse_word(text, None if p is None else p._names)
+    """A flat product of known names in one split scan; any other text, and
+    every error, through the grammar."""
+    names = None if p is None else p._names
+    scanned = _scan(text, names, {}, {})
+    return _WordParser(text, names).parse() if scanned is None else scanned[0]
 
 
-def _parse_word(text: str, names) -> GroupWord:
-    """A flat product of known names in one scan; any other text, and every
-    error, through the grammar."""
-    if _FLAT.fullmatch(text):
-        syllables = _FLAT_SYLLABLE.findall(text)
-        if names is None or all(n in names for n, _, _ in syllables):
-            return GroupWord.from_letters(
-                [(n, (-int(d) if sign else int(d)) if d else 1)
-                 for n, sign, d in syllables])
-    return _WordParser(text, names).parse()
+def _syllable(part: str, names, index):
+    """``((name, exp), index.get(name))`` for a part ``name^int`` whose name
+    ``names`` allows (None allows any); False for any other part."""
+    m = _SYLLABLE.fullmatch(part)
+    if m is None:
+        return False
+    name, sign, digits = m.groups()
+    if names is not None and name not in names:
+        return False
+    exp = (-int(digits) if sign else int(digits)) if digits else 1
+    return (name, exp), index.get(name)
+
+
+def _scan(text: str, names, index, table):
+    """The word of a flat product of known names and its raw exponent sums
+    over ``index`` (name -> position), read in one pass; None for any other
+    text.  ``table`` maps the parts already read to their ``_syllable``, and
+    lives for one word or one presentation file."""
+    letters, sums = [], [0] * len(index)
+    for part in text.split("*"):
+        entry = table.get(part)
+        if entry is None:
+            entry = table[part] = _syllable(part, names, index)
+        if not entry:
+            return None
+        letter, pos = entry
+        name, exp = letter
+        if pos is not None:
+            sums[pos] += exp
+        if not exp:
+            continue
+        # free reduction as in ``_condense``
+        if letters and letters[-1][0] == name:
+            merged = letters.pop()[1] + exp
+            if merged:
+                letters.append((name, merged))
+        else:
+            letters.append(letter)
+    return GroupWord(tuple(letters)), sums
 
 
 def exponent_sums(w: GroupWord, p: Presentation) -> tuple[int, ...]:
@@ -311,6 +343,10 @@ def exponent_sums(w: GroupWord, p: Presentation) -> tuple[int, ...]:
     for name, exp in w.letters:
         if name in index:
             sums[index[name]] += exp
+    return _torsion_reduced(sums, p)
+
+
+def _torsion_reduced(sums: list, p: Presentation) -> tuple[int, ...]:
     if p.torsion_gens:
         return tuple(s % d if d else s for s, d in zip(sums, p.torsion_orders))
     return tuple(sums)
@@ -396,10 +432,17 @@ def parse_presentation(text: str) -> Presentation:
         if p.t_index(pair[0]) >= p.t_index(pair[1]):
             raise ParseError(f"commutator table pair {pair} must be ordered (i < j)")
 
+    # One syllable table serves every relator of the file.
+    names, index, table = p._names, p._t_positions, {}
     relators = []
     for rtext in _list(doc, "relators"):
-        w = _parse_word(rtext, p._names)
-        sums = exponent_sums(w, p)
+        scanned = _scan(rtext, names, index, table)
+        if scanned is None:
+            w = _WordParser(rtext, names).parse()
+            sums = exponent_sums(w, p)
+        else:
+            w, sums = scanned
+            sums = _torsion_reduced(sums, p)
         if any(sums):
             raise ParseError(
                 f"relator {rtext!r} has nonzero t-exponent sum {sums}")
@@ -425,4 +468,9 @@ def parse_presentation(text: str) -> Presentation:
         tameness = TamenessDatum(centralizer=_parse_all("centralizer"),
                                  co_centralizer=_parse_all("co_centralizer"))
 
-    return replace(p, relators=tuple(relators), tameness=tameness)
+    # ``p`` is built once: the relators and the datum were read through its
+    # derived tables, and these two fields, which no derived table reads, are
+    # set before ``p`` leaves this function.
+    object.__setattr__(p, "relators", tuple(relators))
+    object.__setattr__(p, "tameness", tameness)
+    return p

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -140,6 +141,30 @@ def test_huge_bound_compares_with_ints_without_expansion(monkeypatch):
     assert (b < above, b <= above, b == above, b >= above, b > above) == \
         (True, True, False, False, False)
     assert below < b < above and b != below
+
+
+def test_int_comparisons_expand_once(monkeypatch):
+    """An int next to the value leaves the float interval undecided: the
+    powers are then expanded once, and each operator compares once."""
+    calls = Counter()
+    real_expand, real_compare = bounds._expand, Bound._compare
+
+    def expand(terms):
+        calls["expand"] += 1
+        return real_expand(terms)
+
+    def compare(self, other):
+        calls["compare"] += 1
+        return real_compare(self, other)
+
+    b = Bound(((1, 3, 400), (-1, 1, 1)), 2)   # (3^400 - 1)/2, 634 bits
+    v = expanded(b)
+    monkeypatch.setattr(bounds, "_expand", expand)
+    monkeypatch.setattr(Bound, "_compare", compare)
+    for x in (v - 1, v, v + 1):
+        assert (b < x, b <= x, b == x, b >= x, b > x) == \
+            (v < x, v <= x, v == x, v >= x, v > x)
+    assert calls == {"expand": 1, "compare": 15}
 
 
 def test_compares_with_zero_and_negative_ints():

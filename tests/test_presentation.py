@@ -2,7 +2,9 @@
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
 from metabelian.elements import Ambient
 from metabelian.errors import ParseError
-from metabelian.presentation import (GroupWord, _WordParser, exponent_sums,
-                                     parse_presentation, parse_word,
-                                     relator_module)
+from metabelian.presentation import (GroupWord, Presentation, _WordParser,
+                                     exponent_sums, parse_presentation,
+                                     parse_word, relator_module)
+from metabelian.presets import PresetSpec, build
 
 BS_FILE = """
 {
@@ -50,7 +53,6 @@ class TestParsePresentation:
             parse_presentation(bad)
 
     def test_roundtrip_all_presets(self):
-        from metabelian.presets import PresetSpec, build
         wf = build(PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1)),
                               torsion_orders=(3,)))
         assert len(wf.relators) == 636
@@ -164,7 +166,150 @@ def test_flat_words_match_the_grammar():
     assert seen == {"letters", "ParseError"}
 
 
+# Presentation files over module generators a, b and t-generators s, t (and
+# r of order 3 in torsion files).  Each file draws a few part texts, spaced,
+# signed and written as ``_flat_texts`` writes them, and its relators repeat
+# them; half the relators are balanced by closing t-syllables (off by one
+# whole order on r), and a few carry an unknown name, a part only the
+# grammar reads or one inserted character.
+_TORSION_ORDER = 3
+
+
+@st.composite
+def _parts(draw):
+    name = draw(st.sampled_from(["a", "b", "s", "t", "r", "q", "ab"]))
+    text, exp = draw(_SPACE) + name, 1
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from(["", "-", "-" + draw(_SPACE)]))
+        digits = draw(_DIGITS)
+        text += draw(_SPACE) + "^" + draw(_SPACE) + sign + digits
+        exp = -int(digits) if sign else int(digits)
+    return text + draw(_SPACE), name, exp
+
+
+_GRAMMAR_PARTS = st.sampled_from([(" a^t", None, 0), ("[a, s]", None, 0),
+                                  ("(s*a^-1)^t ", None, 0)])
+
+
+@st.composite
+def _presentation_files(draw):
+    torsion = draw(st.booleans())
+    t_names = ("s", "t", "r") if torsion else ("s", "t")
+    pool = draw(st.lists(st.one_of(_parts(), _parts(), _parts(), _GRAMMAR_PARTS),
+                         min_size=1, max_size=6))
+    relators = []
+    for _ in range(draw(st.integers(0, 5))):
+        parts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        text = "*".join(part for part, _, _ in parts)
+        if draw(st.booleans()):
+            for n in t_names:
+                s = sum(e for _, name, e in parts if name == n)
+                if n == "r":
+                    s += _TORSION_ORDER * draw(st.integers(-1, 1))
+                if s:
+                    text += f"*{n}^{-s}"
+        if draw(st.integers(0, 7)) == 0:
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(_INSERT) + text[at:]
+        relators.append(text)
+    table = [{"pair": [x, y], "equals": "b"}
+             for i, x in enumerate(t_names) for y in t_names[i + 1:]]
+    return {"module_generators": ["a", "b"], "free_generators": ["s", "t"],
+            "torsion_generators": ([{"name": "r", "order": _TORSION_ORDER}]
+                                   if torsion else []),
+            "commutator_table": table, "relators": relators}
+
+
+def _relators_by_grammar(doc):
+    """Each relator through ``_WordParser`` and ``exponent_sums``: the
+    reference for the file's shared split scan."""
+    p = parse_presentation(json.dumps(dict(doc, relators=[])))
+    relators = []
+    for rtext in doc["relators"]:
+        w = _WordParser(rtext, p._names).parse()
+        sums = exponent_sums(w, p)
+        if any(sums):
+            raise ParseError(f"relator {rtext!r} has nonzero t-exponent sum {sums}")
+        relators.append(w)
+    return tuple(relators)
+
+
+def _file_outcome(parse):
+    try:
+        return "relators", parse()
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+def test_shared_syllable_table_matches_the_grammar():
+    """A file's relators share one syllable table; relator by relator, the
+    grammar and ``exponent_sums`` give the same words and the same first
+    error, unbalanced-sum messages with their torsion-reduced sums included."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_presentation_files())
+    def check(doc):
+        got = _file_outcome(lambda: parse_presentation(json.dumps(doc)).relators)
+        assert got == _file_outcome(lambda: _relators_by_grammar(doc))
+        unbalanced = "nonzero t-exponent sum" in str(got[1])
+        seen.add((got[0], unbalanced, bool(doc["torsion_generators"])))
+
+    check()
+    assert {("relators", False, False), ("relators", False, True),
+            ("ParseError", False, False), ("ParseError", True, True)} <= seen
+
+
+def test_unbalanced_relator_reports_torsion_reduced_sums():
+    doc = {"module_generators": ["a"], "free_generators": ["t"],
+           "torsion_generators": [{"name": "r", "order": 3}],
+           "commutator_table": [{"pair": ["t", "r"], "equals": "a"}],
+           "relators": ["t^-1*r^4*a*t*r^-1", "r^-2*t^2 * a"]}
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(json.dumps(doc))
+    assert str(exc.value) == \
+        "relator 'r^-2*t^2 * a' has nonzero t-exponent sum (2, 1)"
+
+
+def test_syllable_table_lives_for_one_file():
+    """A part read in one file is read again in the next: a name known in the
+    first is unknown in the second, and the grammar reports it."""
+    known = {"module_generators": ["a", "c"], "free_generators": ["t"],
+             "relators": ["t^-1*c*t*a", "c^2*a"]}
+    unknown = dict(known, module_generators=["a"])
+    assert len(parse_presentation(json.dumps(known)).relators) == 2
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(json.dumps(unknown))
+    assert str(exc.value) == "unknown generator 'c' (at position 5)"
+    with pytest.raises(ParseError) as ref:
+        _WordParser("t^-1*c*t*a", {"a", "t"}).parse()
+    assert str(exc.value) == str(ref.value)
+
+
 class TestDerivedTables:
+    @pytest.mark.parametrize("p", [BS2, WF11, build(PresetSpec(
+        "wf", r=1, k=2, torsion_orders=(3,)))], ids=["bs2", "wf11", "wf-torsion"])
+    def test_each_table_derived_once(self, p, monkeypatch):
+        """``parse_presentation`` builds one instance, so each derived table
+        is computed once, whether the parse or a later caller reads it first."""
+        calls = Counter()
+        tables = [name for name, attr in vars(Presentation).items()
+                  if isinstance(attr, cached_property)]
+        for name in tables:
+            attr = vars(Presentation)[name]
+
+            def counted(self, func=attr.func, name=name):
+                calls[name] += 1
+                return func(self)
+
+            monkeypatch.setattr(attr, "func", counted)
+        q = parse_presentation(p.render())
+        for name in tables:
+            getattr(q, name)
+            getattr(q, name)
+        assert q == p
+        assert calls == {name: 1 for name in tables}
+
     def test_ambient_built_once(self):
         p = parse_presentation(GAMMA.render())
         assert p.module_ambient() is p.module_ambient()
@@ -206,12 +351,10 @@ class TestExponentSums:
         assert exponent_sums(BS2.relators[0], BS2) == (0,)
 
     def test_simple(self):
-        from metabelian.presets import PresetSpec, build
         p = build(PresetSpec("free_abelian"))
         assert exponent_sums(parse_word("t1*t2*t1^-1", p), p) == (0, 1)
 
     def test_torsion_reduction(self):
-        from metabelian.presets import PresetSpec, build
         p = build(PresetSpec("wf", r=1, k=1, torsion_orders=(2,)))
         sums = exponent_sums(parse_word("t2^3", p), p)
         assert sums[p.t_index("t2")] == 1
