@@ -20,7 +20,6 @@ metabelian variety.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .elements import ModuleElement, monomial_word_degree
@@ -395,28 +394,32 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
     # ordered form puts e1 first and larger monomials first within a basis
     rest = [(abs(c), (-basis, monomial_key(exps)), exps, m)
             for (c, basis, exps), m in zip(items, mono) if c]
-    units, rel, _ = _inversion_charge(rest, amb.torsion, price)
+    units, rel = _inversion_charge(rest, amb.torsion, price)
     ledger.r2_commutations += units
     ledger.rel_r2_merge += rel
 
 
-_BLOCK = 16  # _inversion_charge prices blocks this small pair by pair
+_BLOCK = 16  # _inversion_charge prices this many items or fewer pair by pair
 
 
 def _inversion_charge(items, torsion, price):
-    """``(units, rel, items by rising key)`` for sorting ``items``
-    ``(weight, key, exps, monomial id)`` by falling key: over the pairs
-    a < b with key_a < key_b, the sum of ``w_a*w_b`` and of
-    ``w_a*w_b*price(m_a, m_b)``.
+    """``(units, rel)`` for sorting ``items`` ``(weight, key, exps,
+    monomial id)`` by falling key: over the pairs a < b with key_a < key_b,
+    the sum of ``w_a*w_b`` and of ``w_a*w_b*price(m_a, m_b)``.
 
-    Merge sort on position, merging by key: each right item b meets the
-    left items of smaller key.  With d the length of exps_a - exps_b, the
-    price is 4d - 3 except 1 at d = 0, i.e. at equal exponents on another
-    basis, so the sum is ``4*sum(w_a*w_b*d) - 3*sum(w_a*w_b) + 4*sum over
-    equal exponents of w_a*w_b``.  d sums one term per coordinate: |x_a - x_b|
-    on a free one, read off Fenwick trees of the inserted weights and
-    weighted values over the left block's values, and the cyclic distance
-    on a torsion one, read off a table of the inserted weight per residue.
+    With d the length of exps_a - exps_b, the price is 4d - 3 except 1 at
+    d = 0, i.e. at equal exponents on another basis, so the sum is
+    ``4*sum(w_a*w_b*d) - 3*sum(w_a*w_b) + 4*sum over equal exponents of
+    w_a*w_b``, and d sums one term per coordinate: |x_a - x_b| on a free
+    one and the cyclic distance on a torsion one.
+
+    Up to ``_BLOCK`` items are priced pair by pair.  Longer sequences merge
+    adjacent items of equal key into one, as their pair is not inverted and
+    the sums are bilinear in the weights, and split into maximal runs of
+    strictly rising or strictly falling key.  A falling run holds no
+    inverted pair and a rising run only inverted pairs, which
+    ``_rising_charge`` sums in closed form.  Neighbouring runs, each in key
+    order, then merge bottom-up (``_merge_charge``).
     """
     if len(items) <= _BLOCK:
         units = rel = 0
@@ -425,63 +428,144 @@ def _inversion_charge(items, torsion, price):
                 if ka < kb:
                     units += wa * wb
                     rel += wa * wb * price(ma, mb)
-        return units, rel, sorted(items, key=lambda it: it[1])
-    half = len(items) // 2
-    units, rel, left = _inversion_charge(items[:half], torsion, price)
-    more_units, more_rel, right = _inversion_charge(items[half:], torsion, price)
-    units, rel = units + more_units, rel + more_rel
-    free = [i for i, d in enumerate(torsion) if not d]
-    values = {i: sorted({x[i] for _, _, x, _ in left}) for i in free}
-    weights = {i: [0] * (len(values[i]) + 1) for i in free}
-    moments = {i: [0] * (len(values[i]) + 1) for i in free}
-    residues = {i: [0] * d for i, d in enumerate(torsion) if d}
-    total, total_moment, same, k, merged = 0, [0] * len(torsion), {}, 0, []
-    for wb, kb, y, mb in right:
-        while k < len(left) and left[k][1] < kb:
-            wa, _, x, ma = left[k]
+        return units, rel
+    # groups [key rank, weight, monomial id, exps, free spots]: keys and
+    # the values of each free coordinate are ranked once per call
+    order = {key: r for r, key in enumerate(sorted({it[1] for it in items}))}
+    groups = []
+    for w, key, exps, m in items:
+        key = order[key]
+        if groups and groups[-1][0] == key:
+            groups[-1][1] += w
+        else:
+            groups.append([key, w, m, exps])
+    # a coordinate on which every item agrees adds nothing to any distance
+    first = groups[0][3]
+    spread = [i for i in range(len(torsion))
+              if any(g[3][i] != first[i] for g in groups)]
+    free = [i for i in spread if not torsion[i]]
+    cyclic = [(i, torsion[i]) for i in spread if torsion[i]]
+    ranks = [{x: r for r, x in enumerate(sorted({g[3][i] for g in groups}), 1)}
+             for i in free]
+    for g in groups:
+        g.append(tuple((rank[g[3][i]], g[3][i]) for i, rank in zip(free, ranks)))
+    units = rel = 0
+    runs, start, n = [], 0, len(groups)
+    while start < n:
+        end = start + 1
+        if end < n and groups[start][0] < groups[end][0]:
+            while end < n and groups[end - 1][0] < groups[end][0]:
+                end += 1
+            run = groups[start:end]
+            more_units, more_rel = _rising_charge(run, free, cyclic)
+            units, rel = units + more_units, rel + more_rel
+        else:
+            while end < n and groups[end - 1][0] > groups[end][0]:
+                end += 1
+            run = groups[start:end]
+            run.reverse()
+        runs.append(run)
+        start = end
+    trees = [([0] * (len(rank) + 1), [0] * (len(rank) + 1), len(rank) + 1)
+             for rank in ranks]
+    while len(runs) > 1:
+        merged = []
+        for q in range(1, len(runs), 2):
+            more_units, more_rel = _merge_charge(runs[q - 1], runs[q], cyclic,
+                                                 trees)
+            units, rel = units + more_units, rel + more_rel
+            merged.append(sorted(runs[q - 1] + runs[q]))
+        if len(runs) % 2:
+            merged.append(runs[-1])
+        runs = merged
+    return units, rel
+
+
+def _rising_charge(run, free, cyclic):
+    """``(units, rel)`` of ``_inversion_charge`` over a run of groups of
+    strictly rising key, every pair of which is inverted: ``(W^2 - sum
+    w^2) / 2`` units, distances by prefix sums over the sorted values of a
+    free coordinate and over the pairs of residues of a torsion one, and
+    equal exponents counted per monomial."""
+    total = squares = 0
+    same: dict = {}
+    for _, w, m, *_ in run:
+        total += w
+        squares += w * w
+        same[m] = same.get(m, 0) + w
+    units = (total * total - squares) // 2
+    equal = (sum(s * s for s in same.values()) - squares) // 2
+    dist = 0
+    for i in free:
+        below = below_moment = 0
+        for x, w in sorted((g[3][i], g[1]) for g in run):
+            dist += w * (x * below - below_moment)
+            below += w
+            below_moment += w * x
+    for i, d in cyclic:
+        table: dict = {}
+        for g in run:
+            r = g[3][i] % d
+            table[r] = table.get(r, 0) + g[1]
+        residues = list(table.items())
+        for a, (r, wr) in enumerate(residues):
+            for s, ws in residues[a + 1:]:
+                dist += wr * ws * _length(r - s, d)
+    return units, 4 * dist - 3 * units + 4 * equal
+
+
+def _merge_charge(left, right, cyclic, trees):
+    """``(units, rel)`` of ``_inversion_charge`` over the pairs of a left
+    and a right run of groups, both in key order: each right group meets
+    the left groups of smaller key, inserted as the scan passes them.  A
+    free coordinate's distances are read off Fenwick trees of the inserted
+    weights and weighted values, indexed by the value's rank over the whole
+    sequence and cleared of this merge's inserts at the end; a torsion
+    coordinate's off a table of inserted weight per residue."""
+    units = rel = total = k = 0
+    sums = [0] * len(trees)
+    tables = [[0] * d for _, d in cyclic]
+    same: dict = {}
+    last = len(left)
+    for key, wb, mb, y, spots in right:
+        while k < last and left[k][0] < key:
+            _, wa, ma, x, places = left[k]
             total += wa
             same[ma] = same.get(ma, 0) + wa
-            for i in free:
-                at = bisect_left(values[i], x[i])
-                _fenwick_add(weights[i], at, wa)
-                _fenwick_add(moments[i], at, wa * x[i])
-                total_moment[i] += wa * x[i]
-            for i, table in residues.items():
-                table[x[i] % torsion[i]] += wa
-            merged.append(left[k])
+            f = 0
+            for (r, xa), (weights, moment, size) in zip(places, trees):
+                v = wa * xa
+                sums[f] += v
+                f += 1
+                while r < size:
+                    weights[r] += wa
+                    moment[r] += v
+                    r += r & -r
+            for (i, d), table in zip(cyclic, tables):
+                table[x[i] % d] += wa
             k += 1
-        merged.append((wb, kb, y, mb))
         if not total:
             continue
         dist = 0
-        for i in free:
-            at = bisect_left(values[i], y[i])
-            below, below_moment = (_fenwick_sum(weights[i], at),
-                                   _fenwick_sum(moments[i], at))
-            dist += (total_moment[i] - 2 * below_moment
-                     - y[i] * (total - 2 * below))
-        for i, table in residues.items():
-            dist += sum(w * _length(r - y[i], torsion[i])
+        for (r, yf), (weights, moment, _), moments in zip(spots, trees, sums):
+            below = below_moment = 0
+            r -= 1
+            while r:
+                below += weights[r]
+                below_moment += moment[r]
+                r &= r - 1
+            dist += moments - 2 * below_moment - yf * (total - 2 * below)
+        for (i, d), table in zip(cyclic, tables):
+            dist += sum(w * _length(r - y[i], d)
                         for r, w in enumerate(table) if w)
         units += total * wb
         rel += wb * (4 * dist - 3 * total + 4 * same.get(mb, 0))
-    return units, rel, merged + left[k:]
-
-
-def _fenwick_add(tree, at, value):
-    at += 1
-    while at < len(tree):
-        tree[at] += value
-        at += at & -at
-
-
-def _fenwick_sum(tree, end):
-    """Sum of the first ``end`` entries."""
-    total = 0
-    while end:
-        total += tree[end]
-        end &= end - 1
-    return total
+    for g in left[:k]:
+        for (r, _), (weights, moment, size) in zip(g[4], trees):
+            while r < size and weights[r]:
+                weights[r] = moment[r] = 0
+                r += r & -r
+    return units, rel
 
 
 def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:

@@ -94,15 +94,21 @@ class Term:
 
 
 def _canonical_terms(ambient: Ambient, raw: dict) -> tuple[Term, ...]:
-    merged: dict[tuple, int] = {}
-    for (exps, basis), coeff in raw.items():
-        if coeff == 0:
-            continue
-        key = (ambient.wrap(exps), basis)
-        merged[key] = merged.get(key, 0) + coeff
-    terms = [Term(c, Monomial(e, b)) for (e, b), c in merged.items() if c != 0]
-    terms.sort(key=lambda t: t.monomial.key(), reverse=True)
-    return tuple(terms)
+    """The terms of ``raw`` in descending ``Monomial.key`` order, torsion
+    exponents wrapped and zero coefficients dropped."""
+    if ambient.laurent and any(ambient.torsion):
+        merged: dict[tuple, int] = {}
+        for (exps, basis), coeff in raw.items():
+            if coeff:
+                key = (ambient.wrap(exps), basis)
+                merged[key] = merged.get(key, 0) + coeff
+        raw = merged
+    # monomial_key without a call per term; the keys are distinct, so the
+    # sort never compares past them
+    order = sorted((((sum(map(abs, e)), e) if b is None
+                     else (sum(map(abs, e)), e, -b)), c, e, b)
+                   for (e, b), c in raw.items() if c)
+    return tuple(Term(c, Monomial(e, b)) for _, c, e, b in reversed(order))
 
 
 @dataclass(frozen=True)

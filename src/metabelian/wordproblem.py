@@ -277,25 +277,37 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
     """
     ctx = module_context(p)
     gens = [f for f in ctx.relator_vectors if not f.is_zero()]
-    found: dict[ModuleElement, int] = {}
-
-    def consider(f: ModuleElement):
-        if f.is_zero() or module_norm(f) > n:
-            return
-        if f not in found:
-            cert = divide_with_certificate(ctx.embed(f), ctx.basis)
-            found[f] = cert.size
-
     if not gens:
         return []
     ambient = gens[0].ambient
+    word_degree: dict = {}
+    found: dict[frozenset, tuple[int, int]] = {}  # sum -> (norm, size)
+
+    def consider(raw: dict):
+        """Certify the sum whose reduced term dict is ``raw``, once, if
+        its norm is within ``n``; an element is built only then."""
+        if not raw:
+            return
+        norm = 0
+        for (exps, _), coeff in raw.items():
+            wd = word_degree.get(exps)
+            if wd is None:
+                wd = word_degree[exps] = monomial_word_degree(ambient, exps)
+            norm += abs(coeff) * (2 * wd + 1)
+            if norm > n:
+                return
+        key = frozenset(raw.items())
+        if key not in found:
+            f = ModuleElement.from_dict(ambient, raw)
+            cert = divide_with_certificate(ctx.embed(f), ctx.basis)
+            found[key] = (norm, cert.size)
+
     if sampler == "exhaustive":
         pool = _monomial_pool(ambient, max_degree=max(0, (n - 1) // 2))
         products = [f.scale_translate(1, Monomial(e, None)).as_dict()
                     for f in gens for e in pool]
         for total in range(min(n, 4) + 1):
-            _walk(products, total, total,
-                  lambda raw: consider(ModuleElement.from_dict(ambient, raw)))
+            _walk(products, total, total, consider)
     elif sampler == "random":
         rng = random.Random(seed)
         pool = _monomial_pool(ambient, max_degree=max(1, n // 2))
@@ -306,13 +318,12 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
                 exps = pool[rng.randrange(len(pool))]
                 c = rng.choice([-2, -1, 1, 2])
                 acc = acc + f.scale_translate(c, Monomial(exps, None))
-            consider(acc)
+            consider(acc.as_dict())
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
     by_norm: dict[int, int] = {}
-    for f, size in found.items():
-        norm = module_norm(f)
+    for norm, size in found.values():
         by_norm[norm] = max(by_norm.get(norm, 0), size)
     return sorted(by_norm.items())
 

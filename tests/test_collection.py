@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_kernel_word)
 from metabelian import collection
-from metabelian.collection import (_SWAP_CASES, CostLedger, _charge_merge,
-                                   _collect_units, _price_conjugator,
-                                   _run_price, commutator_collect,
+from metabelian.collection import (_BLOCK, _SWAP_CASES, CostLedger,
+                                   _charge_merge, _collect_units,
+                                   _inversion_charge, _merge_price,
+                                   _price_conjugator, _run_price,
+                                   commutator_collect,
                                    ordered_form, render_ordered_word,
                                    split_conjugates)
 from metabelian.elements import (Ambient, ModuleElement, Monomial,
@@ -407,6 +409,75 @@ def test_sort_charge_matches_pairwise(case):
     _charge_merge(sequence, amb, ledger)
     assert (ledger.r2_commutations, ledger.rel_r2_merge) == \
         _pairwise_sort_charge(sequence, amb)
+
+
+_BIG = 2 ** 70
+
+
+@st.composite
+def charge_inputs(draw):
+    """``(amb, items)`` for ``_inversion_charge``: conjugates
+    ``(basis, exps)`` of a pool over free and torsion coordinates and 1-3
+    bases, laid out in segments that rise, fall, repeat one conjugate or
+    scatter, so that equal keys sit side by side and far apart and
+    sequences run well past ``_BLOCK``; free exponents sit near 0 or near
+    +-2^70."""
+    torsion = tuple(draw(st.lists(st.sampled_from((0, 0, 2, 3, 5)),
+                                  min_size=1, max_size=3)))
+    rank = draw(st.integers(1, 3))
+    amb = Ambient(tuple(f"t{i}" for i in range(len(torsion))), torsion, rank,
+                  tuple(f"e{i}" for i in range(rank)))
+    near = st.sampled_from((0, _BIG, -_BIG))
+    coordinate = [st.integers(0, d - 1) if d else
+                  st.builds(int.__add__, near, st.integers(-3, 3))
+                  for d in torsion]
+    exps_pool = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=12))
+    pool = draw(st.lists(st.tuples(st.integers(1, rank),
+                                   st.sampled_from(exps_pool)),
+                         min_size=1, max_size=24))
+    conjugates = []
+    for _ in range(draw(st.integers(1, 10))):
+        shape = draw(st.sampled_from(("rise", "fall", "repeat", "scatter")))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=_BLOCK + 8))
+        if shape == "repeat":
+            picks = picks[:1] * len(picks)
+        elif shape != "scatter":
+            picks.sort(key=_sort_key, reverse=shape == "fall")
+        conjugates += picks
+    weights = draw(st.lists(st.integers(1, 4) | st.integers(1, _BIG),
+                            min_size=len(conjugates), max_size=len(conjugates)))
+    monos: dict = {}
+    items = [(w, _sort_key(c), c[1], monos.setdefault(c[1], len(monos)))
+             for w, c in zip(weights, conjugates)]
+    return amb, items
+
+
+def _sort_key(conjugate):
+    """The key ``_charge_merge`` sorts by: e1 first, then larger monomials."""
+    basis, exps = conjugate
+    return (-basis, monomial_key(exps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(charge_inputs())
+def test_inversion_charge_matches_pairs(case):
+    """Over the pairs a < b with key_a < key_b, ``w_a*w_b`` units and
+    ``w_a*w_b*max(1, 4d - 3)`` relative, d the word length of
+    exps_a - exps_b."""
+    amb, items = case
+    units = rel = 0
+    for a, (wa, ka, xa, _) in enumerate(items):
+        for wb, kb, xb, _ in items[a + 1:]:
+            if ka < kb:
+                d = monomial_word_degree(amb, tuple(x - y for x, y in zip(xa, xb)))
+                units += wa * wb
+                rel += wa * wb * max(1, 4 * d - 3)
+    exps_of = {m: exps for _, _, exps, m in items}
+
+    def price(m, n):
+        return _merge_price(amb, exps_of[m], exps_of[n])
+    assert _inversion_charge(items, amb.torsion, price) == (units, rel)
 
 
 # wf without torsion, with torsion (3,), and wf(1,1) with torsion (5, 2)

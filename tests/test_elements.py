@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metabelian.elements import (Ambient, ModuleElement, Monomial,
+from metabelian.elements import (Ambient, ModuleElement, Monomial, Term,
                                  parse_element, render_element)
 from metabelian.errors import AmbientMismatch, EmptyElementError
 from metabelian.order import element_key
@@ -114,6 +114,37 @@ class TestMeasures:
             h = random_element(rng, amb)
             if element_key(g) < element_key(h):
                 assert g.degree <= h.degree
+
+
+@st.composite
+def raw_terms(draw):
+    """``(ambient, raw)``: a ring or module ambient, Laurent or not, and a
+    term dict whose torsion exponents wrap onto each other, so that terms
+    merge or cancel, with zero coefficients among them."""
+    torsion = tuple(draw(st.lists(st.sampled_from((0, 2, 3)), min_size=1,
+                                  max_size=3)))
+    rank = draw(st.integers(0, 3))
+    amb = Ambient(tuple(f"x{i}" for i in range(len(torsion))), torsion,
+                  max(rank, 1), tuple(f"e{i}" for i in range(rank)) or None,
+                  laurent=draw(st.booleans()))
+    monomials = st.tuples(st.tuples(*[st.integers(-4, 4)] * len(torsion)),
+                          st.integers(1, rank) if rank else st.none())
+    return amb, draw(st.dictionaries(monomials, st.integers(-2, 2), max_size=12))
+
+
+@settings(max_examples=300)
+@given(raw_terms())
+def test_from_dict_sorts_by_monomial_key(case):
+    """The stored terms are the wrapped, merged, non-zero terms in
+    descending ``Monomial.key()`` order."""
+    amb, raw = case
+    merged = {}
+    for (exps, basis), coeff in raw.items():
+        key = (amb.wrap(exps), basis)
+        merged[key] = merged.get(key, 0) + coeff
+    terms = [Term(c, Monomial(e, b)) for (e, b), c in merged.items() if c]
+    terms.sort(key=lambda t: t.monomial.key(), reverse=True)
+    assert ModuleElement.from_dict(amb, raw).terms == tuple(terms)
 
 
 class TestReducedness:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
-from metabelian.elements import Ambient
+from metabelian.elements import Ambient, parse_element
 from metabelian.errors import ParseError
 from metabelian.presentation import (GroupWord, Presentation, _WordParser,
-                                     exponent_sums, parse_presentation,
+                                     _datum_element, exponent_sums,
+                                     parse_presentation,
                                      parse_word, relator_module)
 from metabelian.presets import PresetSpec, build
 
@@ -284,6 +285,51 @@ def test_syllable_table_lives_for_one_file():
     with pytest.raises(ParseError) as ref:
         _WordParser("t^-1*c*t*a", {"a", "t"}).parse()
     assert str(exc.value) == str(ref.value)
+
+
+# wf(1,2) with a torsion generator of order 3: u1, u2, t1, t2, t3
+_DATUM_RING = build(PresetSpec("wf", r=1, k=2, torsion_orders=(3,))).ring_ambient()
+_DIGITS = st.text("0123456789", min_size=1, max_size=3)
+
+
+@st.composite
+def _datum_texts(draw):
+    """Ring-monomial texts such as ``-3*t1^-2``: signed, spaced, over known
+    and unknown names, some with one character dropped or inserted."""
+    space = st.sampled_from(("", "", " ", "\t"))
+    parts = [draw(space), draw(st.sampled_from(("", "", "-", "+", "--")))]
+    if draw(st.booleans()):
+        parts += [draw(space), draw(_DIGITS), draw(space), "*"]
+    parts += [draw(space), draw(st.sampled_from(
+        _DATUM_RING.variables + ("x", "t", "t10", "_")))]
+    if draw(st.booleans()):
+        parts += [draw(space), "^", draw(space),
+                  draw(st.sampled_from(("", "", "-", "+"))), draw(_DIGITS)]
+    text = "".join(parts) + draw(space)
+    edit = draw(st.sampled_from(("keep", "keep", "drop", "insert")))
+    if edit == "drop":
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + text[at + 1:]
+    elif edit == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("*^-+ ()0t1a,\u0663")) + text[at:]
+    return text
+
+
+def _element_outcome(parse):
+    try:
+        return "element", parse()
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_datum_texts())
+def test_datum_entries_match_the_grammar(text):
+    """Tameness-datum entries read by one match give the grammar's element,
+    and every other text the grammar's error."""
+    assert _element_outcome(lambda: _datum_element(text, _DATUM_RING)) == \
+        _element_outcome(lambda: parse_element(text, _DATUM_RING))
 
 
 class TestDerivedTables:
