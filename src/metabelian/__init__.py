@@ -1,8 +1,7 @@
 """Word problem and area certificates for finitely presented metabelian groups."""
 
 from .bounds import Bound
-from .collection import (CostLedger, commutator_collect, ordered_form,
-                         render_ordered_word, split_conjugates)
+from .collection import CostLedger, ordered_form
 from .elements import (Ambient, ModuleElement, Monomial, Term, parse_element,
                        render_element)
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,
@@ -10,7 +9,7 @@ from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,
 from .geometry import GeometryReport, geometry_constants, tameness_check
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, growth_function, laurent_embed,
-                       normal_form, reduce_step, verify_certificate)
+                       normal_form, verify_certificate)
 from .presentation import (GroupWord, Presentation, TamenessDatum,
                            exponent_sums, parse_presentation, parse_word,
                            relator_module)

@@ -567,20 +567,3 @@ def _merge_charge(left, right, cyclic, trees):
                 r += r & -r
     return units, rel
 
-
-def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:
-    """The group word a_1^{lam_1}...a_m^{lam_m} realizing a module vector."""
-    letters = []
-    amb = vector.ambient
-    for b in range(1, amb.rank + 1):
-        terms = [t for t in vector.terms if t.monomial.basis == b]
-        name = amb.basis_names[b - 1]
-        for t in terms:
-            conj = []
-            for i, e in enumerate(t.monomial.exponents):
-                if e:
-                    conj.append((amb.variables[i], e))
-            letters.extend((n, -e) for n, e in reversed(conj))
-            letters.append((name, t.coefficient))
-            letters.extend(conj)
-    return GroupWord.from_letters(letters)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .errors import AmbientMismatch, EmptyElementError, ParseError
@@ -111,6 +112,30 @@ def _canonical_terms(ambient: Ambient, raw: dict) -> tuple[Term, ...]:
     return tuple(Term(c, Monomial(e, b)) for _, c, e, b in reversed(order))
 
 
+def _sum(g: dict, h: dict, c: int = 1) -> dict:
+    """``g += c * h`` on term dicts ``{(exponents, basis): coefficient}``,
+    dropping the terms that cancel; returns ``g``."""
+    for key, v in h.items():
+        v = g.get(key, 0) + c * v
+        if v:
+            g[key] = v
+        else:
+            g.pop(key, None)
+    return g
+
+
+def _product(g: dict, h: dict, wrap) -> dict:
+    """The product of two term dicts, at most one of which has basis
+    vectors.  ``wrap`` builds each product's exponent tuple: ``Ambient.wrap``
+    reduces torsion exponents, ``tuple`` leaves them to ``from_dict``."""
+    out: dict = {}
+    for (u, b), c in h.items():
+        for (e, d), x in g.items():
+            key = (wrap(map(add, e, u)), b or d)
+            out[key] = out.get(key, 0) + c * x
+    return {key: c for key, c in out.items() if c}
+
+
 @dataclass(frozen=True)
 class ModuleElement:
     """A reduced element: strictly descending terms, nonzero coefficients."""
@@ -143,11 +168,8 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_ambient(other)
-        out = self.as_dict()
-        for t in other.terms:
-            key = (t.monomial.exponents, t.monomial.basis)
-            out[key] = out.get(key, 0) + t.coefficient
-        return ModuleElement.from_dict(self.ambient, out)
+        return ModuleElement.from_dict(
+            self.ambient, _sum(self.as_dict(), other.as_dict()))
 
     def __neg__(self) -> "ModuleElement":
         return ModuleElement(
@@ -155,7 +177,9 @@ class ModuleElement:
             tuple(Term(-t.coefficient, t.monomial) for t in self.terms))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
+        self._check_ambient(other)
+        return ModuleElement.from_dict(
+            self.ambient, _sum(self.as_dict(), other.as_dict(), -1))
 
     def scale_translate(self, c: int, u: Monomial) -> "ModuleElement":
         """Return ``c * u * self`` reduced; u is a ring monomial."""
@@ -163,26 +187,15 @@ class ModuleElement:
             raise AmbientMismatch("translation monomial must be a ring monomial")
         if len(u.exponents) != self.ambient.nvars:
             raise AmbientMismatch("translation monomial over wrong variable set")
-        if c == 0:
-            return ModuleElement.zero(self.ambient)
-        raw = {}
-        for t in self.terms:
-            exps = tuple(a + b for a, b in zip(t.monomial.exponents, u.exponents))
-            raw[(exps, t.monomial.basis)] = c * t.coefficient
-        return ModuleElement.from_dict(self.ambient, raw)
+        return ModuleElement.from_dict(self.ambient, _product(
+            self.as_dict(), {(u.exponents, None): c}, tuple))
 
     def mul_ring(self, lam: "ModuleElement") -> "ModuleElement":
         """Multiply by a ring element (terms with no basis vector)."""
-        raw: dict[tuple, int] = {}
-        for lt in lam.terms:
-            if lt.monomial.basis is not None:
-                raise AmbientMismatch("ring multiplier must have no basis part")
-            for t in self.terms:
-                exps = tuple(a + b for a, b in
-                             zip(t.monomial.exponents, lt.monomial.exponents))
-                key = (exps, t.monomial.basis)
-                raw[key] = raw.get(key, 0) + lt.coefficient * t.coefficient
-        return ModuleElement.from_dict(self.ambient, raw)
+        if any(t.monomial.basis is not None for t in lam.terms):
+            raise AmbientMismatch("ring multiplier must have no basis part")
+        return ModuleElement.from_dict(self.ambient, _product(
+            self.as_dict(), lam.as_dict(), tuple))
 
     @property
     def length(self) -> int:
@@ -193,10 +206,6 @@ class ModuleElement:
         if not self.terms:
             return 0
         return self.terms[0].monomial.degree
-
-    @property
-    def support_size(self) -> int:
-        return len(self.terms)
 
     def leading_term(self) -> Term:
         if not self.terms:
@@ -340,53 +349,65 @@ class _Tokens:
             tok, pos = self.next()
         if not tok.isdigit():
             raise ParseError(self.integer_message, pos)
-        return sign * int(tok)
+        return sign * _literal(tok, pos)
+
+
+def _literal(digits: str, pos: int) -> int:
+    """The value of the integer token ``digits`` at ``pos``; a literal longer
+    than ``int`` converts (``sys.get_int_max_str_digits()``) is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long",
+                         pos) from None
 
 
 class _ElementParser(_Tokens):
+    """Every rule returns a term dict, zero-free with torsion exponents
+    wrapped, so a product sees a factor that wraps to zero as zero; ``parse``
+    builds the one element."""
+
     def __init__(self, text: str, ambient: Ambient):
         super().__init__(text, _TOKEN, "unexpected end of input",
                          "expected an integer exponent")
         self.ambient = ambient
 
     def parse(self) -> ModuleElement:
-        return self.done(self.element())
+        return ModuleElement.from_dict(self.ambient, self.done(self.element()))
 
-    def element(self) -> ModuleElement:
+    def element(self) -> dict:
         sign = 1
-        if self.peek() == "-":
-            self.next()
-            sign = -1
-        elif self.peek() == "+":
-            self.next()
-        g = self.addend()
-        if sign < 0:
-            g = -g
+        if self.peek() in ("+", "-"):
+            sign = -1 if self.next()[0] == "-" else 1
+        g = _sum({}, self.addend(), sign)
         while self.peek() in ("+", "-"):
             op, _ = self.next()
-            h = self.addend()
-            g = g + h if op == "+" else g - h
+            _sum(g, self.addend(), -1 if op == "-" else 1)
         return g
 
-    def addend(self) -> ModuleElement:
+    def addend(self) -> dict:
         g = self.factor()
         while self.peek() == "*":
             self.next()
-            g = self._mul(g, self.factor())
+            h = self.factor()
+            if any(b for _, b in g) and any(b for _, b in h):
+                raise ParseError("cannot multiply two module elements")
+            g = _product(g, h, self.ambient.wrap)
         return g
 
-    def factor(self) -> ModuleElement:
+    def factor(self) -> dict:
         tok, pos = self.next()
         amb = self.ambient
+        zero = (0,) * amb.nvars
         if tok == "(":
             g = self.element()
             self.expect(")")
             return g
         if tok.isdigit():
-            return ModuleElement.from_term(amb, int(tok), (0,) * amb.nvars)
+            c = _literal(tok, pos)
+            return {(zero, None): c} if c else {}
         if tok == "-":
-            inner = self.factor()
-            return -inner
+            return _sum({}, self.factor(), -1)
         if not tok[0].isalpha() and tok[0] != "_":
             raise ParseError(f"unexpected token {tok!r}", pos)
         exp = 1
@@ -396,26 +417,12 @@ class _ElementParser(_Tokens):
         if not amb.is_ring() and tok in amb.basis_names:
             if exp != 1:
                 raise ParseError(f"basis vector {tok!r} cannot carry an exponent", pos)
-            basis = amb.basis_names.index(tok) + 1
-            return ModuleElement.from_term(amb, 1, (0,) * amb.nvars, basis)
+            return {(zero, amb.basis_names.index(tok) + 1): 1}
         if tok in amb.variables:
             j = amb.var_index(tok)
-            exps = tuple(exp if i == j else 0 for i in range(amb.nvars))
-            return ModuleElement.from_term(amb, 1, exps)
+            return {(amb.wrap(exp if i == j else 0 for i in range(amb.nvars)),
+                     None): 1}
         raise ParseError(f"unknown name {tok!r}", pos)
-
-    def _mul(self, g: ModuleElement, h: ModuleElement) -> ModuleElement:
-        g_mod = any(t.monomial.basis is not None for t in g.terms)
-        h_mod = any(t.monomial.basis is not None for t in h.terms)
-        if g_mod and h_mod:
-            raise ParseError("cannot multiply two module elements")
-        if g_mod:
-            g, h = h, g
-        # g is now pure ring content; lift it to the coefficient ring.
-        lam = ModuleElement.from_dict(
-            self.ambient.ring(),
-            {(e, None): c for (e, _b), c in g.as_dict().items()})
-        return h.mul_ring(lam)
 
 
 def parse_element(text: str, ambient: Ambient) -> ModuleElement:

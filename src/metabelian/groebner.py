@@ -20,7 +20,7 @@ from operator import add, le, neg, sub
 from typing import Optional
 
 from .bounds import Bound
-from .elements import Ambient, ModuleElement, Monomial, Term
+from .elements import Ambient, ModuleElement, Monomial, Term, _product, _sum
 from .errors import AmbientMismatch, BudgetExceeded
 from .order import int_key
 
@@ -51,7 +51,7 @@ def _euclid(coeff: int, lc: int) -> tuple[int, int]:
     return q, r
 
 
-def reduce_step(g: ModuleElement, F, rng=None):
+def _reduce_step(g: ModuleElement, F, rng=None):
     """One polynomial reduction step of ``g`` modulo the list ``F``.
 
     Returns ``(h, generator_index, quotient_term)`` or ``None`` when ``g``
@@ -128,11 +128,12 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     (ties to the lowest index).  That remainder is irreducible: a generator
     that could reduce it could reduce the term too, leaving a smaller
     remainder.  A reduction only changes terms below the one it reduces, so
-    this is the fixed point of ``reduce_step``, step for step.  ``budget`` is a one-element list of steps left, shared
-    across the calls of one construction; the step after it runs out raises
-    BudgetExceeded naming ``what``.  With ``alphas`` (dicts from quotient
-    exponents to coefficients, aligned with ``tables``) each quotient term
-    is added to the alpha of the generator it used.
+    this is the fixed point of ``_reduce_step``, step for step.  ``budget``
+    is a one-element list of steps left, shared across the calls of one
+    construction; the step after it runs out raises BudgetExceeded naming
+    ``what``.  With ``alphas`` (dicts from quotient exponents to
+    coefficients, aligned with ``tables``) each quotient term is added to
+    the alpha of the generator it used.
     """
     heap = [_descending(key) for key in terms]
     heapify(heap)
@@ -183,7 +184,7 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
 
 
 def normal_form(g: ModuleElement, G, step_budget=DEFAULT_STEP_BUDGET):
-    """Fixed point of reduce_step; equals NF(g) for a Groebner basis."""
+    """Fixed point of _reduce_step; equals NF(g) for a Groebner basis."""
     _check_polynomial(g)
     if isinstance(G, GroebnerBasis):
         gens, tables = G.generators, G._tables
@@ -408,15 +409,19 @@ def verify_certificate(g: ModuleElement, cert: DivisionCertificate,
 
     Recomputes ``residue + sum_i alpha_i * f_i`` and compares it with ``g``,
     recounts ``size`` from the alphas and checks it against the closed-form
-    bound recomputed for ``g``; nothing here runs the divider.
+    bound recomputed for ``g``; nothing here runs the divider.  An alpha
+    with a basis part is rejected.
     """
-    if len(cert.coefficients) != len(G.generators):
+    if (len(cert.coefficients) != len(G.generators)
+            or any(t.monomial.basis is not None
+                   for a in cert.coefficients for t in a.terms)):
         return False
-    total = cert.residue
+    total = cert.residue.as_dict()
     for alpha, f in zip(cert.coefficients, G.generators):
-        total = total + f.mul_ring(alpha)
+        _sum(total, _product(f.as_dict(), alpha.as_dict(), tuple))
     bound = certificate_bound(g, G)
-    return (total == g and cert.size == sum(a.length for a in cert.coefficients)
+    return (ModuleElement.from_dict(cert.residue.ambient, total) == g
+            and cert.size == sum(a.length for a in cert.coefficients)
             and cert.bound == bound and cert.size <= bound)
 
 

@@ -70,9 +70,6 @@ class GroupWord:
         """x^v = v^-1 x v."""
         return v.inverse() * self * v
 
-    def is_empty(self) -> bool:
-        return not self.letters
-
     def render(self) -> str:
         if not self.letters:
             return "1"
@@ -80,9 +77,6 @@ class GroupWord:
 
     def __str__(self) -> str:
         return self.render()
-
-
-EMPTY_WORD = GroupWord(())
 
 
 def commutator(x: GroupWord, y: GroupWord) -> GroupWord:
@@ -157,13 +151,6 @@ class Presentation:
     def _names(self) -> frozenset[str]:
         """Every generator name a word over this presentation may use."""
         return frozenset(self.module_gens + self.t_names)
-
-    def module_index(self, name: str) -> int:
-        """1-based basis index of a module generator."""
-        try:
-            return self._basis_indexes[name]
-        except KeyError:
-            raise ValueError(f"{name!r} is not a module generator") from None
 
     def t_index(self, name: str) -> int:
         try:
@@ -304,7 +291,10 @@ def _syllable(part: str, names, index):
     name, sign, digits = m.groups()
     if names is not None and name not in names:
         return False
-    exp = (-int(digits) if sign else int(digits)) if digits else 1
+    try:
+        exp = (-int(digits) if sign else int(digits)) if digits else 1
+    except ValueError:  # too long for int(): the grammar reports where
+        return False
     return (name, exp), index.get(name)
 
 
@@ -402,6 +392,8 @@ def parse_presentation(text: str) -> Presentation:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer longer than int() converts
+        raise ParseError("invalid JSON: an integer literal is too long") from None
     if not isinstance(doc, dict):
         raise ParseError("presentation file must be a JSON object")
 

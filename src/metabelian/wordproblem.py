@@ -17,7 +17,8 @@ from typing import Optional
 
 from .bounds import Bound
 from .collection import CostLedger, ordered_form
-from .elements import ModuleElement, Monomial, monomial_word_degree
+from .elements import (ModuleElement, Monomial, _product, _sum,
+                       monomial_word_degree)
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, laurent_embed)
 from .presentation import GroupWord, Presentation, exponent_sums, relator_module
@@ -42,7 +43,11 @@ def module_context(p: Presentation) -> ModuleContext:
     return ModuleContext(vectors, buchberger_strong(embedded), embed)
 
 
-def constant_k(p: Presentation, k1: int = 2) -> Optional[int]:
+# The floor K1 of the constant K.
+_K1 = 2
+
+
+def constant_k(p: Presentation) -> Optional[int]:
     """K = max(K1, K2^(2k)) with K2 = max over the tameness datum of
     (coefficient l1-norm) + 2; None without a tameness datum."""
     if p.tameness is None:
@@ -52,7 +57,7 @@ def constant_k(p: Presentation, k1: int = 2) -> Optional[int]:
         return None
     k2 = max(lam.length for lam in lams) + 2
     k = max(1, p.free_rank)
-    return max(k1, k2 ** (2 * k))
+    return max(_K1, k2 ** (2 * k))
 
 
 @dataclass(frozen=True)
@@ -212,24 +217,16 @@ def _walk(products, total: int, max_mag: int, visit) -> bool:
     """
     partial: dict = {}
 
-    def bump(delta: dict, c: int):
-        for key, val in delta.items():
-            now = partial.get(key, 0) + c * val
-            if now:
-                partial[key] = now
-            else:
-                partial.pop(key, None)
-
     def search(start: int, remaining: int) -> bool:
         if remaining == 0:
             return visit(partial)
         for idx in range(start, len(products)):
             for mag in range(1, min(max_mag, remaining) + 1):
                 for sign in (1, -1):
-                    bump(products[idx], sign * mag)
+                    _sum(partial, products[idx], sign * mag)
                     if search(idx + 1, remaining - mag):
                         return True
-                    bump(products[idx], -sign * mag)
+                    _sum(partial, products[idx], -sign * mag)
         return False
 
     return search(0, total)
@@ -258,15 +255,6 @@ def brute_force_min_certificate(g: ModuleElement, gens, budget):
 
 # ---------------------------------------------------------------------------
 # Module Dehn function estimation and growth profiles.
-
-
-def module_norm(f: ModuleElement) -> int:
-    """Group-word length of the ordered word realizing a module vector."""
-    total = 0
-    for t in f.terms:
-        wd = monomial_word_degree(f.ambient, t.monomial.exponents)
-        total += abs(t.coefficient) * (2 * wd + 1)
-    return total
 
 
 def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
@@ -312,13 +300,13 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
         rng = random.Random(seed)
         pool = _monomial_pool(ambient, max_degree=max(1, n // 2))
         for _ in range(samples):
-            acc = ModuleElement.zero(ambient)
+            raw: dict = {}
             for _ in range(rng.randrange(1, 4)):
                 f = gens[rng.randrange(len(gens))]
                 exps = pool[rng.randrange(len(pool))]
                 c = rng.choice([-2, -1, 1, 2])
-                acc = acc + f.scale_translate(c, Monomial(exps, None))
-            consider(acc.as_dict())
+                _sum(raw, _product(f.as_dict(), {(exps, None): c}, ambient.wrap))
+            consider(raw)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 

@@ -3,7 +3,7 @@
 import random
 
 from metabelian.elements import Ambient, ModuleElement
-from metabelian.presentation import GroupWord, exponent_sums
+from metabelian.presentation import GroupWord, Presentation, exponent_sums
 from metabelian.presets import PresetSpec, build
 
 BS2 = build(PresetSpec("bs", n=2))
@@ -45,3 +45,21 @@ def random_kernel_word(p, rng: random.Random, n: int) -> GroupWord:
         elif s:
             fix.append((name, -s))
     return w * GroupWord.from_letters(fix)
+
+
+def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:
+    """The group word a_1^{lam_1}...a_m^{lam_m} realizing a module vector."""
+    letters = []
+    amb = vector.ambient
+    for b in range(1, amb.rank + 1):
+        terms = [t for t in vector.terms if t.monomial.basis == b]
+        name = amb.basis_names[b - 1]
+        for t in terms:
+            conj = []
+            for i, e in enumerate(t.monomial.exponents):
+                if e:
+                    conj.append((amb.variables[i], e))
+            letters.extend((n, -e) for n, e in reversed(conj))
+            letters.append((name, t.coefficient))
+            letters.extend(conj)
+    return GroupWord.from_letters(letters)

@@ -4,7 +4,7 @@ import random
 from contextlib import contextmanager
 
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
-                      random_element, random_kernel_word)
+                      random_element, random_kernel_word, render_ordered_word)
 from metabelian.collection import ordered_form
 from metabelian.elements import Ambient, ModuleElement, Monomial, parse_element
 from metabelian.groebner import (buchberger_strong, divide_with_certificate,
@@ -228,7 +228,6 @@ def test_criterion_08_wf_properties():
                 h = ModuleElement.from_dict(amb, raw)
                 if h.is_zero():
                     continue
-                from metabelian.collection import render_ordered_word
                 ok, _ = is_identity(render_ordered_word(h, p), p)
                 assert not ok, f"pure-T element {h.render()} wrongly trivial"
                 count += 1

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
-                      random_kernel_word)
+                      random_kernel_word, render_ordered_word)
 from metabelian import collection
 from metabelian.collection import (_BLOCK, _SWAP_CASES, CostLedger,
                                    _charge_merge, _collect_units,
                                    _inversion_charge, _merge_price,
                                    _price_conjugator, _run_price,
                                    commutator_collect,
-                                   ordered_form, render_ordered_word,
-                                   split_conjugates)
+                                   ordered_form, split_conjugates)
 from metabelian.elements import (Ambient, ModuleElement, Monomial,
                                  monomial_word_degree)
 from metabelian.order import monomial_key
@@ -31,13 +30,13 @@ class TestSplitConjugates:
     def test_single_conjugate(self):
         items, tail = split_conjugates(parse_word("t*a*t^-1", BS2), BS2)
         assert items == [(1, 1, GroupWord((("t", -1),)))]
-        assert tail.is_empty()
+        assert not tail.letters
 
     def test_two_letters(self):
         items, tail = split_conjugates(parse_word("a*b", GAMMA), GAMMA)
         assert [(c, b, v.render()) for c, b, v in items] == \
             [(1, 1, "1"), (1, 2, "1")]
-        assert tail.is_empty()
+        assert not tail.letters
 
     def test_pure_tail(self):
         items, tail = split_conjugates(parse_word("t^2", BS2), BS2)
@@ -507,7 +506,7 @@ def tailed_kernel_words(draw):
     else:
         w = commutator(commutator(factor(), factor()),
                        commutator(factor(), factor()))
-    if split_conjugates(w, p)[1].is_empty():
+    if not split_conjugates(w, p)[1].letters:
         w = w * commutator(GroupWord(((p.t_names[0], 1),)),
                            GroupWord(((p.t_names[-1], 1),)))
     return p, w
@@ -532,7 +531,7 @@ def test_relator_vector_path_matches_ordered_form(case):
     and the built conjugators', and an unbalanced word is refused by both
     paths."""
     p, w = case
-    assert not split_conjugates(w, p)[1].is_empty()
+    assert split_conjugates(w, p)[1].letters
     vector = ordered_form(w, p)[0]
     assert relator_module(replace(p, relators=(w,))) == [vector]
     assert vector == _conjugate_sum(w, p)
@@ -592,7 +591,7 @@ def test_relator_vectors_are_not_priced():
                               GroupWord(((p.t_names[-1], 1),)))
         p = replace(p, relators=p.relators + (emitting,))
         tailed = [r for r in p.relators
-                  if not split_conjugates(r, p)[1].is_empty()]
+                  if split_conjugates(r, p)[1].letters]
         assert len(tailed) == len(p.torsion_gens) + 1
         expected = relator_module(p)
         with refuse:

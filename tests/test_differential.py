@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from metabelian.presentation import EMPTY_WORD, GroupWord
+from metabelian.presentation import GroupWord
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import is_identity
 
@@ -98,7 +98,7 @@ def relator_products(draw, p):
     kernel word: trivial when it is empty, mostly non-trivial otherwise.
     """
     def product():
-        out = EMPTY_WORD
+        out = GroupWord(())
         for _ in range(draw(st.integers(1, 2))):
             r = draw(st.sampled_from(p.relators))
             if draw(st.booleans()):

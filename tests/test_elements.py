@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from metabelian.elements import (Ambient, ModuleElement, Monomial, Term,
                                  parse_element, render_element)
-from metabelian.errors import AmbientMismatch, EmptyElementError
+from metabelian.errors import AmbientMismatch, EmptyElementError, ParseError
 from metabelian.order import element_key
 
 LAURENT = Ambient(("t",), (0,), 1, ("a",), laurent=True)
@@ -94,11 +94,11 @@ class TestLeadingData:
 class TestMeasures:
     def test_polynomial(self):
         g = el("(t^2 - 2*t)*a")
-        assert (g.length, g.degree, g.support_size) == (3, 2, 2)
+        assert (g.length, g.degree, len(g.terms)) == (3, 2, 2)
 
     def test_zero_convention(self):
         zero = ModuleElement.zero(LAURENT)
-        assert (zero.length, zero.degree, zero.support_size) == (0, 0, 0)
+        assert (zero.length, zero.degree, len(zero.terms)) == (0, 0, 0)
 
     def test_square_length(self):
         ring = LAURENT.ring()
@@ -116,20 +116,31 @@ class TestMeasures:
                 assert g.degree <= h.degree
 
 
-@st.composite
-def raw_terms(draw):
-    """``(ambient, raw)``: a ring or module ambient, Laurent or not, and a
-    term dict whose torsion exponents wrap onto each other, so that terms
-    merge or cancel, with zero coefficients among them."""
+def _ambient(draw) -> Ambient:
+    """A ring or module ambient, Laurent or not, with free and torsion
+    variables."""
     torsion = tuple(draw(st.lists(st.sampled_from((0, 2, 3)), min_size=1,
                                   max_size=3)))
     rank = draw(st.integers(0, 3))
-    amb = Ambient(tuple(f"x{i}" for i in range(len(torsion))), torsion,
-                  max(rank, 1), tuple(f"e{i}" for i in range(rank)) or None,
-                  laurent=draw(st.booleans()))
-    monomials = st.tuples(st.tuples(*[st.integers(-4, 4)] * len(torsion)),
-                          st.integers(1, rank) if rank else st.none())
-    return amb, draw(st.dictionaries(monomials, st.integers(-2, 2), max_size=12))
+    return Ambient(tuple(f"x{i}" for i in range(len(torsion))), torsion,
+                   max(rank, 1), tuple(f"e{i}" for i in range(rank)) or None,
+                   laurent=draw(st.booleans()))
+
+
+def _raw(draw, amb: Ambient) -> dict:
+    """A term dict over ``amb`` whose torsion exponents wrap onto each other,
+    so that terms merge or cancel, with zero coefficients among them."""
+    exponents = st.tuples(*[st.integers(-4, 4)] * amb.nvars)
+    monomials = st.tuples(exponents, st.none() if amb.is_ring()
+                          else st.integers(1, amb.rank))
+    return draw(st.dictionaries(monomials, st.integers(-2, 2), max_size=12))
+
+
+@st.composite
+def raw_terms(draw):
+    """``(ambient, raw)`` as drawn by ``_ambient`` and ``_raw``."""
+    amb = _ambient(draw)
+    return amb, _raw(draw, amb)
 
 
 @settings(max_examples=300)
@@ -145,6 +156,43 @@ def test_from_dict_sorts_by_monomial_key(case):
     terms = [Term(c, Monomial(e, b)) for (e, b), c in merged.items() if c]
     terms.sort(key=lambda t: t.monomial.key(), reverse=True)
     assert ModuleElement.from_dict(amb, raw).terms == tuple(terms)
+
+
+def _reference(amb: Ambient, triples) -> ModuleElement:
+    """The element of ``(coefficient, exponents, basis)`` terms, by plain
+    loops and a sort by ``Monomial.key()``."""
+    merged = {}
+    for coeff, exps, basis in triples:
+        key = (amb.wrap(exps), basis)
+        merged[key] = merged.get(key, 0) + coeff
+    terms = [Term(c, Monomial(e, b)) for (e, b), c in merged.items() if c]
+    terms.sort(key=lambda t: t.monomial.key(), reverse=True)
+    return ModuleElement(amb, tuple(terms))
+
+
+def _scaled(g: ModuleElement, c: int, u) -> list:
+    """The terms of ``c * u * g`` as unreduced triples."""
+    return [(c * t.coefficient, tuple(a + b for a, b in zip(t.monomial.exponents, u)),
+             t.monomial.basis) for t in g.terms]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_arithmetic_matches_plain_loops(data):
+    """``+``, ``-``, ``scale_translate`` and ``mul_ring`` against term-by-term
+    products, over ambients whose torsion wraps merge or cancel terms."""
+    amb = _ambient(data.draw)
+    g, h = (ModuleElement.from_dict(amb, _raw(data.draw, amb)) for _ in range(2))
+    lam = ModuleElement.from_dict(amb.ring(), _raw(data.draw, amb.ring()))
+    c = data.draw(st.integers(-3, 3))
+    u = data.draw(st.tuples(*[st.integers(-4, 4)] * amb.nvars))
+    one = (0,) * amb.nvars
+    assert g + h == _reference(amb, _scaled(g, 1, one) + _scaled(h, 1, one))
+    assert g - h == _reference(amb, _scaled(g, 1, one) + _scaled(h, -1, one))
+    assert g.scale_translate(c, Monomial(u)) == _reference(amb, _scaled(g, c, u))
+    assert g.mul_ring(lam) == _reference(amb, [
+        term for t in lam.terms
+        for term in _scaled(g, t.coefficient, t.monomial.exponents)])
 
 
 class TestReducedness:
@@ -201,6 +249,15 @@ class TestTextFormat:
     def test_negative_exponents(self):
         g = el("2*t^-1*a")
         assert g.terms[0].monomial.exponents == (-1,)
+
+    def test_factor_that_wraps_to_zero(self):
+        """A product sees a factor as the element it wraps to: with t of
+        order 3 the left factors below are 0, not module elements."""
+        amb = Ambient(("t",), (3,), 1, ("a",))
+        assert parse_element("(t^3*a - a)*a", amb).is_zero()
+        assert parse_element("(t^2*t^2*a - t*a)*a", amb).is_zero()
+        with pytest.raises(ParseError, match="two module elements"):
+            parse_element("(t^2*a - a)*a", amb)
 
 
 class TestAmbientValidation:

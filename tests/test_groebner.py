@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from metabelian.elements import Ambient, ModuleElement, Monomial, parse_element
 from metabelian.errors import AmbientMismatch, BudgetExceeded
 from metabelian.groebner import (GroebnerBasis, buchberger_strong,
                                  certificate_bound, divide_with_certificate,
-                                 growth_function, laurent_embed, normal_form,
-                                 reduce_step)
+                                 _reduce_step, growth_function, laurent_embed,
+                                 normal_form, verify_certificate)
 from metabelian.order import element_key
 from metabelian.wordproblem import brute_force_min_certificate
 
@@ -33,18 +34,18 @@ def reconstructed(g, cert, basis):
 
 class TestReduceStep:
     def test_remainder(self):
-        h, idx, quot = reduce_step(const(5), [const(2)])
+        h, idx, quot = _reduce_step(const(5), [const(2)])
         assert h == const(1) and quot.coefficient == 2
 
     def test_exact_cancellation(self):
-        h, _, _ = reduce_step(const(4), [const(2)])
+        h, _, _ = _reduce_step(const(4), [const(2)])
         assert h.is_zero()
 
     def test_irreducible_by_larger_coefficient(self):
-        assert reduce_step(const(3), [const(5)]) is None
+        assert _reduce_step(const(3), [const(5)]) is None
 
     def test_negative_coefficients_always_reducible(self):
-        h, _, _ = reduce_step(const(-3), [const(2)])
+        h, _, _ = _reduce_step(const(-3), [const(2)])
         assert h == const(1)
 
     def test_monotone(self):
@@ -56,7 +57,7 @@ class TestReduceStep:
             g = random_element(rng, amb, max_degree=3, max_coeff=5)
             if not gens or g.is_zero():
                 continue
-            out = reduce_step(g, gens)
+            out = _reduce_step(g, gens)
             if out is not None:
                 assert element_key(out[0]) < element_key(g)
 
@@ -137,11 +138,11 @@ class TestProductCriterion:
 
 def _reduces_to_zero(g, gens, limit=10 ** 4):
     for _ in range(limit):
-        out = reduce_step(g, gens)
+        out = _reduce_step(g, gens)
         if out is None:
             return g.is_zero()
         g = out[0]
-    raise AssertionError("reduce_step did not stop")
+    raise AssertionError("_reduce_step did not stop")
 
 
 def _pair_polynomials(f, g):
@@ -239,6 +240,19 @@ class TestDivision:
                     assert prod.degree <= g.degree or prod.is_zero()
                 checked += 1
 
+    def test_checker_rejects_tampered_alpha(self):
+        """``(x^2 - 4)*e1 = (x + 2)*(x - 2)*e1``; an alpha of the same size
+        with another sign, or with a basis part, no longer adds up to g."""
+        gb = buchberger_strong([parse_element("(x - 2)*e1", POLY1)])
+        g = parse_element("(x^2 - 4)*e1", POLY1)
+        cert = divide_with_certificate(g, gb)
+        assert verify_certificate(g, cert, gb)
+        ring = POLY1.ring()
+        assert cert.coefficients == (parse_element("x + 2", ring),)
+        for alpha in (parse_element("x - 2", ring), parse_element("x*e1 + 2*e1", POLY1)):
+            assert alpha.length == cert.size
+            assert not verify_certificate(g, replace(cert, coefficients=(alpha,)), gb)
+
     def test_bound_formula(self):
         gb = buchberger_strong([const(2)])
         g = const(9)
@@ -247,12 +261,12 @@ class TestDivision:
 
 
 def reference_division(g, gens, step_budget):
-    """Loop reduce_step: (residue, alphas, steps), raising BudgetExceeded
+    """Loop _reduce_step: (residue, alphas, steps), raising BudgetExceeded
     at the step after ``step_budget`` steps."""
     ring = g.ambient.ring()
     alphas = [ModuleElement.zero(ring) for _ in gens]
     steps = 0
-    while (out := reduce_step(g, gens)) is not None:
+    while (out := _reduce_step(g, gens)) is not None:
         steps += 1
         if steps > step_budget:
             raise BudgetExceeded("reference exceeded its step budget")
@@ -292,7 +306,7 @@ def random_generators(rng, amb, big):
 
 
 class TestKernelDifferential:
-    """normal_form and divide_with_certificate against a loop over reduce_step."""
+    """normal_form and divide_with_certificate against a loop over _reduce_step."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_matches_reduce_step(self, rank):
@@ -342,7 +356,7 @@ class TestConfluence:
                 for seed in range(3):
                     order = random.Random(seed)
                     h = g
-                    while (out := reduce_step(h, gb.generators, rng=order)) is not None:
+                    while (out := _reduce_step(h, gb.generators, rng=order)) is not None:
                         h = out[0]
                     assert h == nf
 
@@ -435,7 +449,7 @@ class TestBudgets:
         gb = buchberger_strong([const(2), ModuleElement.from_term(POLY1, 1, (1,), 1)])
         g = ModuleElement.from_dict(POLY1, {((i,), 1): 3 + i for i in range(6)})
         steps, h = 0, g
-        while (out := reduce_step(h, gb.generators)) is not None:
+        while (out := _reduce_step(h, gb.generators)) is not None:
             h, steps = out[0], steps + 1
         assert steps > 1
         run(g, gb, step_budget=steps)

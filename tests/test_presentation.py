@@ -98,7 +98,7 @@ class TestWordDsl:
         "1^99999999999999999999", "(1*1)^99999999999999999999",
         "(a*a^-1)^99999999999999999999", "(a^t*(a^-1)^t)^-99999999999999999999"])
     def test_huge_power_of_an_empty_base(self, text):
-        assert parse_word(text, BS2).is_empty()
+        assert parse_word(text, BS2) == GroupWord(())
 
     @pytest.mark.parametrize("text", [
         "(a*t)^99999999999999999999", "[a, t]^-99999999999999999999"])
@@ -383,13 +383,11 @@ class TestDerivedTables:
         assert first == second and hash(first) == hash(second)
 
     def test_lookup_errors(self):
-        with pytest.raises(ValueError):
-            GAMMA.module_index("s")
         with pytest.raises(KeyError):
             GAMMA.t_index("a")
         with pytest.raises(KeyError, match="misses the pair"):
             replace(GAMMA, commutator_table=()).commutator_gen(0, 1)
-        assert GAMMA.module_index("a") == 1 and GAMMA.t_index("t") == 1
+        assert GAMMA.t_index("t") == 1
 
 
 class TestExponentSums:
@@ -451,6 +449,32 @@ class TestRelatorModule:
         p = parse_presentation(BS_FILE)
         vecs = relator_module(p)
         assert [v.render() for v in vecs] == ["(t - 2)*a"]
+
+
+LONG = "9" * 5000  # more digits than int() converts
+
+
+class TestLongLiterals:
+    """An integer longer than ``int()`` converts is a ParseError at its
+    token from every reader, never Python's ValueError."""
+
+    @pytest.mark.parametrize("read, text, position", [
+        (lambda text: parse_element(text, BS2.ring_ambient()), LONG + "*t", 0),
+        (lambda text: parse_word(text, BS2), "a^" + LONG, 2),   # split scan
+        (lambda text: parse_word(text, BS2), "(a)^" + LONG, 4),  # grammar
+        (lambda text: parse_presentation(TestFileShape._doc(**{"lambda": {
+            "centralizer": [text], "co_centralizer": []}})), LONG + "*t", 0),
+    ], ids=["element", "flat-word", "grammar-word", "datum"])
+    def test_reader(self, read, text, position):
+        with pytest.raises(ParseError, match="integer of 5000 digits is too long") as exc:
+            read(text)
+        assert exc.value.position == position
+
+    def test_json_number(self):
+        text = BS_FILE.replace('"torsion_generators": []', '"torsion_generators": '
+                               '[{"name": "s", "order": 1' + "0" * 5000 + '}]')
+        with pytest.raises(ParseError, match="integer literal is too long"):
+            parse_presentation(text)
 
 
 class TestFileShape:

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
-                      random_element, random_kernel_word)
+                      random_element, random_kernel_word, render_ordered_word)
 from metabelian.elements import parse_element
 from metabelian.presentation import parse_presentation, parse_word
 from metabelian.presets import PresetSpec, build, witness_family
@@ -15,7 +15,7 @@ from metabelian.wordproblem import (area_certificate,
                                     brute_force_min_certificate, dehn_profile,
                                     fit_exp, fit_power, is_identity,
                                     module_context, module_dehn_upper,
-                                    module_norm, random_identity_word,
+                                    random_identity_word,
                                     relative_area_certificate)
 
 
@@ -187,11 +187,6 @@ class TestModuleDehn:
             cert = divide_with_certificate(ctx.embed(f), ctx.basis)
             assert cert.size == brute_force_min_certificate(f, gens, (2, 4, 6))
 
-    def test_norm_definition(self):
-        amb = BS2.module_ambient()
-        assert module_norm(parse_element("(t - 2)*a", amb)) == 5
-        assert module_norm(parse_element("2*a", amb)) == 2
-
     @pytest.mark.parametrize("spec, n, options, rows", [
         (PresetSpec("bs", n=2), 8, {}, [(5, 1), (7, 1)]),
         (PresetSpec("lamplighter"), 6, {}, [(2, 1), (4, 2), (6, 3)]),
@@ -241,7 +236,6 @@ class TestWfFalsity:
                     continue
                 count += 1
                 rejected += 1
-                from metabelian.collection import render_ordered_word
                 w = render_ordered_word(h, p)
                 ok, _ = is_identity(w, p)
                 assert not ok, f"pure-T element {h.render()} wrongly trivial"
