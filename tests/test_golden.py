@@ -16,6 +16,12 @@ and all six ``CostLedger`` fields.  Certificates carry only the sum of
 ``rel_r2_merge`` and ``rel_r2_normalize``, so this file pins each charge of
 collection on its own.  The same command regenerates it.
 
+``golden/grids.jsonl`` holds the same lines for the commutators of powers
+of ``_grid_inputs``, whose tails gather into grids of conjugates: every
+``[t1^a, t2^b]`` and ``[t1^-a, t2^b]`` with ``1 <= a, b <= 12`` over
+``free_abelian``, and a dozen commutators of powers in a wf group with a
+torsion generator and in Baumslag's Gamma.  The same command regenerates it.
+
 ``golden/parse.jsonl`` holds one line per text of ``_parse_inputs``: seeded
 word texts parsed against ``GAMMA`` and element texts over ``PARSE_RING`` and
 ``PARSE_MODULE``, about a tenth of them with one corrupting character, then
@@ -46,6 +52,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "solve.jsonl")
 GROEBNER = os.path.join(os.path.dirname(__file__), "golden", "groebner.jsonl")
 LEDGER = os.path.join(os.path.dirname(__file__), "golden", "ledger.jsonl")
 PARSE = os.path.join(os.path.dirname(__file__), "golden", "parse.jsonl")
+GRIDS = os.path.join(os.path.dirname(__file__), "golden", "grids.jsonl")
 RANDOM_AMBIENT = Ambient(("x",), (0,), 2, ("e1", "e2"), laurent=False)
 PARSE_MODULE = Ambient(("t", "s"), (0, 3), 2, ("e1", "e2"), laurent=True)
 PARSE_RING = PARSE_MODULE.ring()
@@ -306,6 +313,52 @@ def test_ledger_byte_identical(entry):
     assert json.dumps(line, sort_keys=True) == json.dumps(entry, sort_keys=True)
 
 
+_GRID_TORSION = {"name": "wf", "r": 1, "k": 1, "fs": [[1, 1, 1]],
+                 "torsion_orders": [2]}
+# (x, a, y, b) of [x^a, y^b]; t2 has order 2 in _GRID_TORSION
+_GRID_TORSION_POWERS = (
+    ("t1", 3, "t2", 5), ("t1", -4, "t2", 3), ("t1", 7, "t2", 2),
+    ("t1", -2, "t2", 7), ("u1", 5, "t1", 4), ("u1", -3, "t1", 6),
+    ("u1", 6, "t1", -5), ("u1", -7, "t1", -2), ("u1", 4, "t2", 3),
+    ("u1", -5, "t2", 5), ("u1", 2, "t2", -9), ("u1", -6, "t2", -4))
+_GRID_GAMMA_POWERS = ((1, 1), (2, 3), (5, 7), (12, 12), (-3, 4), (-8, 5),
+                      (4, -6), (9, -2), (-5, -5), (-11, -7), (7, 11), (-1, 12))
+
+
+def _power_commutator(x, a, y, b) -> GroupWord:
+    return commutator(GroupWord.from_letters(((x, a),)),
+                      GroupWord.from_letters(((y, b),)))
+
+
+def _grid_inputs():
+    inputs = [{"preset": {"name": "free_abelian"},
+               "word": _power_commutator("t1", sign * a, "t2", b).render()}
+              for sign in (1, -1) for a in range(1, 13) for b in range(1, 13)]
+    inputs += [{"preset": _GRID_TORSION,
+                "word": _power_commutator(*powers).render()}
+               for powers in _GRID_TORSION_POWERS]
+    inputs += [{"preset": {"name": "baumslag_gamma"},
+                "word": _power_commutator("s", a, "t", b).render()}
+               for a, b in _GRID_GAMMA_POWERS]
+    return inputs
+
+
+GRID_ENTRIES = _load(GRIDS) if os.path.exists(GRIDS) else []
+
+
+def test_grid_inputs_unchanged():
+    assert [{"preset": e["preset"], "word": e["word"]}
+            for e in GRID_ENTRIES] == _grid_inputs()
+
+
+@pytest.mark.parametrize("entry", GRID_ENTRIES,
+                         ids=[f"{i}:{e['preset']['name']}"
+                              for i, e in enumerate(GRID_ENTRIES)])
+def test_grid_ledger_byte_identical(entry):
+    line = _ledger_line({"preset": entry["preset"], "word": entry["word"]})
+    assert json.dumps(line, sort_keys=True) == json.dumps(entry, sort_keys=True)
+
+
 # Word texts over GAMMA's generators, then element
 # texts; the fixed texts pin the one-syllable power rule on huge exponents.
 _WORD_NAMES = ("a", "b", "s", "t")
@@ -491,8 +544,9 @@ def _check_provenance(basis):
 
 def _rewrite():
     """Re-render the certificates of the words already in the golden file,
-    the Groebner bases of ``_groebner_inputs`` and the ledgers of
-    ``_ledger_inputs``."""
+    the Groebner bases of ``_groebner_inputs``, the ledgers of
+    ``_ledger_inputs`` and ``_grid_inputs`` and the parses of
+    ``_parse_inputs``."""
     lines = []
     for entry in _load():
         _, cert = _solve(entry)
@@ -511,6 +565,10 @@ def _rewrite():
     lines = [json.dumps(_ledger_line(entry), sort_keys=True)
              for entry in _ledger_inputs()]
     with open(LEDGER, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    lines = [json.dumps(_ledger_line(entry), sort_keys=True)
+             for entry in _grid_inputs()]
+    with open(GRIDS, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     lines = [json.dumps(_parse_line(entry), sort_keys=True)
              for entry in _parse_inputs()]
