@@ -71,7 +71,10 @@ def _parts(terms):
         if c == 0 or (b == 0 and e > 0):
             continue
         a = math.log2(abs(c))
+        # an exponent past the float range raises OverflowError here
         x = e * math.log2(b) if b > 1 and e else 0.0
+        if x == math.inf:
+            raise OverflowError("log2 of a bound term is past the float range")
         mid = a + x + t
         pad = _REL_PAD * (1.0 + abs(a) + x + abs(t))
         (pos if c > 0 else neg).append((mid - pad, mid + pad))
@@ -97,11 +100,26 @@ def _sign(terms, exact=None) -> int:
     return (value > 0) - (value < 0)
 
 
+def _decimal(n: int) -> str:
+    """``str(n)``, also for an int longer than Python's int-to-str digit
+    limit (``sys.get_int_max_str_digits``), which is left as it is: such an
+    int is split at a power of ten into halves converted on their own."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
 def _render_term(c: int, b: int, e: int) -> str:
     if e == 0 or b == 1:
-        return str(c)
-    power = str(b) if e == 1 else f"{b}^{e}"
-    return power if c == 1 else f"{c}*{power}"
+        return _decimal(c)
+    power = _decimal(b) if e == 1 else f"{_decimal(b)}^{_decimal(e)}"
+    return power if c == 1 else f"{_decimal(c)}*{power}"
 
 
 class Bound:
@@ -138,7 +156,7 @@ class Bound:
             else:
                 text += f" - {part}" if c < 0 else f" + {part}"
         text = text or "0"
-        return text if self.divisor == 1 else f"({text})/{self.divisor}"
+        return text if self.divisor == 1 else f"({text})/{_decimal(self.divisor)}"
 
     def __int__(self) -> int:
         if self._value is None:
@@ -150,20 +168,28 @@ class Bound:
 
         None stands for bounds short enough to expand at once, for values
         <= 0, and for sums whose negative part nearly cancels the positive.
+        ``(inf, inf)`` stands for a sum of positive terms one of which has
+        a log2 past the float range.
         """
         if self._span is None:
             span = None
             size = max((abs(c).bit_length() + e * b.bit_length()
                         for c, b, e in self.terms), default=0)
             if size > VALUE_MAX_BITS:
-                pos, neg = _parts((c, b, e, 0) for c, b, e in self.terms)
+                try:
+                    pos, neg = _parts((c, b, e, 0) for c, b, e in self.terms)
+                except OverflowError:
+                    if any(c < 0 for c, _, _ in self.terms):
+                        raise
+                    # a sum of positive terms, one past the float range
+                    pos, neg = (math.inf, math.inf), None
                 if neg is None:
                     span = pos
                 elif pos is not None and neg[1] < pos[0] - 1:
                     # pos - neg, with the subtracted part at most half of pos
                     span = (pos[0] + math.log2(1.0 - 2.0 ** (neg[1] - pos[0])),
                             pos[1] + math.log2(1.0 - 2.0 ** (neg[0] - pos[1])))
-            if span is not None:
+            if span is not None and span[0] < math.inf:
                 shift = math.log2(self.divisor)
                 pad = _REL_PAD * (1.0 + abs(shift) + abs(span[0]))
                 span = (span[0] - shift - pad, span[1] - shift + pad)

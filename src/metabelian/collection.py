@@ -21,6 +21,7 @@ metabelian variety.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .elements import ModuleElement, monomial_word_degree
 from .errors import ExponentSumError
@@ -87,28 +88,73 @@ def split_conjugates(w: GroupWord, p: Presentation):
     return items, tail
 
 
+class _Crossing(NamedTuple):
+    """One gathered syllable ``t_var^power`` (named ``name``) moved to the
+    front past the ``middle`` syllables, ``rest`` the letters after it.
+
+    Its emissions form a block of ``|power|`` rows.  Row ``k`` holds the
+    emissions of the ``k``-th unit moved, one per unit of the middle it
+    crosses; each conjugator is a template head (the swap template of
+    ``_SWAP_CASES``, the rest of the crossed syllable and the syllables
+    after it) followed by ``t_var^(power - k*eps)``, the units not yet
+    moved, and ``rest``.  A head does not depend on ``k``, so row k's
+    exponent vectors are row 1's shifted by ``-(k-1)*eps`` at ``var``.
+    """
+    var: int
+    name: str
+    power: int
+    middle: tuple
+    rest: tuple
+
+    def template(self, index) -> list:
+        """One row's emissions ``(sign, j, head)`` in the order of the
+        rewritten word: the middle syllables first to last, the units of
+        each last to first, so each syllable's exponents run in one
+        coordinate."""
+        eps = 1 if self.power > 0 else -1
+        row = []
+        for m, (other, b) in enumerate(self.middle):
+            delta = 1 if b > 0 else -1
+            sign, swap = _SWAP_CASES[eps, delta]
+            head = [(self.name if slot == "s" else other, e) for slot, e in swap]
+            after = list(self.middle[m + 1:])
+            row += [(sign, index[other], head + [(other, delta * crossed)] + after)
+                    for crossed in range(abs(b) - 1, -1, -1)]
+        return row
+
+    def conjugator(self, head, k: int) -> tuple:
+        """The freely condensed conjugator of a template head in row k."""
+        left = self.power - k * (1 if self.power > 0 else -1)
+        return _condense(head + [(self.name, left)] + list(self.rest))
+
+    def emissions(self, index) -> list:
+        """``(sign, var, j, conjugator)`` row by row, row ``|power|`` first,
+        as they appear in the rewritten word."""
+        template = self.template(index)
+        return [(sign, self.var, j, self.conjugator(head, k))
+                for k in range(abs(self.power), 0, -1)
+                for sign, j, head in template]
+
+
 def _collect_units(tail: GroupWord, p: Presentation):
     """Gather the t-syllables of a zero-sum tail index by index, recording
-    commutator emissions.
+    one crossing block per gathered syllable.
 
-    Returns ``(emissions, blocks)`` where emissions are
-    ``(sign, s, j, conjugator)`` in the order they appear in the rewritten
-    word, each conjugator a freely condensed tuple of letters
-    ``(name, exp)``, and blocks are the gathered front powers
-    ``(var_index, net_exp)``.  Freely,
-    ``tail = prod(blocks) * prod(emissions as [t_s,t_j]^(sign*conj))``.
+    Returns ``(crossings, powers)``: ``_Crossing`` blocks in the order their
+    emissions appear in the rewritten word, and the gathered front powers
+    ``(var_index, net_exp)``.  Freely, ``tail = prod(powers) * prod(the
+    emissions of each crossing as [t_s,t_j]^(sign*conjugator))``.
 
     The working word is kept condensed.  Each step moves the next syllable
-    ``t_i^a`` of the smallest index down to the front one unit at a time;
-    each unit emits one commutator per unit it crosses, whose conjugator is
-    the swap template followed by the letters to the right of the moved
-    unit: the rest of the crossed syllable, the syllables after it, the
-    units of ``t_i^a`` not yet moved and the word after ``t_i^a``.
+    ``t_i^a`` of the smallest index down to the front past the middle
+    syllables, one unit at a time; each unit emits one commutator per unit
+    it crosses, a row of the crossing block, and the word is condensed
+    again once per syllable.
     """
     names, index = p.t_names, p._t_positions
     word = list(_condense(tail.letters))
-    emissions = []
-    blocks = []
+    crossings = []
+    powers = []
     while word:
         i = min(index[n] for n, _ in word)
         name = names[i]
@@ -116,37 +162,24 @@ def _collect_units(tail: GroupWord, p: Presentation):
         pos = next((q for q in range(front, len(word))
                     if word[q][0] == name), None)
         if pos is None:
-            blocks.append((i, word[0][1]))
+            powers.append((i, word[0][1]))
             word = word[1:]
             continue
         a = word[pos][1]
-        eps = 1 if a > 0 else -1
-        middle, rest = word[front:pos], word[pos + 1:]
-        for k in range(1, abs(a) + 1):
-            right = [(name, a - k * eps)] + rest if k < abs(a) else rest
-            for m in range(len(middle) - 1, -1, -1):
-                other, b = middle[m]
-                delta = 1 if b > 0 else -1
-                sign, template = _SWAP_CASES[(eps, delta)]
-                head = [(name if slot == "s" else other, e)
-                        for slot, e in template]
-                after = middle[m + 1:] + right
-                for crossed in range(abs(b)):
-                    emissions.append((sign, i, index[other], _condense(
-                        head + [(other, delta * crossed)] + after)))
-        word = list(_condense(word[:front] + [(name, a)] + middle + rest))
-    emissions.reverse()
-    return emissions, blocks
+        middle, rest = tuple(word[front:pos]), tuple(word[pos + 1:])
+        crossings.append(_Crossing(i, name, a, middle, rest))
+        word = list(_condense(word[:front] + [(name, a)] + word[front:pos]
+                              + word[pos + 1:]))
+    crossings.reverse()
+    return crossings, powers
 
 
-def _tail_items(tail: GroupWord, p: Presentation, ledger=None):
-    """Module-letter conjugates ``(sign, basis, conjugator letters)`` of a
-    zero-sum tail, charged to ``ledger`` when one is given."""
-    emissions, blocks = _collect_units(tail, p)
-    basis_of = p._basis_indexes
-    items = [(sign, basis_of[p.commutator_gen(s, j)], conj)
-             for sign, s, j, conj in emissions]
-    for var, net in blocks:
+def _tail_crossings(tail: GroupWord, p: Presentation, ledger=None):
+    """The crossing blocks of a zero-sum tail, charged to ``ledger`` when
+    one is given: one r1 per emission, one module relation per torsion
+    power of a leftover front power."""
+    crossings, powers = _collect_units(tail, p)
+    for var, net in powers:
         if net == 0:
             continue
         d = p.torsion_orders[var]
@@ -156,8 +189,9 @@ def _tail_items(tail: GroupWord, p: Presentation, ledger=None):
         if ledger is not None:
             ledger.module_relations += abs(net) // d
     if ledger is not None:
-        ledger.r1_commutators += len(items)
-    return items
+        ledger.r1_commutators += sum(abs(c.power) * sum(abs(b) for _, b in c.middle)
+                                     for c in crossings)
+    return crossings
 
 
 def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
@@ -165,13 +199,17 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
 
     Charges one r1 per commutator replacement and one module relation per
     torsion power eliminated; free-generator front blocks cancel freely.
+    Returns one item ``(sign, basis, conjugator)`` per emission, the
+    crossing blocks expanded.
     """
     sums = exponent_sums(tail, p)
     if any(sums):
         raise ExponentSumError(f"tail {tail} has nonzero exponent sums {sums}")
     ledger = ledger if ledger is not None else CostLedger()
-    items = [(sign, basis, GroupWord.from_letters(conj))
-             for sign, basis, conj in _tail_items(tail, p, ledger)]
+    basis_of = p._basis_indexes
+    items = [(sign, basis_of[p.commutator_gen(s, j)], GroupWord.from_letters(conj))
+             for crossing in _tail_crossings(tail, p, ledger)
+             for sign, s, j, conj in crossing.emissions(p._t_positions)]
     return items, ledger
 
 
@@ -254,26 +292,36 @@ def ordered_form(w: GroupWord, p: Presentation):
     the module vector and the CostLedger.  ``_conjugates`` reads the
     conjugates and prices their conjugators in one scan of the word."""
     ledger = CostLedger()
-    sequence = _conjugates(w, p, ledger)
-    _charge_merge(sequence, p.module_ambient(), ledger)
+    sequence, blocks = _conjugates(w, p, ledger)
+    _charge_merge(sequence, p.module_ambient(), ledger, blocks)
     return _vector(sequence, p), ledger
 
 
 def _module_vector(w: GroupWord, p: Presentation) -> ModuleElement:
     """The module vector of a kernel word, with nothing priced."""
-    return _vector(_conjugates(w, p), p)
+    return _vector(_conjugates(w, p)[0], p)
 
 
 def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     """The module-letter conjugates ``(coeff, basis, exponents)`` of a
-    kernel word, in the order the free rewrite puts them.
+    kernel word, in the order the free rewrite puts them, and the crossing
+    blocks of its tail.
 
     A module letter's conjugator is the inverse of the t-letters before it,
     so its exponents are the negated running exponent sums, torsion
     wrapped; an emission's are its conjugator's wrapped sums.  The t-letters
     seen so far are kept freely condensed on a stack, the tail at the end.
     Given a ``ledger``, each conjugator is priced into it as it is met, a
-    module letter's from the inverse of the stack; without one nothing is.
+    module letter's from the inverse of the stack, a crossing block's by
+    ``_price_crossing``; without one nothing is.
+
+    Each block ``(start, rows, var, shift, progressions)`` spans
+    ``rows * width`` conjugates from ``start``: ``rows`` rows of the same
+    ``width`` template conjugates, row r's exponents the first row's
+    shifted by ``r*shift`` at ``var``.  The template runs through
+    ``progressions`` ``(length, coordinate, stride)``, one per middle
+    syllable: ``length`` conjugates of one basis whose exponents step by
+    ``stride`` in ``coordinate``.
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
     sums = [0] * len(torsion)
@@ -305,16 +353,79 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         raise KeyError(unknown)
     if ledger is not None:
         ledger.free_steps += len(sequence) + 1
+    blocks = []
     if not stack:
-        return sequence
-    for sign, basis, conj in _tail_items(GroupWord(tuple(stack)), p, ledger):
-        exps = [0] * len(torsion)
-        for name, e in conj:
-            exps[t_pos[name]] += e
-        sequence.append((sign, basis, _wrapped(exps, torsion)))
+        return sequence, blocks
+    for crossing in _tail_crossings(GroupWord(tuple(stack)), p, ledger):
+        var, rows = crossing.var, abs(crossing.power)
+        shift, d = (1 if crossing.power > 0 else -1), torsion[var]
+        template = crossing.template(t_pos)
+        # the first row in word order is the last unit's: a head, then the rest
+        rest = [0] * len(torsion)
+        for name, e in crossing.rest:
+            rest[t_pos[name]] += e
+        start = len(sequence)
+        for sign, j, head in template:
+            exps = list(rest)
+            for name, e in head:
+                exps[t_pos[name]] += e
+            sequence.append((sign, basis_of[p.commutator_gen(var, j)],
+                             _wrapped(exps, torsion)))
+        blocks.append((start, rows, var, shift, tuple(
+            (abs(b), t_pos[other], -1 if b > 0 else 1)
+            for other, b in crossing.middle)))
+        row = sequence[start:]
+        for r in range(1, rows):
+            for sign, basis, exps in row:
+                x = exps[var] + r * shift
+                sequence.append((sign, basis, exps[:var] + ((x % d if d else x),)
+                                 + exps[var + 1:]))
         if ledger is not None:
-            _price_conjugator(conj, p, ledger)
-    return sequence
+            _price_crossing(crossing, template, p, ledger)
+    return sequence, blocks
+
+
+def _price_crossing(crossing: _Crossing, template, p: Presentation,
+                    ledger: CostLedger):
+    """Charge ``ledger`` for normalizing the conjugators of a crossing
+    block, pricing three rows with ``_price_conjugator``.
+
+    ``t_var`` has the lowest index in the block's conjugators, so a row
+    k < |power|, a template head then ``t_var^(power - k*eps)`` then the
+    rest, pays the same as row 1 except for that syllable, whose units
+    each pay what the head's letters make them cross, and for the wraps of
+    ``var``, whose exponent is the same in every conjugator of a row.  So
+    the r1, r2 and relative charges fall by ``row 1 - row 2`` per row, and
+    the module relations are row 1's less its wraps of ``var`` plus each
+    row's.  The last row loses the syllable, and its neighbours may
+    condense, so it is priced on its own.
+    """
+    rows = abs(crossing.power)
+    heads = [head for _, _, head in template]
+    for head in heads:
+        _price_conjugator(crossing.conjugator(head, rows), p, ledger)
+    if rows == 1:
+        return
+    first, second = CostLedger(), CostLedger()
+    for head in heads:
+        _price_conjugator(crossing.conjugator(head, 1), p, first)
+        if rows > 2:
+            _price_conjugator(crossing.conjugator(head, 2), p, second)
+    n, fall = rows - 1, (rows - 1) * (rows - 2) // 2
+    ledger.r1_commutators += (n * first.r1_commutators
+                              - fall * (first.r1_commutators - second.r1_commutators))
+    ledger.r2_commutations += (n * first.r2_commutations
+                               - fall * (first.r2_commutations - second.r2_commutations))
+    ledger.rel_r2_normalize += (n * first.rel_r2_normalize
+                                - fall * (first.rel_r2_normalize - second.rel_r2_normalize))
+    ledger.module_relations += n * first.module_relations
+    d = p.torsion_orders[crossing.var]
+    if d:
+        x = sum(e for name, e in crossing.conjugator(heads[0], 1)
+                if name == crossing.name)
+        eps = 1 if crossing.power > 0 else -1
+        wraps = [abs((x - k * eps) // d) for k in range(n)]
+        ledger.module_relations += len(heads) * (sum(wraps) - n * wraps[0])
 
 
 def _wrapped(exps, torsion) -> tuple[int, ...]:
@@ -329,7 +440,7 @@ def _vector(sequence, p: Presentation) -> ModuleElement:
     return ModuleElement.from_dict(p.module_ambient(), raw)
 
 
-def _charge_merge(sequence, amb, ledger: CostLedger):
+def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
     """Transposition charges for gathering conjugates into ordered form.
 
     Opposite conjugates of the same monomial are cancelled greedily first
@@ -344,10 +455,13 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
     Signs never flip, so pairs only go away, and zeroed items stay in place,
     so the index order of the rest is kept.  Equal monomials cross at equal
     prices, so prices are kept per pair of monomials.
-    """
-    from .order import monomial_key
 
-    items = [[coeff, basis, exps] for coeff, basis, exps in sequence if coeff]
+    ``blocks`` are the crossing blocks of ``_conjugates``.  In a sort of
+    more than ``_BLOCK`` conjugates, a block that no cancellation touched
+    and that ``_block_charge`` can count enters the sort as one pre-charged
+    run; any other block is sorted as its rows of ordinary items.
+    """
+    items = [[coeff, basis, exps] for coeff, basis, exps in sequence]
     monos: dict = {}
     mono = [monos.setdefault(exps, len(monos)) for _, _, exps in items]
     exps_of = list(monos)
@@ -373,6 +487,7 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
             elif (c > 0) != (ca > 0):
                 pairs[a, b] = [units, rel]
 
+    touched = set()
     while pairs:
         units, rel, i, j = min(
             (u * (m := min(abs(items[a][0]), abs(items[b][0]))), r * m, a, b)
@@ -380,6 +495,7 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
         ledger.r2_commutations += units
         ledger.rel_r2_merge += rel
         m = min(abs(items[i][0]), abs(items[j][0]))
+        touched.update((i, j))
         for q in (i, j):
             items[q][0] -= m if items[q][0] > 0 else -m
         for (a, b), cost in list(pairs.items()):
@@ -391,18 +507,182 @@ def _charge_merge(sequence, amb, ledger: CostLedger):
                     cost[0] -= m
                     cost[1] -= m * price(mono[b], mono[q])
 
-    # ordered form puts e1 first and larger monomials first within a basis
-    rest = [(abs(c), (-basis, monomial_key(exps)), exps, m)
-            for (c, basis, exps), m in zip(items, mono) if c]
-    units, rel = _inversion_charge(rest, amb.torsion, price)
+    spans = []
+    for start, rows, var, shift, progressions in (
+            blocks if len(items) > _BLOCK else ()):
+        stop = start + rows * sum(n for n, _, _ in progressions)
+        if not any(start <= q < stop for q in touched):
+            charge = _block_charge(items[start:stop], rows, var, shift,
+                                   progressions, amb.torsion)
+            if charge is not None:
+                spans.append((start, stop) + charge)
+    if len(spans) == 1 and spans[0][:2] == (0, len(items)):
+        # one pre-charged block is the whole sort
+        units, rel = spans[0][2:]
+    else:
+        # ordered form puts e1 first and larger monomials first within a
+        # basis; monomial_key without a call per conjugate
+        def sortable(lo, hi):
+            return [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, mono[q])
+                    for q, (c, basis, exps) in enumerate(items[lo:hi], lo) if c]
+
+        rest, charged, pos = [], [], 0
+        for start, stop, more_units, more_rel in spans:
+            rest += sortable(pos, start)
+            charged.append((len(rest), len(rest) + stop - start, more_units,
+                            more_rel))
+            rest += sortable(start, stop)
+            pos = stop
+        rest += sortable(pos, len(items))
+        units, rel = _inversion_charge(rest, amb.torsion, price, charged)
     ledger.r2_commutations += units
     ledger.rel_r2_merge += rel
+
+
+def _row_sums(lo: int, hi: int, rows: int):
+    """``(sum(rows - r), sum((rows - r) * r))`` over ``lo <= r <= hi``."""
+    n = hi - lo + 1
+    s1 = (lo + hi) * n // 2
+    s2 = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+    return rows * n - s1, rows * s1 - s2
+
+
+def _block_charge(block, rows, var, shift, progressions, torsion):
+    """``(units, rel)`` of ``_inversion_charge`` over the pairs inside an
+    uncancelled crossing block of unit conjugates ``[coeff, basis, exps]``
+    (see ``_conjugates``), or None when they cannot be counted by
+    difference.
+
+    Inside one closed orthant of every coordinate that varies over the
+    block, the degree of a monomial is linear, so whether a pair is
+    inverted, its distance and whether its exponents are equal depend only
+    on the exponent difference and the two bases.  The pair of row r's
+    template conjugate t and row ``r + g``'s t' has difference ``X_t -
+    X_t' - g*shift`` at ``var`` and ``X_t - X_t'`` elsewhere, and
+    ``rows - g`` row pairs share it (for ``g = 0`` only t before t'
+    counts).  Two progressions in one coordinate give few differences,
+    each counted by the overlap of two intervals; in two coordinates every
+    pair of their conjugates is one.  For each template difference the
+    sum over ``g`` is read in closed form between the gaps where the
+    degree difference or the ``var`` difference is 0.
+
+    None when a varying coordinate is torsion or crosses 0, or when the
+    template differences outnumber the block's conjugates.
+    """
+    work = sum(n + n2 if c == c2 or n == 1 or n2 == 1 else n * n2
+               for n, c, _ in progressions for n2, c2, _ in progressions)
+    if work > len(block):
+        return None
+    nvars = len(torsion)
+    segments, q = [], 0
+    low, high = list(block[0][2]), list(block[0][2])
+    for n, coordinate, stride in progressions:
+        if n > 1 and torsion[coordinate]:
+            return None
+        _, basis, first = block[q]
+        segments.append((basis, first, n, coordinate, stride))
+        for exps in (first, block[q + n - 1][2]):
+            for c in range(nvars):
+                low[c], high[c] = min(low[c], exps[c]), max(high[c], exps[c])
+        q += n
+    low[var] += min(0, (rows - 1) * shift)
+    high[var] += max(0, (rows - 1) * shift)
+    sigma = [0] * nvars
+    for c in range(nvars):
+        if low[c] == high[c]:
+            continue
+        if torsion[c] or low[c] < 0 < high[c]:
+            return None
+        sigma[c] = 1 if high[c] > 0 else -1
+
+    units = rel = 0
+
+    def count(delta, order, ordered, every):
+        """Charge ``ordered`` template pairs at row gap 0 and ``every`` at
+        each gap 1..rows-1 whose difference is ``delta`` and bases compare
+        as ``order``."""
+        nonlocal units, rel
+        # the first nonzero difference before and after var, and the
+        # degree difference and distance outside var
+        pre = post = others = far = 0
+        for c, x in enumerate(delta):
+            if x and c != var:
+                others += sigma[c] * x
+                far += abs(x)
+                if c < var:
+                    pre = pre or x
+                else:
+                    post = post or x
+        dx = delta[var]
+
+        def pair(g):
+            v = dx - g * shift
+            if order:
+                inverted = order > 0
+            else:
+                degree = others + sigma[var] * v
+                inverted = degree < 0 or (degree == 0 and (pre or v or post) < 0)
+            return inverted, max(1, 4 * (far + abs(v)) - 3)
+
+        if ordered:
+            inverted, cost = pair(0)
+            if inverted:
+                units += rows * ordered
+                rel += rows * ordered * cost
+        if not every or rows == 1:
+            return
+        top = rows - 1
+        # the degree difference is 0 at one gap, the var difference at another
+        tie = (others + sigma[var] * dx) * sigma[var] * shift
+        cuts = sorted({g for g in (1, top, tie, dx * shift) if 1 <= g <= top})
+        before = None
+        for g in cuts:
+            if before is not None and g - before > 1:
+                lo, hi = before + 1, g - 1
+                if pair(lo)[0]:
+                    side = 1 if dx - lo * shift > 0 else -1
+                    w1, w2 = _row_sums(lo, hi, rows)
+                    units += every * w1
+                    rel += every * ((4 * (far + side * dx) - 3) * w1
+                                    - 4 * side * shift * w2)
+            inverted, cost = pair(g)
+            if inverted:
+                units += every * (rows - g)
+                rel += every * (rows - g) * cost
+            before = g
+
+    for m, (basis, first, n, c, stride) in enumerate(segments):
+        for m2, (basis2, first2, n2, c2, stride2) in enumerate(segments):
+            order = (basis > basis2) - (basis < basis2)
+            base = [x - y for x, y in zip(first, first2)]
+            if c == c2 or n == 1 or n2 == 1:
+                axis = c if n > 1 else c2
+                # u*stride - u2*stride2 over u < n, u2 < n2
+                plo, phi = min(0, (n - 1) * stride), max(0, (n - 1) * stride)
+                qlo, qhi = min(0, (n2 - 1) * stride2), max(0, (n2 - 1) * stride2)
+                for v in range(plo - qhi, phi - qlo + 1):
+                    pairs = min(phi, qhi + v) - max(plo, qlo + v) + 1
+                    delta = list(base)
+                    delta[axis] += v
+                    if m == m2:
+                        ordered = pairs if stride * v < 0 else 0
+                    else:
+                        ordered = pairs if m < m2 else 0
+                    count(delta, order, ordered, pairs)
+            else:
+                for u in range(n):
+                    for u2 in range(n2):
+                        delta = list(base)
+                        delta[c] += u * stride
+                        delta[c2] -= u2 * stride2
+                        count(delta, order, int(m < m2), 1)
+    return units, rel
 
 
 _BLOCK = 16  # _inversion_charge prices this many items or fewer pair by pair
 
 
-def _inversion_charge(items, torsion, price):
+def _inversion_charge(items, torsion, price, charged=()):
     """``(units, rel)`` for sorting ``items`` ``(weight, key, exps,
     monomial id)`` by falling key: over the pairs a < b with key_a < key_b,
     the sum of ``w_a*w_b`` and of ``w_a*w_b*price(m_a, m_b)``.
@@ -413,15 +693,19 @@ def _inversion_charge(items, torsion, price):
     w_a*w_b``, and d sums one term per coordinate: |x_a - x_b| on a free
     one and the cyclic distance on a torsion one.
 
-    Up to ``_BLOCK`` items are priced pair by pair.  Longer sequences merge
-    adjacent items of equal key into one, as their pair is not inverted and
-    the sums are bilinear in the weights, and split into maximal runs of
-    strictly rising or strictly falling key.  A falling run holds no
-    inverted pair and a rising run only inverted pairs, which
-    ``_rising_charge`` sums in closed form.  Neighbouring runs, each in key
-    order, then merge bottom-up (``_merge_charge``).
+    ``charged`` lists spans ``(start, stop, units, rel)`` of items whose
+    pairs among themselves are already charged (a crossing block counted
+    by ``_block_charge``): each adds its charge and enters the merge as one
+    run sorted by key.  Without spans, up to ``_BLOCK`` items are priced
+    pair by pair.  Otherwise the other items merge adjacent items of equal
+    key into one, as their pair is not inverted and the sums are bilinear
+    in the weights, and split into maximal runs of strictly rising or
+    strictly falling key.  A falling run holds no inverted pair and a
+    rising run only inverted pairs, which ``_rising_charge`` sums in closed
+    form.  Neighbouring runs, each in key order, then merge bottom-up
+    (``_merge_charge``).
     """
-    if len(items) <= _BLOCK:
+    if len(items) <= _BLOCK and not charged:
         units = rel = 0
         for a, (wa, ka, _, ma) in enumerate(items):
             for wb, kb, _, mb in items[a + 1:]:
@@ -429,43 +713,55 @@ def _inversion_charge(items, torsion, price):
                     units += wa * wb
                     rel += wa * wb * price(ma, mb)
         return units, rel
-    # groups [key rank, weight, monomial id, exps, free spots]: keys and
-    # the values of each free coordinate are ranked once per call
-    order = {key: r for r, key in enumerate(sorted({it[1] for it in items}))}
-    groups = []
-    for w, key, exps, m in items:
-        key = order[key]
-        if groups and groups[-1][0] == key:
-            groups[-1][1] += w
-        else:
-            groups.append([key, w, m, exps])
+    units, rel = sum(c[2] for c in charged), sum(c[3] for c in charged)
+    # pieces of groups [key, weight, monomial id, exps], pre-charged or not
+    pieces, pos = [], 0
+    for start, stop, _, _ in charged:
+        pieces += [(_groups(items, pos, start), False),
+                   (_groups(items, start, stop), True)]
+        pos = stop
+    pieces.append((_groups(items, pos, len(items)), False))
+    groups = [g for piece, _ in pieces for g in piece]
     # a coordinate on which every item agrees adds nothing to any distance
     first = groups[0][3]
     spread = [i for i in range(len(torsion))
               if any(g[3][i] != first[i] for g in groups)]
     free = [i for i in spread if not torsion[i]]
     cyclic = [(i, torsion[i]) for i in spread if torsion[i]]
+    runs = []
+    for piece, sorted_later in pieces:
+        if sorted_later:
+            runs.append(piece)
+            continue
+        start, n = 0, len(piece)
+        while start < n:
+            end = start + 1
+            if end < n and piece[start][0] < piece[end][0]:
+                while end < n and piece[end - 1][0] < piece[end][0]:
+                    end += 1
+                run = piece[start:end]
+                more_units, more_rel = _rising_charge(run, free, cyclic)
+                units, rel = units + more_units, rel + more_rel
+            else:
+                while end < n and piece[end - 1][0] > piece[end][0]:
+                    end += 1
+                run = piece[start:end]
+                run.reverse()
+            runs.append(run)
+            start = end
+    if len(runs) < 2:
+        return units, rel
+    # keys and the values of each free coordinate are ranked once per call
+    order = {key: r for r, key in enumerate(sorted({g[0] for g in groups}))}
+    for g in groups:
+        g[0] = order[g[0]]
+    for (piece, sorted_later) in pieces:
+        if sorted_later:
+            piece.sort()
     ranks = [{x: r for r, x in enumerate(sorted({g[3][i] for g in groups}), 1)}
              for i in free]
     for g in groups:
         g.append(tuple((rank[g[3][i]], g[3][i]) for i, rank in zip(free, ranks)))
-    units = rel = 0
-    runs, start, n = [], 0, len(groups)
-    while start < n:
-        end = start + 1
-        if end < n and groups[start][0] < groups[end][0]:
-            while end < n and groups[end - 1][0] < groups[end][0]:
-                end += 1
-            run = groups[start:end]
-            more_units, more_rel = _rising_charge(run, free, cyclic)
-            units, rel = units + more_units, rel + more_rel
-        else:
-            while end < n and groups[end - 1][0] > groups[end][0]:
-                end += 1
-            run = groups[start:end]
-            run.reverse()
-        runs.append(run)
-        start = end
     trees = [([0] * (len(rank) + 1), [0] * (len(rank) + 1), len(rank) + 1)
              for rank in ranks]
     while len(runs) > 1:
@@ -479,6 +775,18 @@ def _inversion_charge(items, torsion, price):
             merged.append(runs[-1])
         runs = merged
     return units, rel
+
+
+def _groups(items, lo, hi):
+    """Groups ``[key, weight, monomial id, exps]`` of ``items[lo:hi]``,
+    adjacent items of equal key merged into one."""
+    groups = []
+    for w, key, exps, m in items[lo:hi]:
+        if groups and groups[-1][0] == key:
+            groups[-1][1] += w
+        else:
+            groups.append([key, w, m, exps])
+    return groups
 
 
 def _rising_charge(run, free, cyclic):

@@ -19,7 +19,7 @@ from itertools import count
 from operator import add, le, neg, sub
 from typing import Optional
 
-from .bounds import Bound
+from .bounds import Bound, _decimal
 from .elements import Ambient, ModuleElement, Monomial, Term, _product, _sum
 from .errors import AmbientMismatch, BudgetExceeded
 from .order import int_key
@@ -242,7 +242,7 @@ class DivisionCertificate:
             "alphas": [a.render() for a in self.coefficients],
             "residue": self.residue.render(),
             "steps": self.steps,
-            "size": str(self.size),
+            "size": _decimal(self.size),
             "bound": self.bound.to_json(),
         }
 

@@ -143,6 +143,61 @@ def test_huge_bound_compares_with_ints_without_expansion(monkeypatch):
     assert below < b < above and b != below
 
 
+def _digits(text: str) -> int:
+    """The int of a decimal text of any length, read in pieces below
+    Python's int-to-str digit limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        piece = text[start:start + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_decimal_past_the_digit_limit():
+    """``_decimal`` is ``str`` for ints Python converts, and writes longer
+    ones digit for digit without touching the process-wide limit."""
+    limit = sys.get_int_max_str_digits()
+    rng = random.Random(11)
+    for n in (0, 7, -7, 10 ** 300, -(2 ** 5000) + 1):
+        assert bounds._decimal(n) == str(n)
+    texts = ["9" * 5000, "1" + "0" * 9000 + "7",
+             "".join(rng.choice("0123456789") for _ in range(20000)).lstrip("0")]
+    for text in texts:
+        n = _digits(text)
+        assert bounds._decimal(n) == text
+        assert bounds._decimal(-n) == "-" + text
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_huge_terms_render_past_the_digit_limit(monkeypatch):
+    """Coefficient, base and exponent of 5,000 digits render; a bound whose
+    log2 is past the float range reports it as inf, unexpanded."""
+    def refuse(terms):
+        raise AssertionError("a closed-form bound was expanded")
+
+    monkeypatch.setattr(bounds, "_expand", refuse)
+    big = 10 ** 5000 - 1
+    b = Bound(((big, big + 2, big), (3, 2, 5)), 7)
+    nines = "9" * 5000
+    assert b.expression == f"({nines}*1{'0' * 4999}1^{nines} + 3*2^5)/7"
+    doc = b.to_json()
+    assert doc["log2"] == math.inf and "value" not in doc
+    assert str(b) == b.expression
+    with pytest.raises(OverflowError):
+        Bound(((1, 2, big), (-1, 3, big))).to_json()
+
+
+def test_division_size_renders_past_the_digit_limit():
+    from metabelian.groebner import DivisionCertificate
+    from metabelian.elements import ModuleElement
+
+    ring = Ambient(("t",), (0,), 1, None, laurent=True)
+    size = 10 ** 6000 + 1
+    cert = DivisionCertificate((), ModuleElement.zero(ring), 0, size,
+                               Bound.of(size))
+    assert cert.to_json()["size"] == "1" + "0" * 5999 + "1"
+
+
 def test_int_comparisons_expand_once(monkeypatch):
     """An int next to the value leaves the float interval undecided: the
     powers are then expanded once, and each operator compares once."""

@@ -274,3 +274,18 @@ def test_budget_exceeded_exits_3(monkeypatch, capsys):
     assert code == 3 and out == ""
     assert capsys.readouterr().err == \
         "budget exceeded: division exceeded its step budget\n"
+
+
+def test_certificate_of_a_huge_word_renders():
+    """A BS(1,2) identity with 3,000-digit exponents: the bounds' bases and
+    exponents are past Python's int-to-str digit limit, and the assembly
+    bound's log2 past the float range."""
+    code, out = run(["solve", "--preset", "bs", "--n", "2",
+                     "-w", f"t*a^{'9' * 3000}*t^-1*a^-{'9' * 3000}*a^-{'9' * 3000}"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["identity"] is True
+    assert doc["assembly_bound"]["log2"] == float("inf")
+    # the word length n = 3*10^3000 - 1 leads the relative bound as n^2
+    n = "2" + "9" * 3000
+    assert doc["relative_bound"]["expression"].startswith(f"{n}^2 + ")

@@ -91,7 +91,7 @@ class TestCollectTail:
             sums = exponent_sums(w, GAMMA)
             tail = w * GroupWord.from_letters(
                 [("s", -sums[0]), ("t", -sums[1])])
-            emissions, _ = _collect_units(tail, GAMMA)
+            emissions, _ = _expanded_units(tail, GAMMA)
             assert len(emissions) <= max(1, tail.length) ** 2
 
     def test_free_group_factorization(self):
@@ -104,9 +104,9 @@ class TestCollectTail:
             sums = exponent_sums(w, GAMMA)
             tail = w * GroupWord.from_letters(
                 [("s", -sums[0]), ("t", -sums[1])])
-            emissions, blocks = _collect_units(tail, GAMMA)
+            emissions, powers = _expanded_units(tail, GAMMA)
             recon = GroupWord(())
-            for var, net in blocks:
+            for var, net in powers:
                 recon = recon * GroupWord.from_letters(
                     ((GAMMA.t_names[var], net),))
             for sign, i, j, conj in emissions:
@@ -116,6 +116,14 @@ class TestCollectTail:
                     c = c.inverse()
                 recon = recon * c.conjugate_by(GroupWord.from_letters(conj))
             assert recon == tail
+
+
+def _expanded_units(tail: GroupWord, p):
+    """``_collect_units`` with its crossing blocks expanded into one
+    emission ``(sign, s, j, conjugator)`` each, in word order."""
+    crossings, powers = _collect_units(tail, p)
+    return ([e for c in crossings for e in c.emissions(p._t_positions)],
+            powers)
 
 
 def _reference_word_units(w: GroupWord):
@@ -212,12 +220,108 @@ def raw_tails(draw):
 @given(raw_tails())
 def test_syllable_tail_step_matches_unit_reference(case):
     """Gathering condensed syllables emits what gathering unit letters
-    emits, in the same order, with the same conjugators and blocks."""
+    emits, in the same order, with the same conjugators and front powers,
+    once the crossing blocks are expanded."""
     p, tail = case
     emissions, blocks = _reference_collect_units(tail, p)
-    assert _collect_units(tail, p) == (
+    assert _expanded_units(tail, p) == (
         [(sign, s, j, _condense(conj)) for sign, s, j, conj in emissions],
         blocks)
+
+
+def _unit_reference_form(w: GroupWord, p):
+    """Vector and ledger of ``w`` with the tail gathered unit by unit
+    (``_reference_collect_units``): every conjugator priced on its own and
+    the expanded sequence sorted item by item, with no crossing block."""
+    ledger = CostLedger()
+    items, tail = split_conjugates(w, p)
+    ledger.free_steps = len(items) + 1
+    emissions, powers = _reference_collect_units(tail, p)
+    ledger.r1_commutators += len(emissions)
+    for var, net in powers:
+        if net:
+            ledger.module_relations += abs(net) // p.torsion_orders[var]
+    basis_of = p._basis_indexes
+    conjugates = [(c, b, v.letters) for c, b, v in items]
+    conjugates += [(sign, basis_of[p.commutator_gen(s, j)], conj)
+                   for sign, s, j, conj in emissions]
+    sequence, raw = [], {}
+    for coeff, basis, letters in conjugates:
+        _price_conjugator(letters, p, ledger)
+        exps = exponent_sums(GroupWord(tuple(letters)), p)
+        sequence.append((coeff, basis, exps))
+        raw[exps, basis] = raw.get((exps, basis), 0) + coeff
+    _charge_merge(sequence, p.module_ambient(), ledger)
+    return ModuleElement.from_dict(p.module_ambient(), raw), ledger
+
+
+@st.composite
+def crossing_words(draw):
+    """``(p, w)``: a commutator of a t-power (up to 12) with a product of
+    1-3 later t-syllables, or of two products of 1-3 t-syllables, or a
+    random zero-sum t-word, exponents in -5..5, over a free or torsion preset,
+    so tails gather syllables of either sign past middles of several
+    syllables whose exponents cross 0.  Module letters opposite to
+    a few of the tail's conjugates, some with a larger multiplicity, are
+    put before or after it, so that some crossing blocks are partly
+    cancelled and others are sorted beside ordinary conjugates."""
+    p = draw(st.sampled_from(_TAIL_PRESETS))
+    syllables = st.lists(st.tuples(st.sampled_from(p.t_names),
+                                   st.integers(-5, 5)), min_size=1, max_size=3)
+    shape = draw(st.sampled_from(("power", "commutator", "word")))
+    if shape == "power":
+        # t_i^a past a middle of later t-names only: one block of |a| rows
+        i = draw(st.integers(0, len(p.t_names) - 2))
+        later = st.lists(st.tuples(st.sampled_from(p.t_names[i + 1:]),
+                                   st.integers(-3, 3)), min_size=1, max_size=3)
+        tail = commutator(GroupWord(((p.t_names[i], draw(st.integers(1, 12))),)),
+                          GroupWord.from_letters(draw(later)))
+        if draw(st.booleans()):
+            tail = tail.inverse()
+    elif shape == "commutator":
+        tail = commutator(GroupWord.from_letters(draw(syllables)),
+                          GroupWord.from_letters(draw(syllables)))
+    else:
+        letters = draw(syllables) + draw(syllables)
+        sums = exponent_sums(GroupWord(tuple(letters)), p)
+        tail = GroupWord.from_letters(letters + draw(st.permutations(
+            [(name, -s) for name, s in zip(p.t_names, sums)])))
+    sequence = collection._conjugates(tail, p)[0]
+    cancel = GroupWord(())
+    if sequence and draw(st.booleans()):
+        for q in draw(st.lists(st.integers(0, len(sequence) - 1), min_size=1,
+                               max_size=3)):
+            coeff, basis, exps = sequence[q]
+            letter = (p.module_gens[basis - 1], -coeff * draw(st.integers(1, 2)))
+            v = GroupWord.from_letters(tuple(zip(p.t_names, exps)))
+            cancel = cancel * GroupWord((letter,)).conjugate_by(v)
+    return p, (cancel * tail if draw(st.booleans()) else tail * cancel)
+
+
+_WF12, _WF11_TORSION = _TAIL_PRESETS[1], _TAIL_PRESETS[3]
+
+
+# counted blocks of several progressions, in one coordinate and in two; a
+# block of [s^4, t^5] in Gamma partly cancelled, and one sorted beside
+# ordinary conjugates; blocks over a torsion preset, one gathering t2 of
+# order 5; blocks cancelling one another
+@example((_WF12, parse_word("[u1^6, t1^-2*t2^-1*t1^-3]", _WF12)))
+@example((_WF12, parse_word("[u1^-6, u2^-1*t1^2*t2]", _WF12)))
+@example((GAMMA, parse_word("[s^4, t^5]*(b^-1)^(s^3*t^4)*(b^-2)^(t^2)", GAMMA)))
+@example((GAMMA, parse_word("[s^4, t^5]*b*(b^-2)^(s^-2*t^2)", GAMMA)))
+@example((_WF11_TORSION, parse_word("[u1^6, t1^4]*[t1^5, t2]", _WF11_TORSION)))
+@example((_WF11_TORSION, parse_word("[t2^4, t3]*[u1^5, t2^2]*[u1^4, t1^3]",
+                                    _WF11_TORSION)))
+@example((_WF12, parse_word("[t1^4, t2^3]*[u1^3, u2^-4]*[u1^-5, t2^2]",
+                            _WF12)))
+@settings(max_examples=300, deadline=None)
+@given(crossing_words())
+def test_crossing_blocks_match_unit_reference(case):
+    """Crossing blocks priced by row and charged by difference counting
+    give the vector and every ledger field of gathering unit by unit and
+    charging the sort item by item."""
+    p, w = case
+    assert ordered_form(w, p) == _unit_reference_form(w, p)
 
 
 @st.composite
