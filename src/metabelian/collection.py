@@ -523,8 +523,9 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
         # ordered form puts e1 first and larger monomials first within a
         # basis; monomial_key without a call per conjugate
         def sortable(lo, hi):
-            return [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, mono[q])
-                    for q, (c, basis, exps) in enumerate(items[lo:hi], lo) if c]
+            return [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, m)
+                    for (c, basis, exps), m in zip(items[lo:hi], mono[lo:hi])
+                    if c]
 
         rest, charged, pos = [], [], 0
         for start, stop, more_units, more_rel in spans:
@@ -713,24 +714,27 @@ def _inversion_charge(items, torsion, price, charged=()):
                     units += wa * wb
                     rel += wa * wb * price(ma, mb)
         return units, rel
-    units, rel = sum(c[2] for c in charged), sum(c[3] for c in charged)
-    # pieces of groups [key, weight, monomial id, exps], pre-charged or not
+    # keys and the values of each free coordinate are ranked once per call
+    order = {key: r for r, key in enumerate(sorted({it[1] for it in items}))}
+    # pieces of groups [key rank, weight, monomial id, exps], a pre-charged
+    # span's sorted by rank
     pieces, pos = [], 0
     for start, stop, _, _ in charged:
-        pieces += [(_groups(items, pos, start), False),
-                   (_groups(items, start, stop), True)]
+        pieces += [(_groups(items, pos, start, order), False),
+                   (sorted(_groups(items, start, stop, order)), True)]
         pos = stop
-    pieces.append((_groups(items, pos, len(items)), False))
-    groups = [g for piece, _ in pieces for g in piece]
+    pieces.append((_groups(items, pos, len(items), order), False))
+    groups = [g for piece, _ in pieces for g in piece] if charged else pieces[0][0]
     # a coordinate on which every item agrees adds nothing to any distance
     first = groups[0][3]
     spread = [i for i in range(len(torsion))
               if any(g[3][i] != first[i] for g in groups)]
     free = [i for i in spread if not torsion[i]]
     cyclic = [(i, torsion[i]) for i in spread if torsion[i]]
+    units, rel = sum(c[2] for c in charged), sum(c[3] for c in charged)
     runs = []
-    for piece, sorted_later in pieces:
-        if sorted_later:
+    for piece, in_order in pieces:
+        if in_order:
             runs.append(piece)
             continue
         start, n = 0, len(piece)
@@ -751,13 +755,6 @@ def _inversion_charge(items, torsion, price, charged=()):
             start = end
     if len(runs) < 2:
         return units, rel
-    # keys and the values of each free coordinate are ranked once per call
-    order = {key: r for r, key in enumerate(sorted({g[0] for g in groups}))}
-    for g in groups:
-        g[0] = order[g[0]]
-    for (piece, sorted_later) in pieces:
-        if sorted_later:
-            piece.sort()
     ranks = [{x: r for r, x in enumerate(sorted({g[3][i] for g in groups}), 1)}
              for i in free]
     for g in groups:
@@ -777,11 +774,12 @@ def _inversion_charge(items, torsion, price, charged=()):
     return units, rel
 
 
-def _groups(items, lo, hi):
-    """Groups ``[key, weight, monomial id, exps]`` of ``items[lo:hi]``,
+def _groups(items, lo, hi, order):
+    """Groups ``[key rank, weight, monomial id, exps]`` of ``items[lo:hi]``,
     adjacent items of equal key merged into one."""
     groups = []
     for w, key, exps, m in items[lo:hi]:
+        key = order[key]
         if groups and groups[-1][0] == key:
             groups[-1][1] += w
         else:

@@ -183,8 +183,6 @@ def test_huge_terms_render_past_the_digit_limit(monkeypatch):
     doc = b.to_json()
     assert doc["log2"] == math.inf and "value" not in doc
     assert str(b) == b.expression
-    with pytest.raises(OverflowError):
-        Bound(((1, 2, big), (-1, 3, big))).to_json()
 
 
 def test_division_size_renders_past_the_digit_limit():
