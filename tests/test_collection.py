@@ -11,7 +11,8 @@ from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_kernel_word, render_ordered_word)
 from metabelian import collection
 from metabelian.collection import (_BLOCK, _SWAP_CASES, CostLedger,
-                                   _charge_merge, _collect_units,
+                                   _block_charge, _charge_merge,
+                                   _collect_units,
                                    _inversion_charge, _merge_price,
                                    _price_conjugator, _run_price,
                                    commutator_collect,
@@ -512,6 +513,57 @@ def test_sort_charge_matches_pairwise(case):
     _charge_merge(sequence, amb, ledger)
     assert (ledger.r2_commutations, ledger.rel_r2_merge) == \
         _pairwise_sort_charge(sequence, amb)
+
+
+@st.composite
+def crossing_blocks(draw):
+    """``(amb, block, rows, var, shift, progressions)``: a block laid out
+    as ``_conjugates`` lays one out, from 1-3 progressions of 1-6 unit
+    conjugates with random first exponents (so equal conjugates repeat),
+    over free and torsion coordinates; the exponents may cross 0."""
+    torsion = tuple(draw(st.lists(st.sampled_from((0, 0, 0, 3)),
+                                  min_size=2, max_size=3)))
+    rank = draw(st.integers(1, 2))
+    amb = Ambient(tuple(f"t{i}" for i in range(len(torsion))), torsion, rank,
+                  tuple(f"e{i}" for i in range(rank)))
+    var = draw(st.integers(0, len(torsion) - 1))
+    rows, shift = draw(st.integers(1, 8)), draw(st.sampled_from((1, -1)))
+    coordinate = [st.integers(0, d - 1) if d else st.integers(-3, 6)
+                  for d in torsion]
+    template, progressions = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 6))
+        c, stride = draw(st.integers(0, len(torsion) - 1)), draw(st.sampled_from((1, -1)))
+        first = list(draw(st.tuples(*coordinate)))
+        basis, sign = draw(st.integers(1, rank)), draw(st.sampled_from((1, -1)))
+        for u in range(n):
+            exps = list(first)
+            exps[c] += u * stride
+            template.append((sign, basis, exps))
+        progressions.append((n, c, stride))
+    block = []
+    for r in range(rows):
+        for sign, basis, exps in template:
+            exps = list(exps)
+            exps[var] += r * shift
+            block.append([sign, basis, tuple(amb.wrap(exps))])
+    return amb, block, rows, var, shift, tuple(progressions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossing_blocks())
+def test_block_charge_matches_pairs(case):
+    """Difference counting charges a block's inverted pairs one by one;
+    it refuses a block whose varying coordinates are torsion or cross 0."""
+    amb, block, rows, var, shift, progressions = case
+    charge = _block_charge(block, rows, var, shift, progressions, amb.torsion)
+    varying = [c for c in range(len(amb.torsion))
+               if len({exps[c] for _, _, exps in block}) > 1]
+    if any(amb.torsion[c] or min(exps[c] for _, _, exps in block) < 0
+           < max(exps[c] for _, _, exps in block) for c in varying):
+        assert charge is None
+    elif charge is not None:
+        assert charge == _pairwise_sort_charge(block, amb)
 
 
 _BIG = 2 ** 70
