@@ -175,9 +175,9 @@ def _collect_units(tail: GroupWord, p: Presentation):
 
 
 def _tail_crossings(tail: GroupWord, p: Presentation, ledger=None):
-    """The crossing blocks of a zero-sum tail, charged to ``ledger`` when
-    one is given: one r1 per emission, one module relation per torsion
-    power of a leftover front power."""
+    """The crossing blocks of a zero-sum tail; a leftover front power is
+    charged to ``ledger``, when one is given, at one module relation per
+    torsion power.  The caller charges one r1 per emission."""
     crossings, powers = _collect_units(tail, p)
     for var, net in powers:
         if net == 0:
@@ -188,9 +188,6 @@ def _tail_crossings(tail: GroupWord, p: Presentation, ledger=None):
                 f"tail leaves a nonzero block {p.t_names[var]}^{net}")
         if ledger is not None:
             ledger.module_relations += abs(net) // d
-    if ledger is not None:
-        ledger.r1_commutators += sum(abs(c.power) * sum(abs(b) for _, b in c.middle)
-                                     for c in crossings)
     return crossings
 
 
@@ -210,6 +207,7 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
     items = [(sign, basis_of[p.commutator_gen(s, j)], GroupWord.from_letters(conj))
              for crossing in _tail_crossings(tail, p, ledger)
              for sign, s, j, conj in crossing.emissions(p._t_positions)]
+    ledger.r1_commutators += len(items)
     return items, ledger
 
 
@@ -353,7 +351,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         raise KeyError(unknown)
     if ledger is not None:
         ledger.free_steps += len(sequence) + 1
-    blocks = []
+    blocks, module_letters = [], len(sequence)
     if not stack:
         return sequence, blocks
     for crossing in _tail_crossings(GroupWord(tuple(stack)), p, ledger):
@@ -382,6 +380,8 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
                                  + exps[var + 1:]))
         if ledger is not None:
             _price_crossing(crossing, template, p, ledger)
+    if ledger is not None:
+        ledger.r1_commutators += len(sequence) - module_letters
     return sequence, blocks
 
 
@@ -487,7 +487,6 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
             elif (c > 0) != (ca > 0):
                 pairs[a, b] = [units, rel]
 
-    touched = set()
     while pairs:
         units, rel, i, j = min(
             (u * (m := min(abs(items[a][0]), abs(items[b][0]))), r * m, a, b)
@@ -495,7 +494,6 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
         ledger.r2_commutations += units
         ledger.rel_r2_merge += rel
         m = min(abs(items[i][0]), abs(items[j][0]))
-        touched.update((i, j))
         for q in (i, j):
             items[q][0] -= m if items[q][0] > 0 else -m
         for (a, b), cost in list(pairs.items()):
@@ -511,7 +509,8 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
     for start, rows, var, shift, progressions in (
             blocks if len(items) > _BLOCK else ()):
         stop = start + rows * sum(n for n, _, _ in progressions)
-        if not any(start <= q < stop for q in touched):
+        # a cancellation zeroes the unit conjugates it touches
+        if all(c for c, _, _ in items[start:stop]):
             charge = _block_charge(items[start:stop], rows, var, shift,
                                    progressions, amb.torsion)
             if charge is not None:
