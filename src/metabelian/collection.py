@@ -412,12 +412,12 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
         if rows > 2:
             _price_conjugator(crossing.conjugator(head, 2), p, second)
     n, fall = rows - 1, (rows - 1) * (rows - 2) // 2
-    ledger.r1_commutators += (n * first.r1_commutators
-                              - fall * (first.r1_commutators - second.r1_commutators))
-    ledger.r2_commutations += (n * first.r2_commutations
-                               - fall * (first.r2_commutations - second.r2_commutations))
-    ledger.rel_r2_normalize += (n * first.rel_r2_normalize
-                                - fall * (first.rel_r2_normalize - second.rel_r2_normalize))
+    ledger.r1_commutators += (n * first.r1_commutators - fall
+                              * (first.r1_commutators - second.r1_commutators))
+    ledger.r2_commutations += (n * first.r2_commutations - fall
+                               * (first.r2_commutations - second.r2_commutations))
+    ledger.rel_r2_normalize += (n * first.rel_r2_normalize - fall
+                                * (first.rel_r2_normalize - second.rel_r2_normalize))
     ledger.module_relations += n * first.module_relations
     d = p.torsion_orders[crossing.var]
     if d:

@@ -533,7 +533,8 @@ def crossing_blocks(draw):
     template, progressions = [], []
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 6))
-        c, stride = draw(st.integers(0, len(torsion) - 1)), draw(st.sampled_from((1, -1)))
+        c = draw(st.integers(0, len(torsion) - 1))
+        stride = draw(st.sampled_from((1, -1)))
         first = list(draw(st.tuples(*coordinate)))
         basis, sign = draw(st.integers(1, rank)), draw(st.sampled_from((1, -1)))
         for u in range(n):
