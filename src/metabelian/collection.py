@@ -97,7 +97,7 @@ class _Crossing(NamedTuple):
     crosses; each conjugator is a template head (the swap template of
     ``_SWAP_CASES``, the rest of the crossed syllable and the syllables
     after it) followed by ``t_var^(power - k*eps)``, the units not yet
-    moved, and ``rest``.  A head does not depend on ``k``, so row k's
+    moved (``eps`` the sign of ``power``), and ``rest``.  A head does not depend on ``k``, so row k's
     exponent vectors are row 1's shifted by ``-(k-1)*eps`` at ``var``.
     """
     var: int
