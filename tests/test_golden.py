@@ -29,6 +29,12 @@ word texts parsed against ``GAMMA`` and element texts over ``PARSE_RING`` and
 and unknown names) over ``GAMMA``.  Each
 line carries either the parsed ``letters`` (words) or ``render()`` (elements),
 or the error type and message.  The same command regenerates it.
+
+``golden/laws.jsonl`` holds ledger lines for the ``[[x,y],[z,w]]`` law words
+of ``_law_inputs``, the words the benchmark's ``Group.metabelian_law`` draws
+from ``random.Random(5)`` with four factors of 3 to 10 letters, in
+``wf(r=1,k=2)``, Baumslag's Gamma and ``free_abelian``.  Their unit
+conjugates make long greedy cancellations.  The same command regenerates it.
 """
 
 import dataclasses
@@ -53,6 +59,7 @@ GROEBNER = os.path.join(os.path.dirname(__file__), "golden", "groebner.jsonl")
 LEDGER = os.path.join(os.path.dirname(__file__), "golden", "ledger.jsonl")
 PARSE = os.path.join(os.path.dirname(__file__), "golden", "parse.jsonl")
 GRIDS = os.path.join(os.path.dirname(__file__), "golden", "grids.jsonl")
+LAWS = os.path.join(os.path.dirname(__file__), "golden", "laws.jsonl")
 RANDOM_AMBIENT = Ambient(("x",), (0,), 2, ("e1", "e2"), laurent=False)
 PARSE_MODULE = Ambient(("t", "s"), (0, 3), 2, ("e1", "e2"), laurent=True)
 PARSE_RING = PARSE_MODULE.ring()
@@ -359,6 +366,64 @@ def test_grid_ledger_byte_identical(entry):
     assert json.dumps(line, sort_keys=True) == json.dumps(entry, sort_keys=True)
 
 
+def _benchmark_word(p, rng, target):
+    """A freely reduced word of ``target`` letters whose acting letters keep
+    every exponent sum within 2 of 0: the benchmark's
+    ``Group.random_word``, draw for draw."""
+    names = list(p.module_gens) + list(p.t_names)
+    sums = dict.fromkeys(p.t_names, 0)
+    out = []
+    while len(out) < target:
+        name = rng.choice(names)
+        if out and out[-1][0] == name:
+            continue
+        sign = rng.choice((1, -1))
+        if name in sums:
+            if abs(sums[name]) >= 2:
+                sign = -1 if sums[name] > 0 else 1
+            sums[name] += sign
+        out.append((name, sign))
+    return GroupWord.from_letters(out)
+
+
+def _benchmark_law(p, rng, factor_lengths) -> GroupWord:
+    """The benchmark's ``Group.metabelian_law``: ``[[x,y],[z,w]]`` for
+    random factors, redrawn while it reduces freely to the empty word."""
+    law = GroupWord.from_letters(())
+    while not law.letters:
+        x, y, z, w = (_benchmark_word(p, rng, n) for n in factor_lengths)
+        law = commutator(commutator(x, y), commutator(z, w))
+    return law
+
+
+def _law_inputs():
+    """One law word per preset and factor length n in 3..10, each drawn
+    from a fresh ``random.Random(5)`` with four factors of n letters: 40 to
+    160 letters."""
+    return [{"preset": spec,
+             "word": _benchmark_law(_preset(spec), random.Random(5),
+                                    (n,) * 4).render()}
+            for spec in ({"name": "wf", "r": 1, "k": 2},
+                         {"name": "baumslag_gamma"}, {"name": "free_abelian"})
+            for n in range(3, 11)]
+
+
+LAW_ENTRIES = _load(LAWS) if os.path.exists(LAWS) else []
+
+
+def test_law_inputs_unchanged():
+    assert [{"preset": e["preset"], "word": e["word"]}
+            for e in LAW_ENTRIES] == _law_inputs()
+
+
+@pytest.mark.parametrize("entry", LAW_ENTRIES,
+                         ids=[f"{i}:{e['preset']['name']}"
+                              for i, e in enumerate(LAW_ENTRIES)])
+def test_law_ledger_byte_identical(entry):
+    line = _ledger_line({"preset": entry["preset"], "word": entry["word"]})
+    assert json.dumps(line, sort_keys=True) == json.dumps(entry, sort_keys=True)
+
+
 # Word texts over GAMMA's generators, then element
 # texts; the fixed texts pin the one-syllable power rule on huge exponents.
 _WORD_NAMES = ("a", "b", "s", "t")
@@ -545,7 +610,7 @@ def _check_provenance(basis):
 def _rewrite():
     """Re-render the certificates of the words already in the golden file,
     the Groebner bases of ``_groebner_inputs``, the ledgers of
-    ``_ledger_inputs`` and ``_grid_inputs`` and the parses of
+    ``_ledger_inputs``, ``_grid_inputs`` and ``_law_inputs`` and the parses of
     ``_parse_inputs``."""
     lines = []
     for entry in _load():
@@ -569,6 +634,10 @@ def _rewrite():
     lines = [json.dumps(_ledger_line(entry), sort_keys=True)
              for entry in _grid_inputs()]
     with open(GRIDS, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    lines = [json.dumps(_ledger_line(entry), sort_keys=True)
+             for entry in _law_inputs()]
+    with open(LAWS, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     lines = [json.dumps(_parse_line(entry), sort_keys=True)
              for entry in _parse_inputs()]
