@@ -319,7 +319,8 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     shifted by ``r*shift`` at ``var``.  The template runs through
     ``progressions`` ``(length, coordinate, stride)``, one per middle
     syllable: ``length`` conjugates of one basis whose exponents step by
-    ``stride`` in ``coordinate``.
+    ``stride`` in ``coordinate``.  A crossing of one row records no block,
+    as ``_block_charge`` never counts a single template.
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
     sums = [0] * len(torsion)
@@ -356,7 +357,6 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         return sequence, blocks
     for crossing in _tail_crossings(GroupWord(tuple(stack)), p, ledger):
         var, rows = crossing.var, abs(crossing.power)
-        shift, d = (1 if crossing.power > 0 else -1), torsion[var]
         template = crossing.template(t_pos)
         # the first row in word order is the last unit's: a head, then the rest
         rest = [0] * len(torsion)
@@ -369,15 +369,17 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
                 exps[t_pos[name]] += e
             sequence.append((sign, basis_of[p.commutator_gen(var, j)],
                              _wrapped(exps, torsion)))
-        blocks.append((start, rows, var, shift, tuple(
-            (abs(b), t_pos[other], -1 if b > 0 else 1)
-            for other, b in crossing.middle)))
-        row = sequence[start:]
-        for r in range(1, rows):
-            for sign, basis, exps in row:
-                x = exps[var] + r * shift
-                sequence.append((sign, basis, exps[:var] + ((x % d if d else x),)
-                                 + exps[var + 1:]))
+        if rows > 1:
+            shift, d = (1 if crossing.power > 0 else -1), torsion[var]
+            blocks.append((start, rows, var, shift, tuple(
+                (abs(b), t_pos[other], -1 if b > 0 else 1)
+                for other, b in crossing.middle)))
+            row = sequence[start:]
+            for r in range(1, rows):
+                for sign, basis, exps in row:
+                    x = exps[var] + r * shift
+                    sequence.append((sign, basis, exps[:var]
+                                     + ((x % d if d else x),) + exps[var + 1:]))
         if ledger is not None:
             _price_crossing(crossing, template, p, ledger)
     if ledger is not None:
@@ -444,17 +446,15 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
     """Transposition charges for gathering conjugates into ordered form.
 
     Opposite conjugates of the same monomial are cancelled greedily first
-    (cheapest pair each round, paying one transposition per unit crossed),
-    then the remainder is sorted, paying one transposition per strictly
-    inverted pair of unit conjugates (``_inversion_charge``).
-
-    Each opposite pair keeps ``[units, rel]``, the units it crosses and
-    their relative price, summed once up to each item's furthest opposite
-    partner.  Cancelling ``m`` units at item q lowers exactly the pairs
-    around q of another monomial, by ``m`` units and ``m`` crossings of q.
-    Signs never flip, so pairs only go away, and zeroed items stay in place,
-    so the index order of the rest is kept.  Equal monomials cross at equal
-    prices, so prices are kept per pair of monomials.
+    by ``_cancel``: the cheapest pair each round, paying one transposition
+    per unit crossed, found in one pass per round over pair records.  Each
+    item lists its opposite partners going right only up to its first unit
+    partner, since a farther one crosses at least the same units at no
+    lower price and loses the tie on position, so it cannot be the
+    cheapest while that partner lives.  Then the remainder is sorted,
+    paying one transposition per strictly inverted pair of unit conjugates
+    (``_inversion_charge``).  Equal monomials cross at equal prices, so
+    prices are kept per pair of monomials.
 
     ``blocks`` are the crossing blocks of ``_conjugates``.  In a sort of
     more than ``_BLOCK`` conjugates, a block that no cancellation touched
@@ -475,35 +475,9 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
             memo[key] = _merge_price(amb, exps_of[m], exps_of[n])
         return memo[key]
 
-    last = {(group[b], c > 0): b for b, (c, _, _) in enumerate(items)}
-    pairs = {}
-    for a, (ca, _, _) in enumerate(items):
-        units = rel = 0
-        for b in range(a + 1, last.get((group[a], ca < 0), a) + 1):
-            c = items[b][0]
-            if group[b] != group[a]:
-                units += abs(c)
-                rel += abs(c) * price(mono[a], mono[b])
-            elif (c > 0) != (ca > 0):
-                pairs[a, b] = [units, rel]
-
-    while pairs:
-        units, rel, i, j = min(
-            (u * (m := min(abs(items[a][0]), abs(items[b][0]))), r * m, a, b)
-            for (a, b), (u, r) in pairs.items())
-        ledger.r2_commutations += units
-        ledger.rel_r2_merge += rel
-        m = min(abs(items[i][0]), abs(items[j][0]))
-        for q in (i, j):
-            items[q][0] -= m if items[q][0] > 0 else -m
-        for (a, b), cost in list(pairs.items()):
-            if not (items[a][0] and items[b][0]):
-                del pairs[a, b]
-                continue
-            for q in (i, j):
-                if a < q < b and group[a] != group[q]:
-                    cost[0] -= m
-                    cost[1] -= m * price(mono[b], mono[q])
+    units, rel = _cancel(items, group, mono, price)
+    ledger.r2_commutations += units
+    ledger.rel_r2_merge += rel
 
     spans = []
     for start, rows, var, shift, progressions in (
@@ -537,6 +511,109 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
         units, rel = _inversion_charge(rest, amb.torsion, price, charged)
     ledger.r2_commutations += units
     ledger.rel_r2_merge += rel
+
+
+def _cancel(items, group, mono, price):
+    """Cancel opposite conjugates ``[coeff, basis, exps]`` of one group
+    (basis and monomial) greedily, zeroing or lowering ``items``'
+    coefficients in place; returns ``(units, rel)``, the units crossed and
+    their relative price.
+
+    Each round cancels ``m = min(|c_a|, |c_b|)`` units at the pair a < b
+    whose ``(units*m, rel*m, a, b)`` is least, where ``units`` and ``rel``
+    sum ``|c_q|`` and ``|c_q| * price(mono[a], mono[q])`` over the items q
+    of other groups between a and b; it pays ``units*m`` and ``rel*m``.
+    Signs never flip, so pairs only go away, and zeroed items stay in
+    place, so the index order of the rest is kept.  Cancelling ``m`` units
+    at item q lowers exactly the pairs of another group that span q, by
+    ``m`` units and ``m`` crossings of q.
+
+    Pair records ``[a, b, units, rel, stop]`` list each item a's partners
+    going right only up to the first, ``b1``, with ``min(|c_a|, |c_b1|) =
+    1`` (``stop`` marks it).  A farther partner b has ``m >= 1`` and spans
+    every item ``(a, b1)`` spans, so its key is at least ``(a, b1)``'s and
+    loses the tie on b: it cannot be picked while ``b1`` lives.  When ``b1``
+    is zeroed and a is not, the listing goes on from ``b1`` with its
+    ``[units, rel]``, which ``b1``'s own cancellation left unchanged, as it
+    is in a's group.  Unit coefficients thus list O(k) pairs for a group of
+    k items, not O(k^2).
+
+    One pass per round over the records drops those with a zeroed end,
+    lowers the spanning pairs of other groups by the cancellation just made,
+    reading the price from a row kept per monomial, and finds the next
+    least key.
+    """
+    size = [abs(c) for c, _, _ in items]
+    up = [c > 0 for c, _, _ in items]
+    last = {(g, u): q for q, (g, u) in enumerate(zip(group, up))}
+    pairs = []
+
+    def extend(a, b, units, rel):
+        """Append a's partners right of b, from ``[units, rel]`` at b."""
+        g, ma, sa, sign = group[a], mono[a], size[a], up[a]
+        for q in range(b + 1, last.get((g, not sign), a) + 1):
+            c = size[q]
+            if not c:
+                continue
+            if group[q] != g:
+                units += c
+                rel += c * price(ma, mono[q])
+            elif up[q] != sign:
+                stop = c == 1 or sa == 1
+                pairs.append([a, q, units, rel, stop])
+                if stop:
+                    return
+
+    for a in range(len(items)):
+        extend(a, a, 0, 0)
+    units = rel = m = 0
+    i = j = gi = -1
+    while True:
+        row: dict = {}
+        best = None
+        kept = []
+        # extend() appends to pairs while the loop runs: the new records
+        # belong to gi, which no cancellation of this round lowers
+        for record in pairs:
+            a, b, u, r, stop = record
+            sa, sb = size[a], size[b]
+            if not sa:
+                continue
+            if not sb:
+                if stop:
+                    extend(a, b, u, r)
+                continue
+            if (a < i < b or a < j < b) and group[a] != gi:
+                k = m * ((a < i < b) + (a < j < b))
+                cost = row.get(mono[a])
+                if cost is None:
+                    cost = row[mono[a]] = price(mono[a], mono[i])
+                u = record[2] = u - k
+                r = record[3] = r - k * cost
+            kept.append(record)
+            n = sa if sa < sb else sb
+            key = u * n
+            if best is not None:
+                if key > best_units:
+                    continue
+                if key == best_units:
+                    key_rel = r * n
+                    if key_rel > best_rel or key_rel == best_rel and (
+                            a > best[0] or a == best[0] and b > best[1]):
+                        continue
+            best, best_units, best_rel, best_m = (a, b), key, r * n, n
+        if best is None:
+            break
+        pairs = kept
+        units += best_units
+        rel += best_rel
+        (i, j), m = best, best_m
+        gi = group[i]
+        size[i] -= m
+        size[j] -= m
+    for item, c, u in zip(items, size, up):
+        item[0] = c if u else -c
+    return units, rel
 
 
 def _row_sums(lo: int, hi: int, rows: int):

@@ -11,7 +11,7 @@ from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_kernel_word, render_ordered_word)
 from metabelian import collection
 from metabelian.collection import (_BLOCK, _SWAP_CASES, CostLedger,
-                                   _block_charge, _charge_merge,
+                                   _block_charge, _cancel, _charge_merge,
                                    _collect_units,
                                    _inversion_charge, _merge_price,
                                    _price_conjugator, _run_price,
@@ -513,6 +513,92 @@ def test_sort_charge_matches_pairwise(case):
     _charge_merge(sequence, amb, ledger)
     assert (ledger.r2_commutations, ledger.rel_r2_merge) == \
         _pairwise_sort_charge(sequence, amb)
+
+
+def _reference_cancel(items, group, mono, price):
+    """The greedy cancellation with every opposite pair in one table: each
+    round takes ``min((units*m, rel*m, a, b))`` over all of it, then lowers
+    the pairs of other groups that span the cancelled items."""
+    total_units = total_rel = 0
+    last = {(group[b], c > 0): b for b, (c, _, _) in enumerate(items)}
+    pairs = {}
+    for a, (ca, _, _) in enumerate(items):
+        units = rel = 0
+        for b in range(a + 1, last.get((group[a], ca < 0), a) + 1):
+            c = items[b][0]
+            if group[b] != group[a]:
+                units += abs(c)
+                rel += abs(c) * price(mono[a], mono[b])
+            elif (c > 0) != (ca > 0):
+                pairs[a, b] = [units, rel]
+    while pairs:
+        units, rel, i, j = min(
+            (u * (m := min(abs(items[a][0]), abs(items[b][0]))), r * m, a, b)
+            for (a, b), (u, r) in pairs.items())
+        total_units += units
+        total_rel += rel
+        m = min(abs(items[i][0]), abs(items[j][0]))
+        for q in (i, j):
+            items[q][0] -= m if items[q][0] > 0 else -m
+        for (a, b), cost in list(pairs.items()):
+            if not (items[a][0] and items[b][0]):
+                del pairs[a, b]
+                continue
+            for q in (i, j):
+                if a < q < b and group[a] != group[q]:
+                    cost[0] -= m
+                    cost[1] -= m * price(mono[b], mono[q])
+    return total_units, total_rel
+
+
+@st.composite
+def cancel_inputs(draw):
+    """``(items, prices)``: up to 40 conjugates ``[coeff, basis, (monomial,)]``
+    over 1-4 monomials and 1-2 bases, magnitudes 1-6 with units common, and
+    prices 1-3 per pair of monomials, so that ties, zero-cost pairs, several
+    bases on one monomial and unit partners that die all occur."""
+    monos = draw(st.integers(1, 4))
+    bases = draw(st.integers(1, 2))
+    magnitude = st.one_of(st.just(1), st.integers(1, 6))
+    items = [[draw(st.sampled_from((1, -1))) * draw(magnitude),
+              draw(st.integers(1, bases)), (draw(st.integers(0, monos - 1)),)]
+             for _ in range(draw(st.integers(0, 40)))]
+    prices = {(m, n): draw(st.integers(1, 3))
+              for m in range(monos) for n in range(m, monos)}
+    return items, prices
+
+
+def _cancel_case(coeffs, groups, prices=None):
+    """Items of one basis whose monomials are ``groups``; every price 1."""
+    items = [[c, 1, (g,)] for c, g in zip(coeffs, groups)]
+    n = max(groups) + 1
+    return items, prices or {(m, k): 1 for m in range(n) for k in range(m, n)}
+
+
+# a unit partner dies and the listing goes on past it
+@example(_cancel_case([2, 1, -1, -1], [0, 0, 0, 0]))
+# a zero-cost tie, broken on a
+@example(_cancel_case([1, -1, 1], [0, 0, 0]))
+# a pair spanning a cancellation of its own group is not lowered
+@example(_cancel_case([3, 1, 2, -2, -3], [0, 1, 0, 0, 0]))
+@example(_cancel_case([1, 2, -1, 1, -2, -1], [0, 1, 0, 1, 1, 0], {
+    (0, 0): 1, (0, 1): 3, (1, 1): 1}))
+@settings(max_examples=500, deadline=None)
+@given(cancel_inputs())
+def test_cancel_matches_full_table(case):
+    items, prices = case
+    mono = [exps[0] for _, _, exps in items]
+    ids: dict = {}
+    group = [ids.setdefault((basis, exps), len(ids)) for _, basis, exps in items]
+
+    def price(m, n):
+        return prices[min(m, n), max(m, n)]
+
+    got = [list(item) for item in items]
+    want = [list(item) for item in items]
+    assert _cancel(got, group, mono, price) == \
+        _reference_cancel(want, group, mono, price)
+    assert got == want
 
 
 @st.composite
