@@ -6,7 +6,9 @@ millions of digits.  A ``Bound`` keeps the form ``(sum_i c_i b_i^e_i) / d``
 and answers ``bit_length()``, ``log2()`` and comparisons exactly.  Short
 bounds are expanded outright; longer ones are decided from a padded
 floating-point interval on log2 of every power and expanded only when that
-interval cannot decide.
+interval cannot decide.  A bound with a power whose log2 is past the float
+range is decided on intervals of fractions, exact in the exponents, and is
+never expanded: where they cannot decide, a ``ValueError`` says so.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from fractions import Fraction
 
 # Bounds of at most this many bits carry their decimal value in ``str()`` and
 # JSON; longer ones render as their closed form alone.  Bounds whose terms
@@ -65,27 +68,57 @@ def _sum_span(spans):
 
 def _parts(terms):
     """Spans of log2 of the positive and of the negative part of the sum of
-    ``c * b^e * 2^t`` over ``(c, b, e, t)``; None for an empty part."""
+    ``c * b^e * 2^t`` over ``(c, b, e, t)``; None for an empty part.
+    Raises ``OverflowError`` when a term's log2 is past the float range."""
     pos, neg = [], []
     for c, b, e, t in terms:
         if c == 0 or (b == 0 and e > 0):
             continue
         a = math.log2(abs(c))
-        # an exponent past the float range raises OverflowError here
+        # an exponent or a shift too large for a float raises OverflowError
         x = e * math.log2(b) if b > 1 and e else 0.0
-        if x == math.inf:
-            raise OverflowError("log2 of a bound term is past the float range")
         mid = a + x + t
+        if mid == math.inf:
+            raise OverflowError("log2 of a bound term is past the float range")
         pad = _REL_PAD * (1.0 + abs(a) + x + abs(t))
         (pos if c > 0 else neg).append((mid - pad, mid + pad))
     return _sum_span(pos), _sum_span(neg)
+
+
+def _exact_parts(terms):
+    """``_parts`` for terms whose log2 may be past the float range: spans of
+    Fractions, exact in the exponents and shifts, padded for the float
+    log2 of each coefficient and base.  A part's span runs from its largest
+    term's low end to its largest high end plus log2 of its term count."""
+    parts = ([], [])
+    for c, b, e, t in terms:
+        if c == 0 or (b == 0 and e > 0):
+            continue
+        a = Fraction(math.log2(abs(c)))
+        x = e * Fraction(math.log2(b)) if b > 1 and e else Fraction(0)
+        pad = Fraction(_REL_PAD) * (1 + a + x)
+        parts[c < 0].append((a + x + t - pad, a + x + t + pad))
+    return tuple((max(lo for lo, _ in spans),
+                  max(hi for _, hi in spans) + (len(spans) - 1).bit_length())
+                 if spans else None for spans in parts)
+
+
+def _out_of_reach():
+    raise ValueError("the sign of a bound past the float range is out of "
+                     "reach: its positive and negative parts are too close")
 
 
 def _sign(terms, exact=None) -> int:
     """The sign of ``sum c * b**e``, read from float intervals where they
     decide; otherwise ``exact()`` when given, else the expanded sum's."""
     norm = _normalize(terms)
-    pos, neg = _parts((c, odd, e, two) for (odd, e, two), c in norm.items())
+    parts = [(c, odd, e, two) for (odd, e, two), c in norm.items()]
+    try:
+        pos, neg = _parts(parts)
+    except OverflowError:
+        # past the float range a sum is never expanded
+        pos, neg = _exact_parts(parts)
+        exact = _out_of_reach
     if neg is None:
         return 1 if pos else 0
     if pos is None:
@@ -168,8 +201,9 @@ class Bound:
 
         None stands for bounds short enough to expand at once, for values
         <= 0, and for sums whose negative part nearly cancels the positive.
-        ``(inf, inf)`` stands for a sum of positive terms one of which has
-        a log2 past the float range.
+        A bound with a term past the float range has a span of Fractions
+        (``_exact_parts``), or raises ``ValueError`` where it would need
+        int(self).
         """
         if self._span is None:
             span = None
@@ -179,33 +213,58 @@ class Bound:
                 try:
                     pos, neg = _parts((c, b, e, 0) for c, b, e in self.terms)
                 except OverflowError:
-                    if any(c < 0 for c, _, _ in self.terms):
-                        raise
-                    # a sum of positive terms, one past the float range
-                    pos, neg = (math.inf, math.inf), None
-                if neg is None:
-                    span = pos
-                elif pos is not None and neg[1] < pos[0] - 1:
-                    # pos - neg, with the subtracted part at most half of pos
-                    span = (pos[0] + math.log2(1.0 - 2.0 ** (neg[1] - pos[0])),
-                            pos[1] + math.log2(1.0 - 2.0 ** (neg[0] - pos[1])))
-            if span is not None and span[0] < math.inf:
-                shift = math.log2(self.divisor)
-                pad = _REL_PAD * (1.0 + abs(shift) + abs(span[0]))
-                span = (span[0] - shift - pad, span[1] - shift + pad)
+                    span = self._exact_span()
+                else:
+                    if neg is None:
+                        span = pos
+                    elif pos is not None and neg[1] < pos[0] - 1:
+                        # pos - neg, the subtracted part at most half of pos
+                        span = (pos[0] + math.log2(1.0 - 2.0 ** (neg[1] - pos[0])),
+                                pos[1] + math.log2(1.0 - 2.0 ** (neg[0] - pos[1])))
+                    if span is not None:
+                        shift = math.log2(self.divisor)
+                        pad = _REL_PAD * (1.0 + abs(shift) + abs(span[0]))
+                        span = (span[0] - shift - pad, span[1] - shift + pad)
             self._span = (span,)
         return self._span[0]
 
+    def _exact_span(self):
+        """``_log2_span`` of a bound with a term past the float range, from
+        its normalized terms, so that powers of two stay exact."""
+        pos, neg = _exact_parts((c, odd, e, two) for (odd, e, two), c
+                                in _normalize(self.terms).items())
+        if pos is None or neg is not None and neg[1] >= pos[0] - 1:
+            raise ValueError("log2 of a bound past the float range is out of "
+                             "reach: its negative part is not below half its "
+                             "positive part")
+        lo, hi = pos
+        if neg is not None:
+            # pos - neg, the subtracted part at most half of pos
+            gap = float(max(neg[1] - lo, -2000))
+            lo += Fraction(math.log2(1.0 - 2.0 ** gap)) - Fraction(_REL_PAD)
+        shift = Fraction(math.log2(self.divisor))
+        pad = Fraction(_REL_PAD) * (1 + shift)
+        return lo - shift - pad, hi - shift + pad
+
     def log2(self) -> float:
+        """log2 of the value; inf for a value past the float range."""
         span = self._log2_span()
         if span is not None:
-            return (span[0] + span[1]) / 2
+            mid = (span[0] + span[1]) / 2
+            try:
+                return float(mid)
+            except OverflowError:
+                return math.inf
         value = int(self)
         return math.log2(value) if value else -math.inf
 
     def bit_length(self) -> int:
         span = self._log2_span()
         if span is None or span[1] - span[0] > 1:
+            if span is not None and isinstance(span[0], Fraction):
+                raise ValueError("the bit length of a bound past the float "
+                                 "range is out of reach: its log2 is known "
+                                 "to within more than one bit only")
             return int(self).bit_length()
         top = math.floor(span[1])
         if math.floor(span[0]) == top:

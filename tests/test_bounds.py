@@ -258,3 +258,37 @@ def test_rejects_bad_parts():
         Bound(((1, 2, 3),), 0)
     with pytest.raises(ValueError):
         Bound(((1, -2, 3),))
+
+
+def test_past_the_float_range(monkeypatch):
+    """Exponents whose log2 overflows a float: a part past the float range
+    dominates one that is not, two such parts compare on their exponents,
+    and what stays undecided raises ValueError, never OverflowError."""
+    def refuse(terms):
+        raise AssertionError("a closed-form bound was expanded")
+
+    monkeypatch.setattr(bounds, "_expand", refuse)
+    e = 10 ** 400
+    two, three = Bound(((1, 2, e),)), Bound(((1, 3, e),))
+    for b in (two, three, Bound(((1, 2, e), (1, 3, e)), 5)):
+        assert b > 5 and b >= 5 and not b < 5 and b != 5 and 5 < b
+        assert b > -(10 ** 30) and b > Bound(((1, 7, 10 ** 300),))
+        assert b.log2() == math.inf and not b.is_short()
+        doc = b.to_json()
+        assert doc["log2"] == math.inf and "value" not in doc
+    assert two.bit_length() == e + 1
+    assert Bound(((3, 2, e),)).bit_length() == e + 2
+    assert Bound(((1, 2, e), (-1, 1, 0))).bit_length() == e
+    with pytest.raises(ValueError, match="out of reach"):
+        three.bit_length()
+    assert two < three and three > two and two != three
+    assert three == Bound(((1, 3, e),)) and two == Bound(((1, 4, e // 2),))
+    assert Bound(((1, 2, e), (1, 1, 1))) > two
+    assert Bound(((1, 3, e), (-1, 2, e))) > 0
+    difference = Bound(((1, 2, e), (-1, 3, e)))
+    assert difference < 0 and difference < -(10 ** 30)
+    assert hash(difference) == -hash(Bound(((1, 3, e), (-1, 2, e))))
+    with pytest.raises(ValueError, match="out of reach"):
+        difference.log2()
+    with pytest.raises(ValueError, match="out of reach"):
+        Bound(((1, 3, e + 1),)) > Bound(((2, 3, e), (1, 5, 3)))
