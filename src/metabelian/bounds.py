@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from fractions import Fraction
 
 # Bounds of at most this many bits carry their decimal value in ``str()`` and
 # JSON; longer ones render as their closed form alone.  Bounds whose terms
@@ -90,6 +89,9 @@ def _exact_parts(terms):
     Fractions, exact in the exponents and shifts, padded for the float
     log2 of each coefficient and base.  A part's span runs from its largest
     term's low end to its largest high end plus log2 of its term count."""
+    # only bounds past the float range need fractions: not imported at start
+    from fractions import Fraction
+
     parts = ([], [])
     for c, b, e, t in terms:
         if c == 0 or (b == 0 and e > 0):
@@ -231,6 +233,8 @@ class Bound:
     def _exact_span(self):
         """``_log2_span`` of a bound with a term past the float range, from
         its normalized terms, so that powers of two stay exact."""
+        from fractions import Fraction
+
         pos, neg = _exact_parts((c, odd, e, two) for (odd, e, two), c
                                 in _normalize(self.terms).items())
         if pos is None or neg is not None and neg[1] >= pos[0] - 1:
@@ -261,7 +265,8 @@ class Bound:
     def bit_length(self) -> int:
         span = self._log2_span()
         if span is None or span[1] - span[0] > 1:
-            if span is not None and isinstance(span[0], Fraction):
+            if span is not None and not isinstance(span[0], float):
+                # a span of Fractions: the bound is past the float range
                 raise ValueError("the bit length of a bound past the float "
                                  "range is out of reach: its log2 is known "
                                  "to within more than one bit only")

@@ -529,14 +529,14 @@ def _cancel(items, group, mono, price):
     ``m`` units and ``m`` crossings of q.
 
     Pair records ``[a, b, units, rel, stop]`` list each item a's partners
-    going right only up to the first, ``b1``, with ``min(|c_a|, |c_b1|) =
-    1`` (``stop`` marks it).  A farther partner b has ``m >= 1`` and spans
-    every item ``(a, b1)`` spans, so its key is at least ``(a, b1)``'s and
-    loses the tie on b: it cannot be picked while ``b1`` lives.  When ``b1``
-    is zeroed and a is not, the listing goes on from ``b1`` with its
-    ``[units, rel]``, which ``b1``'s own cancellation left unchanged, as it
-    is in a's group.  Unit coefficients thus list O(k) pairs for a group of
-    k items, not O(k^2).
+    going right only up to the first unit partner ``b1``, the first with
+    ``min(|c_a|, |c_b1|) = 1`` (``stop`` marks it).  A farther partner b
+    has ``m >= 1`` and spans every item that ``(a, b1)`` spans, so its key
+    is at least ``(a, b1)``'s and it loses the tie on b: it cannot be
+    picked while ``b1`` lives.  When ``b1`` is zeroed and a is not, the
+    listing goes on from ``b1`` with its ``[units, rel]``, which ``b1``'s
+    own cancellation left unchanged, as it is in a's group.  Unit
+    coefficients thus list O(k) pairs for a group of k items, not O(k^2).
 
     One pass per round over the records drops those with a zeroed end,
     lowers the spanning pairs of other groups by the cancellation just made,
