@@ -706,7 +706,7 @@ def _block_charge(block, rows, var, shift, progressions, torsion):
             if inverted:
                 units += rows * ordered
                 rel += rows * ordered * cost
-        if not every or rows == 1:
+        if not every:
             return
         top = rows - 1
         # the degree difference is 0 at one gap, the var difference at another
