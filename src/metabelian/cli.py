@@ -39,8 +39,12 @@ def _load_presentation(args) -> Presentation:
             raise ParseError(f"--{name} is a preset option and needs --preset")
     if not args.presentation:
         raise ParseError("a presentation file (-p) or --preset is required")
-    with open(args.presentation, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    try:
+        with open(args.presentation, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParseError(str(exc)) from None
+    return parse_presentation(text)
 
 
 def _preset_options(sp) -> None:
@@ -148,8 +152,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ParseError, TamenessViolation, FileNotFoundError, ValueError,
-            KeyError) as exc:
+    except (ParseError, TamenessViolation, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BudgetExceeded as exc:

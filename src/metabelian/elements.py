@@ -296,6 +296,11 @@ def render_element(g: ModuleElement) -> str:
     return out
 
 
+# The message of a RecursionError in a reader (deep brackets in a word, an
+# element or a file's JSON), raised as a ParseError at the reader's entry.
+_TOO_DEEP = "nesting is too deep"
+
+
 class _Tokens:
     """Token cursor shared by the element and the word parser.
 
@@ -427,7 +432,10 @@ class _ElementParser(_Tokens):
 
 def parse_element(text: str, ambient: Ambient) -> ModuleElement:
     """Parse canonical element text, ring or module depending on the ambient."""
-    g = _ElementParser(text, ambient).parse()
+    try:
+        g = _ElementParser(text, ambient).parse()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     if not ambient.is_ring() and any(t.monomial.basis is None for t in g.terms):
         raise ParseError("module element text must attach every term to a basis name")
     return g

@@ -13,10 +13,11 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
-from .elements import Ambient, ModuleElement, _Tokens, parse_element
+from .elements import (_TOO_DEEP, Ambient, ModuleElement, _Tokens,
+                       parse_element)
 from .errors import ParseError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -279,7 +280,12 @@ def parse_word(text: str, p: Optional[Presentation] = None) -> GroupWord:
     every error, through the grammar."""
     names = None if p is None else p._names
     scanned = _scan(text, names, {}, {})
-    return _WordParser(text, names).parse() if scanned is None else scanned[0]
+    if scanned is not None:
+        return scanned[0]
+    try:
+        return _WordParser(text, names).parse()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
 
 
 def _syllable(part: str, names, index):
@@ -387,7 +393,19 @@ def _datum_element(text: str, ring: Ambient) -> ModuleElement:
     return ModuleElement.from_term(ring, -c if sign else c, exps)
 
 
-def parse_presentation(text: str) -> Presentation:
+def parse_presentation(text: str | bytes | bytearray) -> Presentation:
+    """The presentation a file's text describes.  The last 64 ``str`` texts
+    are kept (``functools.lru_cache``; ``parse_presentation.cache_info()``
+    and ``cache_clear()``), so a repeated text returns the same instance,
+    derived tables built.  ``bytes`` and ``bytearray`` are read each time,
+    and a text that raises leaves no entry."""
+    try:
+        return (_parse_text if isinstance(text, str) else _parse)(text)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
+
+
+def _parse(text) -> Presentation:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -489,3 +507,8 @@ def parse_presentation(text: str) -> Presentation:
     object.__setattr__(p, "relators", tuple(relators))
     object.__setattr__(p, "tameness", tameness)
     return p
+
+
+_parse_text = lru_cache(maxsize=64)(_parse)
+parse_presentation.cache_info = _parse_text.cache_info
+parse_presentation.cache_clear = _parse_text.cache_clear

@@ -33,9 +33,10 @@ class ModuleContext:
     embed: callable
 
 
-# The contexts of the last 64 presentations used.  A hit keeps the first
-# key, so an equal presentation parsed again is not held twice;
-# ``module_context.cache_info()`` counts hits and misses.
+# The contexts of the last 64 presentations used.  A repeated file text
+# parses to the same instance, found by identity; an equal presentation
+# parsed from another text hits too, and the hit keeps the first key, so it
+# is not held twice.  ``module_context.cache_info()`` counts hits and misses.
 @lru_cache(maxsize=64)
 def module_context(p: Presentation) -> ModuleContext:
     vectors = tuple(relator_module(p))

@@ -154,6 +154,23 @@ class TestExitCodes:
         code, _ = run(["solve", "-p", "/nonexistent.json", "-w", "a"])
         assert code == 2
 
+    def test_unreadable_file(self, tmp_path, capsys):
+        code, out = run(["solve", "-p", str(tmp_path), "-w", "a"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "-p", "deep.json", "-w", "a"],
+        ["solve", "--preset", "bs", "-w", "(" * 5000 + "a" + ")" * 5000],
+        ["nf", "--preset", "bs", "-e", "(" * 5000 + "a" + ")" * 5000],
+    ], ids=["file", "word", "element"])
+    def test_deep_nesting(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "deep.json").write_text("[" * 100000)
+        monkeypatch.chdir(tmp_path)
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: nesting is too deep\n"
+
     def test_bad_word(self, bs_file):
         code, _ = run(["solve", "-p", bs_file, "-w", "q*q"])
         assert code == 2

@@ -349,6 +349,7 @@ class TestDerivedTables:
                 return func(self)
 
             monkeypatch.setattr(attr, "func", counted)
+        parse_presentation.cache_clear()  # a cached instance is already derived
         q = parse_presentation(p.render())
         for name in tables:
             getattr(q, name)
@@ -378,7 +379,11 @@ class TestDerivedTables:
         lambda p: parse_word("[u1, t1]", p), lambda p: relator_module(p)])
     def test_parses_stay_equal_whatever_was_read(self, read):
         text = WF11.render()
-        first, second = parse_presentation(text), parse_presentation(text)
+        parse_presentation.cache_clear()
+        first = parse_presentation(text)
+        parse_presentation.cache_clear()  # two parses, not one cached instance
+        second = parse_presentation(text)
+        assert first is not second
         read(first)
         assert first == second and hash(first) == hash(second)
 
@@ -388,6 +393,51 @@ class TestDerivedTables:
         with pytest.raises(KeyError, match="misses the pair"):
             replace(GAMMA, commutator_table=()).commutator_gen(0, 1)
         assert GAMMA.t_index("t") == 1
+
+
+class TestParseCache:
+    """``parse_presentation`` keeps the last 64 ``str`` texts."""
+
+    def test_same_text_same_instance(self):
+        text = WF11.render()
+        assert parse_presentation(text) is parse_presentation(text)
+
+    def test_respaced_text_is_equal_and_hits_the_context(self):
+        from metabelian.wordproblem import module_context
+
+        text = WF11.render()
+        spaced = text.replace("*", " * ").replace("^", " ^ ")
+        assert " ^ " in spaced
+        p, q = parse_presentation(text), parse_presentation(spaced)
+        assert q == p and q is not p
+        module_context(p)
+        hits = module_context.cache_info().hits
+        module_context(q)
+        assert module_context.cache_info().hits == hits + 1
+
+    def test_errors_are_not_cached(self):
+        bad = BS_FILE.replace('"a^t * a^-2"', '"t"')
+        parse_presentation.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ParseError, match="exponent sum"):
+                parse_presentation(bad)
+        assert parse_presentation.cache_info().currsize == 0
+
+    def test_keeps_the_last_64_texts(self):
+        texts = [BS_FILE + " " * i for i in range(65)]
+        parse_presentation.cache_clear()
+        first = parse_presentation(texts[0])
+        for text in texts[1:]:
+            parse_presentation(text)
+        assert parse_presentation.cache_info().currsize == 64
+        again = parse_presentation(texts[0])
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_bytes_are_read_each_time(self, kind):
+        data = kind(GAMMA.render().encode())
+        p = parse_presentation(data)
+        assert p == GAMMA and parse_presentation(data) is not p
 
 
 class TestExponentSums:
@@ -475,6 +525,26 @@ class TestLongLiterals:
                                '[{"name": "s", "order": 1' + "0" * 5000 + '}]')
         with pytest.raises(ParseError, match="integer literal is too long"):
             parse_presentation(text)
+
+
+_DEEP = "(" * 5000 + "a" + ")" * 5000
+
+
+class TestDeepNesting:
+    """Brackets nested past the interpreter's recursion limit are a
+    ParseError from every reader, never a RecursionError."""
+
+    @pytest.mark.parametrize("read, text", [
+        (parse_presentation, "[" * 100000),
+        (lambda text: parse_presentation(TestFileShape._doc(relators=[text])), _DEEP),
+        (lambda text: parse_presentation(TestFileShape._doc(**{"lambda": {
+            "centralizer": [text], "co_centralizer": []}})), _DEEP.replace("a", "t")),
+        (lambda text: parse_word(text, BS2), _DEEP),
+        (lambda text: parse_element(text, BS2.module_ambient()), _DEEP),
+    ], ids=["json", "relator", "datum", "word", "element"])
+    def test_reader(self, read, text):
+        with pytest.raises(ParseError, match="^nesting is too deep$"):
+            read(text)
 
 
 class TestFileShape:
