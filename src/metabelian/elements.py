@@ -1,7 +1,8 @@
 """Reduced elements of free modules over integer (Laurent) polynomial rings.
 
-An element is a sorted tuple of terms ``c * x1^e1...xk^ek * e_b`` with no two
-terms sharing a monomial and no zero coefficients.  Ring elements (module
+An element is a dict of terms ``c * x1^e1...xk^ek * e_b``, one per monomial,
+with no zero coefficients; its sorted term tuple is built only when read,
+for rendering and leading terms.  Ring elements (module
 rank one, no basis vector) use the same class with ``basis=None`` monomials;
 ``Ambient.ring()`` gives the coefficient-ring ambient of a module ambient.
 """
@@ -9,9 +10,9 @@ rank one, no basis vector) use the same class with ``basis=None`` monomials;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import AmbientMismatch, EmptyElementError, ParseError
 from .order import monomial_key
@@ -64,8 +65,7 @@ class Ambient:
             raise KeyError(f"unknown variable {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """Exponent vector plus an optional basis index (1-based, None for ring)."""
 
     exponents: tuple[int, ...]
@@ -88,28 +88,26 @@ class Monomial:
         return tuple(b - a for a, b in zip(self.exponents, other.exponents))
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coefficient: int
     monomial: Monomial
 
 
-def _canonical_terms(ambient: Ambient, raw: dict) -> tuple[Term, ...]:
-    """The terms of ``raw`` in descending ``Monomial.key`` order, torsion
-    exponents wrapped and zero coefficients dropped."""
-    if ambient.laurent and any(ambient.torsion):
-        merged: dict[tuple, int] = {}
-        for (exps, basis), coeff in raw.items():
-            if coeff:
-                key = (ambient.wrap(exps), basis)
-                merged[key] = merged.get(key, 0) + coeff
-        raw = merged
-    # monomial_key without a call per term; the keys are distinct, so the
-    # sort never compares past them
-    order = sorted((((sum(map(abs, e)), e) if b is None
-                     else (sum(map(abs, e)), e, -b)), c, e, b)
-                   for (e, b), c in raw.items() if c)
-    return tuple(Term(c, Monomial(e, b)) for _, c, e, b in reversed(order))
+_new = tuple.__new__
+
+
+def _canonical_terms(raw: dict) -> tuple[Term, ...]:
+    """The terms of a reduced term dict in descending ``Monomial.key`` order.
+
+    The sort key is ``monomial_key`` flattened, with ``b and -b`` for the
+    reversed basis index (None on ring terms); the monomials are distinct,
+    so the sort never compares past it.  ``tuple.__new__`` skips the
+    Python-level ``__new__`` of the named tuples.
+    """
+    order = sorted([(sum(map(abs, e)), e, b and -b, c, b)
+                    for (e, b), c in raw.items()], reverse=True)
+    return tuple([_new(Term, (c, _new(Monomial, (e, b))))
+                  for _, e, _, c, b in order])
 
 
 def _sum(g: dict, h: dict, c: int = 1) -> dict:
@@ -136,31 +134,92 @@ def _product(g: dict, h: dict, wrap) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class ModuleElement:
-    """A reduced element: strictly descending terms, nonzero coefficients."""
+_set = object.__setattr__
 
-    ambient: Ambient
-    terms: tuple[Term, ...]
+
+class ModuleElement:
+    """A reduced element, kept as its term dict ``{(exponents, basis):
+    coefficient}``: no zero coefficients, torsion exponents wrapped.
+
+    ``terms``, the strictly descending term tuple, is derived from the dict
+    once, on first read; arithmetic, measures and ``==`` read the dict.
+    Elements are immutable.
+    """
+
+    __slots__ = ("ambient", "_raw", "_terms", "_hash")
+
+    def __init__(self, ambient: Ambient, terms: tuple[Term, ...]):
+        terms = tuple(terms)
+        self._init(ambient, {(t.monomial.exponents, t.monomial.basis):
+                             t.coefficient for t in terms}, terms)
+
+    def _init(self, ambient: Ambient, raw: dict, terms=None):
+        _set(self, "ambient", ambient)
+        _set(self, "_raw", raw)
+        _set(self, "_terms", terms)
+        _set(self, "_hash", None)
+
+    @staticmethod
+    def _of(ambient: Ambient, raw: dict, terms=None) -> "ModuleElement":
+        """The element of the reduced term dict ``raw``, which it keeps."""
+        g = object.__new__(ModuleElement)
+        g._init(ambient, raw, terms)
+        return g
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ModuleElement.from_dict, (self.ambient, self._raw)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModuleElement):
+            return NotImplemented
+        return self.ambient == other.ambient and self._raw == other._raw
+
+    def __hash__(self):
+        if self._hash is None:
+            _set(self, "_hash", hash((self.ambient, frozenset(self._raw.items()))))
+        return self._hash
+
+    def __repr__(self):
+        return f"ModuleElement(ambient={self.ambient!r}, terms={self.terms!r})"
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        if self._terms is None:
+            _set(self, "_terms", _canonical_terms(self._raw))
+        return self._terms
 
     @staticmethod
     def zero(ambient: Ambient) -> "ModuleElement":
-        return ModuleElement(ambient, ())
+        return ModuleElement._of(ambient, {}, ())
 
     @staticmethod
     def from_dict(ambient: Ambient, raw: dict) -> "ModuleElement":
-        return ModuleElement(ambient, _canonical_terms(ambient, raw))
+        """The element of a term dict: torsion exponents are wrapped, and
+        terms that merge to zero or have a zero coefficient are dropped."""
+        if ambient.laurent and any(ambient.torsion):
+            merged: dict[tuple, int] = {}
+            for (exps, basis), coeff in raw.items():
+                if coeff:
+                    key = (ambient.wrap(exps), basis)
+                    merged[key] = merged.get(key, 0) + coeff
+            raw = merged
+        return ModuleElement._of(ambient, {key: c for key, c in raw.items() if c})
 
     @staticmethod
     def from_term(ambient: Ambient, coeff: int, exps, basis=None) -> "ModuleElement":
         return ModuleElement.from_dict(ambient, {(tuple(exps), basis): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._raw
 
     def as_dict(self) -> dict:
-        return {(t.monomial.exponents, t.monomial.basis): t.coefficient
-                for t in self.terms}
+        return dict(self._raw)
 
     def _check_ambient(self, other: "ModuleElement"):
         if self.ambient != other.ambient:
@@ -168,18 +227,19 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_ambient(other)
-        return ModuleElement.from_dict(
-            self.ambient, _sum(self.as_dict(), other.as_dict()))
+        return ModuleElement._of(self.ambient, _sum(self.as_dict(), other._raw))
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(
-            self.ambient,
-            tuple(Term(-t.coefficient, t.monomial) for t in self.terms))
+        terms = self._terms
+        if terms is not None:
+            terms = tuple(Term(-t.coefficient, t.monomial) for t in terms)
+        return ModuleElement._of(
+            self.ambient, {key: -c for key, c in self._raw.items()}, terms)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_ambient(other)
-        return ModuleElement.from_dict(
-            self.ambient, _sum(self.as_dict(), other.as_dict(), -1))
+        return ModuleElement._of(self.ambient,
+                                 _sum(self.as_dict(), other._raw, -1))
 
     def scale_translate(self, c: int, u: Monomial) -> "ModuleElement":
         """Return ``c * u * self`` reduced; u is a ring monomial."""
@@ -188,27 +248,27 @@ class ModuleElement:
         if len(u.exponents) != self.ambient.nvars:
             raise AmbientMismatch("translation monomial over wrong variable set")
         return ModuleElement.from_dict(self.ambient, _product(
-            self.as_dict(), {(u.exponents, None): c}, tuple))
+            self._raw, {(u.exponents, None): c}, tuple))
 
     def mul_ring(self, lam: "ModuleElement") -> "ModuleElement":
         """Multiply by a ring element (terms with no basis vector)."""
-        if any(t.monomial.basis is not None for t in lam.terms):
+        if any(b is not None for _, b in lam._raw):
             raise AmbientMismatch("ring multiplier must have no basis part")
         return ModuleElement.from_dict(self.ambient, _product(
-            self.as_dict(), lam.as_dict(), tuple))
+            self._raw, lam._raw, tuple))
 
     @property
     def length(self) -> int:
-        return sum(abs(t.coefficient) for t in self.terms)
+        return sum(map(abs, self._raw.values()))
 
     @property
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms[0].monomial.degree
+        if self._terms:
+            return self._terms[0].monomial.degree
+        return max((sum(map(abs, e)) for e, _ in self._raw), default=0)
 
     def leading_term(self) -> Term:
-        if not self.terms:
+        if not self._raw:
             raise EmptyElementError("zero element has no leading term")
         return self.terms[0]
 
@@ -436,6 +496,6 @@ def parse_element(text: str, ambient: Ambient) -> ModuleElement:
         g = _ElementParser(text, ambient).parse()
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
-    if not ambient.is_ring() and any(t.monomial.basis is None for t in g.terms):
+    if not ambient.is_ring() and any(b is None for _, b in g._raw):
         raise ParseError("module element text must attach every term to a basis name")
     return g

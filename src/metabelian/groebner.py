@@ -34,8 +34,8 @@ def _check_polynomial(g: ModuleElement):
     if amb.laurent and any(amb.torsion):
         raise AmbientMismatch(
             "torsion exponents wrap: embed Laurent elements first (laurent_embed)")
-    for t in g.terms:
-        if any(e < 0 for e in t.monomial.exponents):
+    for exps, _ in g._raw:
+        if min(exps, default=0) < 0:
             raise AmbientMismatch(
                 "negative exponents: embed Laurent elements first (laurent_embed)")
 
@@ -413,8 +413,7 @@ def verify_certificate(g: ModuleElement, cert: DivisionCertificate,
     with a basis part is rejected.
     """
     if (len(cert.coefficients) != len(G.generators)
-            or any(t.monomial.basis is not None
-                   for a in cert.coefficients for t in a.terms)):
+            or any(b is not None for a in cert.coefficients for _, b in a._raw)):
         return False
     total = cert.residue.as_dict()
     for alpha, f in zip(cert.coefficients, G.generators):
@@ -459,18 +458,14 @@ def laurent_embed(F, ambient: Optional[Ambient] = None):
     def embed(g: ModuleElement) -> ModuleElement:
         if g.ambient != ambient:
             raise AmbientMismatch("element does not live in the Laurent ambient")
-        if g.is_zero():
-            return ModuleElement.zero(poly)
+        raw = g._raw
         shift = [0] * ambient.nvars
         for i in free_idx:
-            low = min(t.monomial.exponents[i] for t in g.terms)
-            if low < 0:
-                shift[i] = -low
-        raw = {}
-        for t in g.terms:
-            exps = tuple(e + s for e, s in zip(t.monomial.exponents, shift))
-            raw[(exps + (0,) * pad, t.monomial.basis)] = t.coefficient
-        return ModuleElement.from_dict(poly, raw)
+            shift[i] = max(0, -min((exps[i] for exps, _ in raw), default=0))
+        tail = (0,) * pad
+        return ModuleElement._of(poly, {
+            (tuple(map(add, exps, shift)) + tail, basis): c
+            for (exps, basis), c in raw.items()})
 
     embedded = [embed(f) for f in F if not f.is_zero()]
     nv = poly.nvars

@@ -410,6 +410,8 @@ def _parse(text) -> Presentation:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:  # bytes in no encoding json detects
+        raise ParseError(f"presentation bytes do not decode: {exc}") from None
     except ValueError:  # an integer longer than int() converts
         raise ParseError("invalid JSON: an integer literal is too long") from None
     if not isinstance(doc, dict):

@@ -275,3 +275,61 @@ class TestAmbientValidation:
     def test_torsion_wrap(self):
         amb = Ambient(("t", "s"), (0, 3), 1, ("a",))
         assert amb.wrap((-2, 7)) == (-2, 1)
+
+
+class TestDictBacked:
+    """An element keeps its term dict; ``terms`` is derived from it once."""
+
+    RAW = {((2,), 1): 3, ((-1,), 2): -1, ((0,), 1): 2, ((2,), 2): 5}
+
+    def elements(self):
+        first = ModuleElement.from_dict(MOD2, self.RAW)
+        shuffled = ModuleElement.from_dict(MOD2, dict(reversed(self.RAW.items())))
+        return first, shuffled, ModuleElement(MOD2, first.terms)
+
+    def test_same_element_from_any_order(self):
+        first, shuffled, from_terms = self.elements()
+        for g in (shuffled, from_terms):
+            assert g == first and hash(g) == hash(first)
+            assert (g.terms, g.render(), g.length, g.degree) == \
+                (first.terms, first.render(), first.length, first.degree)
+
+    def test_measures_before_terms_are_read(self):
+        g = ModuleElement.from_dict(MOD2, self.RAW)
+        assert (g.length, g.degree, g.is_zero()) == (11, 2, False)
+        assert g == ModuleElement.from_dict(MOD2, self.RAW)
+        assert g._terms is None  # nothing above sorted the terms
+
+    def test_as_dict_is_a_copy(self):
+        g = ModuleElement.from_dict(MOD2, self.RAW)
+        before = (g.terms, g.render(), hash(g))
+        d = g.as_dict()
+        d[((9,), 1)] = 1
+        del d[((2,), 1)]
+        assert g.as_dict() == self.RAW
+        assert (g.terms, g.render(), hash(g)) == before
+
+    def test_from_dict_copies_its_argument(self):
+        raw = dict(self.RAW)
+        g = ModuleElement.from_dict(MOD2, raw)
+        raw.clear()
+        assert g.as_dict() == self.RAW
+
+    def test_immutable(self):
+        g = ModuleElement.from_dict(MOD2, self.RAW)
+        for name in ("ambient", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+        assert g.as_dict() == self.RAW
+
+    def test_named_tuples(self):
+        m = Monomial((1, 2), 1)
+        t = Term(-3, m)
+        assert (m.exponents, m.basis, t.coefficient, t.monomial) == \
+            ((1, 2), 1, -3, m)
+        assert repr(t) == \
+            "Term(coefficient=-3, monomial=Monomial(exponents=(1, 2), basis=1))"
+        assert Monomial((1,)).basis is None
+        exps, basis = m
+        assert (exps, basis) == ((1, 2), 1) and m == ((1, 2), 1)
+        assert Term(1, m) < Term(2, m)

@@ -439,6 +439,14 @@ class TestParseCache:
         p = parse_presentation(data)
         assert p == GAMMA and parse_presentation(data) is not p
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_undecodable_bytes(self, kind):
+        """Bytes that do not decode in the encoding json detects are
+        reported as such, not as an over-long integer."""
+        with pytest.raises(ParseError, match="bytes do not decode") as exc:
+            parse_presentation(kind(b"\xff\xfe\x00"))
+        assert "too long" not in str(exc.value)
+
 
 class TestExponentSums:
     def test_relator_is_balanced(self):

@@ -311,3 +311,24 @@ def test_context_cache_keeps_the_64_most_recent():
     assert module_context.cache_info().misses == 66
     assert module_context(ps[3]) is first[3]
     assert module_context(ps[2]) is not first[2]
+
+
+def test_certificate_sorts_only_what_it_renders(monkeypatch):
+    """On a warm context, deciding a Z^2 commutator and rendering its
+    certificate sorts two term lists, the ordered form's and its one
+    alpha's: the vector is never sorted on its way to the division."""
+    import metabelian.elements as elements
+    w = parse_word("[t1^12, t2^12]", FREE_ABELIAN)
+    json.dumps(is_identity(w, FREE_ABELIAN)[1].to_json())
+    sorts = []
+    sort = elements._canonical_terms
+
+    def counted(*args):
+        sorts.append(len(args[-1]))
+        return sort(*args)
+
+    monkeypatch.setattr(elements, "_canonical_terms", counted)
+    ok, cert = is_identity(w, FREE_ABELIAN)
+    text = json.dumps(cert.to_json())
+    assert ok and '"identity": true' in text
+    assert len(sorts) <= 2
