@@ -1,8 +1,8 @@
 """Reduced elements of free modules over integer (Laurent) polynomial rings.
 
 An element is a dict of terms ``c * x1^e1...xk^ek * e_b``, one per monomial,
-with no zero coefficients; its sorted term tuple is built only when read,
-for rendering and leading terms.  Ring elements (module
+with no zero coefficients; the library reads that dict, and the sorted term
+tuple is built only for a caller that reads ``terms``.  Ring elements (module
 rank one, no basis vector) use the same class with ``basis=None`` monomials;
 ``Ambient.ring()`` gives the coefficient-ring ambient of a module ambient.
 """
@@ -15,7 +15,7 @@ from operator import add
 from typing import NamedTuple, Optional
 
 from .errors import AmbientMismatch, EmptyElementError, ParseError
-from .order import monomial_key
+from .order import _pair_key, monomial_key
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,10 @@ class Ambient:
             raise ValueError("torsion orders must align with variables")
         if any(d < 0 or d == 1 for d in self.torsion):
             raise ValueError("torsion orders must be 0 (infinite) or >= 2")
-        if self.basis_names is not None and len(self.basis_names) != self.rank:
+        if self.basis_names is None:
+            if self.rank != 1:
+                raise ValueError("a ring ambient (no basis names) has rank 1")
+        elif len(self.basis_names) != self.rank:
             raise ValueError("basis names must align with rank")
 
     @property
@@ -99,15 +102,10 @@ _new = tuple.__new__
 def _canonical_terms(raw: dict) -> tuple[Term, ...]:
     """The terms of a reduced term dict in descending ``Monomial.key`` order.
 
-    The sort key is ``monomial_key`` flattened, with ``b and -b`` for the
-    reversed basis index (None on ring terms); the monomials are distinct,
-    so the sort never compares past it.  ``tuple.__new__`` skips the
-    Python-level ``__new__`` of the named tuples.
+    ``tuple.__new__`` skips the Python-level ``__new__`` of the named tuples.
     """
-    order = sorted([(sum(map(abs, e)), e, b and -b, c, b)
-                    for (e, b), c in raw.items()], reverse=True)
-    return tuple([_new(Term, (c, _new(Monomial, (e, b))))
-                  for _, e, _, c, b in order])
+    return tuple([_new(Term, (raw[m], _new(Monomial, m)))
+                  for m in sorted(raw, key=_pair_key, reverse=True)])
 
 
 def _sum(g: dict, h: dict, c: int = 1) -> dict:
@@ -142,28 +140,28 @@ class ModuleElement:
     coefficient}``: no zero coefficients, torsion exponents wrapped.
 
     ``terms``, the strictly descending term tuple, is derived from the dict
-    once, on first read; arithmetic, measures and ``==`` read the dict.
+    once, on first read; arithmetic, measures, rendering and ``==`` read the
+    dict.
     Elements are immutable.
     """
 
     __slots__ = ("ambient", "_raw", "_terms", "_hash")
 
     def __init__(self, ambient: Ambient, terms: tuple[Term, ...]):
-        terms = tuple(terms)
         self._init(ambient, {(t.monomial.exponents, t.monomial.basis):
-                             t.coefficient for t in terms}, terms)
+                             t.coefficient for t in terms})
 
-    def _init(self, ambient: Ambient, raw: dict, terms=None):
+    def _init(self, ambient: Ambient, raw: dict):
         _set(self, "ambient", ambient)
         _set(self, "_raw", raw)
-        _set(self, "_terms", terms)
+        _set(self, "_terms", None)
         _set(self, "_hash", None)
 
     @staticmethod
-    def _of(ambient: Ambient, raw: dict, terms=None) -> "ModuleElement":
+    def _of(ambient: Ambient, raw: dict) -> "ModuleElement":
         """The element of the reduced term dict ``raw``, which it keeps."""
         g = object.__new__(ModuleElement)
-        g._init(ambient, raw, terms)
+        g._init(ambient, raw)
         return g
 
     def __setattr__(self, name, value):
@@ -196,7 +194,7 @@ class ModuleElement:
 
     @staticmethod
     def zero(ambient: Ambient) -> "ModuleElement":
-        return ModuleElement._of(ambient, {}, ())
+        return ModuleElement._of(ambient, {})
 
     @staticmethod
     def from_dict(ambient: Ambient, raw: dict) -> "ModuleElement":
@@ -230,11 +228,8 @@ class ModuleElement:
         return ModuleElement._of(self.ambient, _sum(self.as_dict(), other._raw))
 
     def __neg__(self) -> "ModuleElement":
-        terms = self._terms
-        if terms is not None:
-            terms = tuple(Term(-t.coefficient, t.monomial) for t in terms)
-        return ModuleElement._of(
-            self.ambient, {key: -c for key, c in self._raw.items()}, terms)
+        return ModuleElement._of(self.ambient,
+                                 {key: -c for key, c in self._raw.items()})
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_ambient(other)
@@ -263,8 +258,6 @@ class ModuleElement:
 
     @property
     def degree(self) -> int:
-        if self._terms:
-            return self._terms[0].monomial.degree
         return max((sum(map(abs, e)) for e, _ in self._raw), default=0)
 
     def leading_term(self) -> Term:
@@ -301,59 +294,54 @@ def monomial_word_degree(ambient: Ambient, exponents) -> int:
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|\-|\(|\))")
 
 
+def _ring_text(monomials, raw: dict, names) -> str:
+    """The ring part of the terms of ``raw`` at ``monomials``, in that order."""
+    parts = []
+    for m in monomials:
+        c = raw[m]
+        body = "*".join([v if e == 1 else f"{v}^{e}"
+                         for v, e in zip(names, m[0]) if e])
+        mag = abs(c)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        parts.append((" - " if c < 0 else " + ") + body)
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def render_element(g: ModuleElement) -> str:
-    """Canonical text; variables and basis names come from the ambient."""
-    if g.is_zero():
+    """Canonical text; variables and basis names come from the ambient.
+
+    The term dict is sorted once, in descending monomial order, and each
+    basis vector's terms, in that order, render as one ring element.
+    """
+    raw = g._raw
+    if not raw:
         return "0"
     amb = g.ambient
-
-    def ring_text(terms) -> str:
-        parts = []
-        for i, t in enumerate(terms):
-            c = t.coefficient
-            monos = []
-            for j, e in enumerate(t.monomial.exponents):
-                if e:
-                    monos.append(amb.variables[j] + (f"^{e}" if e != 1 else ""))
-            body = "*".join(monos)
-            mag = abs(c)
-            if body and mag == 1:
-                piece = body
-            elif body:
-                piece = f"{mag}*{body}"
-            else:
-                piece = str(mag)
-            if i == 0:
-                parts.append(piece if c > 0 else f"-{piece}")
-            else:
-                parts.append((" + " if c > 0 else " - ") + piece)
-        return "".join(parts)
-
+    order = sorted(raw, key=_pair_key, reverse=True)
     if amb.is_ring():
-        return ring_text(g.terms)
+        return _ring_text(order, raw, amb.variables)
 
-    chunks = []
-    for b in range(1, amb.rank + 1):
-        terms = [t for t in g.terms if t.monomial.basis == b]
-        if not terms:
-            continue
+    groups: dict = {}
+    for m in order:
+        groups.setdefault(m[1], []).append(m)
+    parts = []
+    for b in sorted(groups):
+        monomials = groups[b]
         name = amb.basis_names[b - 1]
-        if len(terms) == 1:
-            t = terms[0]
-            ring_part = ring_text([t])
-            if ring_part == "1":
-                text = name
-            elif ring_part == "-1":
-                text = f"-{name}"
-            else:
-                text = f"{ring_part}*{name}"
+        text = _ring_text(monomials, raw, amb.variables)
+        if len(monomials) > 1:
+            text = f"({text})*{name}"
+        elif text in ("1", "-1"):
+            text = text[:-1] + name  # a unit coefficient keeps its sign only
         else:
-            text = f"({ring_text(terms)})*{name}"
-        chunks.append(text)
-    out = chunks[0]
-    for c in chunks[1:]:
-        out += f" - {c[1:]}" if c.startswith("-") else f" + {c}"
-    return out
+            text = f"{text}*{name}"
+        parts.append(f" - {text[1:]}" if text[0] == "-" else f" + {text}")
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # The message of a RecursionError in a reader (deep brackets in a word, an

@@ -22,7 +22,7 @@ from typing import Optional
 from .bounds import Bound, _decimal
 from .elements import Ambient, ModuleElement, Monomial, Term, _product, _sum
 from .errors import AmbientMismatch, BudgetExceeded
-from .order import int_key
+from .order import _pair_key, int_key
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -90,14 +90,26 @@ def _reduce_step(g: ModuleElement, F, rng=None):
 
 
 def _table(f: ModuleElement):
-    """``(lead exponents, lead basis, lead coefficient, tail)`` of a generator,
-    the tail as ``(exponents, basis, coefficient)`` tuples; None for zero."""
-    if f.is_zero():
+    """``(lead exponents, lead basis, lead coefficient, tail)`` of a generator:
+    the lead is its largest monomial, the tail its other terms as
+    ``(exponents, basis, coefficient)`` tuples in no particular order; None
+    for zero."""
+    raw = f._raw
+    if not raw:
         return None
-    lead = f.terms[0].monomial
-    return (lead.exponents, lead.basis, f.terms[0].coefficient,
-            tuple((t.monomial.exponents, t.monomial.basis, t.coefficient)
-                  for t in f.terms[1:]))
+    lead = max(raw, key=_pair_key)
+    return (*lead, raw[lead],
+            tuple((*m, c) for m, c in raw.items() if m != lead))
+
+
+def _positive(f: ModuleElement):
+    """``(g, table of g)`` for the one ``g = ±f`` whose leading coefficient
+    is positive; ``f`` is nonzero."""
+    table = _table(f)
+    lead, basis, lc, tail = table
+    if lc > 0:
+        return f, table
+    return -f, (lead, basis, -lc, tuple((e, b, -c) for e, b, c in tail))
 
 
 def _add_multiple(terms: dict, table, c: int, u: tuple):
@@ -131,13 +143,13 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     this is the fixed point of ``_reduce_step``, step for step.  ``budget``
     is a one-element list of steps left, shared across the calls of one
     construction; the step after it runs out raises BudgetExceeded naming
-    ``what``.  With ``alphas`` (dicts from quotient exponents to
-    coefficients, aligned with ``tables``) each quotient term is added to
-    the alpha of the generator it used.
+    ``what``.  With ``alphas`` (the term dicts of ring elements, aligned with
+    ``tables``) each quotient term is added to the alpha of the generator it
+    used.
     """
     heap = [_descending(key) for key in terms]
     heapify(heap)
-    residue = []
+    residue = {}
     while heap:
         key = heappop(heap)[-1]
         c = terms.pop(key, 0)
@@ -171,16 +183,16 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
                 else:
                     terms[k] = v - q * coeff
             if alphas is not None:
-                alpha = alphas[idx]
-                v = alpha.get(u, 0) + q
+                alpha, k = alphas[idx], (u, None)
+                v = alpha.get(k, 0) + q
                 if v:
-                    alpha[u] = v
+                    alpha[k] = v
                 else:
-                    del alpha[u]
+                    del alpha[k]
             c = r
         if c:
-            residue.append(Term(c, Monomial(exps, basis)))
-    return ModuleElement(ambient, tuple(residue))
+            residue[key] = c
+    return ModuleElement._of(ambient, residue)
 
 
 def normal_form(g: ModuleElement, G, step_budget=DEFAULT_STEP_BUDGET):
@@ -217,6 +229,16 @@ class GroebnerBasis:
         """Reduction tables of the generators, built once per basis."""
         return [_table(f) for f in self.generators]
 
+    @cached_property
+    def _max_length(self) -> int:
+        """The largest generator length; 1 for no generators."""
+        return max([f.length for f in self.generators], default=1)
+
+    @cached_property
+    def _max_degree(self) -> int:
+        """The largest generator degree; 0 for no generators."""
+        return max([f.degree for f in self.generators], default=0)
+
     def to_json(self) -> dict:
         return {
             "variables": list(self.ambient.variables) if self.ambient else [],
@@ -252,10 +274,6 @@ def growth_function(k: int, n: int) -> int:
     if k < 0 or n < 0:
         raise ValueError("growth function needs non-negative arguments")
     return math.comb(n + k, k)
-
-
-def _positive(f: ModuleElement) -> ModuleElement:
-    return -f if f.leading_term().coefficient < 0 else f
 
 
 def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
@@ -300,9 +318,10 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
         f = _reduce(ambient, terms, tables, budget, what)
         if f.is_zero():
             return
-        basis.append(_positive(f))
-        tables.append(_table(basis[-1]))
-        mj, bj, cj, tail = tables[-1]
+        f, table = _positive(f)
+        basis.append(f)
+        tables.append(table)
+        mj, bj, cj, tail = table
         unit_single.append(cj == 1 and all(b == bj for _, b, _ in tail))
         for i, (mi, bi, _, _) in enumerate(tables[:-1]):
             if bi != bj:
@@ -345,13 +364,13 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
                 changed = True
                 break
             if reduced != basis[idx]:
-                basis[idx] = _positive(reduced)
-                tables[idx] = _table(basis[idx])
+                basis[idx], tables[idx] = _positive(reduced)
                 changed = True
                 break
 
-    basis.sort(key=lambda f: f.leading_term().monomial.key())
-    return GroebnerBasis(ambient=ambient, generators=tuple(basis), origin=tuple(F))
+    order = sorted(range(len(basis)), key=lambda i: _pair_key(tables[i][:2]))
+    return GroebnerBasis(ambient=ambient, generators=tuple(basis[i] for i in order),
+                         origin=tuple(F))
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -383,9 +402,7 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
     alphas = [{} for _ in G.generators]
     budget = [step_budget]
     residue = _reduce(g.ambient, g.as_dict(), G._tables, budget, "division", alphas)
-    coefficients = tuple(
-        ModuleElement.from_dict(ring, {(u, None): c for u, c in alpha.items()})
-        for alpha in alphas)
+    coefficients = tuple(ModuleElement._of(ring, alpha) for alpha in alphas)
     size = sum(a.length for a in coefficients)
     return DivisionCertificate(coefficients, residue, step_budget - budget[0],
                                size, certificate_bound(g, G))
@@ -396,7 +413,7 @@ def certificate_bound(g: ModuleElement, G: GroebnerBasis) -> Bound:
     p = max(g.length, 1)
     if not G.generators:
         return Bound.of(p)
-    c = max(1, max(f.length for f in G.generators))
+    c = max(1, G._max_length)
     m = g.ambient.rank
     r = m * growth_function(g.ambient.nvars, g.degree)
     # geometric series 1 + (1+C) + ... + (1+C)^(R-1) = ((1+C)^R - 1)/C

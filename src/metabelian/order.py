@@ -25,7 +25,14 @@ def monomial_key(exponents, basis=None):
     monomial), then basis index reversed so that e1 is the largest basis
     vector.
     """
-    deg = sum(abs(e) for e in exponents)
+    return _pair_key((exponents, basis))
+
+
+def _pair_key(monomial):
+    """``monomial_key`` of a term dict key ``(exponents, basis)``: the sort
+    key of rendering, ``terms`` and the Groebner tables."""
+    exponents, basis = monomial
+    deg = sum(map(abs, exponents))
     if basis is None:
         return (deg, exponents)
     return (deg, exponents, -basis)

@@ -370,29 +370,6 @@ def _list(doc: dict, key: str, kind=str) -> list:
     return value
 
 
-# A signed ring monomial ``-3*t^-1``, unspaced: almost every tameness-datum
-# entry.  Digits are ASCII here, so any other text goes to the grammar.
-_RING_MONOMIAL = re.compile(
-    r"(-?)(?:([0-9]+)\*)?([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?")
-
-
-def _datum_element(text: str, ring: Ambient) -> ModuleElement:
-    """``parse_element(text, ring)``, with a ring monomial of a known
-    variable read by one match; every other text, and every error, goes
-    through the grammar."""
-    m = _RING_MONOMIAL.fullmatch(text)
-    if m is None or m[3] not in ring.variables:
-        return parse_element(text, ring)
-    sign, coeff, name, exp = m.groups()
-    try:
-        c, e = int(coeff or 1), int(exp or 1)
-    except ValueError:
-        return parse_element(text, ring)
-    exps = [0] * ring.nvars
-    exps[ring.variables.index(name)] = e
-    return ModuleElement.from_term(ring, -c if sign else c, exps)
-
-
 def parse_presentation(text: str | bytes | bytearray) -> Presentation:
     """The presentation a file's text describes.  The last 64 ``str`` texts
     are kept (``functools.lru_cache``; ``parse_presentation.cache_info()``
@@ -494,7 +471,7 @@ def _parse(text) -> Presentation:
         def _parse_all(key):
             out = []
             for etext in _list(lam, key):
-                e = _datum_element(etext, ring)
+                e = parse_element(etext, ring)
                 if e.is_zero():
                     raise ParseError("tameness datum elements must be nonzero")
                 out.append(e)

@@ -103,8 +103,7 @@ def _assembly_bound(n: int, K: Optional[int], basis: GroebnerBasis,
     if K is None:
         return None
     n = max(n, 1)
-    P = max([f.length for f in basis.generators], default=1)
-    Q = max([f.degree for f in basis.generators], default=1) or 1
+    P, Q = basis._max_length, basis._max_degree or 1
     C = max(K, 4 * max(m, 1) ** 2 * P ** 2 * Q * K)
     exponent = n ** (2 * k) if k > 0 else 1
     return Bound(((1, C, exponent), ((n + n ** 2) ** 2, C, 2 * n),

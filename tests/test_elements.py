@@ -260,6 +260,71 @@ class TestTextFormat:
             parse_element("(t^2*a - a)*a", amb)
 
 
+def _term_render(g: ModuleElement) -> str:
+    """The renderer that walked the ``Term`` tuple: the reference for the
+    one that sorts the term dict."""
+    if g.is_zero():
+        return "0"
+    amb = g.ambient
+
+    def ring_text(terms) -> str:
+        parts = []
+        for i, t in enumerate(terms):
+            c = t.coefficient
+            monos = []
+            for j, e in enumerate(t.monomial.exponents):
+                if e:
+                    monos.append(amb.variables[j] + (f"^{e}" if e != 1 else ""))
+            body = "*".join(monos)
+            mag = abs(c)
+            if body and mag == 1:
+                piece = body
+            elif body:
+                piece = f"{mag}*{body}"
+            else:
+                piece = str(mag)
+            if i == 0:
+                parts.append(piece if c > 0 else f"-{piece}")
+            else:
+                parts.append((" + " if c > 0 else " - ") + piece)
+        return "".join(parts)
+
+    if amb.is_ring():
+        return ring_text(g.terms)
+
+    chunks = []
+    for b in range(1, amb.rank + 1):
+        terms = [t for t in g.terms if t.monomial.basis == b]
+        if not terms:
+            continue
+        name = amb.basis_names[b - 1]
+        if len(terms) == 1:
+            ring_part = ring_text(terms)
+            if ring_part == "1":
+                text = name
+            elif ring_part == "-1":
+                text = f"-{name}"
+            else:
+                text = f"{ring_part}*{name}"
+        else:
+            text = f"({ring_text(terms)})*{name}"
+        chunks.append(text)
+    out = chunks[0]
+    for c in chunks[1:]:
+        out += f" - {c[1:]}" if c.startswith("-") else f" + {c}"
+    return out
+
+
+@settings(max_examples=500)
+@given(raw_terms(), st.sampled_from((1, 1, -1, 3, -10 ** 20)))
+def test_render_matches_term_renderer(case, scale):
+    """Ring and module elements of ranks 1 to 3, with torsion, negative
+    exponents, unit and large coefficients, render as the ``Term`` walk did."""
+    amb, raw = case
+    g = ModuleElement.from_dict(amb, {m: scale * c for m, c in raw.items()})
+    assert render_element(g) == _term_render(g)
+
+
 class TestAmbientValidation:
     def test_torsion_orders(self):
         with pytest.raises(ValueError):
@@ -271,6 +336,14 @@ class TestAmbientValidation:
     def test_basis_alignment(self):
         with pytest.raises(ValueError):
             Ambient(("t",), (0,), 2, ("a",))
+
+    @pytest.mark.parametrize("rank", [0, 2, 3])
+    def test_ring_has_rank_one(self, rank):
+        """Without basis names an ambient is a ring: of another rank, terms
+        on distinct basis vectors would render alike (``t`` for ``t*e1``
+        and ``t*e2``)."""
+        with pytest.raises(ValueError, match="rank 1"):
+            Ambient(("t",), (0,), rank)
 
     def test_torsion_wrap(self):
         amb = Ambient(("t", "s"), (0, 3), 1, ("a",))

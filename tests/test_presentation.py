@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from functools import cached_property
@@ -10,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
-from metabelian.elements import Ambient, parse_element
+from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.errors import ParseError
 from metabelian.presentation import (GroupWord, Presentation, _WordParser,
-                                     _datum_element, exponent_sums,
-                                     parse_presentation,
+                                     exponent_sums, parse_presentation,
                                      parse_word, relator_module)
 from metabelian.presets import PresetSpec, build
 
@@ -323,13 +323,28 @@ def _element_outcome(parse):
         return "ParseError", str(exc)
 
 
+# A signed ring monomial ``-3*t1^-2``, unspaced: almost every datum entry.
+_RING_MONOMIAL = re.compile(
+    r"(-?)(?:([0-9]+)\*)?([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?")
+
+
 @settings(max_examples=400, deadline=None)
 @given(_datum_texts())
 def test_datum_entries_match_the_grammar(text):
-    """Tameness-datum entries read by one match give the grammar's element,
-    and every other text the grammar's error."""
-    assert _element_outcome(lambda: _datum_element(text, _DATUM_RING)) == \
-        _element_outcome(lambda: parse_element(text, _DATUM_RING))
+    """A signed ring monomial of a known variable parses to that monomial;
+    any other datum text parses to an element that reads back from its
+    rendering, or raises ParseError."""
+    outcome = _element_outcome(lambda: parse_element(text, _DATUM_RING))
+    m = _RING_MONOMIAL.fullmatch(text)
+    if m is not None and m[3] in _DATUM_RING.variables:
+        sign, coeff, name, exp = m.groups()
+        exps = [0] * _DATUM_RING.nvars
+        exps[_DATUM_RING.var_index(name)] = int(exp or 1)
+        c = -int(coeff or 1) if sign else int(coeff or 1)
+        assert outcome == ("element",
+                           ModuleElement.from_term(_DATUM_RING, c, exps))
+    elif outcome[0] == "element":
+        assert parse_element(outcome[1].render(), _DATUM_RING) == outcome[1]
 
 
 class TestDerivedTables:

@@ -332,3 +332,27 @@ def test_certificate_sorts_only_what_it_renders(monkeypatch):
     text = json.dumps(cert.to_json())
     assert ok and '"identity": true' in text
     assert len(sorts) <= 2
+
+
+@pytest.mark.parametrize("p, words", [
+    (BS2, ("t*a*t^-1*a^-2", "t*a*t^-1*a^-1")),
+    (WF11, ("(u1^-1*a1*u1*t1^-1*a1^-1*t1*a1^-1)^(t1*u1)*z^t1", "[a1, u1]")),
+], ids=["rank1", "rank2"])
+def test_certificate_never_sorts_terms(p, words, monkeypatch):
+    """Building the basis, deciding an identity and a non-identity word and
+    rendering their certificates read term dicts only: nothing builds the
+    sorted ``terms`` view."""
+    import metabelian.elements as elements
+
+    def sorted_terms(raw):
+        raise AssertionError(f"sorted a term dict of {len(raw)} terms")
+
+    monkeypatch.setattr(elements, "_canonical_terms", sorted_terms)
+    assert module_context.__wrapped__(p).basis == module_context(p).basis
+    verdicts = []
+    for text in words:
+        ok, cert = is_identity(parse_word(text, p), p)
+        assert not cert.ordered.is_zero()
+        json.dumps(cert.to_json())
+        verdicts.append(ok)
+    assert verdicts == [True, False]
