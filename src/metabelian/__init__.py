@@ -1,9 +1,8 @@
 """Word problem and area certificates for finitely presented metabelian groups."""
 
 from .bounds import Bound
-from .collection import CostLedger, ordered_form
-from .elements import (Ambient, ModuleElement, Monomial, Term, parse_element,
-                       render_element)
+from .collection import CostLedger, ordered_form, relator_module
+from .elements import Ambient, ModuleElement, parse_element, render_element
 from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,
                      ExponentSumError, ParseError, TamenessViolation)
 from .geometry import GeometryReport, geometry_constants, tameness_check
@@ -11,8 +10,7 @@ from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, growth_function, laurent_embed,
                        normal_form, verify_certificate)
 from .presentation import (GroupWord, Presentation, TamenessDatum,
-                           exponent_sums, parse_presentation, parse_word,
-                           relator_module)
+                           exponent_sums, parse_presentation, parse_word)
 from .presets import PresetSpec, build, norm_growth, witness_family
 from .wordproblem import (AreaCertificate, area_certificate,
                           brute_force_min_certificate, dehn_profile,

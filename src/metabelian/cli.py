@@ -239,10 +239,9 @@ def _run(args) -> int:
         if report.R is None:
             doc["diagnostic"] = ("4kC - 4 <= 0: supply a datum with larger C "
                                  "(e.g. powers of its elements)")
-        verdict = tameness_check(
+        doc["tame"], _ = tameness_check(
             p.tameness, max(1, p.free_rank),
             tuple(i for i, d in enumerate(p.torsion_orders) if d == 0))
-        doc["tame"] = verdict if isinstance(verdict, bool) else verdict[0]
         _emit_json(doc)
         return 0
 

@@ -295,9 +295,11 @@ def ordered_form(w: GroupWord, p: Presentation):
     return _vector(sequence, p), ledger
 
 
-def _module_vector(w: GroupWord, p: Presentation) -> ModuleElement:
-    """The module vector of a kernel word, with nothing priced."""
-    return _vector(_conjugates(w, p)[0], p)
+def relator_module(p: Presentation) -> list[ModuleElement]:
+    """Module vectors of all relators; they generate the relation submodule.
+    They are read off exponent sums: nothing reads a relator's ledger, so no
+    conjugator is built or priced."""
+    return [_vector(_conjugates(r, p)[0], p) for r in p.relators]
 
 
 def _conjugates(w: GroupWord, p: Presentation, ledger=None):

@@ -1,10 +1,10 @@
 """Reduced elements of free modules over integer (Laurent) polynomial rings.
 
 An element is a dict of terms ``c * x1^e1...xk^ek * e_b``, one per monomial,
-with no zero coefficients; the library reads that dict, and the sorted term
-tuple is built only for a caller that reads ``terms``.  Ring elements (module
-rank one, no basis vector) use the same class with ``basis=None`` monomials;
-``Ambient.ring()`` gives the coefficient-ring ambient of a module ambient.
+keyed ``(exponents, basis)``, with no zero coefficients.  Ring elements
+(module rank one, no basis vector) use the same class with ``basis=None``
+keys; ``Ambient.ring()`` gives the coefficient-ring ambient of a module
+ambient.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from operator import add
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .errors import AmbientMismatch, EmptyElementError, ParseError
-from .order import _pair_key, monomial_key
+from .errors import AmbientMismatch, ParseError
+from .order import monomial_key
 
 
 @dataclass(frozen=True)
@@ -68,46 +68,6 @@ class Ambient:
             raise KeyError(f"unknown variable {name!r}") from None
 
 
-class Monomial(NamedTuple):
-    """Exponent vector plus an optional basis index (1-based, None for ring)."""
-
-    exponents: tuple[int, ...]
-    basis: Optional[int] = None
-
-    @property
-    def degree(self) -> int:
-        return sum(abs(e) for e in self.exponents)
-
-    def key(self):
-        return monomial_key(self.exponents, self.basis)
-
-    def divides(self, other: "Monomial") -> bool:
-        """Non-negative exponent divisibility, same basis vector."""
-        if self.basis != other.basis:
-            return False
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def quotient_exponents(self, other: "Monomial") -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.exponents, other.exponents))
-
-
-class Term(NamedTuple):
-    coefficient: int
-    monomial: Monomial
-
-
-_new = tuple.__new__
-
-
-def _canonical_terms(raw: dict) -> tuple[Term, ...]:
-    """The terms of a reduced term dict in descending ``Monomial.key`` order.
-
-    ``tuple.__new__`` skips the Python-level ``__new__`` of the named tuples.
-    """
-    return tuple([_new(Term, (raw[m], _new(Monomial, m)))
-                  for m in sorted(raw, key=_pair_key, reverse=True)])
-
-
 def _sum(g: dict, h: dict, c: int = 1) -> dict:
     """``g += c * h`` on term dicts ``{(exponents, basis): coefficient}``,
     dropping the terms that cancel; returns ``g``."""
@@ -139,29 +99,19 @@ class ModuleElement:
     """A reduced element, kept as its term dict ``{(exponents, basis):
     coefficient}``: no zero coefficients, torsion exponents wrapped.
 
-    ``terms``, the strictly descending term tuple, is derived from the dict
-    once, on first read; arithmetic, measures, rendering and ``==`` read the
-    dict.
-    Elements are immutable.
+    ``from_dict``, ``zero`` and ``parse_element`` build elements.  Elements
+    are immutable.
     """
 
-    __slots__ = ("ambient", "_raw", "_terms", "_hash")
-
-    def __init__(self, ambient: Ambient, terms: tuple[Term, ...]):
-        self._init(ambient, {(t.monomial.exponents, t.monomial.basis):
-                             t.coefficient for t in terms})
-
-    def _init(self, ambient: Ambient, raw: dict):
-        _set(self, "ambient", ambient)
-        _set(self, "_raw", raw)
-        _set(self, "_terms", None)
-        _set(self, "_hash", None)
+    __slots__ = ("ambient", "_raw", "_hash")
 
     @staticmethod
     def _of(ambient: Ambient, raw: dict) -> "ModuleElement":
         """The element of the reduced term dict ``raw``, which it keeps."""
         g = object.__new__(ModuleElement)
-        g._init(ambient, raw)
+        _set(g, "ambient", ambient)
+        _set(g, "_raw", raw)
+        _set(g, "_hash", None)
         return g
 
     def __setattr__(self, name, value):
@@ -184,13 +134,9 @@ class ModuleElement:
         return self._hash
 
     def __repr__(self):
-        return f"ModuleElement(ambient={self.ambient!r}, terms={self.terms!r})"
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        if self._terms is None:
-            _set(self, "_terms", _canonical_terms(self._raw))
-        return self._terms
+        raw = self._raw
+        terms = {m: raw[m] for m in sorted(raw, key=monomial_key, reverse=True)}
+        return f"ModuleElement.from_dict({self.ambient!r}, {terms!r})"
 
     @staticmethod
     def zero(ambient: Ambient) -> "ModuleElement":
@@ -208,10 +154,6 @@ class ModuleElement:
                     merged[key] = merged.get(key, 0) + coeff
             raw = merged
         return ModuleElement._of(ambient, {key: c for key, c in raw.items() if c})
-
-    @staticmethod
-    def from_term(ambient: Ambient, coeff: int, exps, basis=None) -> "ModuleElement":
-        return ModuleElement.from_dict(ambient, {(tuple(exps), basis): coeff})
 
     def is_zero(self) -> bool:
         return not self._raw
@@ -236,19 +178,17 @@ class ModuleElement:
         return ModuleElement._of(self.ambient,
                                  _sum(self.as_dict(), other._raw, -1))
 
-    def scale_translate(self, c: int, u: Monomial) -> "ModuleElement":
-        """Return ``c * u * self`` reduced; u is a ring monomial."""
-        if u.basis is not None:
-            raise AmbientMismatch("translation monomial must be a ring monomial")
-        if len(u.exponents) != self.ambient.nvars:
+    def scale_translate(self, c: int, u: tuple) -> "ModuleElement":
+        """Return ``c * x^u * self`` reduced; ``u`` is an exponent tuple."""
+        if len(u) != self.ambient.nvars:
             raise AmbientMismatch("translation monomial over wrong variable set")
         return ModuleElement.from_dict(self.ambient, _product(
-            self._raw, {(u.exponents, None): c}, tuple))
+            self._raw, {(u, None): c}, tuple))
 
     def mul_ring(self, lam: "ModuleElement") -> "ModuleElement":
-        """Multiply by a ring element (terms with no basis vector)."""
-        if any(b is not None for _, b in lam._raw):
-            raise AmbientMismatch("ring multiplier must have no basis part")
+        """Multiply by an element of the coefficient ring ``ambient.ring()``."""
+        if lam.ambient != self.ambient.ring():
+            raise AmbientMismatch("ring multiplier must live in the coefficient ring")
         return ModuleElement.from_dict(self.ambient, _product(
             self._raw, lam._raw, tuple))
 
@@ -259,11 +199,6 @@ class ModuleElement:
     @property
     def degree(self) -> int:
         return max((sum(map(abs, e)) for e, _ in self._raw), default=0)
-
-    def leading_term(self) -> Term:
-        if not self._raw:
-            raise EmptyElementError("zero element has no leading term")
-        return self.terms[0]
 
     def render(self) -> str:
         return render_element(self)
@@ -321,7 +256,7 @@ def render_element(g: ModuleElement) -> str:
     if not raw:
         return "0"
     amb = g.ambient
-    order = sorted(raw, key=_pair_key, reverse=True)
+    order = sorted(raw, key=monomial_key, reverse=True)
     if amb.is_ring():
         return _ring_text(order, raw, amb.variables)
 

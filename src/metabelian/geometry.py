@@ -26,8 +26,8 @@ def support_vectors(datum: TamenessDatum, free_positions) -> list[list[tuple]]:
     """One finite vector set per datum element, free coordinates only."""
     family = []
     for lam in datum.all_elements():
-        vecs = {tuple(t.monomial.exponents[i] for i in free_positions)
-                for t in lam.terms}
+        vecs = {tuple(exps[i] for i in free_positions)
+                for exps, _ in lam.as_dict()}
         family.append(sorted(vecs))
     return family
 
@@ -171,17 +171,17 @@ def geometry_constants(datum: TamenessDatum, k: int,
 
 
 def tameness_check(datum: TamenessDatum, k: int, free_positions=None):
-    """Exact verdict for k = 1, sampled verdict with grid info for k >= 2."""
+    """``(verdict, info)``: exact on the two directions for k = 1, sampled on
+    4096 directions for k >= 2; ``info`` gives the number of directions and
+    the least max-min inner product over them."""
     if free_positions is None:
         free_positions = tuple(range(k))
     if not datum.all_elements():
-        return False if k == 1 else (False, {"directions": 0, "min_value": None})
+        return False, {"directions": 0, "min_value": None}
     family = support_vectors(datum, free_positions)
-    if k == 1:
-        return all(_f_value(u, family) > 0 for u in _directions(1, 2))
-    n = 4096
-    values = [_f_value(u, family) for u in _directions(k, n)]
-    return (min(values) > 0, {"directions": n, "min_value": min(values)})
+    n = 2 if k == 1 else 4096
+    low = min(_f_value(u, family) for u in _directions(k, n))
+    return low > 0, {"directions": n, "min_value": low}
 
 
 def presentation_constants(p: Presentation) -> GeometryReport:

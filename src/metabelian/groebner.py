@@ -20,9 +20,9 @@ from operator import add, le, neg, sub
 from typing import Optional
 
 from .bounds import Bound, _decimal
-from .elements import Ambient, ModuleElement, Monomial, Term, _product, _sum
+from .elements import Ambient, ModuleElement, _product, _sum
 from .errors import AmbientMismatch, BudgetExceeded
-from .order import _pair_key, int_key
+from .order import int_key, monomial_key
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -54,39 +54,38 @@ def _euclid(coeff: int, lc: int) -> tuple[int, int]:
 def _reduce_step(g: ModuleElement, F, rng=None):
     """One polynomial reduction step of ``g`` modulo the list ``F``.
 
-    Returns ``(h, generator_index, quotient_term)`` or ``None`` when ``g``
-    is irreducible.  Deterministically the largest reducible term is
-    cancelled, preferring the generator leaving the smallest remainder;
-    passing ``rng`` picks a random reducible (term, generator) pair
-    instead, which is used by the confluence tests.  This is the one-step
-    reference for the reduction kernel ``_reduce``.
+    Returns ``(h, generator_index, (q, u))``, where ``h = g - q*x^u*F[idx]``,
+    or ``None`` when ``g`` is irreducible.  Deterministically the largest
+    reducible term is cancelled, preferring the generator leaving the
+    smallest remainder; passing ``rng`` picks a random reducible (term,
+    generator) pair instead, which is used by the confluence tests.  This is
+    the one-step reference for the reduction kernel ``_reduce``.
     """
-    if not F:
-        return None
+    leads = []
+    for idx, f in enumerate(F):
+        if not f.is_zero():
+            lead = max(f._raw, key=monomial_key)
+            leads.append((idx, lead, f._raw[lead]))
+    raw = g._raw
     candidates = []
-    for term in g.terms:
+    for m in sorted(raw, key=monomial_key, reverse=True):
+        exps, basis = m
         hits = []
-        for idx, f in enumerate(F):
-            if f.is_zero():
-                continue
-            lt = f.leading_term()
-            if lt.monomial.divides(term.monomial) and _reducible(term.coefficient,
-                                                                 lt.coefficient):
-                q, r = _euclid(term.coefficient, lt.coefficient)
-                hits.append((r, idx, q, lt))
+        for idx, (lexps, lbasis), lc in leads:
+            if (lbasis == basis and all(map(le, lexps, exps))
+                    and _reducible(raw[m], lc)):
+                q, r = _euclid(raw[m], lc)
+                hits.append((r, idx, q, tuple(map(sub, exps, lexps))))
         if hits:
             if rng is None:
-                hits.sort(key=lambda h: (h[0], h[1]))
-                candidates.append((term, hits[0]))
-                break  # terms are stored descending: first hit is the largest
-            candidates.extend((term, h) for h in hits)
+                candidates.append(min(hits))
+                break  # descending order: the first hit is the largest term
+            candidates.extend(hits)
     if not candidates:
         return None
-    term, (r, idx, q, lt) = candidates[0] if rng is None else candidates[
+    _, idx, q, u = candidates[0] if rng is None else candidates[
         rng.randrange(len(candidates))]
-    quot = Monomial(lt.monomial.quotient_exponents(term.monomial), None)
-    h = g - F[idx].scale_translate(q, quot)
-    return h, idx, Term(q, quot)
+    return g - F[idx].scale_translate(q, u), idx, (q, u)
 
 
 def _table(f: ModuleElement):
@@ -97,7 +96,7 @@ def _table(f: ModuleElement):
     raw = f._raw
     if not raw:
         return None
-    lead = max(raw, key=_pair_key)
+    lead = max(raw, key=monomial_key)
     return (*lead, raw[lead],
             tuple((*m, c) for m, c in raw.items() if m != lead))
 
@@ -368,7 +367,7 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
                 changed = True
                 break
 
-    order = sorted(range(len(basis)), key=lambda i: _pair_key(tables[i][:2]))
+    order = sorted(range(len(basis)), key=lambda i: monomial_key(tables[i][:2]))
     return GroebnerBasis(ambient=ambient, generators=tuple(basis[i] for i in order),
                          origin=tuple(F))
 

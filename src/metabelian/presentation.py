@@ -348,15 +348,6 @@ def _torsion_reduced(sums: list, p: Presentation) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def relator_module(p: Presentation) -> list[ModuleElement]:
-    """Module vectors of all relators; they generate the relation submodule.
-    They are read off exponent sums: nothing reads a relator's ledger, so no
-    conjugator is built or priced."""
-    from .collection import _module_vector
-
-    return [_module_vector(r, p) for r in p.relators]
-
-
 # ---------------------------------------------------------------------------
 # Presentation files.
 

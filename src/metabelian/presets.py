@@ -195,9 +195,8 @@ def witness_family(spec: PresetSpec):
             for _ in range(n - 1):
                 power = power.mul_ring(f1)
             f_side = GroupWord(())
-            for term in sorted(power.terms, key=lambda s: s.monomial.exponents[0]):
-                e = term.monomial.exponents[0]
-                f_side = f_side * _word(((t, -e), (a, term.coefficient), (t, e)))
+            for ((e,), _), c in sorted(power.as_dict().items()):
+                f_side = f_side * _word(((t, -e), (a, c), (t, e)))
             action = _word(((u, -n), (a, 1), (u, n))) * f_side.inverse()
             return [probe, action]
         return family
@@ -229,7 +228,7 @@ def norm_growth(f: ModuleElement, N: int):
 def _check_growth_shape(f: ModuleElement):
     if not f.ambient.is_ring() or f.ambient.nvars != 1:
         raise ValueError("need a ring element in a single variable")
-    coeffs = {t.monomial.exponents[0]: t.coefficient for t in f.terms}
+    coeffs = {e: c for ((e,), _), c in f.as_dict().items()}
     if any(e < 0 for e in coeffs):
         raise ValueError("growth polynomials cannot have negative exponents")
     d = max(coeffs, default=0)

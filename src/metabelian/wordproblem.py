@@ -16,12 +16,11 @@ from functools import lru_cache
 from typing import Optional
 
 from .bounds import Bound
-from .collection import CostLedger, ordered_form
-from .elements import (ModuleElement, Monomial, _product, _sum,
-                       monomial_word_degree)
+from .collection import CostLedger, ordered_form, relator_module
+from .elements import ModuleElement, _product, _sum, monomial_word_degree
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, laurent_embed)
-from .presentation import GroupWord, Presentation, exponent_sums, relator_module
+from .presentation import GroupWord, Presentation, exponent_sums
 
 
 @dataclass(frozen=True)
@@ -245,8 +244,7 @@ def brute_force_min_certificate(g: ModuleElement, gens, budget):
     if not gens:
         return 0 if not target else None
     pool = _monomial_pool(gens[0].ambient, max_degree)
-    products = [f.scale_translate(1, Monomial(e, None)).as_dict()
-                for f in gens for e in pool]
+    products = [f.scale_translate(1, e).as_dict() for f in gens for e in pool]
     for size in range(0, max_size + 1):
         if _walk(products, size, max_coeff, target.__eq__):
             return size
@@ -292,7 +290,7 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
 
     if sampler == "exhaustive":
         pool = _monomial_pool(ambient, max_degree=max(0, (n - 1) // 2))
-        products = [f.scale_translate(1, Monomial(e, None)).as_dict()
+        products = [f.scale_translate(1, e).as_dict()
                     for f in gens for e in pool]
         for total in range(min(n, 4) + 1):
             _walk(products, total, total, consider)

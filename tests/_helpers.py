@@ -3,6 +3,7 @@
 import random
 
 from metabelian.elements import Ambient, ModuleElement
+from metabelian.order import int_key, monomial_key
 from metabelian.presentation import GroupWord, Presentation, exponent_sums
 from metabelian.presets import PresetSpec, build
 
@@ -32,6 +33,28 @@ def random_element(rng: random.Random, ambient: Ambient, max_degree=2,
     return ModuleElement.from_dict(ambient, raw)
 
 
+def terms(g: ModuleElement) -> list:
+    """The ``(monomial, coefficient)`` pairs of ``g``, largest monomial
+    first; a monomial is a term dict key ``(exponents, basis)``."""
+    raw = g.as_dict()
+    return [(m, raw[m]) for m in sorted(raw, key=monomial_key, reverse=True)]
+
+
+def term_key(monomial, coefficient):
+    """Ascending key for a term: monomial, then coefficient under int_key."""
+    return (monomial_key(monomial), int_key(coefficient))
+
+
+def element_key(g: ModuleElement):
+    """Ascending key for a whole element: its descending terms, keyed.
+
+    Python's tuple order applies the recursive rule: equal leading terms
+    are skipped, a strict prefix (the element that ran out of terms first)
+    is smaller, which matches 0 being the least element.
+    """
+    return tuple(term_key(m, c) for m, c in terms(g))
+
+
 def random_kernel_word(p, rng: random.Random, n: int) -> GroupWord:
     """A random freely reduced word with zero t-exponent sums."""
     names = list(p.module_gens) + list(p.t_names)
@@ -51,15 +74,17 @@ def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:
     """The group word a_1^{lam_1}...a_m^{lam_m} realizing a module vector."""
     letters = []
     amb = vector.ambient
+    ordered = terms(vector)
     for b in range(1, amb.rank + 1):
-        terms = [t for t in vector.terms if t.monomial.basis == b]
         name = amb.basis_names[b - 1]
-        for t in terms:
+        for (exps, basis), c in ordered:
+            if basis != b:
+                continue
             conj = []
-            for i, e in enumerate(t.monomial.exponents):
+            for i, e in enumerate(exps):
                 if e:
                     conj.append((amb.variables[i], e))
             letters.extend((n, -e) for n, e in reversed(conj))
-            letters.append((name, t.coefficient))
+            letters.append((name, c))
             letters.extend(conj)
     return GroupWord.from_letters(letters)

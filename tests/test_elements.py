@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metabelian.elements import (Ambient, ModuleElement, Monomial, Term,
-                                 parse_element, render_element)
-from metabelian.errors import AmbientMismatch, EmptyElementError, ParseError
-from metabelian.order import element_key
+from _helpers import element_key, terms
+from metabelian.elements import (Ambient, ModuleElement, parse_element,
+                                 render_element)
+from metabelian.errors import AmbientMismatch, ParseError
 
 LAURENT = Ambient(("t",), (0,), 1, ("a",), laurent=True)
 MOD2 = Ambient(("t",), (0,), 2, ("a1", "a2"), laurent=True)
@@ -43,20 +43,20 @@ class TestAdd:
 
 class TestScaleTranslate:
     def test_translate(self):
-        assert el("(t - 2)*a").scale_translate(1, Monomial((1,))) == \
+        assert el("(t - 2)*a").scale_translate(1, (1,)) == \
             el("(t^2 - 2*t)*a")
 
     def test_negate_preserves_length(self):
         g = el("(3*t^2 - 2)*a")
-        assert g.scale_translate(-1, Monomial((0,))).length == g.length
+        assert g.scale_translate(-1, (0,)).length == g.length
 
     def test_distributes_over_basis(self):
         g = parse_element("a1 + a2", MOD2)
-        out = g.scale_translate(3, Monomial((1,)))
+        out = g.scale_translate(3, (1,))
         assert out == parse_element("3*t*a1 + 3*t*a2", MOD2)
 
     def test_zero_scalar(self):
-        assert el("a").scale_translate(0, Monomial((1,))).is_zero()
+        assert el("a").scale_translate(0, (1,)).is_zero()
 
     def test_additive(self):
         rng = random.Random(1)
@@ -65,7 +65,7 @@ class TestScaleTranslate:
             g = random_element(rng, MOD2)
             h = random_element(rng, MOD2)
             c = rng.randint(-3, 3)
-            u = Monomial((rng.randint(-2, 2),))
+            u = (rng.randint(-2, 2),)
             assert (g + h).scale_translate(c, u) == \
                 g.scale_translate(c, u) + h.scale_translate(c, u)
 
@@ -76,34 +76,41 @@ class TestLeadingData:
                       ("e1", "e2", "e3"), laurent=False)
         g = ModuleElement.from_dict(amb, {((7, 0, 0, 0), 1): 1,
                                           ((3, 4, 0, 0), 2): 3})
-        assert g.leading_term().monomial == Monomial((7, 0, 0, 0), 1)
+        assert terms(g)[0] == (((7, 0, 0, 0), 1), 1)
         h = ModuleElement.from_dict(amb, {
             ((0, 3, 0, 0), 1): 1, ((0, 5, 2, 0), 2): 1,
             ((0, 3, 0, 5), 2): 1, ((0, 5, 2, 0), 3): 1})
-        assert h.leading_term().monomial == Monomial((0, 3, 0, 5), 2)
+        assert terms(h)[0] == (((0, 3, 0, 5), 2), 1)
 
     def test_constant(self):
-        lt = el("5*a").leading_term()
-        assert (lt.monomial, lt.coefficient) == (Monomial((0,), 1), 5)
-
-    def test_zero_raises(self):
-        with pytest.raises(EmptyElementError):
-            ModuleElement.zero(LAURENT).leading_term()
+        assert terms(el("5*a")) == [(((0,), 1), 5)]
 
 
 class TestMeasures:
     def test_polynomial(self):
         g = el("(t^2 - 2*t)*a")
-        assert (g.length, g.degree, len(g.terms)) == (3, 2, 2)
+        assert (g.length, g.degree, len(g.as_dict())) == (3, 2, 2)
 
     def test_zero_convention(self):
         zero = ModuleElement.zero(LAURENT)
-        assert (zero.length, zero.degree, len(zero.terms)) == (0, 0, 0)
+        assert (zero.length, zero.degree, len(zero.as_dict())) == (0, 0, 0)
 
     def test_square_length(self):
         ring = LAURENT.ring()
         f = parse_element("1 + t + t^2", ring)
         assert f.mul_ring(f).length == 9
+
+    def test_mul_ring_needs_the_coefficient_ring(self):
+        """A multiplier from another ring, or with a basis part, is refused:
+        ``x^2`` of Z[x] would leave exponent tuples of length 1 in Z[x, y]."""
+        amb = Ambient(("x", "y"), (0, 0), 1, ("e",), laurent=False)
+        g = parse_element("(x*y + 1)*e", amb)
+        other = parse_element("x^2", Ambient(("x",), (0,), 1, laurent=False))
+        for lam in (other, g):
+            with pytest.raises(AmbientMismatch):
+                g.mul_ring(lam)
+        x2 = parse_element("x^2", amb.ring())
+        assert g.mul_ring(x2) == parse_element("(x^3*y + x^2)*e", amb)
 
     def test_degree_monotone_under_order(self):
         rng = random.Random(2)
@@ -143,37 +150,29 @@ def raw_terms(draw):
     return amb, _raw(draw, amb)
 
 
-@settings(max_examples=300)
-@given(raw_terms())
-def test_from_dict_sorts_by_monomial_key(case):
-    """The stored terms are the wrapped, merged, non-zero terms in
-    descending ``Monomial.key()`` order."""
-    amb, raw = case
-    merged = {}
-    for (exps, basis), coeff in raw.items():
-        key = (amb.wrap(exps), basis)
-        merged[key] = merged.get(key, 0) + coeff
-    terms = [Term(c, Monomial(e, b)) for (e, b), c in merged.items() if c]
-    terms.sort(key=lambda t: t.monomial.key(), reverse=True)
-    assert ModuleElement.from_dict(amb, raw).terms == tuple(terms)
-
-
-def _reference(amb: Ambient, triples) -> ModuleElement:
-    """The element of ``(coefficient, exponents, basis)`` terms, by plain
-    loops and a sort by ``Monomial.key()``."""
+def _reference(amb: Ambient, triples) -> dict:
+    """The term dict of ``(coefficient, exponents, basis)`` terms, wrapped
+    and merged by plain loops, without its zero coefficients."""
     merged = {}
     for coeff, exps, basis in triples:
         key = (amb.wrap(exps), basis)
         merged[key] = merged.get(key, 0) + coeff
-    terms = [Term(c, Monomial(e, b)) for (e, b), c in merged.items() if c]
-    terms.sort(key=lambda t: t.monomial.key(), reverse=True)
-    return ModuleElement(amb, tuple(terms))
+    return {key: c for key, c in merged.items() if c}
+
+
+@settings(max_examples=300)
+@given(raw_terms())
+def test_from_dict_merges_wrapped_terms(case):
+    """The stored terms are the wrapped, merged, non-zero terms."""
+    amb, raw = case
+    triples = [(c, exps, basis) for (exps, basis), c in raw.items()]
+    assert ModuleElement.from_dict(amb, raw).as_dict() == _reference(amb, triples)
 
 
 def _scaled(g: ModuleElement, c: int, u) -> list:
     """The terms of ``c * u * g`` as unreduced triples."""
-    return [(c * t.coefficient, tuple(a + b for a, b in zip(t.monomial.exponents, u)),
-             t.monomial.basis) for t in g.terms]
+    return [(c * coeff, tuple(a + b for a, b in zip(exps, u)), basis)
+            for (exps, basis), coeff in g.as_dict().items()]
 
 
 @settings(max_examples=300)
@@ -187,12 +186,14 @@ def test_arithmetic_matches_plain_loops(data):
     c = data.draw(st.integers(-3, 3))
     u = data.draw(st.tuples(*[st.integers(-4, 4)] * amb.nvars))
     one = (0,) * amb.nvars
-    assert g + h == _reference(amb, _scaled(g, 1, one) + _scaled(h, 1, one))
-    assert g - h == _reference(amb, _scaled(g, 1, one) + _scaled(h, -1, one))
-    assert g.scale_translate(c, Monomial(u)) == _reference(amb, _scaled(g, c, u))
-    assert g.mul_ring(lam) == _reference(amb, [
-        term for t in lam.terms
-        for term in _scaled(g, t.coefficient, t.monomial.exponents)])
+    assert (g + h).as_dict() == _reference(
+        amb, _scaled(g, 1, one) + _scaled(h, 1, one))
+    assert (g - h).as_dict() == _reference(
+        amb, _scaled(g, 1, one) + _scaled(h, -1, one))
+    assert g.scale_translate(c, u).as_dict() == _reference(amb, _scaled(g, c, u))
+    assert g.mul_ring(lam).as_dict() == _reference(amb, [
+        term for (exps, _), coeff in lam.as_dict().items()
+        for term in _scaled(g, coeff, exps)])
 
 
 class TestReducedness:
@@ -204,12 +205,8 @@ class TestReducedness:
         for c, e, b in entries:
             raw[((e,), b)] = raw.get(((e,), b), 0) + c
         g = ModuleElement.from_dict(MOD2, raw)
-        monos = [(t.monomial.exponents, t.monomial.basis) for t in g.terms]
-        assert len(set(monos)) == len(monos)
-        assert all(t.coefficient != 0 for t in g.terms)
-        # strictly descending storage
-        keys = [t.monomial.key() for t in g.terms]
-        assert keys == sorted(keys, reverse=True)
+        assert g.as_dict() == {key: c for key, c in raw.items() if c}
+        assert all(g.as_dict().values())
 
     def test_add_associative_commutative(self):
         rng = random.Random(3)
@@ -248,7 +245,7 @@ class TestTextFormat:
 
     def test_negative_exponents(self):
         g = el("2*t^-1*a")
-        assert g.terms[0].monomial.exponents == (-1,)
+        assert g.as_dict() == {((-1,), 1): 2}
 
     def test_factor_that_wraps_to_zero(self):
         """A product sees a factor as the element it wraps to: with t of
@@ -261,18 +258,17 @@ class TestTextFormat:
 
 
 def _term_render(g: ModuleElement) -> str:
-    """The renderer that walked the ``Term`` tuple: the reference for the
-    one that sorts the term dict."""
+    """A renderer that walks the descending term list, filtering it per
+    basis vector: the reference for the one that groups the sorted keys."""
     if g.is_zero():
         return "0"
     amb = g.ambient
 
     def ring_text(terms) -> str:
         parts = []
-        for i, t in enumerate(terms):
-            c = t.coefficient
+        for i, ((exps, _), c) in enumerate(terms):
             monos = []
-            for j, e in enumerate(t.monomial.exponents):
+            for j, e in enumerate(exps):
                 if e:
                     monos.append(amb.variables[j] + (f"^{e}" if e != 1 else ""))
             body = "*".join(monos)
@@ -290,16 +286,16 @@ def _term_render(g: ModuleElement) -> str:
         return "".join(parts)
 
     if amb.is_ring():
-        return ring_text(g.terms)
+        return ring_text(terms(g))
 
     chunks = []
     for b in range(1, amb.rank + 1):
-        terms = [t for t in g.terms if t.monomial.basis == b]
-        if not terms:
+        on_b = [t for t in terms(g) if t[0][1] == b]
+        if not on_b:
             continue
         name = amb.basis_names[b - 1]
-        if len(terms) == 1:
-            ring_part = ring_text(terms)
+        if len(on_b) == 1:
+            ring_part = ring_text(on_b)
             if ring_part == "1":
                 text = name
             elif ring_part == "-1":
@@ -307,7 +303,7 @@ def _term_render(g: ModuleElement) -> str:
             else:
                 text = f"{ring_part}*{name}"
         else:
-            text = f"({ring_text(terms)})*{name}"
+            text = f"({ring_text(on_b)})*{name}"
         chunks.append(text)
     out = chunks[0]
     for c in chunks[1:]:
@@ -319,7 +315,7 @@ def _term_render(g: ModuleElement) -> str:
 @given(raw_terms(), st.sampled_from((1, 1, -1, 3, -10 ** 20)))
 def test_render_matches_term_renderer(case, scale):
     """Ring and module elements of ranks 1 to 3, with torsion, negative
-    exponents, unit and large coefficients, render as the ``Term`` walk did."""
+    exponents, unit and large coefficients, render as the term walk does."""
     amb, raw = case
     g = ModuleElement.from_dict(amb, {m: scale * c for m, c in raw.items()})
     assert render_element(g) == _term_render(g)
@@ -351,36 +347,35 @@ class TestAmbientValidation:
 
 
 class TestDictBacked:
-    """An element keeps its term dict; ``terms`` is derived from it once."""
+    """An element is its term dict, whatever order the terms came in."""
 
     RAW = {((2,), 1): 3, ((-1,), 2): -1, ((0,), 1): 2, ((2,), 2): 5}
 
     def elements(self):
         first = ModuleElement.from_dict(MOD2, self.RAW)
         shuffled = ModuleElement.from_dict(MOD2, dict(reversed(self.RAW.items())))
-        return first, shuffled, ModuleElement(MOD2, first.terms)
+        return first, shuffled, ModuleElement.from_dict(MOD2, dict(sorted(self.RAW.items())))
 
     def test_same_element_from_any_order(self):
-        first, shuffled, from_terms = self.elements()
-        for g in (shuffled, from_terms):
+        first, shuffled, in_key_order = self.elements()
+        for g in (shuffled, in_key_order):
             assert g == first and hash(g) == hash(first)
-            assert (g.terms, g.render(), g.length, g.degree) == \
-                (first.terms, first.render(), first.length, first.degree)
+            assert (g.render(), repr(g), g.length, g.degree) == \
+                (first.render(), repr(first), first.length, first.degree)
 
     def test_measures_before_terms_are_read(self):
         g = ModuleElement.from_dict(MOD2, self.RAW)
         assert (g.length, g.degree, g.is_zero()) == (11, 2, False)
         assert g == ModuleElement.from_dict(MOD2, self.RAW)
-        assert g._terms is None  # nothing above sorted the terms
 
     def test_as_dict_is_a_copy(self):
         g = ModuleElement.from_dict(MOD2, self.RAW)
-        before = (g.terms, g.render(), hash(g))
+        before = (g.render(), hash(g))
         d = g.as_dict()
         d[((9,), 1)] = 1
         del d[((2,), 1)]
         assert g.as_dict() == self.RAW
-        assert (g.terms, g.render(), hash(g)) == before
+        assert (g.render(), hash(g)) == before
 
     def test_from_dict_copies_its_argument(self):
         raw = dict(self.RAW)
@@ -390,19 +385,17 @@ class TestDictBacked:
 
     def test_immutable(self):
         g = ModuleElement.from_dict(MOD2, self.RAW)
-        for name in ("ambient", "terms"):
+        for name in ("ambient", "_raw"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
         assert g.as_dict() == self.RAW
 
-    def test_named_tuples(self):
-        m = Monomial((1, 2), 1)
-        t = Term(-3, m)
-        assert (m.exponents, m.basis, t.coefficient, t.monomial) == \
-            ((1, 2), 1, -3, m)
-        assert repr(t) == \
-            "Term(coefficient=-3, monomial=Monomial(exponents=(1, 2), basis=1))"
-        assert Monomial((1,)).basis is None
-        exps, basis = m
-        assert (exps, basis) == ((1, 2), 1) and m == ((1, 2), 1)
-        assert Term(1, m) < Term(2, m)
+    def test_repr_reads_back(self):
+        """``repr`` lists the terms largest monomial first, as a
+        ``from_dict`` call that rebuilds the element."""
+        g = ModuleElement.from_dict(MOD2, self.RAW)
+        assert repr(g) == (f"ModuleElement.from_dict({MOD2!r}, {{((2,), 1): 3, "
+                           "((2,), 2): 5, ((-1,), 2): -1, ((0,), 1): 2})")
+        assert eval(repr(g), {"Ambient": Ambient, "ModuleElement": ModuleElement}) == g
+        with pytest.raises(TypeError):
+            ModuleElement(MOD2, self.RAW)

@@ -61,16 +61,18 @@ class TestRankOne:
 
 class TestTameness:
     def test_bs_is_tame(self):
-        assert tameness_check(BS2.tameness, 1) is True
+        assert tameness_check(BS2.tameness, 1) == (True, {"directions": 2,
+                                                          "min_value": 1})
 
     def test_half_line_fails(self):
-        assert tameness_check(datum1("t - 1"), 1) is False
+        verdict, info = tameness_check(datum1("t - 1"), 1)
+        assert verdict is False and info["min_value"] <= 0
 
     def test_empty_datum(self):
         empty = TamenessDatum((), ())
-        assert tameness_check(empty, 1) is False
-        verdict, info = tameness_check(empty, 2)
-        assert verdict is False
+        for k in (1, 2):
+            assert tameness_check(empty, k) == (False, {"directions": 0,
+                                                        "min_value": None})
 
     def test_rank_two_grid(self):
         datum = TamenessDatum(

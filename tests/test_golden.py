@@ -46,11 +46,10 @@ import pytest
 
 from _helpers import GAMMA, random_element, random_kernel_word
 from metabelian.bounds import Bound
-from metabelian.collection import ordered_form
+from metabelian.collection import ordered_form, relator_module
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.groebner import buchberger_strong, verify_certificate
-from metabelian.presentation import (GroupWord, commutator, parse_word,
-                                     relator_module)
+from metabelian.presentation import GroupWord, commutator, parse_word
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import is_identity, module_context
 
@@ -129,7 +128,7 @@ def test_independent_checker_rejects_tampered_alpha():
     g, cert, basis = _bs_witness_certificate()
     idx = next(i for i, a in enumerate(cert.coefficients) if not a.is_zero())
     ring = cert.coefficients[idx].ambient
-    bump = ModuleElement.from_term(ring, 1, (0,) * ring.nvars)
+    bump = ModuleElement.from_dict(ring, {((0,) * ring.nvars, None): 1})
     alphas = list(cert.coefficients)
     alphas[idx] = alphas[idx] + bump
     tampered = cert.__class__(tuple(alphas), cert.residue, cert.steps,

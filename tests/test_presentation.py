@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.errors import ParseError
+from metabelian.collection import relator_module
 from metabelian.presentation import (GroupWord, Presentation, _WordParser,
                                      exponent_sums, parse_presentation,
-                                     parse_word, relator_module)
+                                     parse_word)
 from metabelian.presets import PresetSpec, build
 
 BS_FILE = """
@@ -342,7 +343,8 @@ def test_datum_entries_match_the_grammar(text):
         exps[_DATUM_RING.var_index(name)] = int(exp or 1)
         c = -int(coeff or 1) if sign else int(coeff or 1)
         assert outcome == ("element",
-                           ModuleElement.from_term(_DATUM_RING, c, exps))
+                           ModuleElement.from_dict(_DATUM_RING,
+                                                   {(tuple(exps), None): c}))
     elif outcome[0] == "element":
         assert parse_element(outcome[1].render(), _DATUM_RING) == outcome[1]
 

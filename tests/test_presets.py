@@ -24,11 +24,11 @@ class TestBuild:
             build(PresetSpec("bs", n=1))
 
     def test_lamplighter_module(self):
-        from metabelian.presentation import relator_module
+        from metabelian.collection import relator_module
         assert [v.render() for v in relator_module(LAMPLIGHTER2)] == ["2*a", "0"]
 
     def test_wf_action_vector(self):
-        from metabelian.presentation import relator_module
+        from metabelian.collection import relator_module
         assert "(u1 - t1 - 1)*a1" in [v.render() for v in relator_module(WF11)]
 
     def test_wf_rejects_bad_polynomial(self):

@@ -314,45 +314,30 @@ def test_context_cache_keeps_the_64_most_recent():
 
 
 def test_certificate_sorts_only_what_it_renders(monkeypatch):
-    """On a warm context, deciding a Z^2 commutator and rendering its
-    certificate sorts two term lists, the ordered form's and its one
-    alpha's: the vector is never sorted on its way to the division."""
-    import metabelian.elements as elements
+    """On a warm context, deciding a Z^2 commutator sorts no list as long
+    as its vector, which reaches the division unsorted; rendering the
+    certificate sorts the ordered form's terms, its basis index list and
+    its one alpha's terms.  Every ``sorted`` call of the library's modules
+    is counted."""
+    import metabelian
     w = parse_word("[t1^12, t2^12]", FREE_ABELIAN)
     json.dumps(is_identity(w, FREE_ABELIAN)[1].to_json())
     sorts = []
-    sort = elements._canonical_terms
 
-    def counted(*args):
-        sorts.append(len(args[-1]))
-        return sort(*args)
+    def counted(iterable, **kwargs):
+        out = sorted(iterable, **kwargs)
+        sorts.append(len(out))
+        return out
 
-    monkeypatch.setattr(elements, "_canonical_terms", counted)
+    for name in ("bounds", "collection", "elements", "groebner",
+                 "presentation", "wordproblem"):
+        monkeypatch.setattr(getattr(metabelian, name), "sorted", counted,
+                            raising=False)
     ok, cert = is_identity(w, FREE_ABELIAN)
+    terms = len(cert.ordered.as_dict())
+    assert ok and terms == 144
+    assert max(sorts, default=0) < terms
+    sorts.clear()
     text = json.dumps(cert.to_json())
-    assert ok and '"identity": true' in text
-    assert len(sorts) <= 2
-
-
-@pytest.mark.parametrize("p, words", [
-    (BS2, ("t*a*t^-1*a^-2", "t*a*t^-1*a^-1")),
-    (WF11, ("(u1^-1*a1*u1*t1^-1*a1^-1*t1*a1^-1)^(t1*u1)*z^t1", "[a1, u1]")),
-], ids=["rank1", "rank2"])
-def test_certificate_never_sorts_terms(p, words, monkeypatch):
-    """Building the basis, deciding an identity and a non-identity word and
-    rendering their certificates read term dicts only: nothing builds the
-    sorted ``terms`` view."""
-    import metabelian.elements as elements
-
-    def sorted_terms(raw):
-        raise AssertionError(f"sorted a term dict of {len(raw)} terms")
-
-    monkeypatch.setattr(elements, "_canonical_terms", sorted_terms)
-    assert module_context.__wrapped__(p).basis == module_context(p).basis
-    verdicts = []
-    for text in words:
-        ok, cert = is_identity(parse_word(text, p), p)
-        assert not cert.ordered.is_zero()
-        json.dumps(cert.to_json())
-        verdicts.append(ok)
-    assert verdicts == [True, False]
+    assert '"identity": true' in text
+    assert sorts == [terms, 1, terms]
