@@ -3,8 +3,8 @@
 from .bounds import Bound
 from .collection import CostLedger, ordered_form, relator_module
 from .elements import Ambient, ModuleElement, parse_element, render_element
-from .errors import (AmbientMismatch, BudgetExceeded, EmptyElementError,
-                     ExponentSumError, ParseError, TamenessViolation)
+from .errors import (AmbientMismatch, BudgetExceeded, ExponentSumError,
+                     ParseError, TamenessViolation)
 from .geometry import GeometryReport, geometry_constants, tameness_check
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, growth_function, laurent_embed,

@@ -5,10 +5,6 @@ class AmbientMismatch(ValueError):
     """Two elements (or an element and an operand) live in different ambients."""
 
 
-class EmptyElementError(ValueError):
-    """An operation that needs a nonzero element was given the zero element."""
-
-
 class ParseError(ValueError):
     """Malformed input text; carries a position when known."""
 

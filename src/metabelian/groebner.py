@@ -12,6 +12,7 @@ and torsion problems embed via inverse variables and unit relators.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -144,7 +145,10 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     construction; the step after it runs out raises BudgetExceeded naming
     ``what``.  With ``alphas`` (the term dicts of ring elements, aligned with
     ``tables``) each quotient term is added to the alpha of the generator it
-    used.
+    used.  ``divide_with_certificate`` and ``normal_form`` on a basis first
+    take off the terms on basis vectors the basis kills outright
+    (``_split_killed``), which this loop would reduce one step each with
+    nothing left.
     """
     heap = [_descending(key) for key in terms]
     heapify(heap)
@@ -194,10 +198,45 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     return ModuleElement._of(ambient, residue)
 
 
+def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
+                  alphas=None) -> dict:
+    """The terms of ``g`` for ``_reduce``, after sending each term on a basis
+    vector that ``G`` kills outright (``G._killed``) to its generator.
+
+    A term ``c*x^u*e_b`` on such a ``b`` is one reduction step by ``1*e_b``:
+    it is the only generator with a term on ``b``, so it is the only
+    candidate in ``_reduce``'s tie rule; ``1`` precedes every nonzero ``c``
+    in the integer order, so it reduces the term to remainder 0 with
+    quotient ``c``; and its empty tail, like the other generators, adds no
+    term on ``b``.  Each such term is charged one step and, with ``alphas``,
+    becomes the term ``c*x^u`` of that generator's alpha, as in the heap.
+    """
+    killed = G._killed
+    if not killed:
+        return g.as_dict()
+    rest = {}
+    for key, c in g._raw.items():
+        idx = killed.get(key[1])
+        if idx is None:
+            rest[key] = c
+        elif alphas is not None:
+            alphas[idx][key[0], None] = c
+    budget[0] -= len(g._raw) - len(rest)
+    if budget[0] < 0:
+        raise BudgetExceeded(f"{what} exceeded its step budget")
+    return rest
+
+
 def normal_form(g: ModuleElement, G, step_budget=DEFAULT_STEP_BUDGET):
-    """Fixed point of _reduce_step; equals NF(g) for a Groebner basis."""
+    """Fixed point of _reduce_step; equals NF(g) for a Groebner basis.
+
+    On a ``GroebnerBasis`` the terms on a basis vector it kills outright
+    (one generator is ``1*e_b`` and no other has a term on ``b``) are
+    reduced in one dict pass before the heap, with the heap's steps.
+    """
     _check_polynomial(g)
-    if isinstance(G, GroebnerBasis):
+    is_basis = isinstance(G, GroebnerBasis)
+    if is_basis:
         gens, tables = G.generators, G._tables
     else:
         gens = list(G)
@@ -206,7 +245,9 @@ def normal_form(g: ModuleElement, G, step_budget=DEFAULT_STEP_BUDGET):
         tables = [_table(f) for f in gens]
     if any(f.ambient != g.ambient for f in gens):
         raise AmbientMismatch("element and generators live in different ambients")
-    return _reduce(g.ambient, g.as_dict(), tables, [step_budget], "normal form")
+    budget = [step_budget]
+    terms = _split_killed(g, G, budget, "normal form") if is_basis else g.as_dict()
+    return _reduce(g.ambient, terms, tables, budget, "normal form")
 
 
 @dataclass(frozen=True)
@@ -227,6 +268,25 @@ class GroebnerBasis:
     def _tables(self):
         """Reduction tables of the generators, built once per basis."""
         return [_table(f) for f in self.generators]
+
+    @cached_property
+    def _killed(self) -> dict:
+        """``{basis vector b: index of its generator}`` over the vectors the
+        basis kills outright: one generator is exactly ``1*e_b`` (lead
+        exponents 0, leading coefficient 1, empty tail) and no other nonzero
+        generator has a term on ``b``.  Read off the tables, so a basis built
+        by hand with ``-1*e_b``, ``2*e_b``, a duplicate ``1*e_b`` or another
+        generator with a term on ``b`` kills nothing there.  Built on the
+        first division or normal form, not by ``buchberger_strong``."""
+        units, touched = {}, Counter()
+        for idx, table in enumerate(self._tables):
+            if table is None:
+                continue
+            lead, basis, lc, tail = table
+            if lc == 1 and not tail and not any(lead):
+                units[basis] = idx
+            touched.update({basis, *(b for _, b, _ in tail)})
+        return {b: idx for b, idx in units.items() if touched[b] == 1}
 
     @cached_property
     def _max_length(self) -> int:
@@ -392,7 +452,11 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
 
     Always cancels the largest reducible term; the bound field evaluates the
     chain |a_j| <= p(1+C)^(j-1) over at most m*G_k(deg g) steps with
-    C = max generator length.
+    C = max generator length.  The terms on a basis vector that the basis
+    kills outright (one generator is ``1*e_b``, no other has a term on
+    ``b``) go to that generator's alpha in one dict pass before the heap:
+    the heap would reduce each of them by ``1*e_b`` alone, in one step and
+    with no new term, so the steps, alphas and residue are the heap's.
     """
     if G.generators and g.ambient != G.ambient:
         raise AmbientMismatch("element and basis live in different ambients")
@@ -400,7 +464,8 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
     ring = g.ambient.ring()
     alphas = [{} for _ in G.generators]
     budget = [step_budget]
-    residue = _reduce(g.ambient, g.as_dict(), G._tables, budget, "division", alphas)
+    terms = _split_killed(g, G, budget, "division", alphas)
+    residue = _reduce(g.ambient, terms, G._tables, budget, "division", alphas)
     coefficients = tuple(ModuleElement._of(ring, alpha) for alpha in alphas)
     size = sum(a.length for a in coefficients)
     return DivisionCertificate(coefficients, residue, step_budget - budget[0],

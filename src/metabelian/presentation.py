@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -106,6 +106,19 @@ class Presentation:
     # Derived once per instance: a cached value lives in the instance's
     # ``__dict__``, outside the fields that ``==``, ``hash`` and ``replace``
     # read, so an equal presentation built again derives its own.
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash over every field, taken once: each context
+        cache lookup hashes the presentation, relators and all."""
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __getstate__(self) -> dict:
+        # a str hashes differently in another process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @cached_property
     def t_names(self) -> tuple[str, ...]:

@@ -341,6 +341,97 @@ class TestKernelDifferential:
         assert checked > 50 and raised == checked
 
 
+KILL_CASES = ["kills", "kills beside a zero generator", "another lead",
+              "another tail", "minus one", "two", "duplicate"]
+
+
+def killed_case(rng, amb, case):
+    """A generator list holding ``1*e_b`` (or, for "minus one" and "two",
+    ``-1*e_b`` and ``2*e_b``) and the vector ``b``.  The first two cases
+    kill ``b``; in the others ``b`` is left to the heap."""
+    b = rng.randint(1, amb.rank)
+    zero = (0,) * amb.nvars
+    # the other generators have no term on b, unless the case adds one
+    gens = [ModuleElement.from_dict(amb, {m: c for m, c in f.as_dict().items()
+                                          if m[1] != b})
+            for f in random_generators(rng, amb, big=rng.random() < 0.5)]
+    unit = {"minus one": -1, "two": 2}.get(case, 1)
+    gens.insert(rng.randrange(len(gens) + 1),
+                ModuleElement.from_dict(amb, {(zero, b): unit}))
+    if case == "kills beside a zero generator":
+        gens.insert(rng.randrange(len(gens) + 1), ModuleElement.zero(amb))
+    elif case == "duplicate":
+        gens.insert(rng.randrange(len(gens) + 1),
+                    ModuleElement.from_dict(amb, {(zero, b): 1}))
+    elif case in ("another lead", "another tail"):
+        # a term of degree 2 on b, under a lead of degree 3 on another
+        # vector for "another tail" (on b itself in rank 1)
+        top = (3,) + (0,) * (amb.nvars - 1)
+        low = (rng.randint(0, 2),) + (0,) * (amb.nvars - 1)
+        raw = {(low, b): rng.choice([-3, 1, 2])}
+        if case == "another tail":
+            raw[top, rng.choice([c for c in range(1, amb.rank + 1) if c != b]
+                                or [b])] = rng.choice([1, 5])
+        gens.insert(rng.randrange(len(gens) + 1), ModuleElement.from_dict(amb, raw))
+    return gens, b
+
+
+class TestKilledVectors:
+    """The one-pass division of the terms on a killed basis vector against
+    the loop over _reduce_step, on bases that hold a unit constant."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_reduce_step(self, rank):
+        rng = random.Random(200 + rank)
+        killed = refused = 0
+        for trial in range(140):
+            case = KILL_CASES[trial % len(KILL_CASES)]
+            nvars = rng.randint(1, 3)
+            amb = Ambient(tuple(f"x{i}" for i in range(nvars)), (0,) * nvars, rank,
+                          tuple(f"e{b}" for b in range(1, rank + 1)), laurent=False)
+            gens, b = killed_case(rng, amb, case)
+            basis = GroebnerBasis(amb, tuple(gens), ())
+            assert (b in basis._killed) == case.startswith("kills")
+            killed += b in basis._killed
+            refused += b not in basis._killed
+            g = random_polynomial(rng, amb, max_terms=5, max_degree=4)
+            on_b = random_polynomial(rng, amb, max_terms=4, max_degree=4)
+            g = g + ModuleElement.from_dict(
+                amb, {(e, b): c for (e, _), c in on_b.as_dict().items()})
+            residue, alphas, steps = reference_division(g, gens, 10 ** 6)
+            cert = divide_with_certificate(g, basis)
+            assert cert.residue == residue
+            assert list(cert.coefficients) == alphas
+            assert cert.steps == steps
+            assert normal_form(g, basis) == residue
+            for budget in range(steps):
+                with pytest.raises(BudgetExceeded, match="division exceeded"):
+                    divide_with_certificate(g, basis, step_budget=budget)
+                with pytest.raises(BudgetExceeded, match="normal form exceeded"):
+                    normal_form(g, basis, step_budget=budget)
+        assert killed == 40 and refused == 100
+
+    def test_z2_commutator_skips_the_heap(self, monkeypatch):
+        """``[t1^12, t2^12]`` in free_abelian collects to 144 terms on
+        ``c``, which the basis kills: all 144 steps are taken before the
+        heap, which starts empty."""
+        from metabelian import groebner
+        from metabelian.presentation import parse_word
+        from metabelian.presets import PresetSpec, build
+        from metabelian.wordproblem import is_identity, module_context
+
+        p = build(PresetSpec("free_abelian"))
+        w = parse_word("[t1^12, t2^12]", p)
+        module_context(p)  # Buchberger fills its heaps before the watch
+        sizes = []
+        heapify = groebner.heapify
+        monkeypatch.setattr(groebner, "heapify",
+                            lambda heap: (sizes.append(len(heap)), heapify(heap)))
+        ok, cert = is_identity(w, p)
+        assert ok and cert.membership.steps == 144
+        assert sizes == [0]
+
+
 class TestConfluence:
     def test_random_reduction_order_agrees(self):
         rng = random.Random(5)

@@ -1,10 +1,11 @@
 """Presentation files, the word DSL, exponent sums, relator vectors."""
 
 import json
+import pickle
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cached_property
 
 import pytest
@@ -404,6 +405,33 @@ class TestDerivedTables:
         read(first)
         assert first == second and hash(first) == hash(second)
 
+    def test_hash_taken_once(self, monkeypatch):
+        """A second ``hash(p)`` reads the kept value: no relator is hashed
+        again, as a context cache hit would otherwise do."""
+        calls = Counter()
+        word_hash = GroupWord.__hash__
+
+        def counted(self):
+            calls["word"] += 1
+            return word_hash(self)
+
+        monkeypatch.setattr(GroupWord, "__hash__", counted)
+        p = replace(WF11)
+        h = hash(p)
+        assert calls["word"] == len(p.relators) > 0
+        assert hash(p) == h and calls["word"] == len(p.relators)
+
+    def test_replace_and_pickle_hash_their_own_fields(self):
+        p = WF11
+        hash(p)
+        q = replace(p, relators=p.relators[:1])
+        assert "_hash" not in vars(q) and q != p
+        assert hash(q) == hash(tuple(getattr(q, f.name) for f in fields(q)))
+        # a str hashes differently in another process: no hash is pickled
+        r = pickle.loads(pickle.dumps(p))
+        assert "_hash" not in vars(r)
+        assert r == p and hash(r) == hash(p)
+
     def test_lookup_errors(self):
         with pytest.raises(KeyError):
             GAMMA.t_index("a")
@@ -426,7 +454,7 @@ class TestParseCache:
         spaced = text.replace("*", " * ").replace("^", " ^ ")
         assert " ^ " in spaced
         p, q = parse_presentation(text), parse_presentation(spaced)
-        assert q == p and q is not p
+        assert q == p and q is not p and hash(q) == hash(p)
         module_context(p)
         hits = module_context.cache_info().hits
         module_context(q)
