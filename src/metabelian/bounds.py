@@ -150,6 +150,15 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).rjust(k, "0")
 
 
+def _json_int(n: int):
+    """``n`` for ``json.dumps``: the int itself, or its decimal string
+    (``_decimal``) when it has more digits than ``str`` converts."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or n.bit_length() < 3 * limit or abs(n) < 10 ** limit:
+        return n  # 2^(3*limit) < 10^limit: short ints skip the power
+    return _decimal(n)
+
+
 def _render_term(c: int, b: int, e: int) -> str:
     if e == 0 or b == 1:
         return _decimal(c)

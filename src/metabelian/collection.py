@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elements import ModuleElement, monomial_word_degree
+from .bounds import _json_int
+from .elements import ModuleElement, monomial_word_degree, power_length
 from .errors import ExponentSumError
 from .presentation import (GroupWord, Presentation, _condense, _inverse,
                            exponent_sums)
@@ -49,12 +50,12 @@ class CostLedger:
 
     def to_json(self) -> dict:
         return {
-            "r1_commutators": self.r1_commutators,
-            "r2_commutations": self.r2_commutations,
-            "module_relations": self.module_relations,
-            "free_steps": self.free_steps,
-            "absolute_total": self.absolute_total,
-            "relative_total": self.relative_total,
+            "r1_commutators": _json_int(self.r1_commutators),
+            "r2_commutations": _json_int(self.r2_commutations),
+            "module_relations": _json_int(self.module_relations),
+            "free_steps": _json_int(self.free_steps),
+            "absolute_total": _json_int(self.absolute_total),
+            "relative_total": _json_int(self.relative_total),
         }
 
 
@@ -136,14 +137,17 @@ class _Crossing(NamedTuple):
                 for sign, j, head in template]
 
 
-def _collect_units(tail: GroupWord, p: Presentation):
+def _collect_units(tail: GroupWord, p: Presentation, ledger=None):
     """Gather the t-syllables of a zero-sum tail index by index, recording
     one crossing block per gathered syllable.
 
     Returns ``(crossings, powers)``: ``_Crossing`` blocks in the order their
     emissions appear in the rewritten word, and the gathered front powers
     ``(var_index, net_exp)``.  Freely, ``tail = prod(powers) * prod(the
-    emissions of each crossing as [t_s,t_j]^(sign*conjugator))``.
+    emissions of each crossing as [t_s,t_j]^(sign*conjugator))``.  A front
+    power is a multiple of its torsion order, charged to ``ledger``, when
+    one is given, at one module relation per torsion power; the caller
+    charges one r1 per emission.
 
     The working word is kept condensed.  Each step moves the next syllable
     ``t_i^a`` of the smallest index down to the front past the middle
@@ -163,6 +167,8 @@ def _collect_units(tail: GroupWord, p: Presentation):
                     if word[q][0] == name), None)
         if pos is None:
             powers.append((i, word[0][1]))
+            if ledger is not None:
+                ledger.module_relations += abs(word[0][1]) // p.torsion_orders[i]
             word = word[1:]
             continue
         a = word[pos][1]
@@ -172,23 +178,6 @@ def _collect_units(tail: GroupWord, p: Presentation):
                               + word[pos + 1:]))
     crossings.reverse()
     return crossings, powers
-
-
-def _tail_crossings(tail: GroupWord, p: Presentation, ledger=None):
-    """The crossing blocks of a zero-sum tail; a leftover front power is
-    charged to ``ledger``, when one is given, at one module relation per
-    torsion power.  The caller charges one r1 per emission."""
-    crossings, powers = _collect_units(tail, p)
-    for var, net in powers:
-        if net == 0:
-            continue
-        d = p.torsion_orders[var]
-        if d == 0 or net % d != 0:
-            raise ExponentSumError(
-                f"tail leaves a nonzero block {p.t_names[var]}^{net}")
-        if ledger is not None:
-            ledger.module_relations += abs(net) // d
-    return crossings
 
 
 def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
@@ -205,22 +194,14 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
     ledger = ledger if ledger is not None else CostLedger()
     basis_of = p._basis_indexes
     items = [(sign, basis_of[p.commutator_gen(s, j)], GroupWord.from_letters(conj))
-             for crossing in _tail_crossings(tail, p, ledger)
+             for crossing in _collect_units(tail, p, ledger)[0]
              for sign, s, j, conj in crossing.emissions(p._t_positions)]
     ledger.r1_commutators += len(items)
     return items, ledger
 
 
-def _length(e: int, d: int) -> int:
-    """Word length of t^e for a generator of order d (0: infinite)."""
-    if d:
-        e %= d
-        return min(e, d - e)
-    return abs(e)
-
-
 def _run_price(base: int, start: int, n: int, d: int) -> int:
-    """Sum of ``max(1, 4*(base + _length(e, d)) - 3)`` over
+    """Sum of ``max(1, 4*(base + power_length(e, d)) - 3)`` over
     ``start <= e < start + n``, in closed form: an arithmetic series on a
     free coordinate, where the ``max`` binds only at ``base + e = 0``, and
     whole cycles plus fewer than ``d`` terms on a torsion one."""
@@ -229,7 +210,7 @@ def _run_price(base: int, start: int, n: int, d: int) -> int:
                 + 4 * (n > 0 and base + start == 0))
 
     def price(e):
-        return max(1, 4 * (base + _length(e, d)) - 3)
+        return max(1, 4 * (base + power_length(e, d)) - 3)
     cycles, extra = divmod(n, d)
     return (cycles * sum(map(price, range(d)))
             + sum(map(price, range(start, start + extra))))
@@ -269,7 +250,7 @@ def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
                 # crossed units are positive and over -1..b when negative
                 rel += _run_price(base, 0 if b > 0 else 1, abs(b), d)
                 units += abs(b)
-                base += _length(b, d)
+                base += power_length(b, d)
         n = abs(exp)
         ledger.r1_commutators += 2 * units * n
         ledger.r2_commutations += units * n
@@ -325,6 +306,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     as ``_block_charge`` never counts a single template.
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
+    wrap = p.module_ambient().wrap
     sums = [0] * len(torsion)
     conj = tuple(sums)
     sequence, stack, unknown = [], [], None
@@ -332,7 +314,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         basis = basis_of.get(name)
         if basis is not None:
             if conj is None:
-                conj = tuple(-s % d if d else -s for s, d in zip(sums, torsion))
+                conj = wrap([-s for s in sums])
             sequence.append((exp, basis, conj))
             if ledger is not None:
                 _price_conjugator(_inverse(stack), p, ledger)
@@ -347,7 +329,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
             exp += stack.pop()[1]
         if exp:
             stack.append((name, exp))
-    sums = _wrapped(sums, torsion)
+    sums = wrap(sums)
     if any(sums):
         raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
     if unknown is not None:
@@ -357,7 +339,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     blocks, module_letters = [], len(sequence)
     if not stack:
         return sequence, blocks
-    for crossing in _tail_crossings(GroupWord(tuple(stack)), p, ledger):
+    for crossing in _collect_units(GroupWord(tuple(stack)), p, ledger)[0]:
         var, rows = crossing.var, abs(crossing.power)
         template = crossing.template(t_pos)
         # the first row in word order is the last unit's: a head, then the rest
@@ -370,18 +352,17 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
             for name, e in head:
                 exps[t_pos[name]] += e
             sequence.append((sign, basis_of[p.commutator_gen(var, j)],
-                             _wrapped(exps, torsion)))
+                             wrap(exps)))
         if rows > 1:
-            shift, d = (1 if crossing.power > 0 else -1), torsion[var]
+            shift = 1 if crossing.power > 0 else -1
             blocks.append((start, rows, var, shift, tuple(
                 (abs(b), t_pos[other], -1 if b > 0 else 1)
                 for other, b in crossing.middle)))
             row = sequence[start:]
             for r in range(1, rows):
                 for sign, basis, exps in row:
-                    x = exps[var] + r * shift
-                    sequence.append((sign, basis, exps[:var]
-                                     + ((x % d if d else x),) + exps[var + 1:]))
+                    sequence.append((sign, basis, wrap(
+                        exps[:var] + (exps[var] + r * shift,) + exps[var + 1:])))
         if ledger is not None:
             _price_crossing(crossing, template, p, ledger)
     if ledger is not None:
@@ -432,10 +413,6 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
         ledger.module_relations += len(heads) * (sum(wraps) - n * wraps[0])
 
 
-def _wrapped(exps, torsion) -> tuple[int, ...]:
-    return tuple(e % d if d else e for e, d in zip(exps, torsion))
-
-
 def _vector(sequence, p: Presentation) -> ModuleElement:
     raw: dict = {}
     for coeff, basis, exps in sequence:
@@ -454,14 +431,16 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
     partner, since a farther one crosses at least the same units at no
     lower price and loses the tie on position, so it cannot be the
     cheapest while that partner lives.  Then the remainder is sorted,
-    paying one transposition per strictly inverted pair of unit conjugates
-    (``_inversion_charge``).  Equal monomials cross at equal prices, so
-    prices are kept per pair of monomials.
+    paying one transposition per strictly inverted pair of unit conjugates.
+    Equal monomials cross at equal prices, so prices are kept per pair of
+    monomials.
 
-    ``blocks`` are the crossing blocks of ``_conjugates``.  In a sort of
-    more than ``_BLOCK`` conjugates, a block that no cancellation touched
-    and that ``_block_charge`` can count enters the sort as one pre-charged
-    run; any other block is sorted as its rows of ordinary items.
+    The sort is charged on one of two paths.  When one crossing block of
+    ``_conjugates`` (``blocks``) is the whole sequence of more than
+    ``_BLOCK`` conjugates and no cancellation touched it, as for a
+    commutator of two powers, ``_block_charge`` counts it by difference;
+    any other sequence, or a block it cannot count, goes to
+    ``_inversion_charge``.
     """
     items = [[coeff, basis, exps] for coeff, basis, exps in sequence]
     monos: dict = {}
@@ -481,38 +460,23 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
     ledger.r2_commutations += units
     ledger.rel_r2_merge += rel
 
-    spans = []
-    for start, rows, var, shift, progressions in (
-            blocks if len(items) > _BLOCK else ()):
-        stop = start + rows * sum(n for n, _, _ in progressions)
+    charge = None
+    if len(blocks) == 1 and len(items) > _BLOCK:
+        start, rows, var, shift, progressions = blocks[0]
         # a cancellation zeroes the unit conjugates it touches
-        if all(c for c, _, _ in items[start:stop]):
-            charge = _block_charge(items[start:stop], rows, var, shift,
-                                   progressions, amb.torsion)
-            if charge is not None:
-                spans.append((start, stop) + charge)
-    if len(spans) == 1 and spans[0][:2] == (0, len(items)):
-        # one pre-charged block is the whole sort
-        units, rel = spans[0][2:]
-    else:
+        if (start == 0 and rows * sum(n for n, _, _ in progressions)
+                == len(items) and all(c for c, _, _ in items)):
+            charge = _block_charge(items, rows, var, shift, progressions,
+                                   amb.torsion)
+    if charge is None:
         # ordered form puts e1 first and larger monomials first within a
         # basis; monomial_key without a call per conjugate
-        def sortable(lo, hi):
-            return [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, m)
-                    for (c, basis, exps), m in zip(items[lo:hi], mono[lo:hi])
-                    if c]
-
-        rest, charged, pos = [], [], 0
-        for start, stop, more_units, more_rel in spans:
-            rest += sortable(pos, start)
-            charged.append((len(rest), len(rest) + stop - start, more_units,
-                            more_rel))
-            rest += sortable(start, stop)
-            pos = stop
-        rest += sortable(pos, len(items))
-        units, rel = _inversion_charge(rest, amb.torsion, price, charged)
-    ledger.r2_commutations += units
-    ledger.rel_r2_merge += rel
+        charge = _inversion_charge(
+            [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, m)
+             for (c, basis, exps), m in zip(items, mono) if c],
+            amb.torsion, price)
+    ledger.r2_commutations += charge[0]
+    ledger.rel_r2_merge += charge[1]
 
 
 def _cancel(items, group, mono, price):
@@ -761,7 +725,7 @@ def _block_charge(block, rows, var, shift, progressions, torsion):
 _BLOCK = 16  # _inversion_charge prices this many items or fewer pair by pair
 
 
-def _inversion_charge(items, torsion, price, charged=()):
+def _inversion_charge(items, torsion, price):
     """``(units, rel)`` for sorting ``items`` ``(weight, key, exps,
     monomial id)`` by falling key: over the pairs a < b with key_a < key_b,
     the sum of ``w_a*w_b`` and of ``w_a*w_b*price(m_a, m_b)``.
@@ -772,19 +736,15 @@ def _inversion_charge(items, torsion, price, charged=()):
     w_a*w_b``, and d sums one term per coordinate: |x_a - x_b| on a free
     one and the cyclic distance on a torsion one.
 
-    ``charged`` lists spans ``(start, stop, units, rel)`` of items whose
-    pairs among themselves are already charged (a crossing block counted
-    by ``_block_charge``): each adds its charge and enters the merge as one
-    run sorted by key.  Without spans, up to ``_BLOCK`` items are priced
-    pair by pair.  Otherwise the other items merge adjacent items of equal
-    key into one, as their pair is not inverted and the sums are bilinear
-    in the weights, and split into maximal runs of strictly rising or
-    strictly falling key.  A falling run holds no inverted pair and a
-    rising run only inverted pairs, which ``_rising_charge`` sums in closed
-    form.  Neighbouring runs, each in key order, then merge bottom-up
-    (``_merge_charge``).
+    Up to ``_BLOCK`` items are priced pair by pair.  More merge adjacent
+    items of equal key into one, as their pair is not inverted and the sums
+    are bilinear in the weights, and split into maximal runs of strictly
+    rising or strictly falling key.  A falling run holds no inverted pair
+    and a rising run only inverted pairs, which ``_rising_charge`` sums in
+    closed form.  Neighbouring runs, each in key order, then merge
+    bottom-up (``_merge_charge``).
     """
-    if len(items) <= _BLOCK and not charged:
+    if len(items) <= _BLOCK:
         units = rel = 0
         for a, (wa, ka, _, ma) in enumerate(items):
             for wb, kb, _, mb in items[a + 1:]:
@@ -792,45 +752,31 @@ def _inversion_charge(items, torsion, price, charged=()):
                     units += wa * wb
                     rel += wa * wb * price(ma, mb)
         return units, rel
-    # keys and the values of each free coordinate are ranked once per call
-    order = {key: r for r, key in enumerate(sorted({it[1] for it in items}))}
-    # pieces of groups [key rank, weight, monomial id, exps], a pre-charged
-    # span's sorted by rank
-    pieces, pos = [], 0
-    for start, stop, _, _ in charged:
-        pieces += [(_groups(items, pos, start, order), False),
-                   (sorted(_groups(items, start, stop, order)), True)]
-        pos = stop
-    pieces.append((_groups(items, pos, len(items), order), False))
-    groups = [g for piece, _ in pieces for g in piece] if charged else pieces[0][0]
+    groups = _groups(items)
     # a coordinate on which every item agrees adds nothing to any distance
     first = groups[0][3]
     spread = [i for i in range(len(torsion))
               if any(g[3][i] != first[i] for g in groups)]
     free = [i for i in spread if not torsion[i]]
     cyclic = [(i, torsion[i]) for i in spread if torsion[i]]
-    units, rel = sum(c[2] for c in charged), sum(c[3] for c in charged)
+    units = rel = 0
     runs = []
-    for piece, in_order in pieces:
-        if in_order:
-            runs.append(piece)
-            continue
-        start, n = 0, len(piece)
-        while start < n:
-            end = start + 1
-            if end < n and piece[start][0] < piece[end][0]:
-                while end < n and piece[end - 1][0] < piece[end][0]:
-                    end += 1
-                run = piece[start:end]
-                more_units, more_rel = _rising_charge(run, free, cyclic)
-                units, rel = units + more_units, rel + more_rel
-            else:
-                while end < n and piece[end - 1][0] > piece[end][0]:
-                    end += 1
-                run = piece[start:end]
-                run.reverse()
-            runs.append(run)
-            start = end
+    start, n = 0, len(groups)
+    while start < n:
+        end = start + 1
+        if end < n and groups[start][0] < groups[end][0]:
+            while end < n and groups[end - 1][0] < groups[end][0]:
+                end += 1
+            run = groups[start:end]
+            more_units, more_rel = _rising_charge(run, free, cyclic)
+            units, rel = units + more_units, rel + more_rel
+        else:
+            while end < n and groups[end - 1][0] > groups[end][0]:
+                end += 1
+            run = groups[start:end]
+            run.reverse()
+        runs.append(run)
+        start = end
     if len(runs) < 2:
         return units, rel
     ranks = [{x: r for r, x in enumerate(sorted({g[3][i] for g in groups}), 1)}
@@ -852,11 +798,12 @@ def _inversion_charge(items, torsion, price, charged=()):
     return units, rel
 
 
-def _groups(items, lo, hi, order):
-    """Groups ``[key rank, weight, monomial id, exps]`` of ``items[lo:hi]``,
-    adjacent items of equal key merged into one."""
+def _groups(items):
+    """Groups ``[key rank, weight, monomial id, exps]`` of ``items``,
+    adjacent items of equal key merged into one; keys are ranked once."""
+    order = {key: r for r, key in enumerate(sorted({it[1] for it in items}))}
     groups = []
-    for w, key, exps, m in items[lo:hi]:
+    for w, key, exps, m in items:
         key = order[key]
         if groups and groups[-1][0] == key:
             groups[-1][1] += w
@@ -894,7 +841,7 @@ def _rising_charge(run, free, cyclic):
         residues = list(table.items())
         for a, (r, wr) in enumerate(residues):
             for s, ws in residues[a + 1:]:
-                dist += wr * ws * _length(r - s, d)
+                dist += wr * ws * power_length(r - s, d)
     return units, 4 * dist - 3 * units + 4 * equal
 
 
@@ -940,7 +887,7 @@ def _merge_charge(left, right, cyclic, trees):
                 r &= r - 1
             dist += moments - 2 * below_moment - yf * (total - 2 * below)
         for (i, d), table in zip(cyclic, tables):
-            dist += sum(w * _length(r - y[i], d)
+            dist += sum(w * power_length(r - y[i], d)
                         for r, w in enumerate(table) if w)
         units += total * wb
         rel += wb * (4 * dist - 3 * total + 4 * same.get(mb, 0))

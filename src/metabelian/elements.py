@@ -14,6 +14,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from operator import add
 from typing import Optional
 
+from .bounds import _decimal
 from .errors import AmbientMismatch, ParseError
 from .order import monomial_key
 
@@ -207,20 +208,19 @@ class ModuleElement:
         return self.render()
 
 
-def monomial_word_degree(ambient: Ambient, exponents) -> int:
-    """Group-word length of the ordered word realizing an exponent vector.
+def power_length(e: int, d: int) -> int:
+    """Word length of t^e for a generator of order d (0: infinite): |e|,
+    or the shorter way around the cycle."""
+    if d:
+        e %= d
+        return min(e, d - e)
+    return abs(e)
 
-    Free variables contribute |e|; torsion variables the shorter way around
-    the cycle.
-    """
-    total = 0
-    for e, d in zip(exponents, ambient.torsion):
-        if d:
-            r = e % d
-            total += min(r, d - r)
-        else:
-            total += abs(e)
-    return total
+
+def monomial_word_degree(ambient: Ambient, exponents) -> int:
+    """Group-word length of the ordered word realizing an exponent vector,
+    the sum of ``power_length`` over its coordinates."""
+    return sum(map(power_length, exponents, ambient.torsion))
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +230,18 @@ _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|\-|\(|\))")
 
 
 def _ring_text(monomials, raw: dict, names) -> str:
-    """The ring part of the terms of ``raw`` at ``monomials``, in that order."""
+    """The ring part of the terms of ``raw`` at ``monomials``, in that order;
+    an integer past the int-to-str digit limit is written too."""
     parts = []
     for m in monomials:
         c = raw[m]
-        body = "*".join([v if e == 1 else f"{v}^{e}"
+        body = "*".join([v if e == 1 else f"{v}^{_decimal(e)}"
                          for v, e in zip(names, m[0]) if e])
         mag = abs(c)
         if not body:
-            body = str(mag)
+            body = _decimal(mag)
         elif mag != 1:
-            body = f"{mag}*{body}"
+            body = f"{_decimal(mag)}*{body}"
         parts.append((" - " if c < 0 else " + ") + body)
     text = "".join(parts)
     return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -352,13 +352,7 @@ def exponent_sums(w: GroupWord, p: Presentation) -> tuple[int, ...]:
     for name, exp in w.letters:
         if name in index:
             sums[index[name]] += exp
-    return _torsion_reduced(sums, p)
-
-
-def _torsion_reduced(sums: list, p: Presentation) -> tuple[int, ...]:
-    if p.torsion_gens:
-        return tuple(s % d if d else s for s, d in zip(sums, p.torsion_orders))
-    return tuple(sums)
+    return p.module_ambient().wrap(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +452,7 @@ def _parse(text) -> Presentation:
             sums = exponent_sums(w, p)
         else:
             w, sums = scanned
-            sums = _torsion_reduced(sums, p)
+            sums = p.module_ambient().wrap(sums)
         if any(sums):
             raise ParseError(
                 f"relator {rtext!r} has nonzero t-exponent sum {sums}")

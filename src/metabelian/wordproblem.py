@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .bounds import Bound
+from .bounds import Bound, _json_int
 from .collection import CostLedger, ordered_form, relator_module
 from .elements import ModuleElement, _product, _sum, monomial_word_degree
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
@@ -83,12 +83,12 @@ class AreaCertificate:
     def to_json(self) -> dict:
         return {
             "identity": self.identity,
-            "word_length": self.word_length,
+            "word_length": _json_int(self.word_length),
             "ordered_form": self.ordered.render()
             if self.ordered is not None else None,
             "ledger": self.ledger.to_json(),
             "membership": self.membership.to_json() if self.membership else None,
-            "witnessed_cost": self.witnessed_cost,
+            "witnessed_cost": _json_int(self.witnessed_cost),
             "assembly_bound": self.assembly_bound.to_json()
             if self.assembly_bound is not None else None,
             "relative_bound": self.relative_bound.to_json()
@@ -153,11 +153,11 @@ class RelativeAreaReport:
 
     def to_json(self) -> dict:
         return {
-            "word_length": self.word_length,
-            "witnessed_relative": self.witnessed_relative,
-            "commutation_cost": self.commutation_cost,
-            "normalization_cost": self.normalization_cost,
-            "membership_size": self.membership_size,
+            "word_length": _json_int(self.word_length),
+            "witnessed_relative": _json_int(self.witnessed_relative),
+            "commutation_cost": _json_int(self.commutation_cost),
+            "normalization_cost": _json_int(self.normalization_cost),
+            "membership_size": _json_int(self.membership_size),
             "relative_bound": str(self.relative_bound),
         }
 

@@ -169,6 +169,16 @@ def test_decimal_past_the_digit_limit():
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_json_int_at_the_digit_limit():
+    """``_json_int`` keeps an int that ``str`` converts, ``2^(3*limit)``
+    included, and writes a longer one as its decimal string."""
+    limit = sys.get_int_max_str_digits()
+    for n in (0, -7, 2 ** (3 * limit), 10 ** limit - 1, 1 - 10 ** limit):
+        assert type(bounds._json_int(n)) is int and bounds._json_int(n) == n
+    for n in (10 ** limit, -(10 ** limit), 10 ** (2 * limit)):
+        assert bounds._json_int(n) == bounds._decimal(n)
+
+
 def test_huge_terms_render_past_the_digit_limit(monkeypatch):
     """Coefficient, base and exponent of 5,000 digits render; a bound whose
     log2 is past the float range reports it as inf, unexpanded."""

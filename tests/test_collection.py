@@ -315,6 +315,8 @@ _WF12, _WF11_TORSION = _TAIL_PRESETS[1], _TAIL_PRESETS[3]
                                     _WF11_TORSION)))
 @example((_WF12, parse_word("[t1^4, t2^3]*[u1^3, u2^-4]*[u1^-5, t2^2]",
                             _WF12)))
+# a grid block followed by more conjugates: the whole sequence is merged
+@example((_WF12, parse_word("[t1^6, t2^6]*[a1, u1]", _WF12)))
 @settings(max_examples=300, deadline=None)
 @given(crossing_words())
 def test_crossing_blocks_match_unit_reference(case):
@@ -323,6 +325,20 @@ def test_crossing_blocks_match_unit_reference(case):
     charging the sort item by item."""
     p, w = case
     assert ordered_form(w, p) == _unit_reference_form(w, p)
+
+
+def test_grid_sort_is_charged_as_one_block():
+    """``[t1^30, t2^30]`` is one crossing block of 900 conjugates and
+    nothing else: ``_block_charge`` counts its sort and
+    ``_inversion_charge`` is never called, for the ledger of the merge."""
+    w = parse_word("[t1^30, t2^30]", _WF12)
+    with mock.patch.object(collection, "_block_charge",
+                           wraps=_block_charge) as block, \
+            mock.patch.object(collection, "_inversion_charge",
+                              wraps=_inversion_charge) as merge:
+        got = ordered_form(w, _WF12)
+    assert block.call_count == 1 and merge.call_count == 0
+    assert got == _unit_reference_form(w, _WF12)
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word, render_ordered_word)
+from metabelian.bounds import _decimal
 from metabelian.elements import parse_element
 from metabelian.presentation import parse_presentation, parse_word
 from metabelian.presets import PresetSpec, build, witness_family
@@ -93,6 +94,52 @@ class TestRelativeArea:
             ok, cert = is_identity(w, BS2)
             if ok:
                 assert cert.ledger.relative_total <= cert.assembly_bound
+
+
+# Python's default int-to-str limit is 4,300 digits: N = 10^4300 - 1
+# converts and 2N does not, and M^2 for M = 10^2500 - 1 has 5,000 digits
+_N, _M = "9" * 4300, "9" * 2500
+_WF12 = build(PresetSpec("wf", k=2))
+
+
+def _rendered(doc: dict) -> dict:
+    """``doc`` written as the CLI writes it, and read back."""
+    return json.loads(json.dumps(doc, indent=2, sort_keys=True))
+
+
+class TestPastTheDigitLimit:
+    """A certificate integer longer than ``str`` converts is written as its
+    decimal string; a shorter one stays a JSON number."""
+
+    def test_coefficient(self):
+        w = parse_word(f"a^{_N}*a^{_N}", BS2)
+        doc = _rendered(is_identity(w, BS2)[1].to_json())
+        two_n = _decimal(2 * int(_N))
+        assert doc["ordered_form"] == f"{two_n}*a"
+        assert doc["word_length"] == two_n
+        assert doc["witnessed_cost"] == 0
+
+    def test_exponent(self):
+        w = parse_word(f"t^{_N}*t^{_N}*a*t^-{_N}*t^-{_N}", BS2)
+        doc = _rendered(is_identity(w, BS2)[1].to_json())
+        assert doc["ordered_form"] == f"t^-{_decimal(2 * int(_N))}*a"
+        assert doc["word_length"] == _decimal(4 * int(_N) + 1)
+
+    def test_ledger_total(self):
+        cert = is_identity(parse_word(f"a1^(t2^{_M}*t1)", _WF12), _WF12)[1]
+        doc = _rendered(cert.to_json())
+        assert doc["ledger"]["relative_total"] == \
+            _decimal(cert.ledger.relative_total)
+        assert doc["ledger"]["r2_commutations"] == int(_M)
+        assert doc["witnessed_cost"] == cert.witnessed_cost
+
+    def test_relative_report(self):
+        w = parse_word(f"[a1^(t2^{_M}*t1), a1]", _WF12)
+        report = relative_area_certificate(w, _WF12)
+        doc = _rendered(report.to_json())
+        assert doc["witnessed_relative"] == _decimal(report.witnessed_relative)
+        assert doc["normalization_cost"] == _decimal(report.normalization_cost)
+        assert doc["word_length"] == report.word_length
 
 
 class TestOracle:
