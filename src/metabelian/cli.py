@@ -71,6 +71,13 @@ def _preset_spec(args) -> PresetSpec:
     return PresetSpec(name=args.preset, **given)
 
 
+# The presentation that solve's and area's costs are areas over.
+_AREA_OVER = ("absolute_total and witnessed_cost are areas over the given "
+              "relators plus every commutator [x^u, y^v] of module-letter "
+              "conjugates, each counted as one relation; "
+              "[t^3*a*t^-3, a] in BS(1,2) has witnessed_cost 1.")
+
+
 def _emit_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -113,10 +120,11 @@ def main(argv=None) -> int:
     sp = sub.add_parser("member", help="submodule membership with certificate")
     common(sp)
     sp.add_argument("-e", "--element", required=True)
-    sp = sub.add_parser("solve", help="decide w = 1")
+    sp = sub.add_parser("solve", help="decide w = 1", description=_AREA_OVER)
     common(sp)
     sp.add_argument("-w", "--word", required=True)
-    sp = sub.add_parser("area", help="area certificate of an identity word")
+    sp = sub.add_parser("area", help="area certificate of an identity word",
+                        description=_AREA_OVER)
     common(sp)
     sp.add_argument("-w", "--word", required=True)
     sp.add_argument("--K", type=int, default=None)

@@ -271,8 +271,8 @@ def ordered_form(w: GroupWord, p: Presentation):
     the module vector and the CostLedger.  ``_conjugates`` reads the
     conjugates and prices their conjugators in one scan of the word."""
     ledger = CostLedger()
-    sequence, blocks = _conjugates(w, p, ledger)
-    _charge_merge(sequence, p.module_ambient(), ledger, blocks)
+    sequence, block = _conjugates(w, p, ledger)
+    _charge_merge(sequence, p.module_ambient(), ledger, block)
     return _vector(sequence, p), ledger
 
 
@@ -285,8 +285,8 @@ def relator_module(p: Presentation) -> list[ModuleElement]:
 
 def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     """The module-letter conjugates ``(coeff, basis, exponents)`` of a
-    kernel word, in the order the free rewrite puts them, and the crossing
-    blocks of its tail.
+    kernel word, in the order the free rewrite puts them, and the one
+    crossing block that is the whole sequence, or None.
 
     A module letter's conjugator is the inverse of the t-letters before it,
     so its exponents are the negated running exponent sums, torsion
@@ -296,14 +296,13 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     module letter's from the inverse of the stack, a crossing block's by
     ``_price_crossing``; without one nothing is.
 
-    Each block ``(start, rows, var, shift, progressions)`` spans
-    ``rows * width`` conjugates from ``start``: ``rows`` rows of the same
-    ``width`` template conjugates, row r's exponents the first row's
-    shifted by ``r*shift`` at ``var``.  The template runs through
-    ``progressions`` ``(length, coordinate, stride)``, one per middle
-    syllable: ``length`` conjugates of one basis whose exponents step by
-    ``stride`` in ``coordinate``.  A crossing of one row records no block,
-    as ``_block_charge`` never counts a single template.
+    The block ``(rows, var, shift, progressions)``, the one sequence
+    ``_block_charge`` takes, is given only for a word with no module letter
+    whose tail makes one crossing of two or more rows: ``rows`` rows of one
+    template, row r's exponents the first row's shifted by ``r*shift`` at
+    ``var``.  The template runs through ``progressions`` ``(length,
+    coordinate, stride)``, one per middle syllable: ``length`` conjugates of
+    one basis whose exponents step by ``stride`` in ``coordinate``.
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
     wrap = p.module_ambient().wrap
@@ -336,17 +335,18 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         raise KeyError(unknown)
     if ledger is not None:
         ledger.free_steps += len(sequence) + 1
-    blocks, module_letters = [], len(sequence)
+    block, module_letters = None, len(sequence)
     if not stack:
-        return sequence, blocks
-    for crossing in _collect_units(GroupWord(tuple(stack)), p, ledger)[0]:
+        return sequence, None
+    crossings = _collect_units(GroupWord(tuple(stack)), p, ledger)[0]
+    lone = not module_letters and len(crossings) == 1
+    for crossing in crossings:
         var, rows = crossing.var, abs(crossing.power)
         template = crossing.template(t_pos)
         # the first row in word order is the last unit's: a head, then the rest
         rest = [0] * len(torsion)
         for name, e in crossing.rest:
             rest[t_pos[name]] += e
-        start = len(sequence)
         for sign, j, head in template:
             exps = list(rest)
             for name, e in head:
@@ -355,10 +355,11 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
                              wrap(exps)))
         if rows > 1:
             shift = 1 if crossing.power > 0 else -1
-            blocks.append((start, rows, var, shift, tuple(
-                (abs(b), t_pos[other], -1 if b > 0 else 1)
-                for other, b in crossing.middle)))
-            row = sequence[start:]
+            if lone:
+                block = (rows, var, shift, tuple(
+                    (abs(b), t_pos[other], -1 if b > 0 else 1)
+                    for other, b in crossing.middle))
+            row = sequence[-len(template):]
             for r in range(1, rows):
                 for sign, basis, exps in row:
                     sequence.append((sign, basis, wrap(
@@ -367,7 +368,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
             _price_crossing(crossing, template, p, ledger)
     if ledger is not None:
         ledger.r1_commutators += len(sequence) - module_letters
-    return sequence, blocks
+    return sequence, block
 
 
 def _price_crossing(crossing: _Crossing, template, p: Presentation,
@@ -397,12 +398,9 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
         if rows > 2:
             _price_conjugator(crossing.conjugator(head, 2), p, second)
     n, fall = rows - 1, (rows - 1) * (rows - 2) // 2
-    ledger.r1_commutators += (n * first.r1_commutators - fall
-                              * (first.r1_commutators - second.r1_commutators))
-    ledger.r2_commutations += (n * first.r2_commutations - fall
-                               * (first.r2_commutations - second.r2_commutations))
-    ledger.rel_r2_normalize += (n * first.rel_r2_normalize - fall
-                                * (first.rel_r2_normalize - second.rel_r2_normalize))
+    for name in ("r1_commutators", "r2_commutations", "rel_r2_normalize"):
+        one, two = getattr(first, name), getattr(second, name)
+        setattr(ledger, name, getattr(ledger, name) + n * one - fall * (one - two))
     ledger.module_relations += n * first.module_relations
     d = p.torsion_orders[crossing.var]
     if d:
@@ -421,7 +419,7 @@ def _vector(sequence, p: Presentation) -> ModuleElement:
     return ModuleElement.from_dict(p.module_ambient(), raw)
 
 
-def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
+def _charge_merge(sequence, amb, ledger: CostLedger, block=None):
     """Transposition charges for gathering conjugates into ordered form.
 
     Opposite conjugates of the same monomial are cancelled greedily first
@@ -435,8 +433,8 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
     Equal monomials cross at equal prices, so prices are kept per pair of
     monomials.
 
-    The sort is charged on one of two paths.  When one crossing block of
-    ``_conjugates`` (``blocks``) is the whole sequence of more than
+    The sort is charged on one of two paths.  When the sequence is the
+    crossing block of ``_conjugates`` (``block``), holds more than
     ``_BLOCK`` conjugates and no cancellation touched it, as for a
     commutator of two powers, ``_block_charge`` counts it by difference;
     any other sequence, or a block it cannot count, goes to
@@ -461,13 +459,10 @@ def _charge_merge(sequence, amb, ledger: CostLedger, blocks=()):
     ledger.rel_r2_merge += rel
 
     charge = None
-    if len(blocks) == 1 and len(items) > _BLOCK:
-        start, rows, var, shift, progressions = blocks[0]
-        # a cancellation zeroes the unit conjugates it touches
-        if (start == 0 and rows * sum(n for n, _, _ in progressions)
-                == len(items) and all(c for c, _, _ in items)):
-            charge = _block_charge(items, rows, var, shift, progressions,
-                                   amb.torsion)
+    # a cancellation zeroes the unit conjugates it touches
+    if (block is not None and len(items) > _BLOCK
+            and all(c for c, _, _ in items)):
+        charge = _block_charge(items, *block, amb.torsion)
     if charge is None:
         # ordered form puts e1 first and larger monomials first within a
         # basis; monomial_key without a call per conjugate

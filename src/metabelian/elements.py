@@ -25,7 +25,7 @@ class Ambient:
 
     ``laurent=True`` allows negative exponents and keeps torsion exponents
     reduced into [0, order); the polynomial ambients used by the Groebner
-    engine set ``laurent=False`` and never wrap.
+    engine set ``laurent=False``, never wrap and hold no negative exponent.
     """
 
     variables: tuple[str, ...]
@@ -146,7 +146,9 @@ class ModuleElement:
     @staticmethod
     def from_dict(ambient: Ambient, raw: dict) -> "ModuleElement":
         """The element of a term dict: torsion exponents are wrapped, and
-        terms that merge to zero or have a zero coefficient are dropped."""
+        terms that merge to zero or have a zero coefficient are dropped.  A
+        polynomial ambient (``laurent=False``) raises AmbientMismatch on a
+        negative exponent."""
         if ambient.laurent and any(ambient.torsion):
             merged: dict[tuple, int] = {}
             for (exps, basis), coeff in raw.items():
@@ -154,7 +156,10 @@ class ModuleElement:
                     key = (ambient.wrap(exps), basis)
                     merged[key] = merged.get(key, 0) + coeff
             raw = merged
-        return ModuleElement._of(ambient, {key: c for key, c in raw.items() if c})
+        raw = {key: c for key, c in raw.items() if c}
+        if not ambient.laurent and any(min(e, default=0) < 0 for e, _ in raw):
+            raise AmbientMismatch("negative exponent in a polynomial ambient")
+        return ModuleElement._of(ambient, raw)
 
     def is_zero(self) -> bool:
         return not self._raw

@@ -31,14 +31,11 @@ INVERSE_SUFFIX = "__inv"
 
 
 def _check_polynomial(g: ModuleElement):
-    amb = g.ambient
-    if amb.laurent and any(amb.torsion):
+    """A polynomial ambient holds no negative exponent (``from_dict``), so
+    the ambient alone tells whether ``g`` can be reduced."""
+    if g.ambient.laurent:
         raise AmbientMismatch(
-            "torsion exponents wrap: embed Laurent elements first (laurent_embed)")
-    for exps, _ in g._raw:
-        if min(exps, default=0) < 0:
-            raise AmbientMismatch(
-                "negative exponents: embed Laurent elements first (laurent_embed)")
+            "a Laurent ambient: embed its elements first (laurent_embed)")
 
 
 def _reducible(coeff: int, lc: int) -> bool:
@@ -240,9 +237,8 @@ def normal_form(g: ModuleElement, G, step_budget=DEFAULT_STEP_BUDGET):
         gens, tables = G.generators, G._tables
     else:
         gens = list(G)
-        for f in gens:
-            _check_polynomial(f)
         tables = [_table(f) for f in gens]
+    # a generator in g's polynomial ambient is polynomial too
     if any(f.ambient != g.ambient for f in gens):
         raise AmbientMismatch("element and generators live in different ambients")
     budget = [step_budget]
@@ -355,11 +351,10 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     F = [f for f in F if not f.is_zero()]
     if not F:
         return GroebnerBasis(ambient=None, generators=(), origin=())
+    _check_polynomial(F[0])
     ambient = F[0].ambient
-    for f in F:
-        if f.ambient != ambient:
-            raise AmbientMismatch("generators live in different ambients")
-        _check_polynomial(f)
+    if any(f.ambient != ambient for f in F):
+        raise AmbientMismatch("generators live in different ambients")
 
     what = "Groebner construction"
     budget = [step_budget]
@@ -491,9 +486,10 @@ def verify_certificate(g: ModuleElement, cert: DivisionCertificate,
     Recomputes ``residue + sum_i alpha_i * f_i`` and compares it with ``g``,
     recounts ``size`` from the alphas and checks it against the closed-form
     bound recomputed for ``g``; nothing here runs the divider.  An alpha
-    with a basis part is rejected.
+    outside the coefficient ring of ``g``, or with a basis part, is rejected.
     """
     if (len(cert.coefficients) != len(G.generators)
+            or any(a.ambient != g.ambient.ring() for a in cert.coefficients)
             or any(b is not None for a in cert.coefficients for _, b in a._raw)):
         return False
     total = cert.residue.as_dict()
@@ -549,23 +545,12 @@ def laurent_embed(F, ambient: Optional[Ambient] = None):
             for (exps, basis), c in raw.items()})
 
     embedded = [embed(f) for f in F if not f.is_zero()]
-    nv = poly.nvars
-    for j, i in enumerate(free_idx):
-        unit_exps = [0] * nv
-        unit_exps[i] = 1
-        unit_exps[ambient.nvars + j] = 1
-        for b in range(1, ambient.rank + 1):
-            embedded.append(ModuleElement.from_dict(poly, {
-                (tuple(unit_exps), b): 1,
-                ((0,) * nv, b): -1,
-            }))
-    for i, d in enumerate(ambient.torsion):
-        if d:
-            tor_exps = [0] * nv
-            tor_exps[i] = d
-            for b in range(1, ambient.rank + 1):
-                embedded.append(ModuleElement.from_dict(poly, {
-                    (tuple(tor_exps), b): 1,
-                    ((0,) * nv, b): -1,
-                }))
+    nv, zero = poly.nvars, (0,) * poly.nvars
+    # the lead monomials of t_i*s_i - 1 and then of t_i^(d_i) - 1
+    units = [tuple(int(q in (i, ambient.nvars + j)) for q in range(nv))
+             for j, i in enumerate(free_idx)]
+    units += [tuple(d * (q == i) for q in range(nv))
+              for i, d in enumerate(ambient.torsion) if d]
+    embedded += [ModuleElement.from_dict(poly, {(u, b): 1, (zero, b): -1})
+                 for u in units for b in range(1, ambient.rank + 1)]
     return poly, embedded, embed

@@ -62,6 +62,11 @@ def constant_k(p: Presentation) -> Optional[int]:
 
 @dataclass(frozen=True)
 class AreaCertificate:
+    """A verdict and its witnesses.  ``ledger.absolute_total`` and
+    ``witnessed_cost`` are areas over the given relators plus every
+    commutator ``[x^u, y^v]`` of module-letter conjugates, each counted as
+    one relation: ``[t^3*a*t^-3, a]`` in BS(1,2) has ``witnessed_cost`` 1."""
+
     word_length: int
     identity: bool
     ordered: Optional[ModuleElement]

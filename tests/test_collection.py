@@ -341,6 +341,22 @@ def test_grid_sort_is_charged_as_one_block():
     assert got == _unit_reference_form(w, _WF12)
 
 
+def test_lone_crossing_is_the_only_block():
+    """``_conjugates`` gives a block only for a word with no module letter
+    whose tail makes one crossing of two or more rows: ``[t1^30, t2^30]``
+    gathers t1^30 past t2^30, 30 rows of one progression of 30 conjugates
+    in t2, each row one lower at t1."""
+    w = parse_word("[t1^30, t2^30]", _WF12)
+    sequence, block = collection._conjugates(w, _WF12)
+    assert len(sequence) == 900
+    assert block == (30, 2, 1, ((30, 3, 1),))
+    two = parse_word("[t1^5, t2^5]*[t1^4, t2^4]", _WF12)
+    assert len(_collect_units(split_conjugates(two, _WF12)[1], _WF12)[0]) == 2
+    for text in ("[t1^30, t2^30]*[a1, u1]", "a1*[t1^30, t2^30]*a1^-1",
+                 "[t1^5, t2^5]*[t1^4, t2^4]", "[t1, t2]"):
+        assert collection._conjugates(parse_word(text, _WF12), _WF12)[1] is None
+
+
 @st.composite
 def priced_conjugators(draw):
     """``(p, letters)``: a condensed conjugator over the t-names of a free

@@ -136,8 +136,10 @@ def _ambient(draw) -> Ambient:
 
 def _raw(draw, amb: Ambient) -> dict:
     """A term dict over ``amb`` whose torsion exponents wrap onto each other,
-    so that terms merge or cancel, with zero coefficients among them."""
-    exponents = st.tuples(*[st.integers(-4, 4)] * amb.nvars)
+    so that terms merge or cancel, with zero coefficients among them.  A
+    polynomial ambient gets non-negative exponents, as ``from_dict`` rejects
+    the others there."""
+    exponents = st.tuples(*[st.integers(-4 if amb.laurent else 0, 4)] * amb.nvars)
     monomials = st.tuples(exponents, st.none() if amb.is_ring()
                           else st.integers(1, amb.rank))
     return draw(st.dictionaries(monomials, st.integers(-2, 2), max_size=12))
@@ -184,7 +186,8 @@ def test_arithmetic_matches_plain_loops(data):
     g, h = (ModuleElement.from_dict(amb, _raw(data.draw, amb)) for _ in range(2))
     lam = ModuleElement.from_dict(amb.ring(), _raw(data.draw, amb.ring()))
     c = data.draw(st.integers(-3, 3))
-    u = data.draw(st.tuples(*[st.integers(-4, 4)] * amb.nvars))
+    u = data.draw(st.tuples(*[st.integers(-4 if amb.laurent else 0, 4)]
+                            * amb.nvars))
     one = (0,) * amb.nvars
     assert (g + h).as_dict() == _reference(
         amb, _scaled(g, 1, one) + _scaled(h, 1, one))
@@ -319,6 +322,29 @@ def test_render_matches_term_renderer(case, scale):
     amb, raw = case
     g = ModuleElement.from_dict(amb, {m: scale * c for m, c in raw.items()})
     assert render_element(g) == _term_render(g)
+
+
+class TestPolynomialAmbient:
+    """A polynomial ambient holds no negative exponent: every way in
+    refuses one."""
+
+    POLY = Ambient(("x",), (0,), 1, ("e",), laurent=False)
+
+    def test_from_dict(self):
+        with pytest.raises(AmbientMismatch):
+            ModuleElement.from_dict(self.POLY, {((-1,), 1): 2})
+        assert ModuleElement.from_dict(self.POLY, {((-1,), 1): 0}).is_zero()
+
+    def test_parse_element(self):
+        with pytest.raises(AmbientMismatch):
+            parse_element("x^-1*e", self.POLY)
+        assert parse_element("x^-1*x*e", self.POLY) == parse_element("e", self.POLY)
+
+    def test_scale_translate(self):
+        g = parse_element("x*e", self.POLY)
+        with pytest.raises(AmbientMismatch):
+            g.scale_translate(1, (-2,))
+        assert g.scale_translate(1, (-1,)) == parse_element("e", self.POLY)
 
 
 class TestAmbientValidation:

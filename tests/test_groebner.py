@@ -110,6 +110,18 @@ class TestBuchberger:
         with pytest.raises(AmbientMismatch):
             buchberger_strong([parse_element("t^-1*a", LAUR1)])
 
+    def test_rejects_every_laurent_ambient(self):
+        """An element of a Laurent ambient is refused on its ambient, even
+        with non-negative exponents: embed it first."""
+        g = parse_element("(t - 2)*a", LAUR1)
+        _, emb, _ = laurent_embed([g], LAUR1)
+        with pytest.raises(AmbientMismatch):
+            buchberger_strong([g])
+        with pytest.raises(AmbientMismatch):
+            divide_with_certificate(g, buchberger_strong(emb))
+        with pytest.raises(AmbientMismatch):
+            normal_form(g, [g])
+
     def test_positive_leading_coefficients(self):
         rng = random.Random(2)
         amb = Ambient(("x", "y"), (0, 0), 2, ("e1", "e2"), laurent=False)
@@ -241,14 +253,16 @@ class TestDivision:
 
     def test_checker_rejects_tampered_alpha(self):
         """``(x^2 - 4)*e1 = (x + 2)*(x - 2)*e1``; an alpha of the same size
-        with another sign, or with a basis part, no longer adds up to g."""
+        with another sign, with a basis part or from another ring is
+        refused."""
         gb = buchberger_strong([parse_element("(x - 2)*e1", POLY1)])
         g = parse_element("(x^2 - 4)*e1", POLY1)
         cert = divide_with_certificate(g, gb)
         assert verify_certificate(g, cert, gb)
         ring = POLY1.ring()
         assert cert.coefficients == (parse_element("x + 2", ring),)
-        for alpha in (parse_element("x - 2", ring), parse_element("x*e1 + 2*e1", POLY1)):
+        for alpha in (parse_element("x - 2", ring), parse_element("x*e1 + 2*e1", POLY1),
+                      parse_element("t^-1 + 2", LAUR1.ring())):
             assert alpha.length == cert.size
             assert not verify_certificate(g, replace(cert, coefficients=(alpha,)), gb)
 
