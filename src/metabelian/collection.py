@@ -296,13 +296,13 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     module letter's from the inverse of the stack, a crossing block's by
     ``_price_crossing``; without one nothing is.
 
-    The block ``(rows, var, shift, progressions)``, the one sequence
-    ``_block_charge`` takes, is given only for a word with no module letter
-    whose tail makes one crossing of two or more rows: ``rows`` rows of one
-    template, row r's exponents the first row's shifted by ``r*shift`` at
-    ``var``.  The template runs through ``progressions`` ``(length,
-    coordinate, stride)``, one per middle syllable: ``length`` conjugates of
-    one basis whose exponents step by ``stride`` in ``coordinate``.
+    The block ``(rows, var, shift, n, coordinate, stride)``, the one
+    sequence ``_block_charge`` takes, is given only for a word with no
+    module letter whose tail makes one crossing of two or more rows past a
+    middle of one syllable: ``rows`` rows of one template, row r's exponents
+    the first row's shifted by ``r*shift`` at ``var``, and the template
+    ``n`` conjugates of one sign and one basis whose exponents step by
+    ``stride`` in ``coordinate``, a later t-letter than ``var``.
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
     wrap = p.module_ambient().wrap
@@ -339,7 +339,8 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     if not stack:
         return sequence, None
     crossings = _collect_units(GroupWord(tuple(stack)), p, ledger)[0]
-    lone = not module_letters and len(crossings) == 1
+    lone = (not module_letters and len(crossings) == 1
+            and len(crossings[0].middle) == 1)
     for crossing in crossings:
         var, rows = crossing.var, abs(crossing.power)
         template = crossing.template(t_pos)
@@ -356,9 +357,9 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         if rows > 1:
             shift = 1 if crossing.power > 0 else -1
             if lone:
-                block = (rows, var, shift, tuple(
-                    (abs(b), t_pos[other], -1 if b > 0 else 1)
-                    for other, b in crossing.middle))
+                (other, b), = crossing.middle
+                block = (rows, var, shift, abs(b), t_pos[other],
+                         -1 if b > 0 else 1)
             row = sequence[-len(template):]
             for r in range(1, rows):
                 for sign, basis, exps in row:
@@ -434,11 +435,10 @@ def _charge_merge(sequence, amb, ledger: CostLedger, block=None):
     monomials.
 
     The sort is charged on one of two paths.  When the sequence is the
-    crossing block of ``_conjugates`` (``block``), holds more than
-    ``_BLOCK`` conjugates and no cancellation touched it, as for a
-    commutator of two powers, ``_block_charge`` counts it by difference;
-    any other sequence, or a block it cannot count, goes to
-    ``_inversion_charge``.
+    crossing block of ``_conjugates`` (``block``) and holds more than
+    ``_BLOCK`` conjugates, as for a commutator of two powers,
+    ``_block_charge`` counts it by difference; any other sequence, or a
+    block it cannot count, goes to ``_inversion_charge``.
     """
     items = [[coeff, basis, exps] for coeff, basis, exps in sequence]
     monos: dict = {}
@@ -459,9 +459,9 @@ def _charge_merge(sequence, amb, ledger: CostLedger, block=None):
     ledger.rel_r2_merge += rel
 
     charge = None
-    # a cancellation zeroes the unit conjugates it touches
-    if (block is not None and len(items) > _BLOCK
-            and all(c for c, _, _ in items)):
+    # a block's conjugates share one sign and one basis, so _cancel finds
+    # no opposite pair in it
+    if block is not None and len(items) > _BLOCK:
         charge = _block_charge(items, *block, amb.torsion)
     if charge is None:
         # ordered form puts e1 first and larger monomials first within a
@@ -585,135 +585,54 @@ def _row_sums(lo: int, hi: int, rows: int):
     return rows * n - s1, rows * s1 - s2
 
 
-def _block_charge(block, rows, var, shift, progressions, torsion):
-    """``(units, rel)`` of ``_inversion_charge`` over the pairs inside an
-    uncancelled crossing block of unit conjugates ``[coeff, basis, exps]``
-    (see ``_conjugates``), or None when they cannot be counted by
-    difference.
+def _block_charge(block, rows, var, shift, n, coordinate, stride, torsion):
+    """``(units, rel)`` of ``_inversion_charge`` over the pairs of a
+    crossing block of unit conjugates ``[coeff, basis, exps]`` of one sign
+    and one basis (see ``_conjugates``), or None when they cannot be
+    counted by difference.
 
-    Inside one closed orthant of every coordinate that varies over the
-    block, the degree of a monomial is linear, so whether a pair is
-    inverted, its distance and whether its exponents are equal depend only
-    on the exponent difference and the two bases.  The pair of row r's
-    template conjugate t and row ``r + g``'s t' has difference ``X_t -
-    X_t' - g*shift`` at ``var`` and ``X_t - X_t'`` elsewhere, and
-    ``rows - g`` row pairs share it (for ``g = 0`` only t before t'
-    counts).  Two progressions in one coordinate give few differences,
-    each counted by the overlap of two intervals; in two coordinates every
-    pair of their conjugates is one.  For each template difference the
-    sum over ``g`` is read in closed form between the gaps where the
-    degree difference or the ``var`` difference is 0.
+    Each row is one progression of ``n`` conjugates stepping by ``stride``
+    in ``coordinate``, and row r's exponents are the first row's shifted by
+    ``r*shift`` at ``var``, another coordinate.  The pair of the u-th
+    conjugate of row r and the u2-th of row ``r + g`` differs by
+    ``v*stride`` at ``coordinate``, ``v = u - u2``, and by ``-g*shift`` at
+    ``var``; ``(rows - g)*(n - |v|)`` pairs share it (for ``g = 0`` only
+    ``v < 0``).  Inside one closed orthant of both coordinates the degree
+    difference is ``alpha*v - beta*g``, ``alpha`` and ``beta`` the signs
+    that ``stride`` and ``shift`` take in the degree, so for each v the
+    inverted gaps ``g >= 1`` run from or up to the gap where it is 0, and
+    are summed in closed form; the pair's distance is ``|v| + g``.
 
-    None when a varying coordinate is torsion or crosses 0, or when the
-    template differences outnumber the block's conjugates.
+    None when a varying coordinate crosses 0 or is torsion, as a wrapped
+    progression's ends do not bound it.
     """
-    work = sum(n + n2 if c == c2 or n == 1 or n2 == 1 else n * n2
-               for n, c, _ in progressions for n2, c2, _ in progressions)
-    if work > len(block):
+    if rows > 1 and torsion[var] or n > 1 and torsion[coordinate]:
         return None
-    nvars = len(torsion)
-    segments, q = [], 0
-    low, high = list(block[0][2]), list(block[0][2])
-    for n, coordinate, stride in progressions:
-        if n > 1 and torsion[coordinate]:
-            return None
-        _, basis, first = block[q]
-        segments.append((basis, first, n, coordinate, stride))
-        for exps in (first, block[q + n - 1][2]):
-            for c in range(nvars):
-                low[c], high[c] = min(low[c], exps[c]), max(high[c], exps[c])
-        q += n
-    low[var] += min(0, (rows - 1) * shift)
-    high[var] += max(0, (rows - 1) * shift)
-    sigma = [0] * nvars
-    for c in range(nvars):
-        if low[c] == high[c]:
-            continue
-        if torsion[c] or low[c] < 0 < high[c]:
-            return None
-        sigma[c] = 1 if high[c] > 0 else -1
-
+    first = block[0][2]
+    x, y = first[var], first[coordinate]
+    x2, y2 = x + (rows - 1) * shift, y + (n - 1) * stride
+    if x * x2 < 0 or y * y2 < 0:
+        return None
+    alpha = stride if y + y2 > 0 else -stride
+    beta = shift if x + x2 > 0 else -shift
+    top = rows - 1
     units = rel = 0
-
-    def count(delta, order, ordered, every):
-        """Charge ``ordered`` template pairs at row gap 0 and ``every`` at
-        each gap 1..rows-1 whose difference is ``delta`` and bases compare
-        as ``order``."""
-        nonlocal units, rel
-        # the first nonzero difference before and after var, and the
-        # degree difference and distance outside var
-        pre = post = others = far = 0
-        for c, x in enumerate(delta):
-            if x and c != var:
-                others += sigma[c] * x
-                far += abs(x)
-                if c < var:
-                    pre = pre or x
-                else:
-                    post = post or x
-        dx = delta[var]
-
-        def pair(g):
-            v = dx - g * shift
-            if order:
-                inverted = order > 0
-            else:
-                degree = others + sigma[var] * v
-                inverted = degree < 0 or (degree == 0 and (pre or v or post) < 0)
-            return inverted, max(1, 4 * (far + abs(v)) - 3)
-
-        if ordered:
-            inverted, cost = pair(0)
-            if inverted:
-                units += rows * ordered
-                rel += rows * ordered * cost
-        if not every:
-            return
-        top = rows - 1
-        # the degree difference is 0 at one gap, the var difference at another
-        tie = (others + sigma[var] * dx) * sigma[var] * shift
-        cuts = sorted({g for g in (1, top, tie, dx * shift) if 1 <= g <= top})
-        before = None
-        for g in cuts:
-            if before is not None and g - before > 1:
-                lo, hi = before + 1, g - 1
-                if pair(lo)[0]:
-                    side = 1 if dx - lo * shift > 0 else -1
-                    w1, w2 = _row_sums(lo, hi, rows)
-                    units += every * w1
-                    rel += every * ((4 * (far + side * dx) - 3) * w1
-                                    - 4 * side * shift * w2)
-            inverted, cost = pair(g)
-            if inverted:
-                units += every * (rows - g)
-                rel += every * (rows - g) * cost
-            before = g
-
-    for m, (basis, first, n, c, stride) in enumerate(segments):
-        for m2, (basis2, first2, n2, c2, stride2) in enumerate(segments):
-            order = (basis > basis2) - (basis < basis2)
-            base = [x - y for x, y in zip(first, first2)]
-            if c == c2 or n == 1 or n2 == 1:
-                axis = c if n > 1 else c2
-                # u*stride - u2*stride2 over u < n, u2 < n2
-                plo, phi = min(0, (n - 1) * stride), max(0, (n - 1) * stride)
-                qlo, qhi = min(0, (n2 - 1) * stride2), max(0, (n2 - 1) * stride2)
-                for v in range(plo - qhi, phi - qlo + 1):
-                    pairs = min(phi, qhi + v) - max(plo, qlo + v) + 1
-                    delta = list(base)
-                    delta[axis] += v
-                    if m == m2:
-                        ordered = pairs if stride * v < 0 else 0
-                    else:
-                        ordered = pairs if m < m2 else 0
-                    count(delta, order, ordered, pairs)
-            else:
-                for u in range(n):
-                    for u2 in range(n2):
-                        delta = list(base)
-                        delta[c] += u * stride
-                        delta[c2] -= u2 * stride2
-                        count(delta, order, int(m < m2), 1)
+    for v in range(1 - n, n):
+        pairs, d = n - abs(v), abs(v)
+        if v < 0 < alpha:
+            units += rows * pairs
+            rel += rows * pairs * (4 * d - 3)
+        # at equal degree the first differing coordinate decides
+        tie = shift > 0 if var < coordinate else v * stride < 0
+        edge = alpha * beta * v
+        if beta > 0:
+            lo, hi = max(1, edge + (not tie)), top
+        else:
+            lo, hi = 1, min(top, edge - (not tie))
+        if lo <= hi:
+            w1, w2 = _row_sums(lo, hi, rows)
+            units += pairs * w1
+            rel += pairs * ((4 * d - 3) * w1 + 4 * w2)
     return units, rel
 
 

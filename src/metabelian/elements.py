@@ -18,6 +18,10 @@ from .bounds import _decimal
 from .errors import AmbientMismatch, ParseError
 from .order import monomial_key
 
+# The name suffix of the variable that stands for a Laurent variable's
+# inverse once ``laurent_embed`` makes a Laurent ambient polynomial.
+INVERSE_SUFFIX = "__inv"
+
 
 @dataclass(frozen=True)
 class Ambient:

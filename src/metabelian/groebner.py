@@ -21,13 +21,11 @@ from operator import add, le, neg, sub
 from typing import Optional
 
 from .bounds import Bound, _decimal
-from .elements import Ambient, ModuleElement, _product, _sum
+from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, _product, _sum
 from .errors import AmbientMismatch, BudgetExceeded
 from .order import int_key, monomial_key
 
 DEFAULT_STEP_BUDGET = 10 ** 6
-
-INVERSE_SUFFIX = "__inv"
 
 
 def _check_polynomial(g: ModuleElement):

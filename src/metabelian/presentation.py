@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .elements import (_TOO_DEEP, Ambient, ModuleElement, _Tokens,
-                       parse_element)
+from .elements import (_TOO_DEEP, INVERSE_SUFFIX, Ambient, ModuleElement,
+                       _Tokens, parse_element)
 from .errors import ParseError
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -405,7 +405,7 @@ def _parse(text) -> Presentation:
     for n in names:
         if not isinstance(n, str) or not _NAME.fullmatch(n):
             raise ParseError(f"invalid generator name {n!r}")
-        if n.endswith("__inv"):
+        if n.endswith(INVERSE_SUFFIX):
             raise ParseError(f"generator name {n!r} collides with inverse variables")
     if len(set(names)) != len(names):
         raise ParseError("generator names must be distinct")

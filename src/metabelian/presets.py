@@ -36,6 +36,9 @@ class PresetSpec:
                 if len(coeffs) < 2 or coeffs[0] != 1 or coeffs[-1] != 1:
                     raise ValueError(
                         "action polynomials must be 1 + ... + t^d with d >= 1")
+            if any(d < 2 for d in self.torsion_orders):
+                raise ValueError(f"wf torsion orders must be >= 2, got "
+                                 f"{','.join(map(str, self.torsion_orders))}")
 
 
 def _word(letters) -> GroupWord:
@@ -210,8 +213,11 @@ def norm_growth(f: ModuleElement, N: int):
     """Norms |f^n| for n = 1..N and the fitted growth base.
 
     ``f`` must be a one-variable ring element of the shape
-    1 + c_1 t + ... + t^d with d >= 1.
+    1 + c_1 t + ... + t^d with d >= 1, and ``N >= 2``: one norm fits no
+    base.
     """
+    if N < 2:
+        raise ValueError(f"norm growth fits a base to N >= 2 norms, got N = {N}")
     _check_growth_shape(f)
     norms = []
     power = f

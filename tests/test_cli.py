@@ -194,10 +194,20 @@ class TestExitCodes:
         ["preset", "lamplighter", "--m", "0"],
         ["preset", "wf", "--r", "0"],
         ["solve", "--preset", "wf", "--k", "0", "-w", "z"],
+        ["preset", "wf", "--orders", "1"],
+        ["solve", "--preset", "wf", "--orders", "0", "-w", "a1"],
+        ["solve", "--preset", "wf", "--orders", "3,-2", "-w", "a1"],
     ])
     def test_degenerate_preset_parameter(self, argv):
         code, out = run(argv)
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("nmax", ["1", "0"])
+    def test_norm_growth_needs_two_norms(self, nmax, capsys):
+        code, out = run(["norm-growth", "-f", "1+t", "-n", nmax])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == \
+            f"error: norm growth fits a base to N >= 2 norms, got N = {nmax}\n"
 
     @pytest.mark.parametrize("lam", [[], 0, False, ""])
     def test_falsy_lambda_exits_2(self, lam, tmp_path):

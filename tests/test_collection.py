@@ -302,7 +302,7 @@ def crossing_words(draw):
 _WF12, _WF11_TORSION = _TAIL_PRESETS[1], _TAIL_PRESETS[3]
 
 
-# counted blocks of several progressions, in one coordinate and in two; a
+# lone crossings past middles of several syllables, sorted by merging; a
 # block of [s^4, t^5] in Gamma partly cancelled, and one sorted beside
 # ordinary conjugates; blocks over a torsion preset, one gathering t2 of
 # order 5; blocks cancelling one another
@@ -341,20 +341,39 @@ def test_grid_sort_is_charged_as_one_block():
     assert got == _unit_reference_form(w, _WF12)
 
 
+_WF13 = build(PresetSpec("wf", k=3))
+
+
 def test_lone_crossing_is_the_only_block():
     """``_conjugates`` gives a block only for a word with no module letter
-    whose tail makes one crossing of two or more rows: ``[t1^30, t2^30]``
-    gathers t1^30 past t2^30, 30 rows of one progression of 30 conjugates
-    in t2, each row one lower at t1."""
+    whose tail makes one crossing of two or more rows past one middle
+    syllable: ``[t1^30, t2^30]`` gathers t1^30 past t2^30, 30 rows of one
+    progression of 30 conjugates in t2, each row one lower at t1, while
+    ``[t1^9, t2*t3]`` gathers t1^9 past two syllables."""
     w = parse_word("[t1^30, t2^30]", _WF12)
     sequence, block = collection._conjugates(w, _WF12)
     assert len(sequence) == 900
-    assert block == (30, 2, 1, ((30, 3, 1),))
+    assert block == (30, 2, 1, 30, 3, 1)
     two = parse_word("[t1^5, t2^5]*[t1^4, t2^4]", _WF12)
     assert len(_collect_units(split_conjugates(two, _WF12)[1], _WF12)[0]) == 2
     for text in ("[t1^30, t2^30]*[a1, u1]", "a1*[t1^30, t2^30]*a1^-1",
                  "[t1^5, t2^5]*[t1^4, t2^4]", "[t1, t2]"):
         assert collection._conjugates(parse_word(text, _WF12), _WF12)[1] is None
+    sequence, block = collection._conjugates(
+        parse_word("[t1^9, t2*t3]", _WF13), _WF13)
+    assert len(sequence) == 18 and block is None
+
+
+def test_two_syllable_middle_is_merged():
+    """A lone crossing past a middle of two syllables is sorted by
+    ``_inversion_charge``, never by ``_block_charge``, with the ledger of
+    gathering unit by unit and sorting item by item."""
+    w = parse_word("[t1^9, t2*t3]", _WF13)
+    with mock.patch.object(collection, "_block_charge",
+                           wraps=_block_charge) as block:
+        got = ordered_form(w, _WF13)
+    assert block.call_count == 0
+    assert got == _unit_reference_form(w, _WF13)
 
 
 @st.composite
@@ -634,38 +653,30 @@ def test_cancel_matches_full_table(case):
 
 @st.composite
 def crossing_blocks(draw):
-    """``(amb, block, rows, var, shift, progressions)``: a block laid out
-    as ``_conjugates`` lays one out, from 1-3 progressions of 1-6 unit
-    conjugates with random first exponents (so equal conjugates repeat),
-    over free and torsion coordinates; the exponents may cross 0."""
+    """``(amb, block, rows, var, shift, n, coordinate, stride)``: a block
+    laid out as ``_conjugates`` lays one out, rows of one progression of
+    1-6 unit conjugates of one sign and one basis in a coordinate other
+    than ``var``, from random first exponents, over free and torsion
+    coordinates, wrapped; the exponents may cross 0."""
     torsion = tuple(draw(st.lists(st.sampled_from((0, 0, 0, 3)),
                                   min_size=2, max_size=3)))
     rank = draw(st.integers(1, 2))
     amb = Ambient(tuple(f"t{i}" for i in range(len(torsion))), torsion, rank,
                   tuple(f"e{i}" for i in range(rank)))
-    var = draw(st.integers(0, len(torsion) - 1))
+    var, coordinate = draw(st.permutations(range(len(torsion))))[:2]
     rows, shift = draw(st.integers(1, 8)), draw(st.sampled_from((1, -1)))
-    coordinate = [st.integers(0, d - 1) if d else st.integers(-3, 6)
-                  for d in torsion]
-    template, progressions = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(1, 6))
-        c = draw(st.integers(0, len(torsion) - 1))
-        stride = draw(st.sampled_from((1, -1)))
-        first = list(draw(st.tuples(*coordinate)))
-        basis, sign = draw(st.integers(1, rank)), draw(st.sampled_from((1, -1)))
-        for u in range(n):
-            exps = list(first)
-            exps[c] += u * stride
-            template.append((sign, basis, exps))
-        progressions.append((n, c, stride))
+    n, stride = draw(st.integers(1, 6)), draw(st.sampled_from((1, -1)))
+    first = list(draw(st.tuples(*[st.integers(0, d - 1) if d
+                                  else st.integers(-3, 6) for d in torsion])))
+    basis, sign = draw(st.integers(1, rank)), draw(st.sampled_from((1, -1)))
     block = []
     for r in range(rows):
-        for sign, basis, exps in template:
-            exps = list(exps)
+        for u in range(n):
+            exps = list(first)
             exps[var] += r * shift
+            exps[coordinate] += u * stride
             block.append([sign, basis, tuple(amb.wrap(exps))])
-    return amb, block, rows, var, shift, tuple(progressions)
+    return amb, block, rows, var, shift, n, coordinate, stride
 
 
 @settings(max_examples=300, deadline=None)
@@ -673,14 +684,14 @@ def crossing_blocks(draw):
 def test_block_charge_matches_pairs(case):
     """Difference counting charges a block's inverted pairs one by one;
     it refuses a block whose varying coordinates are torsion or cross 0."""
-    amb, block, rows, var, shift, progressions = case
-    charge = _block_charge(block, rows, var, shift, progressions, amb.torsion)
+    amb, block, *shape = case
+    charge = _block_charge(block, *shape, amb.torsion)
     varying = [c for c in range(len(amb.torsion))
                if len({exps[c] for _, _, exps in block}) > 1]
     if any(amb.torsion[c] or min(exps[c] for _, _, exps in block) < 0
            < max(exps[c] for _, _, exps in block) for c in varying):
         assert charge is None
-    elif charge is not None:
+    else:
         assert charge == _pairwise_sort_charge(block, amb)
 
 

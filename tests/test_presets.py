@@ -35,6 +35,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(PresetSpec("wf", r=1, k=1, fs=((2, 1),)))
 
+    @pytest.mark.parametrize("order", [1, 0, -2])
+    def test_wf_rejects_torsion_order_below_2(self, order):
+        with pytest.raises(ValueError, match="torsion orders must be >= 2"):
+            build(PresetSpec("wf", torsion_orders=(3, order)))
+
     def test_all_presets_valid_files(self):
         for p in (BS2, GAMMA, LAMPLIGHTER2, FREE_ABELIAN, WF11,
                   build(PresetSpec("zwrz")),
@@ -105,3 +110,8 @@ class TestNormGrowth:
             norm_growth(parse_element("1", RING), 3)
         with pytest.raises(ValueError):
             norm_growth(parse_element("1 + t^-1", RING), 3)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_one_norm_fits_no_base(self, n):
+        with pytest.raises(ValueError, match=f"got N = {n}"):
+            norm_growth(parse_element("1 + t", RING), n)
