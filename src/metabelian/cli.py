@@ -127,7 +127,6 @@ def main(argv=None) -> int:
                         description=_AREA_OVER)
     common(sp)
     sp.add_argument("-w", "--word", required=True)
-    sp.add_argument("--K", type=int, default=None)
     sp = sub.add_parser("rel-area", help="relative area certificate")
     common(sp)
     sp.add_argument("-w", "--word", required=True)
@@ -220,7 +219,7 @@ def _run(args) -> int:
             _emit_json(cert.to_json())
             return 0
         if cmd == "area":
-            cert = area_certificate(w, p, K=args.K)
+            cert = area_certificate(w, p)
             _emit_json(cert.to_json())
             return 0
         report = relative_area_certificate(w, p)

@@ -654,9 +654,9 @@ def _inversion_charge(items, torsion, price):
     items of equal key into one, as their pair is not inverted and the sums
     are bilinear in the weights, and split into maximal runs of strictly
     rising or strictly falling key.  A falling run holds no inverted pair
-    and a rising run only inverted pairs, which ``_rising_charge`` sums in
-    closed form.  Neighbouring runs, each in key order, then merge
-    bottom-up (``_merge_charge``).
+    and is reversed; every pair of a rising run is inverted, and merging
+    the run with itself (``_merge_charge``) meets each pair once.  The
+    runs, each now in key order, then merge bottom-up.
     """
     if len(items) <= _BLOCK:
         units = rel = 0
@@ -673,6 +673,12 @@ def _inversion_charge(items, torsion, price):
               if any(g[3][i] != first[i] for g in groups)]
     free = [i for i in spread if not torsion[i]]
     cyclic = [(i, torsion[i]) for i in spread if torsion[i]]
+    ranks = [{x: r for r, x in enumerate(sorted({g[3][i] for g in groups}), 1)}
+             for i in free]
+    for g in groups:
+        g.append(tuple((rank[g[3][i]], g[3][i]) for i, rank in zip(free, ranks)))
+    trees = [([0] * (len(rank) + 1), [0] * (len(rank) + 1), len(rank) + 1)
+             for rank in ranks]
     units = rel = 0
     runs = []
     start, n = 0, len(groups)
@@ -682,7 +688,7 @@ def _inversion_charge(items, torsion, price):
             while end < n and groups[end - 1][0] < groups[end][0]:
                 end += 1
             run = groups[start:end]
-            more_units, more_rel = _rising_charge(run, free, cyclic)
+            more_units, more_rel = _merge_charge(run, run, cyclic, trees)
             units, rel = units + more_units, rel + more_rel
         else:
             while end < n and groups[end - 1][0] > groups[end][0]:
@@ -691,14 +697,6 @@ def _inversion_charge(items, torsion, price):
             run.reverse()
         runs.append(run)
         start = end
-    if len(runs) < 2:
-        return units, rel
-    ranks = [{x: r for r, x in enumerate(sorted({g[3][i] for g in groups}), 1)}
-             for i in free]
-    for g in groups:
-        g.append(tuple((rank[g[3][i]], g[3][i]) for i, rank in zip(free, ranks)))
-    trees = [([0] * (len(rank) + 1), [0] * (len(rank) + 1), len(rank) + 1)
-             for rank in ranks]
     while len(runs) > 1:
         merged = []
         for q in range(1, len(runs), 2):
@@ -726,43 +724,11 @@ def _groups(items):
     return groups
 
 
-def _rising_charge(run, free, cyclic):
-    """``(units, rel)`` of ``_inversion_charge`` over a run of groups of
-    strictly rising key, every pair of which is inverted: ``(W^2 - sum
-    w^2) / 2`` units, distances by prefix sums over the sorted values of a
-    free coordinate and over the pairs of residues of a torsion one, and
-    equal exponents counted per monomial."""
-    total = squares = 0
-    same: dict = {}
-    for _, w, m, *_ in run:
-        total += w
-        squares += w * w
-        same[m] = same.get(m, 0) + w
-    units = (total * total - squares) // 2
-    equal = (sum(s * s for s in same.values()) - squares) // 2
-    dist = 0
-    for i in free:
-        below = below_moment = 0
-        for x, w in sorted((g[3][i], g[1]) for g in run):
-            dist += w * (x * below - below_moment)
-            below += w
-            below_moment += w * x
-    for i, d in cyclic:
-        table: dict = {}
-        for g in run:
-            r = g[3][i] % d
-            table[r] = table.get(r, 0) + g[1]
-        residues = list(table.items())
-        for a, (r, wr) in enumerate(residues):
-            for s, ws in residues[a + 1:]:
-                dist += wr * ws * power_length(r - s, d)
-    return units, 4 * dist - 3 * units + 4 * equal
-
-
 def _merge_charge(left, right, cyclic, trees):
     """``(units, rel)`` of ``_inversion_charge`` over the pairs of a left
     and a right run of groups, both in key order: each right group meets
-    the left groups of smaller key, inserted as the scan passes them.  A
+    the left groups of smaller key, inserted as the scan passes them, so a
+    strictly rising run given as both meets each of its own pairs once.  A
     free coordinate's distances are read off Fenwick trees of the inserted
     weights and weighted values, indexed by the value's rank over the whole
     sequence and cleared of this merge's inserts at the end; a torsion

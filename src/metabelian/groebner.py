@@ -18,7 +18,6 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import add, le, neg, sub
-from typing import Optional
 
 from .bounds import Bound, _decimal
 from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, _product, _sum
@@ -503,8 +502,9 @@ def verify_certificate(g: ModuleElement, cert: DivisionCertificate,
 # Laurent / torsion embedding.
 
 
-def laurent_embed(F, ambient: Optional[Ambient] = None):
-    """Embed Laurent-module generators into a polynomial ambient.
+def laurent_embed(F, ambient: Ambient):
+    """Embed Laurent-module generators ``F`` of ``ambient`` into a
+    polynomial ambient.
 
     Introduces an inverse variable for every infinite-order variable, shifts
     each generator to non-negative exponents by a unit monomial, and appends
@@ -513,12 +513,6 @@ def laurent_embed(F, ambient: Optional[Ambient] = None):
     embed)`` where ``embed`` maps further Laurent elements into the
     polynomial ambient the same way.
     """
-    if ambient is None:
-        if not F:
-            raise ValueError("need an ambient when no generators are given")
-        ambient = F[0].ambient
-    if any(d < 1 and d != 0 for d in ambient.torsion):
-        raise ValueError("torsion orders must be positive")
     free_idx = [i for i, d in enumerate(ambient.torsion) if d == 0]
     variables = tuple(ambient.variables) + tuple(
         ambient.variables[i] + INVERSE_SUFFIX for i in free_idx)

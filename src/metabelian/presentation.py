@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -26,6 +25,10 @@ _WORD_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\[|\]|\(|\)|,|\-
 # nor a syllable holds ``*``, so a text is a flat product ``name^int*name*...``
 # exactly when each of its ``*``-separated parts is a syllable.
 _SYLLABLE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(?:(-)\s*)?(\d+))?\s*")
+# The most syllables a rule of the word grammar may return, counted before
+# condensing: powers, commutators and conjugations grow a word faster than
+# its text, so a short text could otherwise ask for any amount of memory.
+_MAX_SYLLABLES = 10 ** 6
 
 
 def _condense(letters):
@@ -213,7 +216,8 @@ class _WordParser(_Tokens):
     exponent := integer | name | '(' word ')'; atom := name | '1' |
     '[' word ',' word ']' | '(' word ')'.  Nested conjugation needs
     explicit parentheses.  Every rule returns a syllable list; ``parse``
-    condenses it once."""
+    condenses it once.  A rule whose list would pass ``_MAX_SYLLABLES`` is
+    refused before the list is built."""
 
     def __init__(self, text: str, names):
         super().__init__(text, _WORD_TOKEN, "unexpected end of word",
@@ -227,7 +231,9 @@ class _WordParser(_Tokens):
         w = self.factor()
         while self.peek() == "*":
             self.next()
-            w += self.factor()
+            f = self.factor()
+            _room(len(w) + len(f))
+            w += f
         return w
 
     def factor(self) -> list:
@@ -239,6 +245,7 @@ class _WordParser(_Tokens):
                 self.next()
                 v = self.word()
                 self.expect(")")
+                _room(2 * len(v) + len(w))
                 w = _inverse(v) + w + v
             elif tok == "-" or (tok is not None and tok.isdigit()):
                 e = self.integer()
@@ -248,7 +255,7 @@ class _WordParser(_Tokens):
                 # any other base is repeated.
                 if len(base) <= 1:
                     w = [(n, x * e) for n, x in base]
-                elif abs(e) > sys.maxsize:
+                elif len(base) * abs(e) > _MAX_SYLLABLES:
                     raise ParseError(f"power {e} repeats a word of "
                                      f"{len(base)} syllables too often")
                 else:
@@ -256,6 +263,7 @@ class _WordParser(_Tokens):
             elif tok is not None and _NAME.fullmatch(tok):
                 nm, pos = self.next()
                 self._check_name(nm, pos)
+                _room(len(w) + 2)
                 w = [(nm, -1)] + w + [(nm, 1)]
             else:
                 raise ParseError("expected an exponent after '^'")
@@ -275,6 +283,7 @@ class _WordParser(_Tokens):
             self.expect(",", "expected ',' in commutator")
             y = self.word()
             self.expect("]")
+            _room(2 * (len(x) + len(y)))
             return _inverse(x) + _inverse(y) + x + y
         if tok == "1":
             return []
@@ -286,6 +295,13 @@ class _WordParser(_Tokens):
     def _check_name(self, name: str, pos: int):
         if self.names is not None and name not in self.names:
             raise ParseError(f"unknown generator {name!r}", pos)
+
+
+def _room(size: int):
+    """Refuse a rule result of ``size`` syllables past ``_MAX_SYLLABLES``."""
+    if size > _MAX_SYLLABLES:
+        raise ParseError(f"the word expands to {size} syllables, "
+                         f"more than {_MAX_SYLLABLES}")
 
 
 def parse_word(text: str, p: Optional[Presentation] = None) -> GroupWord:

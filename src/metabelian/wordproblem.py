@@ -121,8 +121,7 @@ def _relative_bound(n: int, size: int) -> Bound:
                   ((4 * n - 3) ** 2, n + n ** 2, 2), (1, size, 1), (1, size, 3)))
 
 
-def is_identity(w: GroupWord, p: Presentation,
-                K: Optional[int] = None) -> tuple[bool, AreaCertificate]:
+def is_identity(w: GroupWord, p: Presentation) -> tuple[bool, AreaCertificate]:
     """Decide w = 1, returning the decision with its certificate."""
     n = w.length
     if any(exponent_sums(w, p)):
@@ -132,16 +131,15 @@ def is_identity(w: GroupWord, p: Presentation,
     ctx = module_context(p)
     membership = divide_with_certificate(ctx.embed(vector), ctx.basis)
     identity = membership.residue.is_zero()
-    K = K if K is not None else constant_k(p)
-    bound = _assembly_bound(n, K, ctx.basis, len(p.module_gens), p.free_rank)
+    bound = _assembly_bound(n, constant_k(p), ctx.basis, len(p.module_gens),
+                            p.free_rank)
     rel = _relative_bound(n, membership.size)
     cert = AreaCertificate(n, identity, vector, ledger, membership, bound, rel)
     return identity, cert
 
 
-def area_certificate(w: GroupWord, p: Presentation,
-                     K: Optional[int] = None) -> AreaCertificate:
-    ok, cert = is_identity(w, p, K)
+def area_certificate(w: GroupWord, p: Presentation) -> AreaCertificate:
+    ok, cert = is_identity(w, p)
     if not ok:
         raise ValueError("area certificates exist only for identity words")
     return cert

@@ -250,6 +250,7 @@ class TestRemovedOptions:
     @pytest.mark.parametrize("argv", [
         ["solve", "--preset", "bs", "-w", "a", "--format", "json"],
         ["groebner", "--preset", "bs", "--seed", "1"],
+        ["area", "--preset", "bs", "-w", "t*a*t^-1*a^-2", "--K", "5"],
     ])
     def test_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -731,10 +731,14 @@ def charge_inputs(draw):
         conjugates += picks
     weights = draw(st.lists(st.integers(1, 4) | st.integers(1, _BIG),
                             min_size=len(conjugates), max_size=len(conjugates)))
+    return amb, _charge_items(conjugates, weights)
+
+
+def _charge_items(conjugates, weights):
+    """``_inversion_charge``'s items for conjugates ``(basis, exps)``."""
     monos: dict = {}
-    items = [(w, _sort_key(c), c[1], monos.setdefault(c[1], len(monos)))
-             for w, c in zip(weights, conjugates)]
-    return amb, items
+    return [(w, _sort_key(c), c[1], monos.setdefault(c[1], len(monos)))
+            for w, c in zip(weights, conjugates)]
 
 
 def _sort_key(conjugate):
@@ -743,6 +747,18 @@ def _sort_key(conjugate):
     return (-basis, monomial_key((exps, None)))
 
 
+# one strictly rising run past _BLOCK, over a torsion coordinate of order 3
+# and a free one near 2^70, its first monomial also on the other basis; and a
+# rising run followed by a falling one
+_TORSION_FREE = Ambient(("t0", "t1"), (3, 0), 2, ("e1", "e2"))
+_RUN = sorted([(2, (r, x)) for r in range(3) for x in range(_BIG - 3, _BIG + 4)]
+              + [(1, (0, _BIG - 3))], key=_sort_key)
+_HILL = sorted(_RUN[::2], key=_sort_key) + sorted(_RUN[1::2], key=_sort_key,
+                                                  reverse=True)
+
+
+@example((_TORSION_FREE, _charge_items(_RUN, [1 + q % 3 for q in range(22)])))
+@example((_TORSION_FREE, _charge_items(_HILL, [_BIG - q for q in range(22)])))
 @settings(max_examples=150, deadline=None)
 @given(charge_inputs())
 def test_inversion_charge_matches_pairs(case):

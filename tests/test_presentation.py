@@ -103,10 +103,20 @@ class TestWordDsl:
         assert parse_word(text, BS2) == GroupWord(())
 
     @pytest.mark.parametrize("text", [
-        "(a*t)^99999999999999999999", "[a, t]^-99999999999999999999"])
+        "(a*t)^99999999999999999999", "[a, t]^-99999999999999999999",
+        "(a*t)^600000"])
     def test_huge_power_of_a_long_base(self, text):
         with pytest.raises(ParseError, match="too often"):
             parse_word(text, BS2)
+
+    def test_nested_commutators_past_the_cap(self):
+        # depth d spells 6*2^(d-1) - 2 syllables before condensing: depth 19
+        # is the shallowest past 10^6, refused before its list is built
+        def nested(d):
+            return "[" * d + "a,t" + "],t" * (d - 1) + "]"
+        assert parse_word(nested(18), BS2).length
+        with pytest.raises(ParseError, match="1572862 syllables"):
+            parse_word(nested(19), BS2)
 
     def test_roundtrip_random_words(self):
         rng = random.Random(0)
