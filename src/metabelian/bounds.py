@@ -169,17 +169,19 @@ def _render_term(c: int, b: int, e: int) -> str:
 class Bound:
     """An exact integer ``(sum_i c_i * b_i^e_i) / d``.
 
-    ``terms`` holds the ``(c, b, e)`` triples of the closed form (``b, e >= 0``,
-    any sign of ``c``) and ``divisor`` the positive ``d``, which must divide
-    the sum.  Comparisons against ints and other bounds, ``bit_length()`` and
-    ``hash()`` agree with ``int(bound)``, which expands the powers.
+    ``terms`` holds the ``(c, b, e)`` integer triples of the closed form
+    (``b, e >= 0``, any sign of ``c``) and ``divisor`` the positive integer
+    ``d``, which must divide the sum; a float or a string raises TypeError.
+    Comparisons against ints and other bounds, ``bit_length()`` and ``hash()``
+    agree with ``int(bound)``, which expands the powers.
     """
 
     __slots__ = ("terms", "divisor", "_span", "_value")
 
     def __init__(self, terms, divisor: int = 1):
-        self.terms = tuple((int(c), int(b), int(e)) for c, b, e in terms)
-        self.divisor = int(divisor)
+        index = operator.index
+        self.terms = tuple((index(c), index(b), index(e)) for c, b, e in terms)
+        self.divisor = index(divisor)
         if self.divisor < 1 or any(b < 0 or e < 0 for _, b, e in self.terms):
             raise ValueError("bounds need non-negative bases and exponents "
                              "and a positive divisor")

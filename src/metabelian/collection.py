@@ -413,11 +413,14 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
 
 
 def _vector(sequence, p: Presentation) -> ModuleElement:
+    # ``_conjugates`` wraps every exponent tuple and keys each term by a
+    # basis of the ambient, so the keys need none of ``from_dict``'s checks
     raw: dict = {}
     for coeff, basis, exps in sequence:
         key = (exps, basis)
         raw[key] = raw.get(key, 0) + coeff
-    return ModuleElement.from_dict(p.module_ambient(), raw)
+    return ModuleElement._of(p.module_ambient(),
+                             {key: c for key, c in raw.items() if c})
 
 
 def _charge_merge(sequence, amb, ledger: CostLedger, block=None):

@@ -150,9 +150,19 @@ class ModuleElement:
     @staticmethod
     def from_dict(ambient: Ambient, raw: dict) -> "ModuleElement":
         """The element of a term dict: torsion exponents are wrapped, and
-        terms that merge to zero or have a zero coefficient are dropped.  A
-        polynomial ambient (``laurent=False``) raises AmbientMismatch on a
-        negative exponent."""
+        terms that merge to zero or have a zero coefficient are dropped.
+        AmbientMismatch is raised on a key whose exponent tuple has not
+        ``ambient.nvars`` entries, on a basis other than None in a ring
+        ambient or an int in 1..rank in a module ambient, and on a negative
+        exponent in a polynomial ambient (``laurent=False``)."""
+        nvars, ring, rank = ambient.nvars, ambient.is_ring(), ambient.rank
+        for exps, basis in raw:
+            fits = (basis is None if ring
+                    else type(basis) is int and 0 < basis <= rank)
+            if not fits or len(exps) != nvars:
+                raise AmbientMismatch(
+                    f"a term key does not fit the ambient of {nvars} "
+                    f"variables and rank {rank}")
         if ambient.laurent and any(ambient.torsion):
             merged: dict[tuple, int] = {}
             for (exps, basis), coeff in raw.items():
@@ -371,7 +381,11 @@ class _ElementParser(_Tokens):
         self.ambient = ambient
 
     def parse(self) -> ModuleElement:
-        return ModuleElement.from_dict(self.ambient, self.done(self.element()))
+        raw = self.done(self.element())
+        if not self.ambient.is_ring() and any(b is None for _, b in raw):
+            raise ParseError("module element text must attach every term to "
+                             "a basis name")
+        return ModuleElement.from_dict(self.ambient, raw)
 
     def element(self) -> dict:
         sign = 1
@@ -426,9 +440,6 @@ class _ElementParser(_Tokens):
 def parse_element(text: str, ambient: Ambient) -> ModuleElement:
     """Parse canonical element text, ring or module depending on the ambient."""
     try:
-        g = _ElementParser(text, ambient).parse()
+        return _ElementParser(text, ambient).parse()
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
-    if not ambient.is_ring() and any(b is None for _, b in g._raw):
-        raise ParseError("module element text must attach every term to a basis name")
-    return g

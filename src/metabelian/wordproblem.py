@@ -17,7 +17,7 @@ from typing import Optional
 
 from .bounds import Bound, _json_int
 from .collection import CostLedger, ordered_form, relator_module
-from .elements import ModuleElement, _product, _sum, monomial_word_degree
+from .elements import ModuleElement, _sum, monomial_word_degree
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, laurent_embed)
 from .presentation import GroupWord, Presentation, exponent_sums
@@ -186,27 +186,15 @@ def relative_area_certificate(w: GroupWord, p: Presentation) -> RelativeAreaRepo
 
 
 def _monomial_pool(ambient, max_degree: int):
-    """All exponent vectors of degree <= max_degree (torsion within order)."""
-    ranges = []
+    """All exponent vectors of degree <= max_degree (torsion within order),
+    sorted; built coordinate by coordinate, so no prefix past it is kept."""
+    pool = [((), 0)]
     for d in ambient.torsion:
-        if d:
-            ranges.append(range(0, min(d - 1, max_degree) + 1))
-        else:
-            ranges.append(range(-max_degree, max_degree + 1))
-    pool = []
-
-    def rec(i, acc, deg):
-        if i == len(ranges):
-            pool.append(tuple(acc))
-            return
-        for e in ranges[i]:
-            nd = deg + abs(e)
-            if nd <= max_degree:
-                rec(i + 1, acc + [e], nd)
-
-    rec(0, [], 0)
-    pool.sort()
-    return pool
+        r = (range(0, min(d - 1, max_degree) + 1) if d
+             else range(-max_degree, max_degree + 1))
+        pool = [(e + (x,), deg + abs(x)) for e, deg in pool for x in r
+                if deg + abs(x) <= max_degree]
+    return sorted(e for e, _ in pool)
 
 
 def _walk(products, total: int, max_mag: int, visit) -> bool:
@@ -240,8 +228,11 @@ def brute_force_min_certificate(g: ModuleElement, gens, budget):
     Enumerates combinations sum_i alpha_i * gens_i with alpha monomials of
     degree <= budget[0], coefficients bounded by budget[1], in increasing
     total size, and returns the first total size reproducing g exactly.
+    A negative budget part raises ValueError.
     """
     max_degree, max_coeff, max_size = budget
+    if min(budget) < 0:
+        raise ValueError("budget parts must be non-negative")
     gens = [f for f in gens if not f.is_zero()]
     target = g.as_dict()
     if not gens:
@@ -306,7 +297,7 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
                 f = gens[rng.randrange(len(gens))]
                 exps = pool[rng.randrange(len(pool))]
                 c = rng.choice([-2, -1, 1, 2])
-                _sum(raw, _product(f.as_dict(), {(exps, None): c}, ambient.wrap))
+                _sum(raw, f.scale_translate(c, exps)._raw)
             consider(raw)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")

@@ -270,6 +270,18 @@ def test_rejects_bad_parts():
         Bound(((1, -2, 3),))
 
 
+@pytest.mark.parametrize("terms, divisor", [
+    (((1.5, 2, 3),), 1),
+    ((("7", 2, "3"),), 1),
+    (((2.9, 1, 1),), 1),
+    (((1, 2, 3),), 1.0),
+])
+def test_rejects_non_integer_parts(terms, divisor):
+    """A float or a string is refused, not truncated or converted."""
+    with pytest.raises(TypeError):
+        Bound(terms, divisor)
+
+
 def test_past_the_float_range(monkeypatch):
     """Exponents whose log2 overflows a float: a part past the float range
     dominates one that is not, two such parts compare on their exponents,

@@ -187,6 +187,14 @@ class TestExitCodes:
         code, _ = run(["oracle", "-p", bs_file, "-e", "a", "--budget", "1,2"])
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["-1,2,3", "1,2,-3"])
+    def test_negative_budget(self, budget):
+        """A negative part searches nothing: an input error, not an
+        inconclusive answer."""
+        code, out = run(["oracle", "--preset", "bs", "-e", "a",
+                         f"--budget={budget}"])
+        assert code == 2 and out == ""
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--preset", "bs", "--n", "0", "-w", "a"],
         ["preset", "bs", "--n", "0"],

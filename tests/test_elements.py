@@ -347,6 +347,25 @@ class TestPolynomialAmbient:
         assert g.scale_translate(1, (-1,)) == parse_element("e", self.POLY)
 
 
+@pytest.mark.parametrize("ambient, raw", [
+    (LAURENT, {((1, 2, 3), 1): 1}),
+    (MOD2, {((), 1): 1}),
+    (LAURENT, {((0,), 5): 1}),
+    (LAURENT, {((0,), 0): 1}),
+    (LAURENT, {((0,), "1"): 1}),
+    (LAURENT, {((0,), None): 1}),
+    (LAURENT.ring(), {((0,), 1): 1}),
+    (LAURENT, {((0,), 5): 0}),
+], ids=["long-exponents", "short-exponents", "basis-past-rank", "basis-zero",
+        "basis-not-int", "no-basis-in-module", "basis-in-ring",
+        "zero-coefficient"])
+def test_from_dict_refuses_keys_off_the_ambient(ambient, raw):
+    """A term key needs one exponent per variable, and no basis vector in a
+    ring or a basis index in 1..rank in a module."""
+    with pytest.raises(AmbientMismatch):
+        ModuleElement.from_dict(ambient, raw)
+
+
 class TestAmbientValidation:
     def test_torsion_orders(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Identity decisions, certificates, the oracle, and the growth profile."""
 
+import itertools
 import json
 import random
 import weakref
@@ -9,10 +10,10 @@ import pytest
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word, render_ordered_word)
 from metabelian.bounds import _decimal
-from metabelian.elements import parse_element
+from metabelian.elements import Ambient, parse_element
 from metabelian.presentation import parse_presentation, parse_word
 from metabelian.presets import PresetSpec, build, witness_family
-from metabelian.wordproblem import (area_certificate,
+from metabelian.wordproblem import (_monomial_pool, area_certificate,
                                     brute_force_min_certificate, dehn_profile,
                                     fit_exp, fit_power, is_identity,
                                     module_context, module_dehn_upper,
@@ -159,6 +160,27 @@ class TestOracle:
         g = parse_element("a", amb)
         gen = parse_element("2*a", amb)
         assert brute_force_min_certificate(g, [gen], (2, 3, 5)) is None
+
+    @pytest.mark.parametrize("budget", [(-1, 2, 3), (1, -1, 3), (1, 2, -1)])
+    def test_negative_budget_refused(self, budget):
+        amb = BS2.module_ambient()
+        with pytest.raises(ValueError, match="non-negative"):
+            brute_force_min_certificate(parse_element("a", amb),
+                                        [parse_element("2*a", amb)], budget)
+
+    @pytest.mark.parametrize("ambient", [
+        Ambient(("t", "s", "u"), (0, 3, 0), 1, None),
+        Ambient(("s", "t"), (2, 0), 1, ("a",)),
+        Ambient((), (), 1, None),
+    ])
+    def test_monomial_pool(self, ambient):
+        """The pool is the sorted degree-<= D part of the box of exponent
+        vectors, torsion coordinates taken in [0, order)."""
+        for D in range(5):
+            box = itertools.product(*[range(d) if d else range(-D, D + 1)
+                                      for d in ambient.torsion])
+            expected = sorted(e for e in box if sum(map(abs, e)) <= D)
+            assert _monomial_pool(ambient, D) == expected
 
     def test_zero_needs_nothing(self):
         amb = BS2.module_ambient()
