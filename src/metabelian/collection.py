@@ -653,13 +653,9 @@ def _inversion_charge(items, torsion, price):
     w_a*w_b``, and d sums one term per coordinate: |x_a - x_b| on a free
     one and the cyclic distance on a torsion one.
 
-    Up to ``_BLOCK`` items are priced pair by pair.  More merge adjacent
-    items of equal key into one, as their pair is not inverted and the sums
-    are bilinear in the weights, and split into maximal runs of strictly
-    rising or strictly falling key.  A falling run holds no inverted pair
-    and is reversed; every pair of a rising run is inverted, and merging
-    the run with itself (``_merge_charge``) meets each pair once.  The
-    runs, each now in key order, then merge bottom-up.
+    Up to ``_BLOCK`` items are priced pair by pair.  More merge bottom-up
+    from runs of one item each, every pair meeting once, at the merge of
+    the two runs that hold it.
     """
     if len(items) <= _BLOCK:
         units = rel = 0
@@ -683,23 +679,7 @@ def _inversion_charge(items, torsion, price):
     trees = [([0] * (len(rank) + 1), [0] * (len(rank) + 1), len(rank) + 1)
              for rank in ranks]
     units = rel = 0
-    runs = []
-    start, n = 0, len(groups)
-    while start < n:
-        end = start + 1
-        if end < n and groups[start][0] < groups[end][0]:
-            while end < n and groups[end - 1][0] < groups[end][0]:
-                end += 1
-            run = groups[start:end]
-            more_units, more_rel = _merge_charge(run, run, cyclic, trees)
-            units, rel = units + more_units, rel + more_rel
-        else:
-            while end < n and groups[end - 1][0] > groups[end][0]:
-                end += 1
-            run = groups[start:end]
-            run.reverse()
-        runs.append(run)
-        start = end
+    runs = [[g] for g in groups]
     while len(runs) > 1:
         merged = []
         for q in range(1, len(runs), 2):
@@ -714,28 +694,21 @@ def _inversion_charge(items, torsion, price):
 
 
 def _groups(items):
-    """Groups ``[key rank, weight, monomial id, exps]`` of ``items``,
-    adjacent items of equal key merged into one; keys are ranked once."""
+    """Groups ``[key rank, weight, monomial id, exps]``, one per item; keys
+    are ranked once."""
     order = {key: r for r, key in enumerate(sorted({it[1] for it in items}))}
-    groups = []
-    for w, key, exps, m in items:
-        key = order[key]
-        if groups and groups[-1][0] == key:
-            groups[-1][1] += w
-        else:
-            groups.append([key, w, m, exps])
-    return groups
+    return [[order[key], w, m, exps] for w, key, exps, m in items]
 
 
 def _merge_charge(left, right, cyclic, trees):
     """``(units, rel)`` of ``_inversion_charge`` over the pairs of a left
     and a right run of groups, both in key order: each right group meets
-    the left groups of smaller key, inserted as the scan passes them, so a
-    strictly rising run given as both meets each of its own pairs once.  A
-    free coordinate's distances are read off Fenwick trees of the inserted
-    weights and weighted values, indexed by the value's rank over the whole
-    sequence and cleared of this merge's inserts at the end; a torsion
-    coordinate's off a table of inserted weight per residue."""
+    the left groups of strictly smaller key, inserted as the scan passes
+    them, so groups of equal key pay nothing.  A free coordinate's
+    distances are read off Fenwick trees of the inserted weights and
+    weighted values, indexed by the value's rank over the whole sequence
+    and cleared of this merge's inserts at the end; a torsion coordinate's
+    off a table of inserted weight per residue."""
     units = rel = total = k = 0
     sums = [0] * len(trees)
     tables = [[0] * d for _, d in cyclic]

@@ -134,13 +134,10 @@ def _build_wf(spec: PresetSpec) -> Presentation:
     box = _exponent_box(t_names + tor_names,
                         [len(f) - 1 for f in spec.fs] + [d - 1 for d in
                                                          spec.torsion_orders])
-    conjugates = [(a, x) for a in a_names for x in box]
-    for p in range(len(conjugates)):
-        for q in range(p + 1, len(conjugates)):
-            (a, x), (b, y) = conjugates[p], conjugates[q]
-            relators.append(commutator(
-                _word(((a, 1),)).conjugate_by(_word(x)),
-                _word(((b, 1),)).conjugate_by(_word(y))))
+    conjugates = [_word(((a, 1),)).conjugate_by(_word(x))
+                  for a in a_names for x in box]
+    relators += [commutator(x, y) for q, x in enumerate(conjugates)
+                 for y in conjugates[q + 1:]]
     return Presentation(
         module_gens=module,
         free_gens=free,

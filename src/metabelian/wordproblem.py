@@ -255,6 +255,10 @@ def module_dehn_upper(p: Presentation, n: int, sampler: str = "exhaustive",
 
     Returns a sorted list of rows ``(norm, max_certificate_size)``.
     """
+    if n < 0:
+        raise ValueError(f"module-dehn needs n >= 0, got n = {n}")
+    if samples < 0:
+        raise ValueError(f"module-dehn needs samples >= 0, got samples = {samples}")
     ctx = module_context(p)
     gens = [f for f in ctx.relator_vectors if not f.is_zero()]
     if not gens:
@@ -338,6 +342,8 @@ def dehn_profile(p: Presentation, n_max: int, samples: int = 10, seed: int = 0,
     """
     if n_max < 2:
         raise ValueError("profile needs n_max >= 2")
+    if samples < 0:
+        raise ValueError(f"profile needs samples >= 0, got samples = {samples}")
     rng = random.Random(seed)
     K = constant_k(p)
     ctx = module_context(p)

@@ -217,6 +217,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: norm growth fits a base to N >= 2 norms, got N = {nmax}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["module-dehn", "-n", "-3"], "module-dehn needs n >= 0, got n = -3"),
+        (["module-dehn", "-n", "3", "--sampler", "random", "--samples", "-5"],
+         "module-dehn needs samples >= 0, got samples = -5"),
+        (["profile", "-n", "3", "--samples", "-2"],
+         "profile needs samples >= 0, got samples = -2"),
+    ], ids=["module-dehn-n", "module-dehn-samples", "profile-samples"])
+    def test_negative_experiment_option(self, argv, message, capsys):
+        """A negative size is refused, not answered with an empty table or
+        with the witnesses alone."""
+        code, out = run(argv + ["--preset", "bs"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("lam", [[], 0, False, ""])
     def test_falsy_lambda_exits_2(self, lam, tmp_path):
         from _helpers import BS2

@@ -747,18 +747,24 @@ def _sort_key(conjugate):
     return (-basis, monomial_key((exps, None)))
 
 
-# one strictly rising run past _BLOCK, over a torsion coordinate of order 3
-# and a free one near 2^70, its first monomial also on the other basis; and a
-# rising run followed by a falling one
+# shapes past _BLOCK that the bottom-up merge meets from single conjugates,
+# over a torsion coordinate of order 3 and a free one near 2^70: a strictly
+# rising run, its first monomial also on the other basis; a rising run
+# followed by a falling one; a falling run; and a run of copies of one
+# conjugate between others
 _TORSION_FREE = Ambient(("t0", "t1"), (3, 0), 2, ("e1", "e2"))
 _RUN = sorted([(2, (r, x)) for r in range(3) for x in range(_BIG - 3, _BIG + 4)]
               + [(1, (0, _BIG - 3))], key=_sort_key)
 _HILL = sorted(_RUN[::2], key=_sort_key) + sorted(_RUN[1::2], key=_sort_key,
                                                   reverse=True)
+_FALL = _RUN[::-1]
+_COPIES = _RUN[::3] + [_RUN[11]] * (_BLOCK + 2) + _RUN[1::3]
 
 
 @example((_TORSION_FREE, _charge_items(_RUN, [1 + q % 3 for q in range(22)])))
 @example((_TORSION_FREE, _charge_items(_HILL, [_BIG - q for q in range(22)])))
+@example((_TORSION_FREE, _charge_items(_FALL, [1 + q % 4 for q in range(22)])))
+@example((_TORSION_FREE, _charge_items(_COPIES, [1 + q % 5 for q in range(33)])))
 @settings(max_examples=150, deadline=None)
 @given(charge_inputs())
 def test_inversion_charge_matches_pairs(case):
