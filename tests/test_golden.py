@@ -166,16 +166,27 @@ def test_relator_vectors_match_ordered_form(spec):
     assert relator_module(p) == [ordered_form(r, p)[0] for r in p.relators]
 
 
+def _pool_wf_specs():
+    """The 25 ``wf`` presentations of the benchmark's many-groups pool: r and
+    k in {1, 2}, f1 in {1+t, 1+t+t^2, 1+2t+t^2}, no torsion or one
+    generator of order 2, then r = k = 2, f1 = 1+2t+t^2 with order 3."""
+    def wf(r, k, f, torsion):
+        return {"name": "wf", "r": r, "k": k, "fs": [list(f)] + [[1, 1]] * (k - 1),
+                "torsion_orders": list(torsion)}
+    return [wf(r, k, f, tor) for tor in ((), (2,)) for r in (1, 2) for k in (1, 2)
+            for f in ((1, 1), (1, 1, 1), (1, 2, 1))] + [wf(2, 2, (1, 2, 1), (3,))]
+
+
 def _groebner_inputs():
-    """The presets of ``_preset_specs`` and 30 random generator sets of
-    rank 2 over Z[x] (``random.Random(3)``)."""
+    """The presets of ``_preset_specs``, 30 random generator sets of rank 2
+    over Z[x] (``random.Random(3)``) and the presets of ``_pool_wf_specs``."""
     inputs = [{"preset": spec} for spec in _preset_specs()]
     rng = random.Random(3)
     for _ in range(30):
         gens = [g for g in (random_element(rng, RANDOM_AMBIENT) for _ in range(3))
                 if not g.is_zero()]
         inputs.append({"generators": [g.render() for g in gens]})
-    return inputs
+    return inputs + [{"preset": spec} for spec in _pool_wf_specs()]
 
 
 def _basis(entry):
