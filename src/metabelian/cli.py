@@ -133,10 +133,11 @@ def main(argv=None) -> int:
     sp = sub.add_parser("module-dehn", help="certificate sizes over small norms")
     common(sp)
     sp.add_argument("-n", type=int, default=4, dest="norm")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sampler", choices=("exhaustive", "random"),
                     default="exhaustive")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--seed", type=int, help="random sampler only (default 0)")
+    sp.add_argument("--samples", type=int,
+                    help="random sampler only (default 200)")
     sp = sub.add_parser("profile", help="growth table of witnessed costs")
     common(sp)
     sp.add_argument("-n", type=int, default=6, dest="nmax")
@@ -227,9 +228,19 @@ def _run(args) -> int:
         return 0
 
     if cmd == "module-dehn":
-        rows = module_dehn_upper(p, args.norm, sampler=args.sampler,
-                                 samples=args.samples, seed=args.seed)
-        _emit_csv(("norm", "max_cert_size"), rows, meta=f"seed={args.seed}")
+        if args.sampler == "exhaustive":
+            for name in ("seed", "samples"):
+                if getattr(args, name) is not None:
+                    raise ParseError(f"--{name} is a random sampler option; "
+                                     "the exhaustive sampler reads none")
+            rows = module_dehn_upper(p, args.norm)
+            _emit_csv(("norm", "max_cert_size"), rows, meta="sampler=exhaustive")
+            return 0
+        seed = 0 if args.seed is None else args.seed
+        samples = 200 if args.samples is None else args.samples
+        rows = module_dehn_upper(p, args.norm, sampler="random",
+                                 samples=samples, seed=seed)
+        _emit_csv(("norm", "max_cert_size"), rows, meta=f"seed={seed}")
         return 0
 
     if cmd == "profile":

@@ -277,10 +277,46 @@ def ordered_form(w: GroupWord, p: Presentation):
 
 
 def relator_module(p: Presentation) -> list[ModuleElement]:
-    """Module vectors of all relators; they generate the relation submodule.
-    They are read off exponent sums: nothing reads a relator's ledger, so no
-    conjugator is built or priced."""
-    return [_vector(_conjugates(r, p)[0], p) for r in p.relators]
+    """Module vectors of all relators, aligned with ``p.relators``; they
+    generate the relation submodule.  Nothing reads a relator's ledger, so
+    no conjugator is priced.  A relator whose t-letters condense to nothing
+    has no tail: its module letters are summed straight into the term dict,
+    each keyed by the negated running exponent sums as in ``_conjugates``.
+    Any other relator, one with an unknown name included, goes through
+    ``_conjugates``."""
+    t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
+    cyclic = [(i, d) for i, d in enumerate(torsion) if d]
+    ambient = p.module_ambient()
+    vectors = []
+    for r in p.relators:
+        neg = [0] * len(torsion)
+        conj, stack, raw = tuple(neg), [], {}
+        for name, exp in r.letters:
+            basis = basis_of.get(name)
+            if basis is not None:
+                if conj is None:
+                    for i, d in cyclic:
+                        neg[i] %= d
+                    conj = tuple(neg)
+                key = (conj, basis)
+                raw[key] = raw.get(key, 0) + exp
+                continue
+            i = t_pos.get(name)
+            if i is None:
+                break
+            neg[i] -= exp
+            conj = None
+            if stack and stack[-1][0] == name:
+                exp += stack.pop()[1]
+            if exp:
+                stack.append((name, exp))
+        else:
+            if not stack:
+                vectors.append(ModuleElement._of(
+                    ambient, {key: c for key, c in raw.items() if c}))
+                continue
+        vectors.append(_vector(_conjugates(r, p)[0], p))
+    return vectors
 
 
 def _conjugates(w: GroupWord, p: Presentation, ledger=None):
@@ -290,8 +326,11 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
 
     A module letter's conjugator is the inverse of the t-letters before it,
     so its exponents are the negated running exponent sums, torsion
-    wrapped; an emission's are its conjugator's wrapped sums.  The t-letters
-    seen so far are kept freely condensed on a stack, the tail at the end.
+    wrapped; an emission's are its conjugator's wrapped sums.  The negated
+    sums are kept as a list whose torsion coordinates are reduced in place,
+    only when a module letter after a t-letter needs the tuple.  The
+    t-letters seen so far are kept freely condensed on a stack, the tail at
+    the end.
     Given a ``ledger``, each conjugator is priced into it as it is met, a
     module letter's from the inverse of the stack, a crossing block's by
     ``_price_crossing``; without one nothing is.
@@ -306,14 +345,17 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
     wrap = p.module_ambient().wrap
-    sums = [0] * len(torsion)
-    conj = tuple(sums)
+    cyclic = [(i, d) for i, d in enumerate(torsion) if d]
+    neg = [0] * len(torsion)
+    conj = tuple(neg)
     sequence, stack, unknown = [], [], None
     for name, exp in w.letters:
         basis = basis_of.get(name)
         if basis is not None:
             if conj is None:
-                conj = wrap([-s for s in sums])
+                for i, d in cyclic:
+                    neg[i] %= d
+                conj = tuple(neg)
             sequence.append((exp, basis, conj))
             if ledger is not None:
                 _price_conjugator(_inverse(stack), p, ledger)
@@ -322,13 +364,13 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         if i is None:
             unknown = unknown or name
             continue
-        sums[i] += exp
+        neg[i] -= exp
         conj = None
         if stack and stack[-1][0] == name:
             exp += stack.pop()[1]
         if exp:
             stack.append((name, exp))
-    sums = wrap(sums)
+    sums = tuple((-e) % d if d else -e for e, d in zip(neg, torsion))
     if any(sums):
         raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
     if unknown is not None:

@@ -331,6 +331,63 @@ def growth_function(k: int, n: int) -> int:
 def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     """Strong Groebner basis of the submodule generated by ``F`` over ZZ.
 
+    The nonzero generators are grouped by basis vector, in input order, or
+    kept as one group when a generator has terms on two basis vectors.
+    ``_strong`` runs once per distinct group, distinct up to the basis
+    index, and a group equal to an earlier one gets that group's basis
+    moved onto its own vector.  That is the basis one run over all of
+    ``F`` computes: a pair never spans two basis vectors, a term on ``e_b``
+    reduces only by generators on ``e_b``, and the tie rules keep each
+    group's generators in their relative order, so each group's run is the
+    joint run's subsequence, step for step.  A copied group is charged its
+    run's steps again, so the step budget runs out at the joint run's
+    total.  The union is sorted by leading monomial, ``origin`` is ``F``.
+    """
+    F = [f for f in F if not f.is_zero()]
+    if not F:
+        return GroebnerBasis(ambient=None, generators=(), origin=())
+    _check_polynomial(F[0])
+    ambient = F[0].ambient
+    if any(f.ambient != ambient for f in F):
+        raise AmbientMismatch("generators live in different ambients")
+
+    what = "Groebner construction"
+    budget = [step_budget]
+    groups: dict = {}
+    for f in F:
+        vectors = {b for _, b in f._raw}
+        if len(vectors) > 1:
+            groups = {None: F}
+            break
+        groups.setdefault(vectors.pop(), []).append(f)
+    runs: dict = {}  # term lists without the basis -> (vector, basis, steps)
+    basis = []
+    for b, group in groups.items():
+        key = tuple(frozenset((exps, c) for (exps, _), c in f._raw.items())
+                    for f in group)
+        if key not in runs:
+            left = budget[0]
+            found = _strong(ambient, group, budget, what)
+            runs[key] = (b, found, left - budget[0])
+            basis += found
+            continue
+        _, found, steps = runs[key]
+        budget[0] -= steps
+        if budget[0] < 0:
+            raise BudgetExceeded(f"{what} exceeded its step budget")
+        basis += [(ModuleElement._of(ambient, {(exps, b): c for (exps, _), c
+                                               in f._raw.items()}), (lead, b))
+                  for f, (lead, _) in found]
+    basis.sort(key=lambda entry: monomial_key(entry[1]))
+    return GroebnerBasis(ambient=ambient, generators=tuple(f for f, _ in basis),
+                         origin=tuple(F))
+
+
+def _strong(ambient: Ambient, F, budget: list, what: str) -> list:
+    """The tail-autoreduced strong basis of the nonzero generators ``F``, as
+    ``(generator, (lead exponents, lead basis))`` in the order the run
+    leaves them.
+
     Pairs are processed smallest lcm first; both the S-polynomial (lcm of
     leading coefficients) and, when neither leading coefficient divides the
     other, the gcd-polynomial (Bezout combination) are reduced and kept when
@@ -345,16 +402,6 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     basis vector has no such representation: ``x*e1 + e2`` and ``y*e1``
     leave ``y*e2``.
     """
-    F = [f for f in F if not f.is_zero()]
-    if not F:
-        return GroebnerBasis(ambient=None, generators=(), origin=())
-    _check_polynomial(F[0])
-    ambient = F[0].ambient
-    if any(f.ambient != ambient for f in F):
-        raise AmbientMismatch("generators live in different ambients")
-
-    what = "Groebner construction"
-    budget = [step_budget]
     basis: list[ModuleElement] = []
     tables: list = []
     # heap of ((sum(lcm), lcm), insertion number, i, j): pops in the order of
@@ -419,9 +466,7 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
                 changed = True
                 break
 
-    order = sorted(range(len(basis)), key=lambda i: monomial_key(tables[i][:2]))
-    return GroebnerBasis(ambient=ambient, generators=tuple(basis[i] for i in order),
-                         origin=tuple(F))
+    return [(f, table[:2]) for f, table in zip(basis, tables)]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

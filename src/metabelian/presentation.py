@@ -84,7 +84,9 @@ class GroupWord:
 
 
 def commutator(x: GroupWord, y: GroupWord) -> GroupWord:
-    return x.inverse() * y.inverse() * x * y
+    """``x^-1 y^-1 x y``, condensed once: free reduction is confluent."""
+    return GroupWord(_condense(_inverse(x.letters) + _inverse(y.letters)
+                               + list(x.letters) + list(y.letters)))
 
 
 @dataclass(frozen=True)

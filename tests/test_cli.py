@@ -85,7 +85,30 @@ class TestCommands:
     def test_module_dehn(self, bs_file):
         code, out = run(["module-dehn", "-p", bs_file, "-n", "5"])
         assert code == 0
-        assert out.splitlines()[1] == "norm,max_cert_size"
+        assert out.splitlines()[:2] == ["# sampler=exhaustive", "norm,max_cert_size"]
+
+    def test_module_dehn_random_sampler_names_its_seed(self, bs_file):
+        code, out = run(["module-dehn", "-p", bs_file, "-n", "5",
+                         "--sampler", "random", "--samples", "3", "--seed", "7"])
+        assert code == 0
+        assert out.splitlines()[:2] == ["# seed=7", "norm,max_cert_size"]
+        code, out = run(["module-dehn", "-p", bs_file, "-n", "5",
+                         "--sampler", "random"])
+        assert code == 0 and out.splitlines()[0] == "# seed=0"
+
+    @pytest.mark.parametrize("option", ["--seed", "--samples"])
+    @pytest.mark.parametrize("sampler", [[], ["--sampler", "exhaustive"]],
+                             ids=["default", "named"])
+    def test_module_dehn_exhaustive_refuses_sampling_options(
+            self, bs_file, option, sampler, capsys):
+        """The exhaustive sampler reads neither option, so a given one is
+        refused rather than printed as if it had been used."""
+        code, out = run(["module-dehn", "-p", bs_file, "-n", "5", option, "3"]
+                        + sampler)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: {option} is a random sampler option; "
+            "the exhaustive sampler reads none\n")
 
     def test_profile_with_preset(self):
         code, out = run(["profile", "--preset", "bs", "--n", "2", "-n", "4",

@@ -927,3 +927,59 @@ def test_unknown_generators_after_exponent_sums(p):
     ok, cert = is_identity(unbalanced, p)
     assert ok is False and cert.to_json()["identity"] is False
     assert cert.ordered is None and cert.membership is None
+
+
+def _relator_presets():
+    """Every preset, wf with torsion of orders 2 and 3, and each with extra
+    relators whose t-letters leave a tail: a commutator of t-letters times a
+    module letter, a module letter between two unbalanced t-syllables, and
+    a torsion power around a module letter."""
+    specs = [PresetSpec("bs", n=3), PresetSpec("lamplighter", m=3),
+             PresetSpec("zwrz"), PresetSpec("baumslag_gamma"),
+             PresetSpec("free_abelian"), PresetSpec("wf", r=2, k=2),
+             PresetSpec("wf", r=2, k=1, fs=((1, 2, 1),), torsion_orders=(2,)),
+             PresetSpec("wf", r=1, k=2, fs=((1, 1, 1), (1, 1)),
+                        torsion_orders=(3,)),
+             PresetSpec("wf", r=2, k=1, torsion_orders=(2, 3))]
+    presets = []
+    for spec in specs:
+        p = build(spec)
+        a, t = p.module_gens[0], p.t_names[0]
+        s = p.t_names[-1]
+        extra = [commutator(GroupWord(((t, 2),)), GroupWord(((s, -1),)))
+                 * GroupWord(((a, 3),)),
+                 GroupWord(((t, 2), (a, -1), (s, 1), (t, -2), (s, -1)))]
+        extra += [GroupWord(((name, d - 1), (a, 1), (name, 1)))
+                  for name, d in p.torsion_gens]
+        presets.append((spec, replace(p, relators=p.relators + tuple(extra))))
+    return presets
+
+
+_RELATOR_PRESETS = _relator_presets()
+
+
+@pytest.mark.parametrize("spec, p", _RELATOR_PRESETS,
+                         ids=[f"{spec.name}-{i}" for i, (spec, _) in
+                              enumerate(_RELATOR_PRESETS)])
+def test_relator_module_matches_conjugates(spec, p):
+    """The lean pass over tail-free relators gives, relator by relator, the
+    vector of ``_conjugates``' sequence.  A zero-sum word over one free
+    t-letter has no tail, so only the other presets have tails to check."""
+    vectors = relator_module(p)
+    assert len(vectors) == len(p.relators)
+    for r, vector in zip(p.relators, vectors):
+        assert vector == collection._vector(collection._conjugates(r, p)[0], p), r
+    if len(p.t_names) > 1:
+        assert any(split_conjugates(r, p)[1].letters for r in p.relators)
+
+
+@pytest.mark.parametrize("p", [BS2, WF11, build(PresetSpec("wf", torsion_orders=(3,)))],
+                         ids=["bs", "wf", "wf-torsion"])
+def test_relator_module_refuses_nonzero_sums_as_conjugates_does(p):
+    a, t = p.module_gens[0], p.t_names[-1]
+    w = GroupWord(((t, 1), (a, 1), (t, 3)))
+    with pytest.raises(ExponentSumError) as expected:
+        collection._conjugates(w, p)
+    with pytest.raises(ExponentSumError) as got:
+        relator_module(replace(p, relators=(w,)))
+    assert str(got.value) == str(expected.value)

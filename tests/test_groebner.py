@@ -14,7 +14,9 @@ from metabelian.groebner import (GroebnerBasis, buchberger_strong,
                                  certificate_bound, divide_with_certificate,
                                  _reduce_step, growth_function, laurent_embed,
                                  normal_form, verify_certificate)
+from metabelian.collection import relator_module
 from metabelian.order import monomial_key
+from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import brute_force_min_certificate
 
 POLY1 = Ambient(("x",), (0,), 1, ("e1",), laurent=False)
@@ -206,6 +208,65 @@ def test_strong_basis_checked_by_reduce_step(gens):
             if terms(f)[0][0][1] == terms(g)[0][0][1]:
                 assert all(_reduces_to_zero(h, basis)
                            for h in _pair_polynomials(f, g))
+
+
+def _on(f, ambient, b):
+    """``f``, whose terms lie on one basis vector, moved onto ``e_b`` of
+    ``ambient``."""
+    return ModuleElement.from_dict(ambient, {(exps, b): c
+                                             for (exps, _), c in f.as_dict().items()})
+
+
+@st.composite
+def copied_components(draw):
+    """Generators on up to four basis vectors, each vector's set drawn from
+    two templates over ``e1``, so that some vectors carry copies of one
+    another, sometimes with one generator of their own added."""
+    rank = draw(st.integers(2, 4))
+    amb = Ambient(("x", "y"), (0, 0), rank,
+                  tuple(f"e{b}" for b in range(1, rank + 1)), laurent=False)
+    monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+
+    def generator():
+        raw = {(draw(st.sampled_from(monomials)), 1):
+               draw(st.sampled_from([1, 1, -1, 2, 3, 6]))}
+        for _ in range(draw(st.integers(0, 2))):
+            raw.setdefault((draw(st.sampled_from(monomials[:3])), 1),
+                           draw(st.integers(-3, 3)))
+        return ModuleElement.from_dict(amb, raw)
+
+    templates = [[generator() for _ in range(draw(st.integers(1, 3)))]
+                 for _ in range(2)]
+    gens = []
+    for b in draw(st.permutations(range(1, rank + 1))):
+        own = templates[draw(st.integers(0, 1))]
+        if draw(st.integers(0, 3)) == 0:
+            own = own + [generator()]
+        gens += [_on(f, amb, b) for f in own]
+    return amb, draw(st.permutations(gens)) if draw(st.booleans()) else gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(copied_components())
+def test_strong_basis_per_basis_vector(case):
+    """A basis over several basis vectors, some carrying copies of others'
+    generators, is the joint run's basis and each vector's own basis,
+    computed over ``e1`` alone and moved back."""
+    from metabelian.groebner import _strong
+    amb, gens = case
+    gens = [f for f in gens if not f.is_zero()]
+    gb = buchberger_strong(gens)
+    joint = _strong(amb, gens, [10 ** 6], "joint")
+    assert list(gb.generators) == [
+        f for f, _ in sorted(joint, key=lambda entry: monomial_key(entry[1]))]
+    one = Ambient(("x", "y"), (0, 0), 1, ("e1",), laurent=False)
+    own = []
+    for b in dict.fromkeys(next(iter(f.as_dict()))[1] for f in gens):
+        part = [_on(f, one, 1) for f in gens if next(iter(f.as_dict()))[1] == b]
+        own += [_on(f, amb, b) for f in buchberger_strong(part).generators]
+    assert list(gb.generators) == sorted(
+        own, key=lambda f: monomial_key(terms(f)[0][0]))
+    assert gb.origin == tuple(gens)
 
 
 class TestDivision:
@@ -545,6 +606,22 @@ class TestBudgets:
         g = ModuleElement.from_dict(POLY1, {((i,), 1): 2 for i in range(10)})
         with pytest.raises(BudgetExceeded):
             divide_with_certificate(g, gb, step_budget=3)
+
+    def test_construction_budget_boundary_with_copies(self):
+        """The relator module of wf(r=2) holds the same ideal on a1 and a2:
+        the basis of a2 is a copy of a1's, charged again, so the budget of
+        the joint run's steps passes and one less raises."""
+        from metabelian.groebner import _strong
+        p = build(PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1))))
+        _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
+        budget = [10 ** 6]
+        _strong(gens[0].ambient, [f for f in gens if not f.is_zero()],
+                budget, "joint")
+        steps = 10 ** 6 - budget[0]
+        assert steps > 1
+        assert buchberger_strong(gens, step_budget=steps) == buchberger_strong(gens)
+        with pytest.raises(BudgetExceeded):
+            buchberger_strong(gens, step_budget=steps - 1)
 
     @pytest.mark.parametrize("run", [normal_form, divide_with_certificate])
     def test_budget_boundary(self, run):
