@@ -303,7 +303,7 @@ def relator_module(p: Presentation) -> list[ModuleElement]:
                 continue
             i = t_pos.get(name)
             if i is None:
-                break
+                break  # an unknown name, which _conjugates reports
             neg[i] -= exp
             conj = None
             if stack and stack[-1][0] == name:

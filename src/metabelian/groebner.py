@@ -360,7 +360,7 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
             groups = {None: F}
             break
         groups.setdefault(vectors.pop(), []).append(f)
-    runs: dict = {}  # term lists without the basis -> (vector, basis, steps)
+    runs: dict = {}  # a group's term lists without the basis -> (basis, steps)
     basis = []
     for b, group in groups.items():
         key = tuple(frozenset((exps, c) for (exps, _), c in f._raw.items())
@@ -368,10 +368,10 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
         if key not in runs:
             left = budget[0]
             found = _strong(ambient, group, budget, what)
-            runs[key] = (b, found, left - budget[0])
+            runs[key] = (found, left - budget[0])
             basis += found
             continue
-        _, found, steps = runs[key]
+        found, steps = runs[key]
         budget[0] -= steps
         if budget[0] < 0:
             raise BudgetExceeded(f"{what} exceeded its step budget")

@@ -931,9 +931,11 @@ def test_unknown_generators_after_exponent_sums(p):
 
 def _relator_presets():
     """Every preset, wf with torsion of orders 2 and 3, and each with extra
-    relators whose t-letters leave a tail: a commutator of t-letters times a
-    module letter, a module letter between two unbalanced t-syllables, and
-    a torsion power around a module letter."""
+    relators: a module letter conjugated by the last t-letter, whose
+    torsion exponent wraps from -1, and three whose t-letters leave a tail:
+    a commutator of t-letters times a module letter, a module letter
+    between two unbalanced t-syllables, and a torsion power around a module
+    letter."""
     specs = [PresetSpec("bs", n=3), PresetSpec("lamplighter", m=3),
              PresetSpec("zwrz"), PresetSpec("baumslag_gamma"),
              PresetSpec("free_abelian"), PresetSpec("wf", r=2, k=2),
@@ -946,7 +948,8 @@ def _relator_presets():
         p = build(spec)
         a, t = p.module_gens[0], p.t_names[0]
         s = p.t_names[-1]
-        extra = [commutator(GroupWord(((t, 2),)), GroupWord(((s, -1),)))
+        extra = [GroupWord(((s, 1), (a, 2), (s, -1))),
+                 commutator(GroupWord(((t, 2),)), GroupWord(((s, -1),)))
                  * GroupWord(((a, 3),)),
                  GroupWord(((t, 2), (a, -1), (s, 1), (t, -2), (s, -1)))]
         extra += [GroupWord(((name, d - 1), (a, 1), (name, 1)))

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import element_key, random_element, terms
+from metabelian.collection import relator_module
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.errors import AmbientMismatch, BudgetExceeded
 from metabelian.groebner import (GroebnerBasis, buchberger_strong,
                                  certificate_bound, divide_with_certificate,
-                                 _reduce_step, growth_function, laurent_embed,
-                                 normal_form, verify_certificate)
-from metabelian.collection import relator_module
+                                 _reduce_step, _strong, growth_function,
+                                 laurent_embed, normal_form, verify_certificate)
 from metabelian.order import monomial_key
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import brute_force_min_certificate
@@ -252,7 +252,6 @@ def test_strong_basis_per_basis_vector(case):
     """A basis over several basis vectors, some carrying copies of others'
     generators, is the joint run's basis and each vector's own basis,
     computed over ``e1`` alone and moved back."""
-    from metabelian.groebner import _strong
     amb, gens = case
     gens = [f for f in gens if not f.is_zero()]
     gb = buchberger_strong(gens)
@@ -611,7 +610,6 @@ class TestBudgets:
         """The relator module of wf(r=2) holds the same ideal on a1 and a2:
         the basis of a2 is a copy of a1's, charged again, so the budget of
         the joint run's steps passes and one less raises."""
-        from metabelian.groebner import _strong
         p = build(PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1))))
         _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
         budget = [10 ** 6]
