@@ -137,28 +137,24 @@ class _Crossing(NamedTuple):
                 for sign, j, head in template]
 
 
-def _collect_units(tail: GroupWord, p: Presentation, ledger=None):
-    """Gather the t-syllables of a zero-sum tail index by index, recording
-    one crossing block per gathered syllable.
+def _collect_units(word, p: Presentation, ledger: CostLedger) -> list:
+    """Gather the condensed t-syllables ``(name, exp)`` of a zero-sum tail
+    index by index, recording one crossing block per gathered syllable.
 
-    Returns ``(crossings, powers)``: ``_Crossing`` blocks in the order their
-    emissions appear in the rewritten word, and the gathered front powers
-    ``(var_index, net_exp)``.  Freely, ``tail = prod(powers) * prod(the
+    Returns the ``_Crossing`` blocks in the order their emissions appear in
+    the rewritten word.  Freely, ``tail = prod(front powers) * prod(the
     emissions of each crossing as [t_s,t_j]^(sign*conjugator))``.  A front
-    power is a multiple of its torsion order, charged to ``ledger``, when
-    one is given, at one module relation per torsion power; the caller
-    charges one r1 per emission.
+    power ``t_i^net`` is a multiple of its torsion order, charged to
+    ``ledger`` at one module relation per torsion power; the caller charges
+    one r1 per emission.
 
-    The working word is kept condensed.  Each step moves the next syllable
-    ``t_i^a`` of the smallest index down to the front past the middle
-    syllables, one unit at a time; each unit emits one commutator per unit
-    it crosses, a row of the crossing block, and the word is condensed
-    again once per syllable.
+    Each step moves the next syllable ``t_i^a`` of the smallest index down
+    to the front past the middle syllables, one unit at a time; each unit
+    emits one commutator per unit it crosses, a row of the crossing block,
+    and the word is condensed again once per syllable.
     """
     names, index = p.t_names, p._t_positions
-    word = list(_condense(tail.letters))
     crossings = []
-    powers = []
     while word:
         i = min(index[n] for n, _ in word)
         name = names[i]
@@ -166,18 +162,15 @@ def _collect_units(tail: GroupWord, p: Presentation, ledger=None):
         pos = next((q for q in range(front, len(word))
                     if word[q][0] == name), None)
         if pos is None:
-            powers.append((i, word[0][1]))
-            if ledger is not None:
-                ledger.module_relations += abs(word[0][1]) // p.torsion_orders[i]
+            ledger.module_relations += abs(word[0][1]) // p.torsion_orders[i]
             word = word[1:]
             continue
         a = word[pos][1]
         middle, rest = tuple(word[front:pos]), tuple(word[pos + 1:])
         crossings.append(_Crossing(i, name, a, middle, rest))
-        word = list(_condense(word[:front] + [(name, a)] + word[front:pos]
-                              + word[pos + 1:]))
+        word = _condense([*word[:front], (name, a), *middle, *rest])
     crossings.reverse()
-    return crossings, powers
+    return crossings
 
 
 def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
@@ -194,7 +187,7 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
     ledger = ledger if ledger is not None else CostLedger()
     basis_of = p._basis_indexes
     items = [(sign, basis_of[p.commutator_gen(s, j)], GroupWord.from_letters(conj))
-             for crossing in _collect_units(tail, p, ledger)[0]
+             for crossing in _collect_units(tail.letters, p, ledger)
              for sign, s, j, conj in crossing.emissions(p._t_positions)]
     ledger.r1_commutators += len(items)
     return items, ledger
@@ -278,12 +271,13 @@ def ordered_form(w: GroupWord, p: Presentation):
 
 def relator_module(p: Presentation) -> list[ModuleElement]:
     """Module vectors of all relators, aligned with ``p.relators``; they
-    generate the relation submodule.  Nothing reads a relator's ledger, so
-    no conjugator is priced.  A relator whose t-letters condense to nothing
-    has no tail: its module letters are summed straight into the term dict,
-    each keyed by the negated running exponent sums as in ``_conjugates``.
-    Any other relator, one with an unknown name included, goes through
-    ``_conjugates``."""
+    generate the relation submodule.  A relator whose t-letters condense to
+    nothing has no tail: its module letters are summed straight into the
+    term dict, each keyed by the negated running exponent sums as in
+    ``_conjugates``, and nothing is priced.  Any other relator, one with an
+    unknown name included, goes through ``_conjugates``, which prices into a
+    scratch ledger that nothing reads; only torsion powers and a few
+    relators of a handful of syllables have a tail."""
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
     cyclic = [(i, d) for i, d in enumerate(torsion) if d]
     ambient = p.module_ambient()
@@ -315,11 +309,11 @@ def relator_module(p: Presentation) -> list[ModuleElement]:
                 vectors.append(ModuleElement._of(
                     ambient, {key: c for key, c in raw.items() if c}))
                 continue
-        vectors.append(_vector(_conjugates(r, p)[0], p))
+        vectors.append(_vector(_conjugates(r, p, CostLedger())[0], p))
     return vectors
 
 
-def _conjugates(w: GroupWord, p: Presentation, ledger=None):
+def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     """The module-letter conjugates ``(coeff, basis, exponents)`` of a
     kernel word, in the order the free rewrite puts them, and the one
     crossing block that is the whole sequence, or None.
@@ -330,10 +324,10 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
     sums are kept as a list whose torsion coordinates are reduced in place,
     only when a module letter after a t-letter needs the tuple.  The
     t-letters seen so far are kept freely condensed on a stack, the tail at
-    the end.
-    Given a ``ledger``, each conjugator is priced into it as it is met, a
-    module letter's from the inverse of the stack, a crossing block's by
-    ``_price_crossing``; without one nothing is.
+    the end, which ``_collect_units`` gathers as it stands.  Each
+    conjugator is priced into ``ledger`` as it is met, a module letter's
+    from the inverse of the stack, a crossing block's by
+    ``_price_crossing``.
 
     The block ``(rows, var, shift, n, coordinate, stride)``, the one
     sequence ``_block_charge`` takes, is given only for a word with no
@@ -357,8 +351,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
                     neg[i] %= d
                 conj = tuple(neg)
             sequence.append((exp, basis, conj))
-            if ledger is not None:
-                _price_conjugator(_inverse(stack), p, ledger)
+            _price_conjugator(_inverse(stack), p, ledger)
             continue
         i = t_pos.get(name)
         if i is None:
@@ -375,12 +368,11 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
         raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
     if unknown is not None:
         raise KeyError(unknown)
-    if ledger is not None:
-        ledger.free_steps += len(sequence) + 1
+    ledger.free_steps += len(sequence) + 1
     block, module_letters = None, len(sequence)
     if not stack:
         return sequence, None
-    crossings = _collect_units(GroupWord(tuple(stack)), p, ledger)[0]
+    crossings = _collect_units(stack, p, ledger)
     lone = (not module_letters and len(crossings) == 1
             and len(crossings[0].middle) == 1)
     for crossing in crossings:
@@ -407,10 +399,8 @@ def _conjugates(w: GroupWord, p: Presentation, ledger=None):
                 for sign, basis, exps in row:
                     sequence.append((sign, basis, wrap(
                         exps[:var] + (exps[var] + r * shift,) + exps[var + 1:])))
-        if ledger is not None:
-            _price_crossing(crossing, template, p, ledger)
-    if ledger is not None:
-        ledger.r1_commutators += len(sequence) - module_letters
+        _price_crossing(crossing, template, p, ledger)
+    ledger.r1_commutators += len(sequence) - module_letters
     return sequence, block
 
 
@@ -465,26 +455,34 @@ def _vector(sequence, p: Presentation) -> ModuleElement:
                              {key: c for key, c in raw.items() if c})
 
 
-def _charge_merge(sequence, amb, ledger: CostLedger, block=None):
+def _charge_merge(sequence, amb, ledger: CostLedger, block):
     """Transposition charges for gathering conjugates into ordered form.
 
-    Opposite conjugates of the same monomial are cancelled greedily first
-    by ``_cancel``: the cheapest pair each round, paying one transposition
+    When the sequence is the lone crossing block of ``_conjugates``
+    (``block``) and holds more than ``_BLOCK`` conjugates, as for a
+    commutator of two powers, ``_block_charge`` counts its sort by
+    difference before any table is built: a lone block is one crossing with
+    no module letter, so its conjugates share one sign and one basis and
+    nothing cancels.  Any other sequence, or a block it cannot count, is
+    cancelled and then sorted.
+
+    Opposite conjugates of the same monomial are cancelled greedily by
+    ``_cancel``: the cheapest pair each round, paying one transposition
     per unit crossed, found in one pass per round over pair records.  Each
     item lists its opposite partners going right only up to its first unit
     partner, since a farther one crosses at least the same units at no
     lower price and loses the tie on position, so it cannot be the
-    cheapest while that partner lives.  Then the remainder is sorted,
-    paying one transposition per strictly inverted pair of unit conjugates.
-    Equal monomials cross at equal prices, so prices are kept per pair of
-    monomials.
-
-    The sort is charged on one of two paths.  When the sequence is the
-    crossing block of ``_conjugates`` (``block``) and holds more than
-    ``_BLOCK`` conjugates, as for a commutator of two powers,
-    ``_block_charge`` counts it by difference; any other sequence, or a
-    block it cannot count, goes to ``_inversion_charge``.
+    cheapest while that partner lives.  Then ``_inversion_charge`` sorts
+    the remainder, paying one transposition per strictly inverted pair of
+    unit conjugates.  Equal monomials cross at equal prices, so prices are
+    kept per pair of monomials.
     """
+    if block is not None and len(sequence) > _BLOCK:
+        charge = _block_charge(sequence, *block, amb.torsion)
+        if charge is not None:
+            ledger.r2_commutations += charge[0]
+            ledger.rel_r2_merge += charge[1]
+            return
     items = [[coeff, basis, exps] for coeff, basis, exps in sequence]
     monos: dict = {}
     mono = [monos.setdefault(exps, len(monos)) for _, _, exps in items]
@@ -500,23 +498,14 @@ def _charge_merge(sequence, amb, ledger: CostLedger, block=None):
         return memo[key]
 
     units, rel = _cancel(items, group, mono, price)
-    ledger.r2_commutations += units
-    ledger.rel_r2_merge += rel
-
-    charge = None
-    # a block's conjugates share one sign and one basis, so _cancel finds
-    # no opposite pair in it
-    if block is not None and len(items) > _BLOCK:
-        charge = _block_charge(items, *block, amb.torsion)
-    if charge is None:
-        # ordered form puts e1 first and larger monomials first within a
-        # basis; monomial_key without a call per conjugate
-        charge = _inversion_charge(
-            [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, m)
-             for (c, basis, exps), m in zip(items, mono) if c],
-            amb.torsion, price)
-    ledger.r2_commutations += charge[0]
-    ledger.rel_r2_merge += charge[1]
+    # ordered form puts e1 first and larger monomials first within a basis;
+    # monomial_key without a call per conjugate
+    sort_units, sort_rel = _inversion_charge(
+        [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, m)
+         for (c, basis, exps), m in zip(items, mono) if c],
+        amb.torsion, price)
+    ledger.r2_commutations += units + sort_units
+    ledger.rel_r2_merge += rel + sort_rel
 
 
 def _cancel(items, group, mono, price):
@@ -632,7 +621,7 @@ def _row_sums(lo: int, hi: int, rows: int):
 
 def _block_charge(block, rows, var, shift, n, coordinate, stride, torsion):
     """``(units, rel)`` of ``_inversion_charge`` over the pairs of a
-    crossing block of unit conjugates ``[coeff, basis, exps]`` of one sign
+    crossing block of unit conjugates ``(coeff, basis, exps)`` of one sign
     and one basis (see ``_conjugates``), or None when they cannot be
     counted by difference.
 

@@ -105,11 +105,10 @@ class TestCollectTail:
             sums = exponent_sums(w, GAMMA)
             tail = w * GroupWord.from_letters(
                 [("s", -sums[0]), ("t", -sums[1])])
-            emissions, powers = _expanded_units(tail, GAMMA)
+            # Gamma has no torsion, so a zero-sum tail leaves no front power
+            emissions, wraps = _expanded_units(tail, GAMMA)
+            assert wraps == 0
             recon = GroupWord(())
-            for var, net in powers:
-                recon = recon * GroupWord.from_letters(
-                    ((GAMMA.t_names[var], net),))
             for sign, i, j, conj in emissions:
                 c = commutator(GroupWord(((GAMMA.t_names[i], 1),)),
                                GroupWord(((GAMMA.t_names[j], 1),)))
@@ -120,11 +119,13 @@ class TestCollectTail:
 
 
 def _expanded_units(tail: GroupWord, p):
-    """``_collect_units`` with its crossing blocks expanded into one
-    emission ``(sign, s, j, conjugator)`` each, in word order."""
-    crossings, powers = _collect_units(tail, p)
+    """``_collect_units`` over the condensed tail, its crossing blocks
+    expanded into one emission ``(sign, s, j, conjugator)`` each, in word
+    order, and the module relations it charges for the front powers."""
+    ledger = CostLedger()
+    crossings = _collect_units(_condense(tail.letters), p, ledger)
     return ([e for c in crossings for e in c.emissions(p._t_positions)],
-            powers)
+            ledger.module_relations)
 
 
 def _reference_word_units(w: GroupWord):
@@ -221,13 +222,14 @@ def raw_tails(draw):
 @given(raw_tails())
 def test_syllable_tail_step_matches_unit_reference(case):
     """Gathering condensed syllables emits what gathering unit letters
-    emits, in the same order, with the same conjugators and front powers,
-    once the crossing blocks are expanded."""
+    emits, in the same order, with the same conjugators, once the crossing
+    blocks are expanded, and charges one module relation per torsion power
+    of the front powers."""
     p, tail = case
     emissions, blocks = _reference_collect_units(tail, p)
     assert _expanded_units(tail, p) == (
         [(sign, s, j, _condense(conj)) for sign, s, j, conj in emissions],
-        blocks)
+        sum(abs(net) // p.torsion_orders[var] for var, net in blocks if net))
 
 
 def _unit_reference_form(w: GroupWord, p):
@@ -252,7 +254,7 @@ def _unit_reference_form(w: GroupWord, p):
         exps = exponent_sums(GroupWord(tuple(letters)), p)
         sequence.append((coeff, basis, exps))
         raw[exps, basis] = raw.get((exps, basis), 0) + coeff
-    _charge_merge(sequence, p.module_ambient(), ledger)
+    _charge_merge(sequence, p.module_ambient(), ledger, None)
     return ModuleElement.from_dict(p.module_ambient(), raw), ledger
 
 
@@ -287,7 +289,7 @@ def crossing_words(draw):
         sums = exponent_sums(GroupWord(tuple(letters)), p)
         tail = GroupWord.from_letters(letters + draw(st.permutations(
             [(name, -s) for name, s in zip(p.t_names, sums)])))
-    sequence = collection._conjugates(tail, p)[0]
+    sequence = collection._conjugates(tail, p, CostLedger())[0]
     cancel = GroupWord(())
     if sequence and draw(st.booleans()):
         for q in draw(st.lists(st.integers(0, len(sequence) - 1), min_size=1,
@@ -327,18 +329,53 @@ def test_crossing_blocks_match_unit_reference(case):
     assert ordered_form(w, p) == _unit_reference_form(w, p)
 
 
+def _merged_by_hand(w, p):
+    """The ledger of ``w`` with its sequence cancelled by ``_cancel`` and
+    sorted by ``_inversion_charge``, as if it were no block."""
+    ledger = CostLedger()
+    sequence, _ = collection._conjugates(w, p, ledger)
+    _charge_merge(sequence, p.module_ambient(), ledger, None)
+    return ledger
+
+
 def test_grid_sort_is_charged_as_one_block():
     """``[t1^30, t2^30]`` is one crossing block of 900 conjugates and
-    nothing else: ``_block_charge`` counts its sort and
-    ``_inversion_charge`` is never called, for the ledger of the merge."""
+    nothing else: ``_block_charge`` counts its sort before any cancellation
+    table, so neither ``_cancel`` nor ``_inversion_charge`` is called, and
+    the ledger is what cancelling and sorting it by hand charges."""
     w = parse_word("[t1^30, t2^30]", _WF12)
     with mock.patch.object(collection, "_block_charge",
                            wraps=_block_charge) as block, \
+            mock.patch.object(collection, "_cancel",
+                              side_effect=AssertionError("cancelled")), \
+            mock.patch.object(collection, "_inversion_charge",
+                              side_effect=AssertionError("merged")):
+        got = ordered_form(w, _WF12)
+    assert block.call_count == 1
+    assert got[1] == _merged_by_hand(w, _WF12)
+    assert got == _unit_reference_form(w, _WF12)
+
+
+# a row coordinate that crosses 0, and a torsion one of order 5
+@pytest.mark.parametrize("p, text", [
+    (_WF12, "[u1^-5, u1^-2*u2^4*u1^2]"),
+    (_WF11_TORSION, "[t2^6, t3^3]")], ids=["crosses-0", "torsion"])
+def test_refused_block_is_cancelled_and_merged(p, text):
+    """A lone block of more than ``_BLOCK`` conjugates that
+    ``_block_charge`` refuses goes through ``_cancel`` and
+    ``_inversion_charge`` once each, with the ledger of gathering unit by
+    unit and sorting item by item."""
+    w = parse_word(text, p)
+    sequence, block = collection._conjugates(w, p, CostLedger())
+    assert block is not None and len(sequence) > _BLOCK
+    assert _block_charge(sequence, *block, p.module_ambient().torsion) is None
+    with mock.patch.object(collection, "_cancel", wraps=_cancel) as cancel, \
             mock.patch.object(collection, "_inversion_charge",
                               wraps=_inversion_charge) as merge:
-        got = ordered_form(w, _WF12)
-    assert block.call_count == 1 and merge.call_count == 0
-    assert got == _unit_reference_form(w, _WF12)
+        got = ordered_form(w, p)
+    assert cancel.call_count == 1 and merge.call_count == 1
+    assert got[1] == _merged_by_hand(w, p)
+    assert got == _unit_reference_form(w, p)
 
 
 _WF13 = build(PresetSpec("wf", k=3))
@@ -351,16 +388,18 @@ def test_lone_crossing_is_the_only_block():
     progression of 30 conjugates in t2, each row one lower at t1, while
     ``[t1^9, t2*t3]`` gathers t1^9 past two syllables."""
     w = parse_word("[t1^30, t2^30]", _WF12)
-    sequence, block = collection._conjugates(w, _WF12)
+    sequence, block = collection._conjugates(w, _WF12, CostLedger())
     assert len(sequence) == 900
     assert block == (30, 2, 1, 30, 3, 1)
     two = parse_word("[t1^5, t2^5]*[t1^4, t2^4]", _WF12)
-    assert len(_collect_units(split_conjugates(two, _WF12)[1], _WF12)[0]) == 2
+    assert len(_collect_units(split_conjugates(two, _WF12)[1].letters, _WF12,
+                              CostLedger())) == 2
     for text in ("[t1^30, t2^30]*[a1, u1]", "a1*[t1^30, t2^30]*a1^-1",
                  "[t1^5, t2^5]*[t1^4, t2^4]", "[t1, t2]"):
-        assert collection._conjugates(parse_word(text, _WF12), _WF12)[1] is None
+        assert collection._conjugates(parse_word(text, _WF12), _WF12,
+                                      CostLedger())[1] is None
     sequence, block = collection._conjugates(
-        parse_word("[t1^9, t2*t3]", _WF13), _WF13)
+        parse_word("[t1^9, t2*t3]", _WF13), _WF13, CostLedger())
     assert len(sequence) == 18 and block is None
 
 
@@ -560,7 +599,7 @@ def sort_inputs(draw):
 def test_sort_charge_matches_pairwise(case):
     amb, sequence = case
     ledger = CostLedger()
-    _charge_merge(sequence, amb, ledger)
+    _charge_merge(sequence, amb, ledger, None)
     assert (ledger.r2_commutations, ledger.rel_r2_merge) == \
         _pairwise_sort_charge(sequence, amb)
 
@@ -859,7 +898,7 @@ def _two_pass_ledger(w, p):
     for _, _, v in items:
         _price_conjugator(v.letters, p, ledger)
     _charge_merge([(c, b, exponent_sums(v, p)) for c, b, v in items],
-                  p.module_ambient(), ledger)
+                  p.module_ambient(), ledger, None)
     return ledger
 
 
@@ -887,12 +926,11 @@ def test_one_scan_ledger_matches_two_pass_reference(case):
     assert ordered_form(w, p)[1] == _two_pass_ledger(w, p)
 
 
-def test_relator_vectors_are_not_priced():
-    """``relator_module`` reads vectors from the scan that ``ordered_form``
-    prices, without pricing a conjugator: torsion powers leave tails of
-    blocks, and an added ``[t^2, t']`` a tail of emissions."""
-    refuse = mock.patch.object(collection, "_price_conjugator",
-                               side_effect=AssertionError("priced"))
+def test_only_tailed_relators_are_scanned():
+    """``relator_module`` sums a tail-free relator without pricing anything
+    and sends only the relators with a tail through ``_conjugates``, which
+    prices into a scratch ledger: torsion powers leave tails of blocks, and
+    an added ``[t^2, t']`` a tail of emissions."""
     for p in _VECTOR_PRESETS:
         emitting = commutator(GroupWord(((p.t_names[0], 2),)),
                               GroupWord(((p.t_names[-1], 1),)))
@@ -900,11 +938,13 @@ def test_relator_vectors_are_not_priced():
         tailed = [r for r in p.relators
                   if split_conjugates(r, p)[1].letters]
         assert len(tailed) == len(p.torsion_gens) + 1
-        expected = relator_module(p)
-        with refuse:
-            assert relator_module(p) == expected
-            with pytest.raises(AssertionError, match="priced"):
-                ordered_form(emitting, p)
+        with mock.patch.object(collection, "_conjugates",
+                               wraps=collection._conjugates) as scan:
+            vectors = relator_module(p)
+        assert [call.args[0] for call in scan.call_args_list] == tailed
+        assert all(isinstance(call.args[2], CostLedger)
+                   for call in scan.call_args_list)
+        assert vectors == [ordered_form(r, p)[0] for r in p.relators]
 
 
 @pytest.mark.parametrize("p", [BS2, GAMMA, WF11], ids=["bs", "gamma", "wf"])
@@ -971,7 +1011,8 @@ def test_relator_module_matches_conjugates(spec, p):
     vectors = relator_module(p)
     assert len(vectors) == len(p.relators)
     for r, vector in zip(p.relators, vectors):
-        assert vector == collection._vector(collection._conjugates(r, p)[0], p), r
+        sequence = collection._conjugates(r, p, CostLedger())[0]
+        assert vector == collection._vector(sequence, p), r
     if len(p.t_names) > 1:
         assert any(split_conjugates(r, p)[1].letters for r in p.relators)
 
@@ -982,7 +1023,7 @@ def test_relator_module_refuses_nonzero_sums_as_conjugates_does(p):
     a, t = p.module_gens[0], p.t_names[-1]
     w = GroupWord(((t, 1), (a, 1), (t, 3)))
     with pytest.raises(ExponentSumError) as expected:
-        collection._conjugates(w, p)
+        collection._conjugates(w, p, CostLedger())
     with pytest.raises(ExponentSumError) as got:
         relator_module(replace(p, relators=(w,)))
     assert str(got.value) == str(expected.value)
