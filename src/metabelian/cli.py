@@ -11,7 +11,7 @@ import io
 import json
 import sys
 
-from .elements import Ambient, parse_element
+from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, parse_element
 from .errors import BudgetExceeded, ParseError, TamenessViolation
 from .geometry import presentation_constants, tameness_check
 from .groebner import divide_with_certificate, normal_form
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("norm-growth", help="norms |f^n| and the fitted base")
     sp.add_argument("-f", "--poly", required=True)
     sp.add_argument("-n", type=int, default=10, dest="nmax")
-    sp.add_argument("--format", choices=("json", "csv"), default=None)
+    sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp = sub.add_parser("preset", help="emit a preset presentation file")
     sp.add_argument("preset", choices=PRESET_NAMES)
     _preset_options(sp)
@@ -198,7 +198,7 @@ def _run(args) -> int:
         g = parse_element(args.element, p.module_ambient())
         ctx = module_context(p)
         if cmd == "nf":
-            nf = normal_form(ctx.embed(g), ctx.basis)
+            nf = _normal_form(g, ctx)
             _emit_json({"input": g.render(), "normal_form": nf.render(),
                         "is_zero": nf.is_zero()})
             return 0
@@ -264,6 +264,37 @@ def _run(args) -> int:
         return 0
 
     raise ParseError(f"unknown command {cmd!r}")
+
+
+def _normal_form(g: ModuleElement, ctx) -> ModuleElement:
+    """The normal form of a Laurent element, as a Laurent element.
+
+    ``ctx.embed`` shifts an element by its own unit monomial, which keeps
+    membership but not the class: ``a`` and ``t^-1*a`` would embed alike.
+    Here ``t^-k`` becomes ``t__inv^k`` instead (the basis holds
+    ``t*t__inv - 1``), so equal classes reduce to one residue, whose term
+    ``t^i*t__inv^j`` is read back as ``t^(i - j)``.
+    """
+    # the ambient ``ctx.embed`` maps into: an empty basis names none
+    amb, poly = g.ambient, ctx.embed(g).ambient
+    inverse = [(i, poly.variables.index(amb.variables[i] + INVERSE_SUFFIX))
+               for i, d in enumerate(amb.torsion) if not d]
+    pad = (0,) * (poly.nvars - amb.nvars)
+    raw = {}
+    for (exps, basis), c in g.as_dict().items():
+        substituted = [max(e, 0) for e in exps] + list(pad)
+        for i, j in inverse:
+            substituted[j] = max(-exps[i], 0)
+        raw[tuple(substituted), basis] = c
+    residue = normal_form(ModuleElement.from_dict(poly, raw), ctx.basis)
+    back = {}
+    for (exps, basis), c in residue.as_dict().items():
+        laurent = list(exps[:amb.nvars])
+        for i, j in inverse:
+            laurent[i] -= exps[j]
+        key = (tuple(laurent), basis)
+        back[key] = back.get(key, 0) + c
+    return ModuleElement.from_dict(amb, back)
 
 
 def _parse_growth_poly(text: str):

@@ -3,12 +3,17 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from metabelian.cli import main
+from metabelian.cli import _normal_form, main
+from metabelian.elements import ModuleElement
+from metabelian.groebner import normal_form
+from metabelian.presets import PresetSpec, build
+from metabelian.wordproblem import module_context
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -46,6 +51,21 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "n,norm"
         assert [l.split(",")[1] for l in lines[1:]] == ["2", "4", "8", "16", "32"]
+
+    def test_norm_growth_prints_csv_by_default(self):
+        argv = ["norm-growth", "-f", "1+t", "-n", "5"]
+        assert run(argv) == run(argv + ["--format", "csv"])
+
+    def test_nf_of_shifted_elements(self, bs_file):
+        """In BS(1,2) ``t^-1*a`` is ``2*a``: equal classes print one normal
+        form, and ``a`` another."""
+        def nf(element):
+            code, out = run(["nf", "-p", bs_file, "-e", element])
+            assert code == 0
+            return json.loads(out)["normal_form"]
+        assert nf("t^-1*a") == nf("2*a") == "2*a"
+        assert nf("t^-2*a") == nf("4*a") == "4*a"
+        assert nf("a") == "a"
 
     def test_constants(self, bs_file):
         code, out = run(["constants", "-p", bs_file])
@@ -362,3 +382,35 @@ def test_certificate_of_a_huge_word_renders():
     # the word length n = 3*10^3000 - 1 leads the relative bound as n^2
     n = "2" + "9" * 3000
     assert doc["relative_bound"]["expression"].startswith(f"{n}^2 + ")
+
+
+_NF_PRESETS = [PresetSpec("bs", n=2), PresetSpec("bs", n=3),
+               PresetSpec("lamplighter", m=3), PresetSpec("zwrz"),
+               PresetSpec("baumslag_gamma"), PresetSpec("free_abelian"),
+               PresetSpec("wf", r=1, k=2),
+               PresetSpec("wf", r=2, k=1, torsion_orders=(3,))]
+
+
+@pytest.mark.parametrize("spec", _NF_PRESETS,
+                         ids=[f"{s.name}-{i}" for i, s in enumerate(_NF_PRESETS)])
+def test_nf_is_a_class_invariant(spec):
+    """``nf`` gives one normal form per class: adding a multiple of a
+    translated relator vector changes nothing, a normal form is its own,
+    and ``is_zero`` agrees with the shift embedding's."""
+    p = build(spec)
+    ctx = module_context(p)
+    amb = p.module_ambient()
+    rng = random.Random(spec.name)
+    vectors = [v for v in ctx.relator_vectors if not v.is_zero()]
+    for _ in range(12):
+        g = ModuleElement.from_dict(amb, {
+            (tuple(rng.randint(-2, 2) for _ in range(amb.nvars)),
+             rng.randint(1, amb.rank)): rng.choice((-2, -1, 1, 3))
+            for _ in range(rng.randint(0, 3))})
+        nf = _normal_form(g, ctx)
+        assert _normal_form(nf, ctx) == nf
+        assert nf.is_zero() == normal_form(ctx.embed(g), ctx.basis).is_zero()
+        for v in rng.sample(vectors, min(3, len(vectors))):
+            shift = tuple(rng.randint(-2, 2) for _ in range(amb.nvars))
+            moved = g + v.scale_translate(rng.choice((-2, -1, 1, 2)), shift)
+            assert _normal_form(moved, ctx) == nf
