@@ -11,6 +11,7 @@ import io
 import json
 import sys
 
+from .bounds import _decimal
 from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, parse_element
 from .errors import BudgetExceeded, ParseError, TamenessViolation
 from .geometry import presentation_constants, tameness_check
@@ -64,11 +65,23 @@ def _preset_spec(args) -> PresetSpec:
             raise ParseError(f"preset {args.preset!r} does not read --{name}")
     f, orders = given.pop("f", None), given.pop("orders", None)
     if f:
-        given["fs"] = tuple(tuple(int(c) for c in chunk.split(","))
-                            for chunk in f.split(";"))
+        given["fs"] = tuple(_int_list("f", chunk) for chunk in f.split(";"))
     if orders:
-        given["torsion_orders"] = tuple(int(c) for c in orders.split(","))
+        given["torsion_orders"] = _int_list("orders", orders)
     return PresetSpec(name=args.preset, **given)
+
+
+def _int_list(option: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``--option``; a part that is no
+    integer is an input error naming the option and the part."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ParseError(f"--{option} takes comma-separated integers, "
+                             f"got {part!r}") from None
+    return tuple(values)
 
 
 # The presentation that solve's and area's costs are areas over.
@@ -91,13 +104,6 @@ def _emit_csv(header, rows, meta=None) -> None:
     for row in rows:
         writer.writerow(row)
     sys.stdout.write(out.getvalue())
-
-
-def _parse_budget(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ParseError("budget must be D,C,S (degree, coefficient, size)")
-    return tuple(int(x) for x in parts)
 
 
 def main(argv=None) -> int:
@@ -148,7 +154,6 @@ def main(argv=None) -> int:
     sp = sub.add_parser("norm-growth", help="norms |f^n| and the fitted base")
     sp.add_argument("-f", "--poly", required=True)
     sp.add_argument("-n", type=int, default=10, dest="nmax")
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp = sub.add_parser("preset", help="emit a preset presentation file")
     sp.add_argument("preset", choices=PRESET_NAMES)
     _preset_options(sp)
@@ -178,11 +183,9 @@ def _run(args) -> int:
     if cmd == "norm-growth":
         f = _parse_growth_poly(args.poly)
         norms, alpha = norm_growth(f, args.nmax)
-        if args.format == "json":
-            _emit_json({"norms": [str(v) for v in norms], "alpha": alpha})
-        else:
-            _emit_csv(("n", "norm"),
-                      [(i + 1, v) for i, v in enumerate(norms)])
+        _emit_csv(("n", "norm"),
+                  [(i + 1, _decimal(v)) for i, v in enumerate(norms)],
+                  meta=f"base={alpha}")
         return 0
 
     p = _load_presentation(args)
@@ -207,7 +210,9 @@ def _run(args) -> int:
             _emit_json({"member": cert.residue.is_zero(),
                         "certificate": cert.to_json()})
             return 0
-        budget = _parse_budget(args.budget)
+        budget = _int_list("budget", args.budget)
+        if len(budget) != 3:
+            raise ParseError("budget must be D,C,S (degree, coefficient, size)")
         size = brute_force_min_certificate(g, list(ctx.relator_vectors), budget)
         _emit_json({"minimal_size": size, "conclusive": size is not None,
                     "budget": list(budget)})

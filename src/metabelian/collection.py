@@ -225,9 +225,8 @@ def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
     is charged once, times ``|exp|``, and the crossings of each t_j are
     priced together by ``_run_price``.  The same reason makes pricing the
     syllable unit by unit charge the same sums.  Torsion exponents wrap
-    into [0, order) at one module relation per wrap.  The vector itself is
-    the conjugator's wrapped exponent sums, which ``_conjugates`` reads
-    without this.
+    into [0, order) at one module relation per wrap.  Returns the
+    conjugator's exponent sums, unwrapped: its vector is their wrap.
     """
     index, torsion = p._t_positions, p.torsion_orders
     nvars = len(torsion)
@@ -252,6 +251,7 @@ def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
     for e, d in zip(exps, torsion):
         if d and not 0 <= e < d:
             ledger.module_relations += abs(e // d)
+    return exps
 
 
 def _merge_price(amb, a_exps, b_exps) -> int:
@@ -262,7 +262,8 @@ def _merge_price(amb, a_exps, b_exps) -> int:
 def ordered_form(w: GroupWord, p: Presentation):
     """Full pipeline: split, collect the tail, normalize, sort; returns
     the module vector and the CostLedger.  ``_conjugates`` reads the
-    conjugates and prices their conjugators in one scan of the word."""
+    conjugates and prices their conjugators in one scan of the word, which
+    raises ExponentSumError for a word off the kernel."""
     ledger = CostLedger()
     sequence, block = _conjugates(w, p, ledger)
     _charge_merge(sequence, p.module_ambient(), ledger, block)
@@ -327,7 +328,7 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     the end, which ``_collect_units`` gathers as it stands.  Each
     conjugator is priced into ``ledger`` as it is met, a module letter's
     from the inverse of the stack, a crossing block's by
-    ``_price_crossing``.
+    ``_price_crossing``, whose sums give the block's first row.
 
     The block ``(rows, var, shift, n, coordinate, stride)``, the one
     sequence ``_block_charge`` takes, is given only for a word with no
@@ -378,14 +379,8 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     for crossing in crossings:
         var, rows = crossing.var, abs(crossing.power)
         template = crossing.template(t_pos)
-        # the first row in word order is the last unit's: a head, then the rest
-        rest = [0] * len(torsion)
-        for name, e in crossing.rest:
-            rest[t_pos[name]] += e
-        for sign, j, head in template:
-            exps = list(rest)
-            for name, e in head:
-                exps[t_pos[name]] += e
+        sums = _price_crossing(crossing, template, p, ledger)
+        for (sign, j, _), exps in zip(template, sums):
             sequence.append((sign, basis_of[p.commutator_gen(var, j)],
                              wrap(exps)))
         if rows > 1:
@@ -399,7 +394,6 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
                 for sign, basis, exps in row:
                     sequence.append((sign, basis, wrap(
                         exps[:var] + (exps[var] + r * shift,) + exps[var + 1:])))
-        _price_crossing(crossing, template, p, ledger)
     ledger.r1_commutators += len(sequence) - module_letters
     return sequence, block
 
@@ -407,7 +401,10 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
 def _price_crossing(crossing: _Crossing, template, p: Presentation,
                     ledger: CostLedger):
     """Charge ``ledger`` for normalizing the conjugators of a crossing
-    block, pricing three rows with ``_price_conjugator``.
+    block, pricing three rows with ``_price_conjugator``, and return the
+    exponent sums of row ``|power|``, the first in word order, one list per
+    template head: ``conjugator(head, |power|)`` condenses to the head then
+    ``rest``.
 
     ``t_var`` has the lowest index in the block's conjugators, so a row
     k < |power|, a template head then ``t_var^(power - k*eps)`` then the
@@ -421,10 +418,10 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
     """
     rows = abs(crossing.power)
     heads = [head for _, _, head in template]
-    for head in heads:
-        _price_conjugator(crossing.conjugator(head, rows), p, ledger)
+    sums = [_price_conjugator(crossing.conjugator(head, rows), p, ledger)
+            for head in heads]
     if rows == 1:
-        return
+        return sums
     first, second = CostLedger(), CostLedger()
     for head in heads:
         _price_conjugator(crossing.conjugator(head, 1), p, first)
@@ -442,6 +439,7 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
         eps = 1 if crossing.power > 0 else -1
         wraps = [abs((x - k * eps) // d) for k in range(n)]
         ledger.module_relations += len(heads) * (sum(wraps) - n * wraps[0])
+    return sums
 
 
 def _vector(sequence, p: Presentation) -> ModuleElement:

@@ -139,10 +139,9 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     construction; the step after it runs out raises BudgetExceeded naming
     ``what``.  With ``alphas`` (the term dicts of ring elements, aligned with
     ``tables``) each quotient term is added to the alpha of the generator it
-    used.  ``divide_with_certificate`` and ``normal_form`` on a basis first
-    take off the terms on basis vectors the basis kills outright
-    (``_split_killed``), which this loop would reduce one step each with
-    nothing left.
+    used.  ``_divide`` first takes off the terms on basis vectors the basis
+    kills outright (``_split_killed``), which this loop would reduce one
+    step each with nothing left.
     """
     heap = [_descending(key) for key in terms]
     heapify(heap)
@@ -221,26 +220,23 @@ def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
     return rest
 
 
-def normal_form(g: ModuleElement, G, step_budget=DEFAULT_STEP_BUDGET):
-    """Fixed point of _reduce_step; equals NF(g) for a Groebner basis.
-
-    On a ``GroebnerBasis`` the terms on a basis vector it kills outright
-    (one generator is ``1*e_b`` and no other has a term on ``b``) are
-    reduced in one dict pass before the heap, with the heap's steps.
-    """
+def _divide(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
+            alphas=None) -> ModuleElement:
+    """The residue of ``g`` modulo ``G`` (``_split_killed``, then
+    ``_reduce``), after checking that ``g`` lives in the basis' polynomial
+    ambient; ``budget`` and ``alphas`` are ``_reduce``'s."""
+    if G.generators and g.ambient != G.ambient:
+        raise AmbientMismatch("element and basis live in different ambients")
     _check_polynomial(g)
-    is_basis = isinstance(G, GroebnerBasis)
-    if is_basis:
-        gens, tables = G.generators, G._tables
-    else:
-        gens = list(G)
-        tables = [_table(f) for f in gens]
-    # a generator in g's polynomial ambient is polynomial too
-    if any(f.ambient != g.ambient for f in gens):
-        raise AmbientMismatch("element and generators live in different ambients")
-    budget = [step_budget]
-    terms = _split_killed(g, G, budget, "normal form") if is_basis else g.as_dict()
-    return _reduce(g.ambient, terms, tables, budget, "normal form")
+    terms = _split_killed(g, G, budget, what, alphas)
+    return _reduce(g.ambient, terms, G._tables, budget, what, alphas)
+
+
+def normal_form(g: ModuleElement, G: "GroebnerBasis",
+                step_budget=DEFAULT_STEP_BUDGET) -> ModuleElement:
+    """NF(g) modulo the basis ``G``: the fixed point of ``_reduce_step``,
+    by the reduction ``divide_with_certificate`` makes, with no alphas."""
+    return _divide(g, G, [step_budget], "normal form")
 
 
 @dataclass(frozen=True)
@@ -495,14 +491,10 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
     the heap would reduce each of them by ``1*e_b`` alone, in one step and
     with no new term, so the steps, alphas and residue are the heap's.
     """
-    if G.generators and g.ambient != G.ambient:
-        raise AmbientMismatch("element and basis live in different ambients")
-    _check_polynomial(g)
-    ring = g.ambient.ring()
     alphas = [{} for _ in G.generators]
     budget = [step_budget]
-    terms = _split_killed(g, G, budget, "division", alphas)
-    residue = _reduce(g.ambient, terms, G._tables, budget, "division", alphas)
+    residue = _divide(g, G, budget, "division", alphas)
+    ring = g.ambient.ring()
     coefficients = tuple(ModuleElement._of(ring, alpha) for alpha in alphas)
     size = sum(a.length for a in coefficients)
     return DivisionCertificate(coefficients, residue, step_budget - budget[0],

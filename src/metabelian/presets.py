@@ -27,7 +27,13 @@ class PresetSpec:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}")
+        if self.name == "bs" and self.n <= 1:
+            raise ValueError("bs needs n >= 2")
+        if self.name == "lamplighter" and self.m < 2:
+            raise ValueError("lamplighter needs module torsion m >= 2")
         if self.name == "wf":
+            if self.r < 1 or self.k < 1:
+                raise ValueError("wf needs module rank r >= 1 and k >= 1 acting pairs")
             fs = self.fs or tuple((1, 1) for _ in range(self.k))
             object.__setattr__(self, "fs", fs)
             if len(fs) != self.k:
@@ -48,8 +54,6 @@ def _word(letters) -> GroupWord:
 def build(spec: PresetSpec) -> Presentation:
     """The presentation of a preset group."""
     if spec.name == "bs":
-        if spec.n <= 1:
-            raise ValueError("bs needs n >= 2")
         ring = Ambient(("t",), (0,), 1, None, laurent=True)
         # t a t^-1 a^-n, so t*a = (1/n)*a and n*t centralizes the module
         return Presentation(
@@ -62,8 +66,6 @@ def build(spec: PresetSpec) -> Presentation:
                 centralizer=(parse_element(f"{spec.n}*t", ring),),
                 co_centralizer=(parse_element(f"{spec.n}*t^-1", ring),)))
     if spec.name == "lamplighter":
-        if spec.m < 2:
-            raise ValueError("lamplighter needs module torsion m >= 2")
         return Presentation(
             module_gens=("a",),
             free_gens=("t",),
@@ -100,8 +102,6 @@ def build(spec: PresetSpec) -> Presentation:
             relators=(_word((("c", 1),)),),
             commutator_table=((("t1", "t2"), "c"),))
     if spec.name == "wf":
-        if spec.r < 1 or spec.k < 1:
-            raise ValueError("wf needs module rank r >= 1 and k >= 1 acting pairs")
         return _build_wf(spec)
     raise ValueError(f"unknown preset {spec.name!r}")
 

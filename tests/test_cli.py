@@ -49,12 +49,24 @@ class TestCommands:
         code, out = run(["norm-growth", "-f", "1+t", "-n", "5"])
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "n,norm"
-        assert [l.split(",")[1] for l in lines[1:]] == ["2", "4", "8", "16", "32"]
+        assert lines[:2] == ["# base=2.0", "n,norm"]
+        assert [l.split(",")[1] for l in lines[2:]] == ["2", "4", "8", "16", "32"]
 
-    def test_norm_growth_prints_csv_by_default(self):
-        argv = ["norm-growth", "-f", "1+t", "-n", "5"]
-        assert run(argv) == run(argv + ["--format", "csv"])
+    def test_norm_growth_past_the_digit_limit(self, capsys):
+        """Norms longer than Python converts print in full under the
+        fitted base."""
+        from metabelian.bounds import _decimal
+        from metabelian.cli import _parse_growth_poly
+        from metabelian.presets import norm_growth
+        poly = "1 + 99999999999999999999*t + t^2"
+        code, out = run(["norm-growth", "-f", poly, "-n", "250"])
+        assert code == 0 and capsys.readouterr().err == ""
+        norms, alpha = norm_growth(_parse_growth_poly(poly), 250)
+        lines = out.splitlines()
+        assert lines[:2] == [f"# base={alpha}", "n,norm"]
+        assert len(lines[-1]) > 5000
+        assert lines[2:] == [f"{n},{_decimal(v)}" for n, v in
+                             enumerate(norms, 1)]
 
     def test_nf_of_shifted_elements(self, bs_file):
         """In BS(1,2) ``t^-1*a`` is ``2*a``: equal classes print one normal
@@ -229,6 +241,17 @@ class TestExitCodes:
     def test_bad_budget(self, bs_file):
         code, _ = run(["oracle", "-p", bs_file, "-e", "a", "--budget", "1,2"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["oracle", "--preset", "bs", "-e", "a", "--budget", "1,2,x"], "budget"),
+        (["solve", "--preset", "wf", "--f", "1,x", "-w", "a1"], "f"),
+        (["solve", "--preset", "wf", "--orders", "2,x", "-w", "a1"], "orders"),
+    ], ids=["budget", "f", "orders"])
+    def test_comma_list_part_is_no_integer(self, argv, option, capsys):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: --{option} takes comma-separated integers, got 'x'\n")
 
     @pytest.mark.parametrize("budget", ["-1,2,3", "1,2,-3"])
     def test_negative_budget(self, budget):

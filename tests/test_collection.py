@@ -14,7 +14,8 @@ from metabelian.collection import (_BLOCK, _SWAP_CASES, CostLedger,
                                    _block_charge, _cancel, _charge_merge,
                                    _collect_units,
                                    _inversion_charge, _merge_price,
-                                   _price_conjugator, _run_price,
+                                   _price_conjugator, _price_crossing,
+                                   _run_price,
                                    commutator_collect,
                                    ordered_form, relator_module,
                                    split_conjugates)
@@ -232,6 +233,23 @@ def test_syllable_tail_step_matches_unit_reference(case):
         sum(abs(net) // p.torsion_orders[var] for var, net in blocks if net))
 
 
+@settings(max_examples=200, deadline=None)
+@given(raw_tails())
+def test_crossing_pricing_returns_the_first_row(case):
+    """``_price_crossing`` returns, head by head, the exponent sums of row
+    ``|power|``, the first in word order: they wrap to the vectors of
+    ``conjugator(head, |power|)``."""
+    p, tail = case
+    wrap = p.module_ambient().wrap
+    for crossing in _collect_units(_condense(tail.letters), p, CostLedger()):
+        template = crossing.template(p._t_positions)
+        sums = _price_crossing(crossing, template, p, CostLedger())
+        rows = abs(crossing.power)
+        assert [wrap(s) for s in sums] == [
+            exponent_sums(GroupWord.from_letters(crossing.conjugator(head, rows)), p)
+            for _, _, head in template]
+
+
 def _unit_reference_form(w: GroupWord, p):
     """Vector and ledger of ``w`` with the tail gathered unit by unit
     (``_reference_collect_units``): every conjugator priced on its own and
@@ -429,12 +447,14 @@ def priced_conjugators(draw):
 @given(priced_conjugators())
 def test_units_and_syllables_price_the_same(case):
     """A syllable t_s^exp is charged what its |exp| units are charged one
-    by one: each unit's crossings read only later t-names."""
+    by one: each unit's crossings read only later t-names.  Both return the
+    conjugator's exponent sums, which wrap to its vector."""
     p, v = case
     by_units, by_syllables = CostLedger(), CostLedger()
-    _price_conjugator(_reference_word_units(v), p, by_units)
-    _price_conjugator(v.letters, p, by_syllables)
+    sums = _price_conjugator(_reference_word_units(v), p, by_units)
+    assert _price_conjugator(v.letters, p, by_syllables) == sums
     assert by_units == by_syllables
+    assert p.module_ambient().wrap(sums) == exponent_sums(v, p)
 
 
 def conjugate_form(sign, gen, v, p):

@@ -13,8 +13,9 @@ from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.errors import AmbientMismatch, BudgetExceeded
 from metabelian.groebner import (GroebnerBasis, buchberger_strong,
                                  certificate_bound, divide_with_certificate,
-                                 _reduce_step, _strong, growth_function,
-                                 laurent_embed, normal_form, verify_certificate)
+                                 _reduce, _reduce_step, _strong, _table,
+                                 growth_function, laurent_embed, normal_form,
+                                 verify_certificate)
 from metabelian.order import monomial_key
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import brute_force_min_certificate
@@ -119,10 +120,11 @@ class TestBuchberger:
         _, emb, _ = laurent_embed([g], LAUR1)
         with pytest.raises(AmbientMismatch):
             buchberger_strong([g])
-        with pytest.raises(AmbientMismatch):
-            divide_with_certificate(g, buchberger_strong(emb))
-        with pytest.raises(AmbientMismatch):
-            normal_form(g, [g])
+        for run in (divide_with_certificate, normal_form):
+            with pytest.raises(AmbientMismatch, match="different ambients"):
+                run(g, buchberger_strong(emb))
+            with pytest.raises(AmbientMismatch, match="embed its elements"):
+                run(g, GroebnerBasis(LAUR1, (), ()))
 
     def test_positive_leading_coefficients(self):
         rng = random.Random(2)
@@ -378,8 +380,15 @@ def random_generators(rng, amb, big):
     return gens
 
 
+def _reduce_list(g, gens, step_budget=10 ** 6):
+    """``_reduce`` of ``g`` by a generator list, no basis and no alphas."""
+    return _reduce(g.ambient, g.as_dict(), [_table(f) for f in gens],
+                   [step_budget], "normal form")
+
+
 class TestKernelDifferential:
-    """normal_form and divide_with_certificate against a loop over _reduce_step."""
+    """normal_form, divide_with_certificate and _reduce on a generator list
+    against a loop over _reduce_step."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_matches_reduce_step(self, rank):
@@ -400,7 +409,7 @@ class TestKernelDifferential:
             assert cert.residue == residue
             assert list(cert.coefficients) == alphas
             assert cert.steps == steps
-            assert normal_form(g, gens) == residue
+            assert _reduce_list(g, gens) == residue
             assert normal_form(g, basis, step_budget=steps) == residue
             checked += steps > 0
             if steps:
@@ -410,7 +419,7 @@ class TestKernelDifferential:
                 with pytest.raises(BudgetExceeded, match="division exceeded"):
                     divide_with_certificate(g, basis, step_budget=budget)
                 with pytest.raises(BudgetExceeded, match="normal form exceeded"):
-                    normal_form(g, gens, step_budget=steps - 1)
+                    _reduce_list(g, gens, step_budget=steps - 1)
                 raised += 1
         assert checked > 50 and raised == checked
 

@@ -23,6 +23,19 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(PresetSpec("bs", n=1))
 
+    @pytest.mark.parametrize("options, message", [
+        ({"name": "bs", "n": 1}, "bs needs n >= 2"),
+        ({"name": "lamplighter", "m": 1},
+         "lamplighter needs module torsion m >= 2"),
+        ({"name": "wf", "r": 0}, "wf needs module rank r >= 1 and k >= 1"),
+        ({"name": "wf", "k": 0}, "wf needs module rank r >= 1 and k >= 1"),
+    ], ids=["bs-n", "lamplighter-m", "wf-r", "wf-k"])
+    def test_spec_refuses_degenerate_parameters(self, options, message):
+        """A degenerate parameter is refused where the spec is made, so
+        neither ``build`` nor ``witness_family`` is handed one."""
+        with pytest.raises(ValueError, match=message):
+            PresetSpec(**options)
+
     def test_lamplighter_module(self):
         from metabelian.collection import relator_module
         assert [v.render() for v in relator_module(LAMPLIGHTER2)] == ["2*a", "0"]

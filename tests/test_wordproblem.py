@@ -10,10 +10,12 @@ import pytest
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word, render_ordered_word)
 from metabelian.bounds import _decimal
+from metabelian.collection import CostLedger
 from metabelian.elements import Ambient, parse_element
 from metabelian.presentation import parse_presentation, parse_word
 from metabelian.presets import PresetSpec, build, witness_family
-from metabelian.wordproblem import (_monomial_pool, area_certificate,
+from metabelian.wordproblem import (AreaCertificate, _monomial_pool,
+                                    area_certificate,
                                     brute_force_min_certificate, dehn_profile,
                                     fit_exp, fit_power, is_identity,
                                     module_context, module_dehn_upper,
@@ -34,6 +36,30 @@ class TestIsIdentity:
         assert is_identity(parse_word("a^2", LAMPLIGHTER2), LAMPLIGHTER2)[0]
         assert is_identity(parse_word("[a, a^t]", LAMPLIGHTER2),
                            LAMPLIGHTER2)[0]
+
+    @pytest.mark.parametrize("p, word, verdict", [
+        (BS2, "t*a*t^-1*a^-2", True), (BS2, "a", False), (BS2, "a*t", None),
+        (WF11, "[u1^3, t1^2]", True), (WF11, "[u1^3, t1^2]*t1", None),
+        (LAMPLIGHTER2, "[a, a^t]", True),
+        (LAMPLIGHTER2, "t^2*a*t^-1*a*t^-1*a", False)])
+    def test_scan_decides_the_kernel(self, monkeypatch, p, word, verdict):
+        """No request sums exponents apart from the collection scan: with
+        ``exponent_sums`` made to raise, kernel words are decided, and a
+        word off the kernel (verdict None) gets the empty certificate."""
+        from metabelian import collection, presentation, wordproblem
+
+        def refuse(*args):
+            raise AssertionError("exponent_sums called")
+        for module in (presentation, collection, wordproblem):
+            monkeypatch.setattr(module, "exponent_sums", refuse, raising=False)
+        w = parse_word(word, p)
+        ok, cert = is_identity(w, p)
+        assert ok is bool(verdict)
+        if verdict is None:
+            assert cert == AreaCertificate(w.length, False, None, CostLedger(),
+                                           None, None, None)
+        else:
+            assert cert.membership.residue.is_zero() is verdict
 
     def test_non_member(self):
         ok, cert = is_identity(parse_word("a", BS2), BS2)
