@@ -1,11 +1,11 @@
 """Collection of words in the module kernel into ordered form, with costs.
 
 One scan splits a word into module-letter conjugates and a pure-T tail and
-prices normalizing each conjugator into an ordered monomial; the tail is
-rewritten into commutator conjugates (which the commutator table turns
-into module letters) by gathering its condensed t-syllables index by index,
-and all conjugates are sorted into the canonical vector, charging the
-ledger per relation class:
+decides the kernel; only then is normalizing each conjugator into an
+ordered monomial priced.  The tail is rewritten into commutator conjugates
+(which the commutator table turns into module letters) by gathering its
+condensed t-syllables index by index, and all conjugates are sorted into
+the canonical vector, charging the ledger per relation class:
 
 * r1: commutator introductions/eliminations (one per tail replacement, two
   per emitted pair during conjugator normalization),
@@ -260,10 +260,9 @@ def _merge_price(amb, a_exps, b_exps) -> int:
 
 
 def ordered_form(w: GroupWord, p: Presentation):
-    """Full pipeline: split, collect the tail, normalize, sort; returns
-    the module vector and the CostLedger.  ``_conjugates`` reads the
-    conjugates and prices their conjugators in one scan of the word, which
-    raises ExponentSumError for a word off the kernel."""
+    """The module vector of a kernel word and the CostLedger of collecting
+    it.  ``_conjugates`` reads the word once; a word off the kernel is
+    refused with ExponentSumError before anything is priced."""
     ledger = CostLedger()
     sequence, block = _conjugates(w, p, ledger)
     _charge_merge(sequence, p.module_ambient(), ledger, block)
@@ -273,45 +272,75 @@ def ordered_form(w: GroupWord, p: Presentation):
 def relator_module(p: Presentation) -> list[ModuleElement]:
     """Module vectors of all relators, aligned with ``p.relators``; they
     generate the relation submodule.  A relator whose t-letters condense to
-    nothing has no tail: its module letters are summed straight into the
-    term dict, each keyed by the negated running exponent sums as in
-    ``_conjugates``, and nothing is priced.  Any other relator, one with an
-    unknown name included, goes through ``_conjugates``, which prices into a
-    scratch ledger that nothing reads; only torsion powers and a few
-    relators of a handful of syllables have a tail."""
-    t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
-    cyclic = [(i, d) for i, d in enumerate(torsion) if d]
-    ambient = p.module_ambient()
+    nothing has no tail: its vector is summed from ``_scan``'s conjugates,
+    and nothing is priced.  Any other relator goes through ``_conjugates``,
+    which prices into a scratch ledger that nothing reads; only torsion
+    powers and a few relators of a handful of syllables have a tail."""
     vectors = []
     for r in p.relators:
-        neg = [0] * len(torsion)
-        conj, stack, raw = tuple(neg), [], {}
-        for name, exp in r.letters:
-            basis = basis_of.get(name)
-            if basis is not None:
-                if conj is None:
-                    for i, d in cyclic:
-                        neg[i] %= d
-                    conj = tuple(neg)
-                key = (conj, basis)
-                raw[key] = raw.get(key, 0) + exp
-                continue
-            i = t_pos.get(name)
-            if i is None:
-                break  # an unknown name, which _conjugates reports
-            neg[i] -= exp
-            conj = None
-            if stack and stack[-1][0] == name:
-                exp += stack.pop()[1]
-            if exp:
-                stack.append((name, exp))
-        else:
-            if not stack:
-                vectors.append(ModuleElement._of(
-                    ambient, {key: c for key, c in raw.items() if c}))
-                continue
-        vectors.append(_vector(_conjugates(r, p, CostLedger())[0], p))
+        sequence, _, top = _scan(r, p)
+        if top is not None:
+            sequence = _conjugates(r, p, CostLedger())[0]
+        vectors.append(_vector(sequence, p))
     return vectors
+
+
+def _scan(w: GroupWord, p: Presentation):
+    """Read a word once and price nothing: its module-letter conjugates
+    ``(coeff, basis, exponents)`` in word order, their prefixes, the top
+    of the tail.
+
+    A conjugator is the inverse of the t-letters before its module letter,
+    so its exponents are the negated running exponent sums, kept as a list
+    whose torsion coordinates are reduced in place only when a module
+    letter after a t-letter needs the tuple.  The t-letters are kept freely
+    condensed as linked nodes ``(name, exp, below)``: a prefix is the top
+    node when its letter is met, or None, and is not copied.
+
+    Raises ExponentSumError when the t-exponent sums do not vanish, then
+    KeyError for an unknown name.  A stack that ends empty sums to zero,
+    so its sums are not checked.
+    """
+    t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
+    cyclic = [(i, d) for i, d in enumerate(torsion) if d]
+    neg = [0] * len(torsion)
+    conj = tuple(neg)
+    sequence, prefixes, top, unknown = [], [], None, None
+    for name, exp in w.letters:
+        basis = basis_of.get(name)
+        if basis is not None:
+            if conj is None:
+                for i, d in cyclic:
+                    neg[i] %= d
+                conj = tuple(neg)
+            sequence.append((exp, basis, conj))
+            prefixes.append(top)
+            continue
+        i = t_pos.get(name)
+        if i is None:
+            unknown = unknown or name
+            continue
+        neg[i] -= exp
+        conj = None
+        if top is not None and top[0] == name:
+            exp += top[1]
+            top = top[2]
+        if exp:
+            top = (name, exp, top)
+    if top is not None:
+        sums = tuple((-e) % d if d else -e for e, d in zip(neg, torsion))
+        if any(sums):
+            raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
+    if unknown is not None:
+        raise KeyError(unknown)
+    return sequence, prefixes, top
+
+
+def _unwind(node):
+    """``(name, -exp)`` from ``node`` down: the inverse of its stack."""
+    while node is not None:
+        name, exp, node = node
+        yield name, -exp
 
 
 def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
@@ -319,16 +348,11 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     kernel word, in the order the free rewrite puts them, and the one
     crossing block that is the whole sequence, or None.
 
-    A module letter's conjugator is the inverse of the t-letters before it,
-    so its exponents are the negated running exponent sums, torsion
-    wrapped; an emission's are its conjugator's wrapped sums.  The negated
-    sums are kept as a list whose torsion coordinates are reduced in place,
-    only when a module letter after a t-letter needs the tuple.  The
-    t-letters seen so far are kept freely condensed on a stack, the tail at
-    the end, which ``_collect_units`` gathers as it stands.  Each
-    conjugator is priced into ``ledger`` as it is met, a module letter's
-    from the inverse of the stack, a crossing block's by
-    ``_price_crossing``, whose sums give the block's first row.
+    ``_scan`` decides the kernel before anything is priced into ``ledger``.
+    Then each module letter's conjugator is priced from its unwound prefix
+    and the tail is gathered by ``_collect_units``; ``_price_crossing``
+    prices each crossing block, its sums giving the block's first row, an
+    emission's exponents its conjugator's wrapped sums.
 
     The block ``(rows, var, shift, n, coordinate, stride)``, the one
     sequence ``_block_charge`` takes, is given only for a word with no
@@ -338,42 +362,16 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     ``n`` conjugates of one sign and one basis whose exponents step by
     ``stride`` in ``coordinate``, a later t-letter than ``var``.
     """
-    t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
-    wrap = p.module_ambient().wrap
-    cyclic = [(i, d) for i, d in enumerate(torsion) if d]
-    neg = [0] * len(torsion)
-    conj = tuple(neg)
-    sequence, stack, unknown = [], [], None
-    for name, exp in w.letters:
-        basis = basis_of.get(name)
-        if basis is not None:
-            if conj is None:
-                for i, d in cyclic:
-                    neg[i] %= d
-                conj = tuple(neg)
-            sequence.append((exp, basis, conj))
-            _price_conjugator(_inverse(stack), p, ledger)
-            continue
-        i = t_pos.get(name)
-        if i is None:
-            unknown = unknown or name
-            continue
-        neg[i] -= exp
-        conj = None
-        if stack and stack[-1][0] == name:
-            exp += stack.pop()[1]
-        if exp:
-            stack.append((name, exp))
-    sums = tuple((-e) % d if d else -e for e, d in zip(neg, torsion))
-    if any(sums):
-        raise ExponentSumError(f"word has nonzero t-exponent sums {sums}")
-    if unknown is not None:
-        raise KeyError(unknown)
+    sequence, prefixes, top = _scan(w, p)
+    for prefix in prefixes:
+        _price_conjugator(_unwind(prefix), p, ledger)
     ledger.free_steps += len(sequence) + 1
-    block, module_letters = None, len(sequence)
-    if not stack:
+    if top is None:
         return sequence, None
-    crossings = _collect_units(stack, p, ledger)
+    t_pos, basis_of = p._t_positions, p._basis_indexes
+    wrap = p.module_ambient().wrap
+    block, module_letters = None, len(sequence)
+    crossings = _collect_units(_inverse(list(_unwind(top))), p, ledger)
     lone = (not module_letters and len(crossings) == 1
             and len(crossings[0].middle) == 1)
     for crossing in crossings:

@@ -125,7 +125,8 @@ def _relative_bound(n: int, size: int) -> Bound:
 def is_identity(w: GroupWord, p: Presentation) -> tuple[bool, AreaCertificate]:
     """Decide w = 1, returning the decision with its certificate.  A word
     off the kernel, whose nonzero t-exponent sums ``ordered_form`` refuses
-    with ExponentSumError, gets False and an empty certificate."""
+    with ExponentSumError before it prices any conjugator, gets False and
+    an empty certificate."""
     n = w.length
     try:
         vector, ledger = ordered_form(w, p)

@@ -950,7 +950,9 @@ def test_only_tailed_relators_are_scanned():
     """``relator_module`` sums a tail-free relator without pricing anything
     and sends only the relators with a tail through ``_conjugates``, which
     prices into a scratch ledger: torsion powers leave tails of blocks, and
-    an added ``[t^2, t']`` a tail of emissions."""
+    an added ``[t^2, t']`` a tail of emissions.  Every conjugator priced is
+    priced inside one of those calls."""
+    conjugates, price = collection._conjugates, collection._price_conjugator
     for p in _VECTOR_PRESETS:
         emitting = commutator(GroupWord(((p.t_names[0], 2),)),
                               GroupWord(((p.t_names[-1], 1),)))
@@ -958,13 +960,70 @@ def test_only_tailed_relators_are_scanned():
         tailed = [r for r in p.relators
                   if split_conjugates(r, p)[1].letters]
         assert len(tailed) == len(p.torsion_gens) + 1
+        inside, priced = [], []
+
+        def scan(*args):
+            inside.append(args[0])
+            try:
+                return conjugates(*args)
+            finally:
+                inside.pop()
+
+        def priced_inside(*args):
+            priced.append(tuple(inside))
+            return price(*args)
         with mock.patch.object(collection, "_conjugates",
-                               wraps=collection._conjugates) as scan:
+                               side_effect=scan) as scanned, \
+                mock.patch.object(collection, "_price_conjugator",
+                                  side_effect=priced_inside):
             vectors = relator_module(p)
-        assert [call.args[0] for call in scan.call_args_list] == tailed
+        assert [call.args[0] for call in scanned.call_args_list] == tailed
         assert all(isinstance(call.args[2], CostLedger)
-                   for call in scan.call_args_list)
+                   for call in scanned.call_args_list)
+        assert priced and all(len(stack) == 1 and stack[0] in tailed
+                              for stack in priced)
         assert vectors == [ordered_form(r, p)[0] for r in p.relators]
+
+
+@st.composite
+def scanned_words(draw):
+    """``(p, w)``: a random kernel word, or a word of up to 8 random
+    letters, over a preset with or without torsion."""
+    p = draw(st.sampled_from((BS2, GAMMA, LAMPLIGHTER2, WF11)
+                             + _VECTOR_PRESETS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return p, random_kernel_word(p, rng, draw(st.integers(0, 24)))
+    names = p.module_gens + p.t_names
+    return p, GroupWord.from_letters(
+        [(rng.choice(names), rng.choice((-1, 1)))
+         for _ in range(draw(st.integers(0, 8)))])
+
+
+@example((GAMMA, parse_word("s*t*a*t^-1*s^-1*b*s^2*a^-1*s^-2", GAMMA)))
+@example((LAMPLIGHTER2, parse_word("t*a*t", LAMPLIGHTER2)))
+@example((BS2, parse_word("t*a*t^-1*a^-1*t", BS2)))
+@settings(max_examples=200, deadline=None)
+@given(scanned_words())
+def test_scan_prefixes_are_the_split_conjugators(case):
+    """Each prefix ``_scan`` records for a module letter, unwound, is the
+    conjugator ``split_conjugates`` builds for it, and the unwound top is
+    the inverse of the tail.  A stack that ends empty has zero exponent
+    sums, which is why the scan checks the sums of a word with a tail
+    only."""
+    p, w = case
+    try:
+        sequence, prefixes, top = collection._scan(w, p)
+    except ExponentSumError:
+        assert any(exponent_sums(w, p))
+        return
+    items, tail = split_conjugates(w, p)
+    assert [(c, b) for c, b, _ in sequence] == [(c, b) for c, b, _ in items]
+    assert [tuple(collection._unwind(prefix)) for prefix in prefixes] == [
+        v.letters for _, _, v in items]
+    assert GroupWord(tuple(collection._unwind(top))) == tail.inverse()
+    if top is None:
+        assert not any(exponent_sums(w, p))
 
 
 @pytest.mark.parametrize("p", [BS2, GAMMA, WF11], ids=["bs", "gamma", "wf"])

@@ -23,6 +23,9 @@ from metabelian.wordproblem import (AreaCertificate, _monomial_pool,
                                     relative_area_certificate)
 
 
+_WF12 = build(PresetSpec("wf", k=2))
+
+
 class TestIsIdentity:
     def test_bs_defining_relation(self):
         ok, cert = is_identity(parse_word("t*a*t^-1*a^-2", BS2), BS2)
@@ -41,17 +44,23 @@ class TestIsIdentity:
         (BS2, "t*a*t^-1*a^-2", True), (BS2, "a", False), (BS2, "a*t", None),
         (WF11, "[u1^3, t1^2]", True), (WF11, "[u1^3, t1^2]*t1", None),
         (LAMPLIGHTER2, "[a, a^t]", True),
-        (LAMPLIGHTER2, "t^2*a*t^-1*a*t^-1*a", False)])
+        (LAMPLIGHTER2, "t^2*a*t^-1*a*t^-1*a", False),
+        (GAMMA, "(s*t*a)^40", None), (_WF12, "(t1*t2*a1)^40", None)])
     def test_scan_decides_the_kernel(self, monkeypatch, p, word, verdict):
         """No request sums exponents apart from the collection scan: with
         ``exponent_sums`` made to raise, kernel words are decided, and a
-        word off the kernel (verdict None) gets the empty certificate."""
+        word off the kernel (verdict None) gets the empty certificate with
+        no conjugator priced."""
         from metabelian import collection, presentation, wordproblem
 
         def refuse(*args):
             raise AssertionError("exponent_sums called")
         for module in (presentation, collection, wordproblem):
             monkeypatch.setattr(module, "exponent_sums", refuse, raising=False)
+        if verdict is None:
+            def unpriced(*args):
+                raise AssertionError("a conjugator priced off the kernel")
+            monkeypatch.setattr(collection, "_price_conjugator", unpriced)
         w = parse_word(word, p)
         ok, cert = is_identity(w, p)
         assert ok is bool(verdict)
@@ -126,7 +135,6 @@ class TestRelativeArea:
 # Python's default int-to-str limit is 4,300 digits: N = 10^4300 - 1
 # converts and 2N does not, and M^2 for M = 10^2500 - 1 has 5,000 digits
 _N, _M = "9" * 4300, "9" * 2500
-_WF12 = build(PresetSpec("wf", k=2))
 
 
 def _rendered(doc: dict) -> dict:
