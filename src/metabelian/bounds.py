@@ -9,6 +9,11 @@ floating-point interval on log2 of every power and expanded only when that
 interval cannot decide.  A bound with a power whose log2 is past the float
 range is decided on intervals of fractions, exact in the exponents, and is
 never expanded: where they cannot decide, a ``ValueError`` says so.
+
+A bound's JSON document ``{expression, log2[, value]}`` is rendered once per
+closed form and kept in a bounded process-wide cache (``_document``), which
+``str()`` reads too; its ``log2`` is a finite number, an integer past the
+float range.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from functools import lru_cache
 
 # Bounds of at most this many bits carry their decimal value in ``str()`` and
 # JSON; longer ones render as their closed form alone.  Bounds whose terms
@@ -28,8 +34,9 @@ _REL_PAD = 1e-12
 
 
 def _expand(terms) -> int:
-    """The exact value of ``sum c * b**e``: the only place a power is expanded."""
-    return sum(c * b ** e for c, b, e in terms)
+    """The exact value of ``sum c * b**e``: the only place a power is
+    expanded; a term with ``c = 0`` is not, whatever its power."""
+    return sum(c * b ** e for c, b, e in terms if c)
 
 
 def _normalize(terms) -> dict:
@@ -173,7 +180,9 @@ class Bound:
     (``b, e >= 0``, any sign of ``c``) and ``divisor`` the positive integer
     ``d``, which must divide the sum; a float or a string raises TypeError.
     Comparisons against ints and other bounds, ``bit_length()`` and ``hash()``
-    agree with ``int(bound)``, which expands the powers.
+    agree with ``int(bound)``, which expands the powers.  ``str()`` and
+    ``to_json()`` read one document per closed form; a bound below zero has
+    no ``log2``, so both raise ``ValueError`` for it.
     """
 
     __slots__ = ("terms", "divisor", "_span", "_value")
@@ -297,16 +306,14 @@ class Bound:
         return self.bit_length() <= VALUE_MAX_BITS
 
     def __str__(self) -> str:
-        return str(int(self)) if self.is_short() else self.expression
+        doc = _document(self.terms, self.divisor)
+        return doc.get("value", doc["expression"])
 
     def __repr__(self) -> str:
         return f"Bound({self.expression!r})"
 
     def to_json(self) -> dict:
-        doc = {"expression": self.expression, "log2": round(self.log2(), 6)}
-        if self.is_short():
-            doc["value"] = str(int(self))
-        return doc
+        return dict(_document(self.terms, self.divisor))
 
     def _compare(self, other) -> int:
         if isinstance(other, Bound):
@@ -348,3 +355,24 @@ class Bound:
             return r
         r = -((m - r) % m)
         return -2 if r == -1 else r
+
+
+@lru_cache(maxsize=1024)
+def _document(terms, divisor) -> dict:
+    """``{expression, log2[, value]}`` of the closed form ``terms / divisor``.
+
+    Keyed by the closed form, not by the value: ``4`` and ``2^2`` are equal
+    bounds with texts of their own.  Callers copy the dict or only read it.
+    """
+    b = Bound(terms, divisor)
+    log2 = b.log2()
+    if log2 == math.inf:
+        # past the float range: the integer midpoint of the exact span
+        lo, hi = b._log2_span()
+        log2 = _json_int(round(lo / 2 + hi / 2))
+    else:
+        log2 = round(log2, 6)
+    doc = {"expression": b.expression, "log2": log2}
+    if b.is_short():
+        doc["value"] = str(int(b))
+    return doc

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from operator import add
 from typing import Optional
 
@@ -248,14 +249,28 @@ def monomial_word_degree(ambient: Ambient, exponents) -> int:
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|\^|\*|\+|\-|\(|\))")
 
 
+# Monomial texts kept by ``_monomial_text``: about 0.9 MB when full.
+_MONOMIAL_TEXTS = 4096
+
+
+@lru_cache(maxsize=_MONOMIAL_TEXTS)
+def _monomial_text(names, exponents) -> str:
+    """``t1^2*t2^-1``: the variables of ``names`` at ``exponents``; empty
+    for the unit monomial."""
+    return "*".join([v if e == 1 else f"{v}^{_decimal(e)}"
+                     for v, e in zip(names, exponents) if e])
+
+
 def _ring_text(monomials, raw: dict, names) -> str:
     """The ring part of the terms of ``raw`` at ``monomials``, in that order;
     an integer past the int-to-str digit limit is written too."""
+    # more monomials than the cache holds would only evict one another
+    monomial = (_monomial_text if len(monomials) <= _MONOMIAL_TEXTS
+                else _monomial_text.__wrapped__)
     parts = []
     for m in monomials:
         c = raw[m]
-        body = "*".join([v if e == 1 else f"{v}^{_decimal(e)}"
-                         for v, e in zip(names, m[0]) if e])
+        body = monomial(names, m[0])
         mag = abs(c)
         if not body:
             body = _decimal(mag)

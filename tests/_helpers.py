@@ -1,7 +1,9 @@
-"""Shared builders for randomized tests."""
+"""Shared builders for randomized tests, and uncached reference renderers."""
 
+import math
 import random
 
+from metabelian.bounds import Bound, _decimal, _json_int
 from metabelian.elements import Ambient, ModuleElement
 from metabelian.order import int_key, monomial_key
 from metabelian.presentation import GroupWord, Presentation, exponent_sums
@@ -88,3 +90,69 @@ def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:
             letters.append((name, c))
             letters.extend(conj)
     return GroupWord.from_letters(letters)
+
+
+def reference_bound_json(b: Bound) -> dict:
+    """``b.to_json()`` rendered afresh: ``expression``, ``log2`` rounded to
+    six decimals (past the float range, the integer midpoint of its exact
+    span) and, for a bound of at most ``VALUE_MAX_BITS`` bits, ``value``."""
+    log2 = b.log2()
+    if log2 == math.inf:
+        lo, hi = b._log2_span()
+        log2 = _json_int(round(lo / 2 + hi / 2))
+    else:
+        log2 = round(log2, 6)
+    doc = {"expression": b.expression, "log2": log2}
+    if b.is_short():
+        doc["value"] = str(int(b))
+    return doc
+
+
+def reference_bound_str(b: Bound) -> str:
+    """``str(b)`` rendered afresh: the decimal value of a short bound, else
+    the closed form."""
+    return str(int(b)) if b.is_short() else b.expression
+
+
+def _reference_ring_text(monomials, raw: dict, names) -> str:
+    parts = []
+    for m in monomials:
+        c = raw[m]
+        body = "*".join([v if e == 1 else f"{v}^{_decimal(e)}"
+                         for v, e in zip(names, m[0]) if e])
+        mag = abs(c)
+        if not body:
+            body = _decimal(mag)
+        elif mag != 1:
+            body = f"{_decimal(mag)}*{body}"
+        parts.append((" - " if c < 0 else " + ") + body)
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def reference_render(g: ModuleElement) -> str:
+    """``render_element(g)`` with every monomial's text written afresh."""
+    raw = g.as_dict()
+    if not raw:
+        return "0"
+    amb = g.ambient
+    order = sorted(raw, key=monomial_key, reverse=True)
+    if amb.is_ring():
+        return _reference_ring_text(order, raw, amb.variables)
+    groups: dict = {}
+    for m in order:
+        groups.setdefault(m[1], []).append(m)
+    parts = []
+    for b in sorted(groups):
+        monomials = groups[b]
+        name = amb.basis_names[b - 1]
+        text = _reference_ring_text(monomials, raw, amb.variables)
+        if len(monomials) > 1:
+            text = f"({text})*{name}"
+        elif text in ("1", "-1"):
+            text = text[:-1] + name
+        else:
+            text = f"{text}*{name}"
+        parts.append(f" - {text[1:]}" if text[0] == "-" else f" + {text}")
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -1,13 +1,16 @@
 """Closed-form bounds agree exactly with their expanded integers."""
 
+import json
 import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from _helpers import BS2, random_element
+from _helpers import BS2, random_element, reference_bound_json, reference_bound_str
 from metabelian import bounds
 from metabelian.bounds import VALUE_MAX_BITS, Bound
 from metabelian.elements import Ambient
@@ -181,7 +184,8 @@ def test_json_int_at_the_digit_limit():
 
 def test_huge_terms_render_past_the_digit_limit(monkeypatch):
     """Coefficient, base and exponent of 5,000 digits render; a bound whose
-    log2 is past the float range reports it as inf, unexpanded."""
+    log2 is past the float range writes it as an integer, here with more
+    digits than ``str`` converts, unexpanded."""
     def refuse(terms):
         raise AssertionError("a closed-form bound was expanded")
 
@@ -191,7 +195,10 @@ def test_huge_terms_render_past_the_digit_limit(monkeypatch):
     nines = "9" * 5000
     assert b.expression == f"({nines}*1{'0' * 4999}1^{nines} + 3*2^5)/7"
     doc = b.to_json()
-    assert doc["log2"] == math.inf and "value" not in doc
+    assert "value" not in doc and b.log2() == math.inf
+    log2 = _digits(doc["log2"])
+    # log2 = big * log2(big + 2) + log2(big / 7), the second part about 16,600
+    assert abs(log2 - big * Fraction(math.log2(big + 2))) < big * Fraction(1, 10 ** 12)
     assert str(b) == b.expression
 
 
@@ -292,12 +299,17 @@ def test_past_the_float_range(monkeypatch):
     monkeypatch.setattr(bounds, "_expand", refuse)
     e = 10 ** 400
     two, three = Bound(((1, 2, e),)), Bound(((1, 3, e),))
-    for b in (two, three, Bound(((1, 2, e), (1, 3, e)), 5)):
+    for b, log2 in ((two, e), (three, e * Fraction(math.log2(3))),
+                    (Bound(((1, 2, e), (1, 3, e)), 5), e * Fraction(math.log2(3)))):
         assert b > 5 and b >= 5 and not b < 5 and b != 5 and 5 < b
         assert b > -(10 ** 30) and b > Bound(((1, 7, 10 ** 300),))
         assert b.log2() == math.inf and not b.is_short()
+        # the JSON log2 is an integer within the exact span, never inf
         doc = b.to_json()
-        assert doc["log2"] == math.inf and "value" not in doc
+        assert type(doc["log2"]) is int and "value" not in doc
+        assert abs(doc["log2"] - log2) < e * Fraction(1, 10 ** 12)
+        json.dumps(doc, allow_nan=False)
+    assert two.to_json()["log2"] == e
     assert two.bit_length() == e + 1
     assert Bound(((3, 2, e),)).bit_length() == e + 2
     assert Bound(((1, 2, e), (-1, 1, 0))).bit_length() == e
@@ -314,3 +326,83 @@ def test_past_the_float_range(monkeypatch):
         difference.log2()
     with pytest.raises(ValueError, match="out of reach"):
         Bound(((1, 3, e + 1),)) > Bound(((2, 3, e), (1, 5, 3)))
+
+
+def test_equal_bounds_keep_their_own_texts():
+    """Rendering goes by the closed form, not by the value: ``4`` and
+    ``2^2`` are equal bounds with texts of their own, whichever renders
+    first."""
+    for first, second, texts in (
+            (Bound(((4, 1, 1),)), Bound(((1, 2, 2),)), ("4", "2^2")),
+            (Bound(((1, 4, 600),)), Bound(((1, 2, 1200),)), ("4^600", "2^1200"))):
+        assert first == second and hash(first) == hash(second)
+        for b, text in ((first, texts[0]), (second, texts[1]), (first, texts[0])):
+            assert b.to_json()["expression"] == text
+            assert str(b) == (text if not b.is_short() else "4")
+
+
+def test_documents_are_copies():
+    b = Bound(((1, 3, 50), (2, 1, 1)))
+    doc = b.to_json()
+    expected = dict(doc)
+    doc["expression"] = "changed"
+    doc["extra"] = 1
+    del doc["log2"]
+    assert b.to_json() == expected and str(b) == expected["value"]
+
+
+def test_document_cache_is_bounded():
+    """More distinct bounds than the cache holds: it stays at its size, and
+    a bound evicted and rendered again renders as the first time."""
+    size = bounds._document.cache_parameters()["maxsize"]
+    bounds._document.cache_clear()
+    first = Bound(((1, 2, 10 ** 6), (7, 1, 1)))
+    rendered = (first.to_json(), str(first))
+    for n in range(size + 50):
+        Bound(((1, 3, n), (n, 5, 2))).to_json()
+    info = bounds._document.cache_info()
+    assert info.currsize <= size and info.misses == size + 51
+    assert (first.to_json(), str(first)) == rendered
+    assert bounds._document.cache_info().misses == size + 52
+
+
+def test_a_render_that_raises_leaves_no_entry():
+    """A bound whose log2 is out of reach raises on every render, and the
+    cache holds nothing for it."""
+    e = 10 ** 400
+    b = Bound(((1, 2, e), (-1, 3, e)))
+    bounds._document.cache_clear()
+    for render in (b.to_json, b.to_json, lambda: str(b)):
+        with pytest.raises(ValueError, match="out of reach"):
+            render()
+    assert bounds._document.cache_info().currsize == 0
+
+
+# Exponents of a term just above VALUE_MAX_BITS (3^647 has 1026 bits) and
+# past the float range, next to short ones.
+_EXPONENTS = st.one_of(st.integers(0, 40), st.just(647), st.just(10 ** 400))
+
+
+@settings(max_examples=300, deadline=None)
+@example([(0, 2, 10 ** 400), (2, 1, 1), (-1, 1, 1)], 1)  # a zero term is never expanded
+@given(st.lists(st.tuples(st.integers(-3, 10 ** 6), st.integers(0, 9), _EXPONENTS),
+                min_size=1, max_size=4),
+       st.sampled_from((1, 3, 7)))
+def test_render_matches_the_uncached_render(terms, divisor):
+    """``to_json()`` and ``str()`` equal a render without the cache; where
+    that render raises (log2 out of reach, or a bound below zero), both
+    raise the same."""
+    terms = [(c * divisor, b, e) for c, b, e in terms]  # d divides the sum
+    b = Bound(terms, divisor)
+    try:
+        expected = reference_bound_json(Bound(terms, divisor))
+    except ValueError as exc:
+        for render in (b.to_json, lambda: str(b)):
+            with pytest.raises(type(exc)):
+                render()
+        return
+    for _ in range(2):  # cold, then from the cache
+        assert b.to_json() == expected
+        assert str(b) == reference_bound_str(Bound(terms, divisor))
+    if b > 0:  # log2 of zero is -inf; no certificate holds a zero bound
+        json.dumps(expected, allow_nan=False)

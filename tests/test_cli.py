@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -392,19 +394,31 @@ def test_budget_exceeded_exits_3(monkeypatch, capsys):
         "budget exceeded: division exceeded its step budget\n"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_certificate_of_a_huge_word_renders():
     """A BS(1,2) identity with 3,000-digit exponents: the bounds' bases and
     exponents are past Python's int-to-str digit limit, and the assembly
-    bound's log2 past the float range."""
+    bound's log2 past the float range.  The output is strict JSON: that
+    log2 is an integer, written as a decimal string since it has about
+    6,000 digits, not ``Infinity``."""
     code, out = run(["solve", "--preset", "bs", "--n", "2",
                      "-w", f"t*a^{'9' * 3000}*t^-1*a^-{'9' * 3000}*a^-{'9' * 3000}"])
     assert code == 0
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_refuse_constant)
     assert doc["identity"] is True
-    assert doc["assembly_bound"]["log2"] == float("inf")
     # the word length n = 3*10^3000 - 1 leads the relative bound as n^2
     n = "2" + "9" * 3000
     assert doc["relative_bound"]["expression"].startswith(f"{n}^2 + ")
+    # the assembly bound leads with 576^(n^2): log2 is n^2 * log2(576)
+    assert doc["assembly_bound"]["expression"].startswith("576^")
+    log2 = doc["assembly_bound"]["log2"]
+    n = 3 * 10 ** 3000 - 1
+    assert len(log2) == len(str(n)) * 2 and log2.isdigit()
+    leading = Fraction(int(log2[:40])) * 10 ** (len(log2) - 40)
+    assert abs(leading / (n * n * Fraction(math.log2(576))) - 1) < Fraction(1, 10 ** 12)
 
 
 _NF_PRESETS = [PresetSpec("bs", n=2), PresetSpec("bs", n=3),

@@ -1,11 +1,15 @@
 """Arithmetic of reduced module elements and the canonical text format."""
 
 import random
+import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _helpers import element_key, terms
+from _helpers import element_key, reference_render, terms
+from metabelian import elements
 from metabelian.elements import (Ambient, ModuleElement, parse_element,
                                  render_element)
 from metabelian.errors import AmbientMismatch, ParseError
@@ -322,6 +326,58 @@ def test_render_matches_term_renderer(case, scale):
     amb, raw = case
     g = ModuleElement.from_dict(amb, {m: scale * c for m, c in raw.items()})
     assert render_element(g) == _term_render(g)
+
+
+# Python's least int-to-str digit limit, and an integer past it.
+_LOW_LIMIT = 640
+_PAST_LIMIT = 10 ** 700 + 7
+
+
+@contextmanager
+def _int_max_str_digits(limit: int):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@settings(max_examples=300)
+@given(raw_terms(), st.sampled_from((1, -1, _PAST_LIMIT)),
+       st.sampled_from((0, _PAST_LIMIT)))
+def test_render_matches_the_uncached_renderer(case, scale, shift):
+    """``render()`` writes what the renderer without a monomial cache
+    writes, on a cold cache and again from the cached texts, over ring and
+    module ambients with and without torsion; coefficients and exponents
+    past the int-to-str digit limit go through ``_decimal``."""
+    amb, raw = case
+    free = [i for i, d in enumerate(amb.torsion) if not d]
+    if free:  # one free variable's exponents moved past the limit
+        i = free[0]
+        raw = {(e[:i] + (e[i] + shift,) + e[i + 1:], b): c
+               for (e, b), c in raw.items()}
+    raw = {m: scale * c for m, c in raw.items()}
+    # the same terms over variables named otherwise: a text is keyed by the
+    # names as well as the exponents
+    renamed = replace(amb, variables=tuple(f"y{i}" for i in range(amb.nvars)))
+    gs = [ModuleElement.from_dict(a, raw) for a in (amb, renamed)]
+    with _int_max_str_digits(_LOW_LIMIT):
+        expected = [reference_render(g) for g in gs]
+        elements._monomial_text.cache_clear()
+        assert [g.render() for g in gs] == expected
+        assert [g.render() for g in gs] == expected
+
+
+def test_render_of_more_monomials_than_the_cache_holds():
+    """A ring element with more terms than the monomial cache holds renders
+    without touching the cache."""
+    ring = Ambient(("t", "u"), (0, 0), 1, None)
+    n = elements._MONOMIAL_TEXTS + 1
+    g = ModuleElement.from_dict(ring, {((e, -e), None): e + 1 for e in range(n)})
+    elements._monomial_text.cache_clear()
+    assert g.render() == reference_render(g)
+    assert elements._monomial_text.cache_info().currsize == 0
 
 
 class TestPolynomialAmbient:
