@@ -313,7 +313,10 @@ class Bound:
         return f"Bound({self.expression!r})"
 
     def to_json(self) -> dict:
-        return dict(_document(self.terms, self.divisor))
+        doc = dict(_document(self.terms, self.divisor))
+        if type(doc["log2"]) is int:  # past the float range: at the current limit
+            doc["log2"] = _json_int(doc["log2"])
+        return doc
 
     def _compare(self, other) -> int:
         if isinstance(other, Bound):
@@ -362,14 +365,16 @@ def _document(terms, divisor) -> dict:
     """``{expression, log2[, value]}`` of the closed form ``terms / divisor``.
 
     Keyed by the closed form, not by the value: ``4`` and ``2^2`` are equal
-    bounds with texts of their own.  Callers copy the dict or only read it.
+    bounds with texts of their own.  Callers copy the dict or only read it;
+    an int ``log2`` is kept as it is, for ``to_json`` to pass through
+    ``_json_int`` on each call.
     """
     b = Bound(terms, divisor)
     log2 = b.log2()
     if log2 == math.inf:
         # past the float range: the integer midpoint of the exact span
         lo, hi = b._log2_span()
-        log2 = _json_int(round(lo / 2 + hi / 2))
+        log2 = round(lo / 2 + hi / 2)
     else:
         log2 = round(log2, 6)
     doc = {"expression": b.expression, "log2": log2}

@@ -264,13 +264,10 @@ def _monomial_text(names, exponents) -> str:
 def _ring_text(monomials, raw: dict, names) -> str:
     """The ring part of the terms of ``raw`` at ``monomials``, in that order;
     an integer past the int-to-str digit limit is written too."""
-    # more monomials than the cache holds would only evict one another
-    monomial = (_monomial_text if len(monomials) <= _MONOMIAL_TEXTS
-                else _monomial_text.__wrapped__)
     parts = []
     for m in monomials:
         c = raw[m]
-        body = monomial(names, m[0])
+        body = _monomial_text(names, m[0])
         mag = abs(c)
         if not body:
             body = _decimal(mag)

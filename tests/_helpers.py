@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+from contextlib import contextmanager
 
 from metabelian.bounds import Bound, _decimal, _json_int
 from metabelian.elements import Ambient, ModuleElement
@@ -90,6 +92,17 @@ def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:
             letters.append((name, c))
             letters.extend(conj)
     return GroupWord.from_letters(letters)
+
+
+@contextmanager
+def int_max_str_digits(limit: int):
+    """Python's int-to-str digit limit set to ``limit`` for the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def reference_bound_json(b: Bound) -> dict:

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _helpers import BS2, random_element, reference_bound_json, reference_bound_str
+from _helpers import (BS2, int_max_str_digits, random_element, reference_bound_json,
+                      reference_bound_str)
 from metabelian import bounds
 from metabelian.bounds import VALUE_MAX_BITS, Bound
 from metabelian.elements import Ambient
@@ -378,9 +379,11 @@ def test_a_render_that_raises_leaves_no_entry():
     assert bounds._document.cache_info().currsize == 0
 
 
-# Exponents of a term just above VALUE_MAX_BITS (3^647 has 1026 bits) and
-# past the float range, next to short ones.
-_EXPONENTS = st.one_of(st.integers(0, 40), st.just(647), st.just(10 ** 400))
+# Exponents of a term just above VALUE_MAX_BITS (3^647 has 1026 bits), past
+# the float range, and past it with a log2 of more digits than Python's least
+# int-to-str limit (640), next to short ones.
+_EXPONENTS = st.one_of(st.integers(0, 40), st.just(647), st.just(10 ** 400),
+                       st.just(10 ** 700))
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,9 +392,10 @@ _EXPONENTS = st.one_of(st.integers(0, 40), st.just(647), st.just(10 ** 400))
                 min_size=1, max_size=4),
        st.sampled_from((1, 3, 7)))
 def test_render_matches_the_uncached_render(terms, divisor):
-    """``to_json()`` and ``str()`` equal a render without the cache; where
-    that render raises (log2 out of reach, or a bound below zero), both
-    raise the same."""
+    """``to_json()`` and ``str()`` equal a render without the cache, also
+    from the cache after the int-to-str digit limit is lowered; where that
+    render raises (log2 out of reach, or a bound below zero), both raise the
+    same."""
     terms = [(c * divisor, b, e) for c, b, e in terms]  # d divides the sum
     b = Bound(terms, divisor)
     try:
@@ -404,5 +408,10 @@ def test_render_matches_the_uncached_render(terms, divisor):
     for _ in range(2):  # cold, then from the cache
         assert b.to_json() == expected
         assert str(b) == reference_bound_str(Bound(terms, divisor))
-    if b > 0:  # log2 of zero is -inf; no certificate holds a zero bound
+    with int_max_str_digits(640):  # an int log2 past the limit is a string
+        lowered = reference_bound_json(Bound(terms, divisor))
+        assert b.to_json() == lowered
+        if b > 0:  # log2 of zero is -inf; no certificate holds a zero bound
+            json.dumps(b.to_json(), allow_nan=False)
+    if b > 0:
         json.dumps(expected, allow_nan=False)
