@@ -13,7 +13,7 @@ never expanded: where they cannot decide, a ``ValueError`` says so.
 A bound's JSON document ``{expression, log2[, value]}`` is rendered once per
 closed form and kept in a bounded process-wide cache (``_document``), which
 ``str()`` reads too; its ``log2`` is a finite number, an integer past the
-float range.
+float range, or None for a value of 0.
 """
 
 from __future__ import annotations
@@ -178,7 +178,8 @@ class Bound:
 
     ``terms`` holds the ``(c, b, e)`` integer triples of the closed form
     (``b, e >= 0``, any sign of ``c``) and ``divisor`` the positive integer
-    ``d``, which must divide the sum; a float or a string raises TypeError.
+    ``d``, which must divide the sum (checked on residues, no power is
+    expanded; ValueError otherwise); a float or a string raises TypeError.
     Comparisons against ints and other bounds, ``bit_length()`` and ``hash()``
     agree with ``int(bound)``, which expands the powers.  ``str()`` and
     ``to_json()`` read one document per closed form; a bound below zero has
@@ -194,6 +195,9 @@ class Bound:
         if self.divisor < 1 or any(b < 0 or e < 0 for _, b, e in self.terms):
             raise ValueError("bounds need non-negative bases and exponents "
                              "and a positive divisor")
+        d = self.divisor
+        if d > 1 and sum(c * pow(b, e, d) for c, b, e in self.terms) % d:
+            raise ValueError("the divisor of a bound must divide its sum")
         self._span = None
         self._value = None
 
@@ -375,6 +379,8 @@ def _document(terms, divisor) -> dict:
         # past the float range: the integer midpoint of the exact span
         lo, hi = b._log2_span()
         log2 = round(lo / 2 + hi / 2)
+    elif log2 == -math.inf:
+        log2 = None  # a zero value: strict JSON has no -Infinity
     else:
         log2 = round(log2, 6)
     doc = {"expression": b.expression, "log2": log2}

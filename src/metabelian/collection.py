@@ -302,7 +302,7 @@ def _scan(w: GroupWord, p: Presentation):
     so its sums are not checked.
     """
     t_pos, basis_of, torsion = p._t_positions, p._basis_indexes, p.torsion_orders
-    cyclic = [(i, d) for i, d in enumerate(torsion) if d]
+    cyclic = p._cyclic
     neg = [0] * len(torsion)
     conj = tuple(neg)
     sequence, prefixes, top, unknown = [], [], None, None

@@ -12,12 +12,13 @@ and torsion problems embed via inverse variables and unit relators.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import add, le, neg, sub
+from threading import Lock
 
 from .bounds import Bound, _decimal
 from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, _product, _sum
@@ -324,20 +325,71 @@ def growth_function(k: int, n: int) -> int:
     return math.comb(n + k, k)
 
 
+# Runs kept by ``_runs``: about 2.6 MB when full.  Four for each of the 64
+# contexts ``module_context`` keeps; a many-groups context has at most three.
+_RUNS = 256
+
+_RunInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _RunTable:
+    """The ``maxsize`` strong-basis runs used last, for the whole process:
+    ``{key: (run's basis, its steps)}``.  ``cache_info()`` and
+    ``cache_clear()`` count and empty it as they do an ``lru_cache``; a lock
+    keeps the counts and the eviction whole across threads."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._lock = Lock()
+        self.cache_clear()
+
+    def get(self, key):
+        """The run of ``key``, now the most recent, or None."""
+        with self._lock:
+            run = self._runs.pop(key, None)
+            if run is None:
+                self._misses += 1
+                return None
+            self._hits += 1
+            self._runs[key] = run
+            return run
+
+    def put(self, key, run):
+        with self._lock:
+            self._runs[key] = run
+            if len(self._runs) > self.maxsize:
+                del self._runs[next(iter(self._runs))]
+
+    def cache_info(self):
+        with self._lock:
+            return _RunInfo(self._hits, self._misses, self.maxsize,
+                            len(self._runs))
+
+    def cache_clear(self):
+        with self._lock:
+            self._runs, self._hits, self._misses = {}, 0, 0
+
+
+_runs = _RunTable(_RUNS)
+
+
 def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     """Strong Groebner basis of the submodule generated by ``F`` over ZZ.
 
     The nonzero generators are grouped by basis vector, in input order, or
     kept as one group when a generator has terms on two basis vectors.
     ``_strong`` runs once per distinct group, distinct up to the basis
-    index, and a group equal to an earlier one gets that group's basis
-    moved onto its own vector.  That is the basis one run over all of
-    ``F`` computes: a pair never spans two basis vectors, a term on ``e_b``
-    reduces only by generators on ``e_b``, and the tie rules keep each
-    group's generators in their relative order, so each group's run is the
-    joint run's subsequence, step for step.  A copied group is charged its
-    run's steps again, so the step budget runs out at the joint run's
-    total.  The union is sorted by leading monomial, ``origin`` is ``F``.
+    index, and a group equal to one run before gets that run's basis moved
+    onto its own vector.  Runs are kept across calls in ``_runs``, keyed by
+    the ambient's variables and torsion and the group's term lists without
+    the basis index; a joint group is run every time and not kept.  That
+    is the basis one run over all of ``F`` computes: a pair never spans two
+    basis vectors, a term on ``e_b`` reduces only by generators on ``e_b``,
+    and the tie rules keep each group's generators in their relative
+    order, so each group's run is the joint run's subsequence, step for
+    step.  A copied group is charged its run's steps again, so the step
+    budget runs out at the joint run's total; a run that raises is not
+    kept.  The union is sorted by leading monomial, ``origin`` is ``F``.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -353,30 +405,40 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     for f in F:
         vectors = {b for _, b in f._raw}
         if len(vectors) > 1:
-            groups = {None: F}
+            groups = None
             break
         groups.setdefault(vectors.pop(), []).append(f)
-    runs: dict = {}  # a group's term lists without the basis -> (basis, steps)
-    basis = []
-    for b, group in groups.items():
-        key = tuple(frozenset((exps, c) for (exps, _), c in f._raw.items())
-                    for f in group)
-        if key not in runs:
-            left = budget[0]
-            found = _strong(ambient, group, budget, what)
-            runs[key] = (found, left - budget[0])
-            basis += found
-            continue
-        found, steps = runs[key]
-        budget[0] -= steps
-        if budget[0] < 0:
-            raise BudgetExceeded(f"{what} exceeded its step budget")
-        basis += [(ModuleElement._of(ambient, {(exps, b): c for (exps, _), c
-                                               in f._raw.items()}), (lead, b))
-                  for f, (lead, _) in found]
+    if groups is None:
+        basis = _strong(ambient, F, budget, what)  # one joint group, not kept
+    else:
+        basis = []
+        for b, group in groups.items():
+            basis += _run(ambient, b, group, budget, what)
     basis.sort(key=lambda entry: monomial_key(entry[1]))
     return GroebnerBasis(ambient=ambient, generators=tuple(f for f, _ in basis),
                          origin=tuple(F))
+
+
+def _run(ambient: Ambient, b, group, budget: list, what: str) -> list:
+    """``_strong`` of the generators ``group``, all on the basis vector
+    ``b``, taken from ``_runs`` when that holds the same run on any vector:
+    its basis moved onto ``b`` in ``ambient``, charged its steps again."""
+    key = (ambient.variables, ambient.torsion,
+           tuple(frozenset((exps, c) for (exps, _), c in f._raw.items())
+                 for f in group))
+    run = _runs.get(key)
+    if run is None:
+        left = budget[0]
+        found = _strong(ambient, group, budget, what)
+        _runs.put(key, (found, left - budget[0]))
+        return found
+    found, steps = run
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise BudgetExceeded(f"{what} exceeded its step budget")
+    return [(ModuleElement._of(ambient, {(exps, b): c for (exps, _), c
+                                         in f._raw.items()}), (lead, b))
+            for f, (lead, _) in found]
 
 
 def _strong(ambient: Ambient, F, budget: list, what: str) -> list:

@@ -153,6 +153,11 @@ class Presentation:
         return {n: i for i, n in enumerate(self.t_names)}
 
     @cached_property
+    def _cyclic(self) -> tuple[tuple[int, int], ...]:
+        """``(position, order)`` of each torsion t-generator."""
+        return tuple((i, d) for i, d in enumerate(self.torsion_orders) if d)
+
+    @cached_property
     def _basis_indexes(self) -> dict[str, int]:
         return {n: b for b, n in enumerate(self.module_gens, 1)}
 

@@ -108,11 +108,14 @@ def int_max_str_digits(limit: int):
 def reference_bound_json(b: Bound) -> dict:
     """``b.to_json()`` rendered afresh: ``expression``, ``log2`` rounded to
     six decimals (past the float range, the integer midpoint of its exact
-    span) and, for a bound of at most ``VALUE_MAX_BITS`` bits, ``value``."""
+    span; None for a value of 0) and, for a bound of at most
+    ``VALUE_MAX_BITS`` bits, ``value``."""
     log2 = b.log2()
     if log2 == math.inf:
         lo, hi = b._log2_span()
         log2 = _json_int(round(lo / 2 + hi / 2))
+    elif log2 == -math.inf:
+        log2 = None
     else:
         log2 = round(log2, 6)
     doc = {"expression": b.expression, "log2": log2}

@@ -192,9 +192,9 @@ def test_huge_terms_render_past_the_digit_limit(monkeypatch):
 
     monkeypatch.setattr(bounds, "_expand", refuse)
     big = 10 ** 5000 - 1
-    b = Bound(((big, big + 2, big), (3, 2, 5)), 7)
+    b = Bound(((big, big + 2, big), (2, 2, 5)), 7)  # 7 divides the sum
     nines = "9" * 5000
-    assert b.expression == f"({nines}*1{'0' * 4999}1^{nines} + 3*2^5)/7"
+    assert b.expression == f"({nines}*1{'0' * 4999}1^{nines} + 2*2^5)/7"
     doc = b.to_json()
     assert "value" not in doc and b.log2() == math.inf
     log2 = _digits(doc["log2"])
@@ -279,6 +279,42 @@ def test_rejects_bad_parts():
 
 
 @pytest.mark.parametrize("terms, divisor", [
+    (((1, 1, 1),), 3),                          # 1/3 read 0 and compared > 0
+    (((1, 2, 10 ** 400), (1, 3, 10 ** 400)), 5),  # 2 mod 5, never expanded
+    (((-1, 1, 1),), 2),
+])
+def test_rejects_a_divisor_that_does_not_divide(terms, divisor, monkeypatch):
+    """The sum is checked on residues modulo the divisor: no power is
+    expanded, and a sum the divisor does not divide raises ValueError."""
+    def refuse(terms):
+        raise AssertionError("a closed-form bound was expanded")
+
+    monkeypatch.setattr(bounds, "_expand", refuse)
+    with pytest.raises(ValueError, match="must divide"):
+        Bound(terms, divisor)
+    Bound(terms + ((divisor - sum(c * pow(b, e, divisor) for c, b, e in terms)
+                    % divisor, 1, 1),), divisor)  # the sum made divisible
+
+
+def test_certificate_bounds_construct():
+    """``p((1+C)^R - 1)/C`` divides for every C and R, past the float range
+    too."""
+    for c in (1, 2, 3, 7, 10 ** 30):
+        for r in (0, 1, 5, 10 ** 400):
+            assert Bound(((3, 1 + c, r), (-3, 1, 1)), c) >= 0
+
+
+def test_zero_renders_as_strict_json():
+    """A zero bound writes ``"log2": null``; ``log2()`` stays ``-inf``."""
+    for b in (Bound.of(0), Bound(((1, 1, 1), (-1, 1, 0))),
+              Bound(((3, 2, 4), (-48, 1, 1)), 3)):
+        doc = b.to_json()
+        assert doc == {"expression": b.expression, "log2": None, "value": "0"}
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+        assert b.log2() == -math.inf and str(b) == "0"
+
+
+@pytest.mark.parametrize("terms, divisor", [
     (((1.5, 2, 3),), 1),
     ((("7", 2, "3"),), 1),
     (((2.9, 1, 1),), 1),
@@ -301,7 +337,7 @@ def test_past_the_float_range(monkeypatch):
     e = 10 ** 400
     two, three = Bound(((1, 2, e),)), Bound(((1, 3, e),))
     for b, log2 in ((two, e), (three, e * Fraction(math.log2(3))),
-                    (Bound(((1, 2, e), (1, 3, e)), 5), e * Fraction(math.log2(3)))):
+                    (Bound(((1, 2, e + 2), (1, 3, e)), 5), e * Fraction(math.log2(3)))):
         assert b > 5 and b >= 5 and not b < 5 and b != 5 and 5 < b
         assert b > -(10 ** 30) and b > Bound(((1, 7, 10 ** 300),))
         assert b.log2() == math.inf and not b.is_short()
@@ -411,7 +447,5 @@ def test_render_matches_the_uncached_render(terms, divisor):
     with int_max_str_digits(640):  # an int log2 past the limit is a string
         lowered = reference_bound_json(Bound(terms, divisor))
         assert b.to_json() == lowered
-        if b > 0:  # log2 of zero is -inf; no certificate holds a zero bound
-            json.dumps(b.to_json(), allow_nan=False)
-    if b > 0:
-        json.dumps(expected, allow_nan=False)
+        json.dumps(b.to_json(), allow_nan=False)
+    json.dumps(expected, allow_nan=False)

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,7 @@ from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.errors import AmbientMismatch, BudgetExceeded
 from metabelian.groebner import (GroebnerBasis, buchberger_strong,
                                  certificate_bound, divide_with_certificate,
-                                 _reduce, _reduce_step, _strong, _table,
+                                 _reduce, _reduce_step, _runs, _strong, _table,
                                  growth_function, laurent_embed, normal_form,
                                  verify_certificate)
 from metabelian.order import monomial_key
@@ -618,7 +620,8 @@ class TestBudgets:
     def test_construction_budget_boundary_with_copies(self):
         """The relator module of wf(r=2) holds the same ideal on a1 and a2:
         the basis of a2 is a copy of a1's, charged again, so the budget of
-        the joint run's steps passes and one less raises."""
+        the joint run's steps passes and one less raises, with the same
+        message, whether the table is cold or warm from earlier calls."""
         p = build(PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1))))
         _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
         budget = [10 ** 6]
@@ -626,9 +629,19 @@ class TestBudgets:
                 budget, "joint")
         steps = 10 ** 6 - budget[0]
         assert steps > 1
-        assert buchberger_strong(gens, step_budget=steps) == buchberger_strong(gens)
-        with pytest.raises(BudgetExceeded):
+        message = "Groebner construction exceeded its step budget"
+        _runs.cache_clear()
+        with pytest.raises(BudgetExceeded, match=message):
             buchberger_strong(gens, step_budget=steps - 1)
+        _runs.cache_clear()
+        cold = buchberger_strong(gens, step_budget=steps)
+        assert cold == buchberger_strong(gens)
+        # warm from the earlier calls: every group is a copy, charged again
+        misses = _runs.cache_info().misses
+        assert buchberger_strong(gens, step_budget=steps) == cold
+        with pytest.raises(BudgetExceeded, match=message):
+            buchberger_strong(gens, step_budget=steps - 1)
+        assert _runs.cache_info().misses == misses
 
     @pytest.mark.parametrize("run", [normal_form, divide_with_certificate])
     def test_budget_boundary(self, run):
@@ -645,3 +658,126 @@ class TestBudgets:
             run(g, gb, step_budget=steps - 1)
         if run is divide_with_certificate:
             assert run(g, gb, step_budget=steps).steps == steps
+
+
+def _wf_pool():
+    """The 25 ``wf`` presentations of perfbench's ``many-groups`` pool."""
+    specs = [PresetSpec("wf", r=r, k=k, fs=(f,) + ((1, 1),) * (k - 1),
+                        torsion_orders=tor)
+             for tor in ((), (2,)) for r in (1, 2) for k in (1, 2)
+             for f in ((1, 1), (1, 1, 1), (1, 2, 1))]
+    return specs + [PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1)),
+                               torsion_orders=(3,))]
+
+
+def _context_basis(spec):
+    p = build(spec)
+    _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
+    return buchberger_strong(gens)
+
+
+class TestRunTable:
+    """``_runs`` keeps the strong-basis runs of ``buchberger_strong`` for
+    the whole process."""
+
+    def test_cold_equals_warm(self):
+        """The pool's bases, built one after another with the table warm,
+        equal the bases built with the table cleared before each, and the
+        warm pass runs fewer runs than it has groups."""
+        _runs.cache_clear()
+        warm = [_context_basis(spec) for spec in _wf_pool()]
+        info = _runs.cache_info()
+        assert info.hits > info.misses
+        for spec, basis in zip(_wf_pool(), warm):
+            _runs.cache_clear()
+            cold = _context_basis(spec)
+            assert cold == basis and cold.to_json() == basis.to_json()
+
+    def test_copy_onto_another_ambient(self):
+        """wf(r=1, k=2) runs a1's group on e1 and z's on e2; wf(r=2, k=2)
+        takes both from the table and puts a1's basis on e1 and e2 and z's
+        on e3, in its own ambient."""
+        _runs.cache_clear()
+        one = _context_basis(PresetSpec("wf", r=1, k=2))
+        assert _runs.cache_info()[:2] == (0, 2)
+        two = _context_basis(PresetSpec("wf", r=2, k=2))
+        assert _runs.cache_info()[:2] == (3, 2)
+        assert one.ambient.basis_names == ("a1", "z")
+        assert two.ambient.basis_names == ("a1", "a2", "z")
+        assert all(f.ambient == two.ambient for f in two.generators)
+
+        def on(basis, b):
+            return sorted(element_key(f) for f in basis.generators
+                          if next(iter(f._raw))[1] == b)
+
+        def moved(b, to):
+            return sorted(element_key(_on(f, two.ambient, to))
+                          for f in one.generators if next(iter(f._raw))[1] == b)
+
+        assert on(two, 1) == moved(1, 1) and on(two, 2) == moved(1, 2)
+        assert on(two, 3) == moved(2, 3)
+        _runs.cache_clear()
+        assert _context_basis(PresetSpec("wf", r=2, k=2)) == two
+
+    def test_failed_run_leaves_no_entry(self):
+        amb = Ambient(("x", "y"), (0, 0), 1, ("e1",), laurent=False)
+        gens = [parse_element("2*x*e1 + 3*y*e1", amb),
+                parse_element("3*x^2*e1 + 2*e1", amb),
+                parse_element("5*y^2*e1 + x*e1", amb)]
+        _runs.cache_clear()
+        size = _runs.maxsize
+        with pytest.raises(BudgetExceeded):
+            buchberger_strong(gens, step_budget=2)
+        assert _runs.cache_info() == (0, 1, size, 0)
+        with pytest.raises(BudgetExceeded):
+            buchberger_strong(gens, step_budget=2)
+        assert _runs.cache_info() == (0, 2, size, 0)
+        basis = buchberger_strong(gens)
+        assert _runs.cache_info() == (0, 3, size, 1)
+        assert buchberger_strong(gens) == basis
+
+    def test_size_bound_and_clear(self):
+        """More distinct runs than the bound keep the size at the bound,
+        evicting the run used longest ago; clearing empties the table."""
+        _runs.cache_clear()
+        size = _runs.maxsize
+        for c in range(2, size + 12):
+            buchberger_strong([const(c)])
+            assert _runs.cache_info().currsize <= size
+        assert _runs.cache_info() == (0, size + 10, size, size)
+        buchberger_strong([const(size + 11)])  # the last run: kept
+        assert _runs.cache_info().hits == 1
+        buchberger_strong([const(2)])  # the first run: evicted
+        assert _runs.cache_info().misses == size + 11
+        _runs.cache_clear()
+        assert _runs.cache_info() == (0, 0, size, 0)
+
+    def test_threads_lose_no_count(self):
+        """Four threads look runs up at once, with a short switch interval:
+        every lookup is counted once and the size stays at the bound."""
+        _runs.cache_clear()
+        size, errors = _runs.maxsize, []
+
+        def work(offset):
+            try:
+                for c in range(2, 2 + 2 * size):
+                    buchberger_strong([const(c + offset)])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i % 2,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        info = _runs.cache_info()
+        assert info.hits + info.misses == 4 * 2 * size
+        assert info.currsize == size
