@@ -12,9 +12,7 @@ from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
 from .presentation import (GroupWord, Presentation, TamenessDatum,
                            exponent_sums, parse_presentation, parse_word)
 from .presets import PresetSpec, build, norm_growth, witness_family
-from .wordproblem import (AreaCertificate, area_certificate,
-                          brute_force_min_certificate, dehn_profile,
-                          is_identity, module_dehn_upper,
-                          relative_area_certificate)
+from .wordproblem import (AreaCertificate, brute_force_min_certificate,
+                          dehn_profile, is_identity, module_dehn_upper)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

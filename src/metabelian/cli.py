@@ -13,15 +13,14 @@ import sys
 
 from .bounds import _decimal
 from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, parse_element
-from .errors import BudgetExceeded, ParseError, TamenessViolation
+from .errors import BudgetExceeded, ParseError
 from .geometry import presentation_constants, tameness_check
 from .groebner import divide_with_certificate, normal_form
 from .presentation import Presentation, parse_presentation, parse_word
 from .presets import (PRESET_NAMES, PresetSpec, build, norm_growth,
                       witness_family)
-from .wordproblem import (area_certificate, brute_force_min_certificate,
-                          dehn_profile, is_identity, module_context,
-                          module_dehn_upper, relative_area_certificate)
+from .wordproblem import (brute_force_min_certificate, dehn_profile,
+                          is_identity, module_context, module_dehn_upper)
 
 
 # The options each preset reads; a preset reads none that it does not list.
@@ -64,9 +63,9 @@ def _preset_spec(args) -> PresetSpec:
         if name not in _PRESET_READS.get(args.preset, ()):
             raise ParseError(f"preset {args.preset!r} does not read --{name}")
     f, orders = given.pop("f", None), given.pop("orders", None)
-    if f:
+    if f is not None:
         given["fs"] = tuple(_int_list("f", chunk) for chunk in f.split(";"))
-    if orders:
+    if orders is not None:
         given["torsion_orders"] = _int_list("orders", orders)
     return PresetSpec(name=args.preset, **given)
 
@@ -84,7 +83,7 @@ def _int_list(option: str, text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-# The presentation that solve's and area's costs are areas over.
+# The presentation that solve's costs are areas over.
 _AREA_OVER = ("absolute_total and witnessed_cost are areas over the given "
               "relators plus every commutator [x^u, y^v] of module-letter "
               "conjugates, each counted as one relation; "
@@ -129,13 +128,6 @@ def main(argv=None) -> int:
     sp = sub.add_parser("solve", help="decide w = 1", description=_AREA_OVER)
     common(sp)
     sp.add_argument("-w", "--word", required=True)
-    sp = sub.add_parser("area", help="area certificate of an identity word",
-                        description=_AREA_OVER)
-    common(sp)
-    sp.add_argument("-w", "--word", required=True)
-    sp = sub.add_parser("rel-area", help="relative area certificate")
-    common(sp)
-    sp.add_argument("-w", "--word", required=True)
     sp = sub.add_parser("module-dehn", help="certificate sizes over small norms")
     common(sp)
     sp.add_argument("-n", type=int, default=4, dest="norm")
@@ -165,7 +157,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ParseError, TamenessViolation, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BudgetExceeded as exc:
@@ -218,18 +210,9 @@ def _run(args) -> int:
                     "budget": list(budget)})
         return 0
 
-    if cmd in ("solve", "area", "rel-area"):
-        w = parse_word(args.word, p)
-        if cmd == "solve":
-            ok, cert = is_identity(w, p)
-            _emit_json(cert.to_json())
-            return 0
-        if cmd == "area":
-            cert = area_certificate(w, p)
-            _emit_json(cert.to_json())
-            return 0
-        report = relative_area_certificate(w, p)
-        _emit_json(report.to_json())
+    if cmd == "solve":
+        _, cert = is_identity(parse_word(args.word, p), p)
+        _emit_json(cert.to_json())
         return 0
 
     if cmd == "module-dehn":

@@ -143,49 +143,6 @@ def is_identity(w: GroupWord, p: Presentation) -> tuple[bool, AreaCertificate]:
     return identity, cert
 
 
-def area_certificate(w: GroupWord, p: Presentation) -> AreaCertificate:
-    ok, cert = is_identity(w, p)
-    if not ok:
-        raise ValueError("area certificates exist only for identity words")
-    return cert
-
-
-@dataclass(frozen=True)
-class RelativeAreaReport:
-    word_length: int
-    witnessed_relative: int
-    commutation_cost: int
-    normalization_cost: int
-    membership_size: int
-    relative_bound: Bound
-
-    def to_json(self) -> dict:
-        return {
-            "word_length": _json_int(self.word_length),
-            "witnessed_relative": _json_int(self.witnessed_relative),
-            "commutation_cost": _json_int(self.commutation_cost),
-            "normalization_cost": _json_int(self.normalization_cost),
-            "membership_size": _json_int(self.membership_size),
-            "relative_bound": str(self.relative_bound),
-        }
-
-
-def relative_area_certificate(w: GroupWord, p: Presentation) -> RelativeAreaReport:
-    """Same pipeline with transpositions re-priced at the metabelian rates."""
-    ok, cert = is_identity(w, p)
-    if not ok:
-        raise ValueError("relative area certificates exist only for identity words")
-    ledger = cert.ledger
-    return RelativeAreaReport(
-        word_length=cert.word_length,
-        witnessed_relative=cert.witnessed_relative,
-        commutation_cost=ledger.rel_r2_merge,
-        normalization_cost=(ledger.rel_r2_normalize + ledger.r1_commutators
-                            + ledger.module_relations),
-        membership_size=cert.membership.size,
-        relative_bound=cert.relative_bound)
-
-
 # ---------------------------------------------------------------------------
 # Independent oracle.
 

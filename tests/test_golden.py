@@ -110,10 +110,16 @@ MEMBERSHIP = [e for e in ENTRIES
 @pytest.mark.parametrize("entry", MEMBERSHIP,
                          ids=[IDS[ENTRIES.index(e)] for e in MEMBERSHIP])
 def test_independent_checker_accepts(entry):
+    """The division checks without the divider, and an identity's witnessed
+    costs stay within the paper's two bounds."""
     p, cert = _solve(entry)
     ctx = module_context(p)
     g = ctx.embed(cert.ordered)
     assert verify_certificate(g, cert.membership, ctx.basis)
+    if cert.identity:
+        assert cert.witnessed_relative <= cert.relative_bound
+        if cert.assembly_bound is not None:
+            assert cert.witnessed_cost <= cert.assembly_bound
 
 
 def _bs_witness_certificate():

@@ -15,12 +15,10 @@ from metabelian.elements import Ambient, parse_element
 from metabelian.presentation import parse_presentation, parse_word
 from metabelian.presets import PresetSpec, build, witness_family
 from metabelian.wordproblem import (AreaCertificate, _monomial_pool,
-                                    area_certificate,
                                     brute_force_min_certificate, dehn_profile,
                                     fit_exp, fit_power, is_identity,
                                     module_context, module_dehn_upper,
-                                    random_identity_word,
-                                    relative_area_certificate)
+                                    random_identity_word)
 
 
 _WF12 = build(PresetSpec("wf", k=2))
@@ -87,12 +85,12 @@ class TestAreaCertificate:
     def test_witness_sizes(self):
         fam = witness_family(PresetSpec("bs", n=2))
         for n in range(1, 11):
-            cert = area_certificate(fam(n)[0], BS2)
-            assert cert.membership.size == 2 ** n - 1
+            ok, cert = is_identity(fam(n)[0], BS2)
+            assert ok and cert.membership.size == 2 ** n - 1
 
     def test_zero_vector_zero_size(self):
-        cert = area_certificate(parse_word("[a, a^t]", BS2), BS2)
-        assert cert.membership.size == 0
+        ok, cert = is_identity(parse_word("[a, a^t]", BS2), BS2)
+        assert ok and cert.membership.size == 0
 
     def test_witnessed_below_assembly_bound(self):
         rng = random.Random(1)
@@ -102,26 +100,20 @@ class TestAreaCertificate:
             if ok:
                 assert cert.witnessed_cost <= cert.assembly_bound
 
-    def test_rejects_non_identity(self):
-        with pytest.raises(ValueError):
-            area_certificate(parse_word("a", BS2), BS2)
-
 
 class TestRelativeArea:
     def test_commutation_price_instance(self):
-        report = relative_area_certificate(
-            parse_word("[a, b^(t^5)]", GAMMA), GAMMA)
-        assert report.commutation_cost == 4 * 5 - 3
+        ok, cert = is_identity(parse_word("[a, b^(t^5)]", GAMMA), GAMMA)
+        assert ok and cert.ledger.rel_r2_merge == 4 * 5 - 3
 
     def test_conjugate_price_instance(self):
         w = parse_word("a^(t^3) * (a^-1)^(t^3)", BS2)
-        report = relative_area_certificate(w, BS2)
-        assert report.witnessed_relative <= 4 * 9 + 2 * 3
+        ok, cert = is_identity(w, BS2)
+        assert ok and cert.witnessed_relative <= 4 * 9 + 2 * 3
 
     def test_bs_relator_small(self):
-        report = relative_area_certificate(
-            parse_word("t*a*t^-1*a^-2", BS2), BS2)
-        assert report.witnessed_relative <= 4
+        ok, cert = is_identity(parse_word("t*a*t^-1*a^-2", BS2), BS2)
+        assert ok and cert.witnessed_relative <= 4
 
     def test_relative_below_assembly_bound(self):
         rng = random.Random(2)
@@ -167,14 +159,6 @@ class TestPastTheDigitLimit:
             _decimal(cert.ledger.relative_total)
         assert doc["ledger"]["r2_commutations"] == int(_M)
         assert doc["witnessed_cost"] == cert.witnessed_cost
-
-    def test_relative_report(self):
-        w = parse_word(f"[a1^(t2^{_M}*t1), a1]", _WF12)
-        report = relative_area_certificate(w, _WF12)
-        doc = _rendered(report.to_json())
-        assert doc["witnessed_relative"] == _decimal(report.witnessed_relative)
-        assert doc["normalization_cost"] == _decimal(report.normalization_cost)
-        assert doc["word_length"] == report.word_length
 
 
 class TestOracle:
