@@ -46,9 +46,6 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["identity"] is True
-        relative = (int(doc["ledger"]["relative_total"])
-                    + int(doc["membership"]["size"]))
-        assert relative <= 4
 
     def test_norm_growth_rows(self):
         code, out = run(["norm-growth", "-f", "1+t", "-n", "5"])
@@ -104,6 +101,18 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["member"] is True and doc["certificate"]["size"] == "3"
+
+    def test_area_and_rel_area(self, bs_file):
+        """The identity verdict and the witnessed relative area, once
+        printed by ``area`` and ``rel-area``, are read off solve's
+        certificate for the same word."""
+        code, out = run(["solve", "-p", bs_file, "-w", "t*a*t^-1*a^-2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["identity"] is True
+        relative = (int(doc["ledger"]["relative_total"])
+                    + int(doc["membership"]["size"]))
+        assert relative <= 4
 
     def test_oracle(self, bs_file):
         code, out = run(["oracle", "-p", bs_file, "-e", "(t^-2 - 4)*a",
