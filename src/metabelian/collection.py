@@ -21,6 +21,7 @@ metabelian variety.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import NamedTuple
 
 from .bounds import _json_int
@@ -195,13 +196,8 @@ def commutator_collect(tail: GroupWord, p: Presentation, ledger=None):
 
 def _run_price(base: int, start: int, n: int, d: int) -> int:
     """Sum of ``max(1, 4*(base + power_length(e, d)) - 3)`` over
-    ``start <= e < start + n``, in closed form: an arithmetic series on a
-    free coordinate, where the ``max`` binds only at ``base + e = 0``, and
-    whole cycles plus fewer than ``d`` terms on a torsion one."""
-    if not d:
-        return (n * (4 * (base + start) - 3) + 2 * n * (n - 1)
-                + 4 * (n > 0 and base + start == 0))
-
+    ``start <= e < start + n`` on a coordinate of torsion order ``d``:
+    whole cycles plus fewer than ``d`` terms."""
     def price(e):
         return max(1, 4 * (base + power_length(e, d)) - 3)
     cycles, extra = divmod(n, d)
@@ -211,7 +207,8 @@ def _run_price(base: int, start: int, n: int, d: int) -> int:
 
 def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
     """Charge ``ledger`` for normalizing a freely condensed conjugator,
-    given as its syllables ``(name, exp)``, into its ordered exponent vector.
+    given as its syllables ``(name, exp)``, into its ordered exponent
+    vector.
 
     Each unit of a syllable t_s^exp (sign eps) is pushed left past every
     unit of t_j (j > s) already in the ordered word, emitting one commutator
@@ -222,41 +219,59 @@ def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
     eps < 0, t_j^-1 when the crossed unit is negative) followed by the units
     already crossed.  It reads only exponents j > s, which pushing t_s
     leaves alone, so every unit of the syllable pays the same: the syllable
-    is charged once, times ``|exp|``, and the crossings of each t_j are
-    priced together by ``_run_price``.  The same reason makes pricing the
-    syllable unit by unit charge the same sums.  Torsion exponents wrap
-    into [0, order) at one module relation per wrap.  Returns the
-    conjugator's exponent sums, unwrapped: its vector is their wrap.
+    is charged once, times ``|exp|``.  The crossings of each t_j are priced
+    together: an arithmetic series, inline, on a free coordinate, where the
+    ``max`` binds only at a zero length, and ``_run_price`` on a torsion
+    one.  The same reason makes pricing the syllable unit by unit charge
+    the same sums.  The later positions of each name come from the
+    presentation's ``_later`` table; the charges add up in locals and the
+    ledger is written once.  Torsion exponents wrap into [0, order) at one
+    module relation per wrap.  Returns the conjugator's exponent sums,
+    unwrapped: its vector is their wrap.
     """
-    index, torsion = p._t_positions, p.torsion_orders
-    nvars = len(torsion)
-    exps = [0] * nvars
+    later = p._later
+    exps = [0] * len(p.torsion_orders)
+    units = rel = 0
     for name, exp in letters:
-        s = index[name]
+        s, crossed = later[name]
         base = 1 if exp < 0 else 0  # the template letter t_s^-1
-        units = rel = 0
-        for j in range(nvars - 1, s, -1):
-            b, d = exps[j], torsion[j]
-            if b:
-                # the conjugator's t_j exponent runs over 0..b-1 when the
-                # crossed units are positive and over -1..b when negative
-                rel += _run_price(base, 0 if b > 0 else 1, abs(b), d)
-                units += abs(b)
+        count = price = 0
+        for j, d in crossed:
+            b = exps[j]
+            if not b:
+                continue
+            # the conjugator's t_j exponent runs over 0..b-1 when the
+            # crossed units are positive and over -1..b when negative
+            if d:
+                price += _run_price(base, 0 if b > 0 else 1, abs(b), d)
+                count += abs(b)
                 base += power_length(b, d)
-        n = abs(exp)
-        ledger.r1_commutators += 2 * units * n
-        ledger.r2_commutations += units * n
-        ledger.rel_r2_normalize += rel * n
+            elif b > 0:
+                price += b * (4 * base - 3) + 2 * b * (b - 1) + 4 * (not base)
+                count += b
+                base += b
+            else:
+                price += 2 * b * (b + 1) - b * (4 * base + 1)
+                count -= b
+                base -= b
+        n = exp if exp > 0 else -exp
+        units += count * n
+        rel += price * n
         exps[s] += exp
-    for e, d in zip(exps, torsion):
-        if d and not 0 <= e < d:
-            ledger.module_relations += abs(e // d)
+    wraps = 0
+    for i, d in p._cyclic:
+        e = exps[i]
+        if not 0 <= e < d:
+            wraps += abs(e // d)
+    ledger.r1_commutators += 2 * units
+    ledger.r2_commutations += units
+    ledger.rel_r2_normalize += rel
+    ledger.module_relations += wraps
     return exps
 
 
 def _merge_price(amb, a_exps, b_exps) -> int:
-    diff = tuple(x - y for x, y in zip(a_exps, b_exps))
-    return max(1, 4 * monomial_word_degree(amb, diff) - 3)
+    return max(1, 4 * monomial_word_degree(amb, map(sub, a_exps, b_exps)) - 3)
 
 
 def ordered_form(w: GroupWord, p: Presentation):
@@ -349,10 +364,11 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     crossing block that is the whole sequence, or None.
 
     ``_scan`` decides the kernel before anything is priced into ``ledger``.
-    Then each module letter's conjugator is priced from its unwound prefix
-    and the tail is gathered by ``_collect_units``; ``_price_crossing``
-    prices each crossing block, its sums giving the block's first row, an
-    emission's exponents its conjugator's wrapped sums.
+    Then each module letter's conjugator is priced from its unwound prefix;
+    an empty prefix costs nothing.  The tail is gathered by
+    ``_collect_units``; ``_price_crossing`` prices each crossing block, its
+    sums giving the block's first row, an emission's exponents its
+    conjugator's wrapped sums.
 
     The block ``(rows, var, shift, n, coordinate, stride)``, the one
     sequence ``_block_charge`` takes, is given only for a word with no
@@ -364,7 +380,8 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     """
     sequence, prefixes, top = _scan(w, p)
     for prefix in prefixes:
-        _price_conjugator(_unwind(prefix), p, ledger)
+        if prefix is not None:
+            _price_conjugator(_unwind(prefix), p, ledger)
     ledger.free_steps += len(sequence) + 1
     if top is None:
         return sequence, None
@@ -396,6 +413,18 @@ def _conjugates(w: GroupWord, p: Presentation, ledger: CostLedger):
     return sequence, block
 
 
+def _join(head, tail) -> list:
+    """The freely condensed product of two condensed syllable sequences:
+    only the junction condenses, cascading while its syllables cancel."""
+    h, t = len(head), 0
+    while h and t < len(tail) and head[h - 1][0] == tail[t][0]:
+        exp = head[h - 1][1] + tail[t][1]
+        if exp:
+            return [*head[:h - 1], (tail[t][0], exp), *tail[t + 1:]]
+        h, t = h - 1, t + 1
+    return [*head[:h], *tail[t:]]
+
+
 def _price_crossing(crossing: _Crossing, template, p: Presentation,
                     ledger: CostLedger):
     """Charge ``ledger`` for normalizing the conjugators of a crossing
@@ -403,6 +432,12 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
     exponent sums of row ``|power|``, the first in word order, one list per
     template head: ``conjugator(head, |power|)`` condenses to the head then
     ``rest``.
+
+    Each template head is condensed once, and each priced row's tail,
+    ``t_var^(power - k*eps)`` then ``rest`` (just ``rest`` in row
+    ``|power|``), is built once; a row's conjugator is the head joined onto
+    the tail, condensed only across the junction (``_join``), which is
+    ``conjugator(head, k)``.
 
     ``t_var`` has the lowest index in the block's conjugators, so a row
     k < |power|, a template head then ``t_var^(power - k*eps)`` then the
@@ -414,27 +449,29 @@ def _price_crossing(crossing: _Crossing, template, p: Presentation,
     row's.  The last row loses the syllable, and its neighbours may
     condense, so it is priced on its own.
     """
-    rows = abs(crossing.power)
-    heads = [head for _, _, head in template]
-    sums = [_price_conjugator(crossing.conjugator(head, rows), p, ledger)
-            for head in heads]
+    power, name, rest = crossing.power, crossing.name, crossing.rest
+    rows, eps = abs(power), 1 if power > 0 else -1
+    heads = [_condense(head) for _, _, head in template]
+
+    def price_row(k, into):
+        left = power - k * eps
+        tail = ((name, left), *rest) if left else rest
+        return [_price_conjugator(_join(head, tail), p, into) for head in heads]
+
+    sums = price_row(rows, ledger)
     if rows == 1:
         return sums
     first, second = CostLedger(), CostLedger()
-    for head in heads:
-        _price_conjugator(crossing.conjugator(head, 1), p, first)
-        if rows > 2:
-            _price_conjugator(crossing.conjugator(head, 2), p, second)
+    x = price_row(1, first)[0][crossing.var]
+    if rows > 2:
+        price_row(2, second)
     n, fall = rows - 1, (rows - 1) * (rows - 2) // 2
-    for name in ("r1_commutators", "r2_commutations", "rel_r2_normalize"):
-        one, two = getattr(first, name), getattr(second, name)
-        setattr(ledger, name, getattr(ledger, name) + n * one - fall * (one - two))
+    for field in ("r1_commutators", "r2_commutations", "rel_r2_normalize"):
+        one, two = getattr(first, field), getattr(second, field)
+        setattr(ledger, field, getattr(ledger, field) + n * one - fall * (one - two))
     ledger.module_relations += n * first.module_relations
     d = p.torsion_orders[crossing.var]
     if d:
-        x = sum(e for name, e in crossing.conjugator(heads[0], 1)
-                if name == crossing.name)
-        eps = 1 if crossing.power > 0 else -1
         wraps = [abs((x - k * eps) // d) for k in range(n)]
         ledger.module_relations += len(heads) * (sum(wraps) - n * wraps[0])
     return sums
@@ -470,8 +507,11 @@ def _charge_merge(sequence, amb, ledger: CostLedger, block):
     lower price and loses the tie on position, so it cannot be the
     cheapest while that partner lives.  Then ``_inversion_charge`` sorts
     the remainder, paying one transposition per strictly inverted pair of
-    unit conjugates.  Equal monomials cross at equal prices, so prices are
-    kept per pair of monomials.
+    unit conjugates.  Equal monomials cross at equal prices, so both read
+    prices from ``rows``, one dict per monomial id keyed by the other
+    monomial's id.  ``fill(m, n)`` computes a price by ``_merge_price`` and
+    writes it into both rows; a price is at least 1, so ``rows[m].get(n) or
+    fill(m, n)`` reads one, computing it the first time either row lacks it.
     """
     if block is not None and len(sequence) > _BLOCK:
         charge = _block_charge(sequence, *block, amb.torsion)
@@ -482,29 +522,27 @@ def _charge_merge(sequence, amb, ledger: CostLedger, block):
     items = [[coeff, basis, exps] for coeff, basis, exps in sequence]
     monos: dict = {}
     mono = [monos.setdefault(exps, len(monos)) for _, _, exps in items]
-    exps_of = list(monos)
     ids: dict = {}
     group = [ids.setdefault((basis, exps), len(ids)) for _, basis, exps in items]
-    memo: dict = {}
+    exps_of = list(monos)
+    rows = [{} for _ in exps_of]
 
-    def price(m, n):
-        key = (m, n) if m < n else (n, m)
-        if key not in memo:
-            memo[key] = _merge_price(amb, exps_of[m], exps_of[n])
-        return memo[key]
-
-    units, rel = _cancel(items, group, mono, price)
+    def fill(m, n):
+        price = rows[m][n] = rows[n][m] = _merge_price(amb, exps_of[m],
+                                                       exps_of[n])
+        return price
+    units, rel = _cancel(items, group, mono, rows, fill)
     # ordered form puts e1 first and larger monomials first within a basis;
     # monomial_key without a call per conjugate
     sort_units, sort_rel = _inversion_charge(
         [(abs(c), (-basis, (sum(map(abs, exps)), exps)), exps, m)
          for (c, basis, exps), m in zip(items, mono) if c],
-        amb.torsion, price)
+        amb.torsion, rows, fill)
     ledger.r2_commutations += units + sort_units
     ledger.rel_r2_merge += rel + sort_rel
 
 
-def _cancel(items, group, mono, price):
+def _cancel(items, group, mono, rows, fill):
     """Cancel opposite conjugates ``[coeff, basis, exps]`` of one group
     (basis and monomial) greedily, zeroing or lowering ``items``'
     coefficients in place; returns ``(units, rel)``, the units crossed and
@@ -512,8 +550,9 @@ def _cancel(items, group, mono, price):
 
     Each round cancels ``m = min(|c_a|, |c_b|)`` units at the pair a < b
     whose ``(units*m, rel*m, a, b)`` is least, where ``units`` and ``rel``
-    sum ``|c_q|`` and ``|c_q| * price(mono[a], mono[q])`` over the items q
-    of other groups between a and b; it pays ``units*m`` and ``rel*m``.
+    sum ``|c_q|`` and ``|c_q|`` times the merge price of ``mono[a]`` and
+    ``mono[q]`` (read from ``rows``, see ``_charge_merge``) over the items
+    q of other groups between a and b; it pays ``units*m`` and ``rel*m``.
     Signs never flip, so pairs only go away, and zeroed items stay in
     place, so the index order of the rest is kept.  Cancelling ``m`` units
     at item q lowers exactly the pairs of another group that span q, by
@@ -531,8 +570,8 @@ def _cancel(items, group, mono, price):
 
     One pass per round over the records drops those with a zeroed end,
     lowers the spanning pairs of other groups by the cancellation just made,
-    reading the price from a row kept per monomial, and finds the next
-    least key.
+    reading each price from the cancelled monomial's row, and finds the
+    next least key.  ``extend`` reads the row of a's monomial.
     """
     size = [abs(c) for c, _, _ in items]
     up = [c > 0 for c, _, _ in items]
@@ -541,14 +580,16 @@ def _cancel(items, group, mono, price):
 
     def extend(a, b, units, rel):
         """Append a's partners right of b, from ``[units, rel]`` at b."""
-        g, ma, sa, sign = group[a], mono[a], size[a], up[a]
+        g, sa, sign, ma = group[a], size[a], up[a], mono[a]
+        row = rows[ma]
         for q in range(b + 1, last.get((g, not sign), a) + 1):
             c = size[q]
             if not c:
                 continue
             if group[q] != g:
                 units += c
-                rel += c * price(ma, mono[q])
+                mq = mono[q]
+                rel += c * (row.get(mq) or fill(ma, mq))
             elif up[q] != sign:
                 stop = c == 1 or sa == 1
                 pairs.append([a, q, units, rel, stop])
@@ -558,9 +599,9 @@ def _cancel(items, group, mono, price):
     for a in range(len(items)):
         extend(a, a, 0, 0)
     units = rel = m = 0
-    i = j = gi = -1
+    i = j = gi = mi = -1
+    cancelled = None
     while True:
-        row: dict = {}
         best = None
         kept = []
         # extend() appends to pairs while the loop runs: the new records
@@ -576,11 +617,9 @@ def _cancel(items, group, mono, price):
                 continue
             if (a < i < b or a < j < b) and group[a] != gi:
                 k = m * ((a < i < b) + (a < j < b))
-                cost = row.get(mono[a])
-                if cost is None:
-                    cost = row[mono[a]] = price(mono[a], mono[i])
                 u = record[2] = u - k
-                r = record[3] = r - k * cost
+                ma = mono[a]
+                r = record[3] = r - k * (cancelled.get(ma) or fill(ma, mi))
             kept.append(record)
             n = sa if sa < sb else sb
             key = u * n
@@ -599,7 +638,8 @@ def _cancel(items, group, mono, price):
         units += best_units
         rel += best_rel
         (i, j), m = best, best_m
-        gi = group[i]
+        gi, mi = group[i], mono[i]
+        cancelled = rows[mi]
         size[i] -= m
         size[j] -= m
     for item, c, u in zip(items, size, up):
@@ -669,10 +709,11 @@ def _block_charge(block, rows, var, shift, n, coordinate, stride, torsion):
 _BLOCK = 16  # _inversion_charge prices this many items or fewer pair by pair
 
 
-def _inversion_charge(items, torsion, price):
+def _inversion_charge(items, torsion, rows, fill):
     """``(units, rel)`` for sorting ``items`` ``(weight, key, exps,
     monomial id)`` by falling key: over the pairs a < b with key_a < key_b,
-    the sum of ``w_a*w_b`` and of ``w_a*w_b*price(m_a, m_b)``.
+    the sum of ``w_a*w_b`` and of ``w_a*w_b`` times the merge price of
+    ``m_a`` and ``m_b``, read from ``rows`` (see ``_charge_merge``).
 
     With d the length of exps_a - exps_b, the price is 4d - 3 except 1 at
     d = 0, i.e. at equal exponents on another basis, so the sum is
@@ -687,10 +728,11 @@ def _inversion_charge(items, torsion, price):
     if len(items) <= _BLOCK:
         units = rel = 0
         for a, (wa, ka, _, ma) in enumerate(items):
+            row = rows[ma]
             for wb, kb, _, mb in items[a + 1:]:
                 if ka < kb:
                     units += wa * wb
-                    rel += wa * wb * price(ma, mb)
+                    rel += wa * wb * (row.get(mb) or fill(ma, mb))
         return units, rel
     groups = _groups(items)
     # a coordinate on which every item agrees adds nothing to any distance

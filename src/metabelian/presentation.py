@@ -153,6 +153,16 @@ class Presentation:
         return {n: i for i, n in enumerate(self.t_names)}
 
     @cached_property
+    def _later(self) -> dict[str, tuple[int, tuple[tuple[int, int], ...]]]:
+        """``name -> (i, ((j, order), ...))``: the position of a t-generator
+        and each later position with its torsion order, last first, the
+        letters a unit of it crosses while a conjugator is ordered."""
+        orders = self.torsion_orders
+        return {n: (i, tuple((j, orders[j])
+                             for j in range(len(orders) - 1, i, -1)))
+                for i, n in enumerate(self.t_names)}
+
+    @cached_property
     def _cyclic(self) -> tuple[tuple[int, int], ...]:
         """``(position, order)`` of each torsion t-generator."""
         return tuple((i, d) for i, d in enumerate(self.torsion_orders) if d)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .elements import Ambient, ModuleElement
 from .presentation import (GroupWord, Presentation, TamenessDatum, commutator,

@@ -238,16 +238,22 @@ def test_syllable_tail_step_matches_unit_reference(case):
 def test_crossing_pricing_returns_the_first_row(case):
     """``_price_crossing`` returns, head by head, the exponent sums of row
     ``|power|``, the first in word order: they wrap to the vectors of
-    ``conjugator(head, |power|)``."""
+    ``conjugator(head, |power|)``.  It charges what pricing every row's
+    conjugators one by one charges."""
     p, tail = case
     wrap = p.module_ambient().wrap
     for crossing in _collect_units(_condense(tail.letters), p, CostLedger()):
         template = crossing.template(p._t_positions)
-        sums = _price_crossing(crossing, template, p, CostLedger())
+        ledger, by_conjugator = CostLedger(), CostLedger()
+        sums = _price_crossing(crossing, template, p, ledger)
         rows = abs(crossing.power)
         assert [wrap(s) for s in sums] == [
             exponent_sums(GroupWord.from_letters(crossing.conjugator(head, rows)), p)
             for _, _, head in template]
+        for _, _, head in template:
+            for k in range(1, rows + 1):
+                _price_conjugator(crossing.conjugator(head, k), p, by_conjugator)
+        assert ledger == by_conjugator
 
 
 def _unit_reference_form(w: GroupWord, p):
@@ -567,10 +573,25 @@ def _unit_run_price(base, b, d):
                for e in (range(b) if b > 0 else range(-1, b - 1, -1)))
 
 
-@given(st.sampled_from((0, 2, 3, 5)), st.integers(-60, 60), st.integers(0, 6))
+@given(st.sampled_from((2, 3, 5)), st.integers(-60, 60), st.integers(0, 6))
 def test_run_price_matches_unit_loop(d, b, base):
     assert _run_price(base, 0 if b > 0 else 1, abs(b), d) == \
         _unit_run_price(base, b, d)
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60), st.sampled_from((1, -1)))
+def test_free_run_price_matches_unit_loop(c, b, eps):
+    """A run on a free coordinate is priced inline by ``_price_conjugator``:
+    in ``u2^b*t1^c*u1^eps`` (names in the order u1, u2, t1), only u1
+    crosses anything: the run of t1 from the template's length, then the
+    run of u2 from that plus ``|c|``."""
+    ledger = CostLedger()
+    letters = _condense((("u2", b), ("t1", c), ("u1", eps)))
+    _price_conjugator(letters, _TAIL_PRESETS[1], ledger)
+    base = 1 if eps < 0 else 0
+    assert ledger.rel_r2_normalize == (_unit_run_price(base, c, 0)
+                                       + _unit_run_price(base + abs(c), b, 0))
+    assert ledger.r2_commutations == abs(b) + abs(c)
 
 
 def _pairwise_sort_charge(sequence, amb):
@@ -703,9 +724,13 @@ def test_cancel_matches_full_table(case):
     def price(m, n):
         return prices[min(m, n), max(m, n)]
 
+    def fill(m, n):
+        raise AssertionError(f"price {m}, {n} missing from a full row")
+    monos = range(max(n for _, n in prices) + 1)
+    rows = [{n: price(m, n) for n in monos} for m in monos]
     got = [list(item) for item in items]
     want = [list(item) for item in items]
-    assert _cancel(got, group, mono, price) == \
+    assert _cancel(got, group, mono, rows, fill) == \
         _reference_cancel(want, group, mono, price)
     assert got == want
 
@@ -839,10 +864,13 @@ def test_inversion_charge_matches_pairs(case):
                 units += wa * wb
                 rel += wa * wb * max(1, 4 * d - 3)
     exps_of = {m: exps for _, _, exps, m in items}
+    rows: dict = {m: {} for m in exps_of}
 
-    def price(m, n):
-        return _merge_price(amb, exps_of[m], exps_of[n])
-    assert _inversion_charge(items, amb.torsion, price) == (units, rel)
+    def fill(m, n):
+        price = rows[m][n] = rows[n][m] = _merge_price(amb, exps_of[m],
+                                                       exps_of[n])
+        return price
+    assert _inversion_charge(items, amb.torsion, rows, fill) == (units, rel)
 
 
 # wf without torsion, with torsion (3,), and wf(1,1) with torsion (5, 2)
