@@ -35,17 +35,26 @@ of ``_law_inputs``, the words the benchmark's ``Group.metabelian_law`` draws
 from ``random.Random(5)`` with four factors of 3 to 10 letters, in
 ``wf(r=1,k=2)``, Baumslag's Gamma and ``free_abelian``.  Their unit
 conjugates make long greedy cancellations.  The same command regenerates it.
+
+``golden/commands.jsonl`` holds one line per experiment command of
+``_command_inputs``: its arguments, the presentation file it reads, if any,
+and the exit code and standard output of ``cli.main``.  The same command
+regenerates it.
 """
 
 import dataclasses
+import io
 import json
 import os
 import random
+import tempfile
+from contextlib import redirect_stdout
 
 import pytest
 
 from _helpers import GAMMA, random_element, random_kernel_word
 from metabelian.bounds import Bound
+from metabelian.cli import main
 from metabelian.collection import ordered_form, relator_module
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.groebner import buchberger_strong, verify_certificate
@@ -59,6 +68,7 @@ LEDGER = os.path.join(os.path.dirname(__file__), "golden", "ledger.jsonl")
 PARSE = os.path.join(os.path.dirname(__file__), "golden", "parse.jsonl")
 GRIDS = os.path.join(os.path.dirname(__file__), "golden", "grids.jsonl")
 LAWS = os.path.join(os.path.dirname(__file__), "golden", "laws.jsonl")
+COMMANDS = os.path.join(os.path.dirname(__file__), "golden", "commands.jsonl")
 RANDOM_AMBIENT = Ambient(("x",), (0,), 2, ("e1", "e2"), laurent=False)
 PARSE_MODULE = Ambient(("t", "s"), (0, 3), 2, ("e1", "e2"), laurent=True)
 PARSE_RING = PARSE_MODULE.ring()
@@ -612,6 +622,64 @@ def test_parse_byte_identical():
     assert [got for got, want in lines if got != want] == []
 
 
+# A rank-2 datum with one element per sign pattern of (s, t).
+_RANK2 = {"module_generators": ["a", "c"], "free_generators": ["s", "t"],
+          "commutator_table": [{"pair": ["s", "t"], "equals": "c"}],
+          "relators": ["c"],
+          "lambda": {"centralizer": ["s*t", "s*t^-1"],
+                     "co_centralizer": ["s^-1*t", "s^-1*t^-1"]}}
+
+
+def _command_inputs():
+    """The experiment commands: ``constants``, ``nf`` across the inverse
+    and torsion variables, ``profile`` with each witness family,
+    ``module-dehn`` and ``oracle``.  A ``file`` is written where ``-p``
+    names it."""
+    bs2 = ["--preset", "bs", "--n", "2"]
+    return [{"argv": ["constants", *bs2]},
+            {"argv": ["constants", "-p", "rank2.json"], "file": _RANK2},
+            {"argv": ["nf", *bs2, "-e", "t^-3*a + t^2*a"]},
+            {"argv": ["nf", "--preset", "baumslag_gamma", "-e", "s^-1*a - t*b"]},
+            {"argv": ["nf", "--preset", "wf", "--k", "2", "--orders", "3",
+                      "-e", "t3^-1*u1^-2*a1"]},
+            {"argv": ["profile", "--preset", "bs", "--n", "3"]},
+            {"argv": ["profile", "--preset", "wf"]},
+            {"argv": ["profile", "--preset", "free_abelian"]},
+            {"argv": ["module-dehn", *bs2, "-n", "5"]},
+            {"argv": ["oracle", *bs2, "-e", "t^-2*a - 4*a", "--budget", "3,4,6"]}]
+
+
+def _command_line(entry, folder) -> dict:
+    """``entry`` with the exit code and standard output of ``cli.main``, its
+    file written into ``folder``."""
+    argv = list(entry["argv"])
+    if "file" in entry:
+        at = argv.index("-p") + 1
+        argv[at] = os.path.join(folder, argv[at])
+        with open(argv[at], "w", encoding="utf-8") as fh:
+            json.dump(entry["file"], fh)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return dict(entry, code=code, stdout=out.getvalue())
+
+
+COMMAND_ENTRIES = _load(COMMANDS) if os.path.exists(COMMANDS) else []
+
+
+def test_command_inputs_unchanged():
+    assert [{k: v for k, v in e.items() if k not in ("code", "stdout")}
+            for e in COMMAND_ENTRIES] == _command_inputs()
+
+
+@pytest.mark.parametrize("entry", COMMAND_ENTRIES,
+                         ids=[" ".join(e["argv"][:3]) for e in COMMAND_ENTRIES])
+def test_command_output_byte_identical(entry, tmp_path):
+    line = _command_line({k: v for k, v in entry.items()
+                          if k not in ("code", "stdout")}, str(tmp_path))
+    assert json.dumps(line, sort_keys=True) == json.dumps(entry, sort_keys=True)
+
+
 def _check_provenance(basis):
     """Where the basis records ``provenance`` (each generator as a combination
     of ``origin``), check it.  The engine records none now; the differential
@@ -626,8 +694,8 @@ def _check_provenance(basis):
 def _rewrite():
     """Re-render the certificates of the words already in the golden file,
     the Groebner bases of ``_groebner_inputs``, the ledgers of
-    ``_ledger_inputs``, ``_grid_inputs`` and ``_law_inputs`` and the parses of
-    ``_parse_inputs``."""
+    ``_ledger_inputs``, ``_grid_inputs`` and ``_law_inputs``, the parses of
+    ``_parse_inputs`` and the outputs of ``_command_inputs``."""
     lines = []
     for entry in _load():
         _, cert = _solve(entry)
@@ -658,6 +726,11 @@ def _rewrite():
     lines = [json.dumps(_parse_line(entry), sort_keys=True)
              for entry in _parse_inputs()]
     with open(PARSE, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with tempfile.TemporaryDirectory() as folder:
+        lines = [json.dumps(_command_line(entry, folder), sort_keys=True)
+                 for entry in _command_inputs()]
+    with open(COMMANDS, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
