@@ -12,10 +12,10 @@ import json
 import sys
 
 from .bounds import _decimal
-from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, parse_element
+from .elements import Ambient, parse_element
 from .errors import BudgetExceeded, ParseError
 from .geometry import presentation_constants, tameness_check
-from .groebner import divide_with_certificate, normal_form
+from .groebner import divide_with_certificate, laurent_normal_form
 from .presentation import Presentation, parse_presentation, parse_word
 from .presets import (PRESET_NAMES, PresetSpec, build, norm_growth,
                       witness_family)
@@ -193,7 +193,7 @@ def _run(args) -> int:
         g = parse_element(args.element, p.module_ambient())
         ctx = module_context(p)
         if cmd == "nf":
-            nf = _normal_form(g, ctx)
+            nf = laurent_normal_form(g, ctx.basis)
             _emit_json({"input": g.render(), "normal_form": nf.render(),
                         "is_zero": nf.is_zero()})
             return 0
@@ -245,44 +245,11 @@ def _run(args) -> int:
         if report.R is None:
             doc["diagnostic"] = ("4kC - 4 <= 0: supply a datum with larger C "
                                  "(e.g. powers of its elements)")
-        doc["tame"], _ = tameness_check(
-            p.tameness, max(1, p.free_rank),
-            tuple(i for i, d in enumerate(p.torsion_orders) if d == 0))
+        doc["tame"], _ = tameness_check(p.tameness, p.free_rank)
         _emit_json(doc)
         return 0
 
     raise ParseError(f"unknown command {cmd!r}")
-
-
-def _normal_form(g: ModuleElement, ctx) -> ModuleElement:
-    """The normal form of a Laurent element, as a Laurent element.
-
-    ``ctx.embed`` shifts an element by its own unit monomial, which keeps
-    membership but not the class: ``a`` and ``t^-1*a`` would embed alike.
-    Here ``t^-k`` becomes ``t__inv^k`` instead (the basis holds
-    ``t*t__inv - 1``), so equal classes reduce to one residue, whose term
-    ``t^i*t__inv^j`` is read back as ``t^(i - j)``.
-    """
-    # the ambient ``ctx.embed`` maps into: an empty basis names none
-    amb, poly = g.ambient, ctx.embed(g).ambient
-    inverse = [(i, poly.variables.index(amb.variables[i] + INVERSE_SUFFIX))
-               for i, d in enumerate(amb.torsion) if not d]
-    pad = (0,) * (poly.nvars - amb.nvars)
-    raw = {}
-    for (exps, basis), c in g.as_dict().items():
-        substituted = [max(e, 0) for e in exps] + list(pad)
-        for i, j in inverse:
-            substituted[j] = max(-exps[i], 0)
-        raw[tuple(substituted), basis] = c
-    residue = normal_form(ModuleElement.from_dict(poly, raw), ctx.basis)
-    back = {}
-    for (exps, basis), c in residue.as_dict().items():
-        laurent = list(exps[:amb.nvars])
-        for i, j in inverse:
-            laurent[i] -= exps[j]
-        key = (tuple(laurent), basis)
-        back[key] = back.get(key, 0) + c
-    return ModuleElement.from_dict(amb, back)
 
 
 def _parse_growth_poly(text: str):

@@ -60,16 +60,6 @@ class CostLedger:
         }
 
 
-# Sign cases for one adjacent swap t_j^delta * t_s^eps -> t_s^eps * t_j^delta * c^g,
-# c = [t_s, t_j]; values are (sign of c, local conjugator letters in s/j slots).
-_SWAP_CASES = {
-    (1, 1): (-1, ()),
-    (1, -1): (1, (("j", -1),)),
-    (-1, 1): (1, (("s", -1),)),
-    (-1, -1): (-1, (("j", -1), ("s", -1))),
-}
-
-
 def split_conjugates(w: GroupWord, p: Presentation):
     """Free rewrite w = prod_i b_i^{v_i} * tail with v_i the inverse prefix.
 
@@ -96,11 +86,14 @@ class _Crossing(NamedTuple):
 
     Its emissions form a block of ``|power|`` rows.  Row ``k`` holds the
     emissions of the ``k``-th unit moved, one per unit of the middle it
-    crosses; each conjugator is a template head (the swap template of
-    ``_SWAP_CASES``, the rest of the crossed syllable and the syllables
-    after it) followed by ``t_var^(power - k*eps)``, the units not yet
-    moved (``eps`` the sign of ``power``), and ``rest``.  A head does not depend on ``k``, so row k's
+    crosses; each conjugator is a template head (the swap template, the
+    rest of the crossed syllable and the syllables after it) followed by
+    ``t_var^(power - k*eps)``, the units not yet moved (``eps`` the sign of
+    ``power``), and ``rest``.  A head does not depend on ``k``, so row k's
     exponent vectors are row 1's shifted by ``-(k-1)*eps`` at ``var``.
+    Swapping ``t_j^delta * t_s^eps`` emits ``[t_s, t_j]`` with sign
+    ``-eps*delta`` and the swap template ``t_j^-1`` when ``delta < 0``,
+    then ``t_s^-1`` when ``eps < 0``.
     """
     var: int
     name: str
@@ -117,10 +110,10 @@ class _Crossing(NamedTuple):
         row = []
         for m, (other, b) in enumerate(self.middle):
             delta = 1 if b > 0 else -1
-            sign, swap = _SWAP_CASES[eps, delta]
-            head = [(self.name if slot == "s" else other, e) for slot, e in swap]
+            head = [(other, -1)] * (delta < 0) + [(self.name, -1)] * (eps < 0)
             after = list(self.middle[m + 1:])
-            row += [(sign, index[other], head + [(other, delta * crossed)] + after)
+            row += [(-eps * delta, index[other],
+                     head + [(other, delta * crossed)] + after)
                     for crossed in range(abs(b) - 1, -1, -1)]
         return row
 
@@ -215,8 +208,8 @@ def _price_conjugator(letters, p: Presentation, ledger: CostLedger):
     conjugate per unit crossed.  Emission pairs cancel around the conjugated
     letter: two r1 to turn the pair into module letters plus one commutation
     each, priced relatively by the length of the emission's conjugator.
-    That conjugator is the swap template of ``_SWAP_CASES`` (t_s^-1 when
-    eps < 0, t_j^-1 when the crossed unit is negative) followed by the units
+    That conjugator is the swap template of ``_Crossing`` (t_j^-1 when the
+    crossed unit is negative, then t_s^-1 when eps < 0) followed by the units
     already crossed.  It reads only exponents j > s, which pushing t_s
     leaves alone, so every unit of the syllable pays the same: the syllable
     is charged once, times ``|exp|``.  The crossings of each t_j are priced

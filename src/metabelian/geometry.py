@@ -22,12 +22,12 @@ from .errors import TamenessViolation
 from .presentation import Presentation, TamenessDatum
 
 
-def support_vectors(datum: TamenessDatum, free_positions) -> list[list[tuple]]:
-    """One finite vector set per datum element, free coordinates only."""
+def support_vectors(datum: TamenessDatum, k: int) -> list[list[tuple]]:
+    """One finite vector set per datum element, over its first ``k``
+    coordinates: a presentation's free t-generators come first."""
     family = []
     for lam in datum.all_elements():
-        vecs = {tuple(exps[i] for i in free_positions)
-                for exps, _ in lam.as_dict()}
+        vecs = {exps[:k] for exps, _ in lam.as_dict()}
         family.append(sorted(vecs))
     return family
 
@@ -101,20 +101,14 @@ def _mesh_radius(k: int, n: int) -> float:
     return 4.0 / n ** (1.0 / max(1, k - 1))
 
 
-def geometry_constants(datum: TamenessDatum, k: int,
-                       free_positions=None) -> GeometryReport:
-    """Compute the report; raises TamenessViolation on a bad direction.
-
-    ``free_positions`` selects the infinite-order coordinates of the datum's
-    exponent vectors; by default the first ``k`` positions are taken.
-    """
+def geometry_constants(datum: TamenessDatum, k: int) -> GeometryReport:
+    """Compute the report over the datum's first ``k`` coordinates; raises
+    TamenessViolation on a bad direction."""
     if k < 1:
         raise ValueError("need k >= 1")
     if not datum.all_elements():
         raise TamenessViolation("empty tameness datum", direction=None)
-    if free_positions is None:
-        free_positions = tuple(range(k))
-    family = support_vectors(datum, free_positions)
+    family = support_vectors(datum, k)
     D = max(min(math.sqrt(_dot(y, y)) for y in vecs) for vecs in family)
 
     if k == 1:
@@ -133,21 +127,15 @@ def geometry_constants(datum: TamenessDatum, k: int,
                         for vecs in family) or 1.0
         n = 64
         prev = None
-        C = 0.0
         while True:
-            worst = None
-            low = None
-            for u in _directions(k, n):
-                v = _f_value(u, family)
-                if worst is None or v < worst[0]:
-                    worst = (v, u)
-                cand = v - lipschitz * _mesh_radius(k, n)
-                low = cand if low is None else min(low, cand)
+            worst = min(((_f_value(u, family), u) for u in _directions(k, n)),
+                        key=lambda pair: pair[0])
             if worst[0] <= 0:
                 raise TamenessViolation(
                     f"direction {worst[1]} has max-min inner product "
                     f"{worst[0]} <= 0", direction=worst[1])
-            C = low
+            # v - c rounds monotonically in v: the least corrected value
+            C = worst[0] - lipschitz * _mesh_radius(k, n)
             settled = prev is not None and abs(C - prev) <= 0.01 * max(abs(C), 1e-12)
             if settled or n >= 1 << 16:
                 break
@@ -170,15 +158,14 @@ def geometry_constants(datum: TamenessDatum, k: int,
                           method=method)
 
 
-def tameness_check(datum: TamenessDatum, k: int, free_positions=None):
-    """``(verdict, info)``: exact on the two directions for k = 1, sampled on
-    4096 directions for k >= 2; ``info`` gives the number of directions and
-    the least max-min inner product over them."""
-    if free_positions is None:
-        free_positions = tuple(range(k))
+def tameness_check(datum: TamenessDatum, k: int):
+    """``(verdict, info)`` over the datum's first ``k`` coordinates: exact on
+    the two directions for k = 1, sampled on 4096 directions for k >= 2;
+    ``info`` gives the number of directions and the least max-min inner
+    product over them."""
     if not datum.all_elements():
         return False, {"directions": 0, "min_value": None}
-    family = support_vectors(datum, free_positions)
+    family = support_vectors(datum, k)
     n = 2 if k == 1 else 4096
     low = min(_f_value(u, family) for u in _directions(k, n))
     return low > 0, {"directions": n, "min_value": low}
@@ -188,6 +175,7 @@ def presentation_constants(p: Presentation) -> GeometryReport:
     """Constants of a presentation's tameness datum over its free generators."""
     if p.tameness is None:
         raise TamenessViolation("presentation has no tameness datum")
-    k = p.free_rank
-    free_positions = tuple(i for i, d in enumerate(p.torsion_orders) if d == 0)
-    return geometry_constants(p.tameness, k, free_positions)
+    if not p.free_rank:
+        raise TamenessViolation("presentation has no free t-generator, so its "
+                                "tameness datum has no directions to cover")
+    return geometry_constants(p.tameness, p.free_rank)

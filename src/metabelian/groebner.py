@@ -119,6 +119,15 @@ def _add_multiple(terms: dict, table, c: int, u: tuple):
             del terms[key]
 
 
+def _spend(budget: list, steps: int, what: str):
+    """Charge ``steps`` to ``budget``, a one-element list of steps left
+    shared across the calls of one construction or division: the step
+    after it runs out raises BudgetExceeded naming ``what``."""
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise BudgetExceeded(f"{what} exceeded its step budget")
+
+
 def _descending(key):
     """Heap entry for a monomial key: heapq pops the largest monomial first."""
     exps, basis = key
@@ -135,12 +144,10 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     (ties to the lowest index).  That remainder is irreducible: a generator
     that could reduce it could reduce the term too, leaving a smaller
     remainder.  A reduction only changes terms below the one it reduces, so
-    this is the fixed point of ``_reduce_step``, step for step.  ``budget``
-    is a one-element list of steps left, shared across the calls of one
-    construction; the step after it runs out raises BudgetExceeded naming
-    ``what``.  With ``alphas`` (the term dicts of ring elements, aligned with
-    ``tables``) each quotient term is added to the alpha of the generator it
-    used.  ``_divide`` first takes off the terms on basis vectors the basis
+    this is the fixed point of ``_reduce_step``, step for step, each step
+    charged by ``_spend(budget, 1, what)``.  With ``alphas`` (the term dicts
+    of ring elements, aligned with ``tables``) each quotient term is added
+    to the alpha of the generator it used.  ``_divide`` first takes off the terms on basis vectors the basis
     kills outright (``_split_killed``), which this loop would reduce one
     step each with nothing left.
     """
@@ -164,9 +171,7 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
                 best = (r, idx, q)
         if best is not None:
             r, idx, q = best
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BudgetExceeded(f"{what} exceeded its step budget")
+            _spend(budget, 1, what)
             lead, _, _, tail = tables[idx]
             u = tuple(map(sub, exps, lead))
             for texps, b, coeff in tail:
@@ -215,9 +220,7 @@ def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
             rest[key] = c
         elif alphas is not None:
             alphas[idx][key[0], None] = c
-    budget[0] -= len(g._raw) - len(rest)
-    if budget[0] < 0:
-        raise BudgetExceeded(f"{what} exceeded its step budget")
+    _spend(budget, len(g._raw) - len(rest), what)
     return rest
 
 
@@ -433,9 +436,7 @@ def _run(ambient: Ambient, b, group, budget: list, what: str) -> list:
         _runs.put(key, (found, left - budget[0]))
         return found
     found, steps = run
-    budget[0] -= steps
-    if budget[0] < 0:
-        raise BudgetExceeded(f"{what} exceeded its step budget")
+    _spend(budget, steps, what)
     return [(ModuleElement._of(ambient, {(exps, b): c for (exps, _), c
                                          in f._raw.items()}), (lead, b))
             for f, (lead, _) in found]
@@ -605,9 +606,9 @@ def laurent_embed(F, ambient: Ambient):
     """Embed Laurent-module generators ``F`` of ``ambient`` into a
     polynomial ambient.
 
-    Introduces an inverse variable for every infinite-order variable, shifts
-    each generator to non-negative exponents by a unit monomial, and appends
-    the unit relators ``t_i*s_i - 1`` (free) and ``t_i^(d_i) - 1`` (torsion)
+    Introduces an inverse variable for every infinite-order variable, the
+    j-th one's at position ``nvars + j``, shifts each generator to
+    non-negative exponents by a unit monomial, and appends the unit relators ``t_i*s_i - 1`` (free) and ``t_i^(d_i) - 1`` (torsion)
     in every basis component.  Returns ``(poly_ambient, embedded_generators,
     embed)`` where ``embed`` maps further Laurent elements into the
     polynomial ambient the same way.
@@ -645,3 +646,31 @@ def laurent_embed(F, ambient: Ambient):
     embedded += [ModuleElement.from_dict(poly, {(u, b): 1, (zero, b): -1})
                  for u in units for b in range(1, ambient.rank + 1)]
     return poly, embedded, embed
+
+
+def laurent_normal_form(g: ModuleElement, G: GroebnerBasis) -> ModuleElement:
+    """The normal form of a Laurent element modulo ``G``, a basis in the
+    ambient ``laurent_embed`` builds for ``g.ambient``, as a Laurent element.
+
+    ``embed`` shifts an element by its own unit monomial, which keeps
+    membership but not the class: ``a`` and ``t^-1*a`` would embed alike.
+    Here ``t^-k`` becomes ``t__inv^k`` instead (the basis holds
+    ``t*t__inv - 1``), so equal classes reduce to one residue, whose term
+    ``t^i*t__inv^j`` is read back as ``t^(i - j)``.  An empty basis leaves
+    ``g`` as it is."""
+    if not G.generators:
+        return g
+    amb = g.ambient
+    free_idx = [i for i, d in enumerate(amb.torsion) if d == 0]
+    raw = {(tuple(max(e, 0) for e in exps)
+            + tuple(max(-exps[i], 0) for i in free_idx), basis): c
+           for (exps, basis), c in g._raw.items()}
+    residue = normal_form(ModuleElement._of(G.ambient, raw), G)
+    back = {}
+    for (exps, basis), c in residue._raw.items():
+        laurent = list(exps[:amb.nvars])
+        for j, i in enumerate(free_idx):
+            laurent[i] -= exps[amb.nvars + j]
+        key = (tuple(laurent), basis)
+        back[key] = back.get(key, 0) + c
+    return ModuleElement.from_dict(amb, back)

@@ -129,7 +129,7 @@ def _build_wf(spec: PresetSpec) -> Presentation:
         relators.append(_word(((name, order),)))
     for i, a in enumerate(a_names):
         for j, u in enumerate(u_names):
-            relators.append(_action_relator(a, u, t_names[j], spec.fs[j]))
+            relators.append(_action_relator(a, u, 1, t_names[j], spec.fs[j]))
     # conjugate commutativity inside the exponent box (the t-part only)
     box = _exponent_box(t_names + tor_names,
                         [len(f) - 1 for f in spec.fs] + [d - 1 for d in
@@ -146,9 +146,9 @@ def _build_wf(spec: PresetSpec) -> Presentation:
         commutator_table=table)
 
 
-def _action_relator(a: str, u: str, t: str, coeffs) -> GroupWord:
-    """a^u times the inverse of prod_e (a^{c_e})^{t^e}."""
-    action = _word(((u, -1), (a, 1), (u, 1)))
+def _action_relator(a: str, u: str, n: int, t: str, coeffs) -> GroupWord:
+    """a^(u^n) times the inverse of prod_e (a^{c_e})^{t^e}."""
+    action = _word(((u, -n), (a, 1), (u, n)))
     f_side = GroupWord(())
     for e, c in enumerate(coeffs):
         if c == 0:
@@ -194,11 +194,9 @@ def witness_family(spec: PresetSpec):
             power = f1
             for _ in range(n - 1):
                 power = power.mul_ring(f1)
-            f_side = GroupWord(())
-            for ((e,), _), c in sorted(power.as_dict().items()):
-                f_side = f_side * _word(((t, -e), (a, c), (t, e)))
-            action = _word(((u, -n), (a, 1), (u, n))) * f_side.inverse()
-            return [probe, action]
+            raw = power.as_dict()
+            coeffs = [raw.get(((e,), None), 0) for e in range(power.degree + 1)]
+            return [probe, _action_relator(a, u, n, t, coeffs)]
         return family
 
     def family(n: int):

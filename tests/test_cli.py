@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from metabelian.cli import _normal_form, main
+from metabelian.cli import main
 from metabelian.elements import ModuleElement
-from metabelian.groebner import normal_form
+from metabelian.groebner import laurent_normal_form, normal_form
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import module_context
 
@@ -314,6 +314,21 @@ class TestExitCodes:
         code, out = run(["solve", "-p", str(path), "-w", "a"])
         assert code == 2 and out == ""
 
+    def test_constants_without_free_generator(self, tmp_path, capsys):
+        """A datum over torsion generators alone has no direction to cover,
+        and the message says so."""
+        path = tmp_path / "torsion.json"
+        path.write_text(json.dumps({
+            "module_generators": ["a"],
+            "torsion_generators": [{"name": "s", "order": 3}],
+            "relators": ["a^s*a^-2"],
+            "lambda": {"centralizer": ["2*s"], "co_centralizer": ["2*s^2"]}}))
+        code, out = run(["constants", "-p", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: presentation has no free t-generator, so its tameness "
+            "datum has no directions to cover\n")
+
     def test_malformed_file_exits_2_without_traceback(self, tmp_path):
         from _helpers import BS2
         doc = BS2.to_json()
@@ -451,10 +466,10 @@ def test_nf_is_a_class_invariant(spec):
             (tuple(rng.randint(-2, 2) for _ in range(amb.nvars)),
              rng.randint(1, amb.rank)): rng.choice((-2, -1, 1, 3))
             for _ in range(rng.randint(0, 3))})
-        nf = _normal_form(g, ctx)
-        assert _normal_form(nf, ctx) == nf
+        nf = laurent_normal_form(g, ctx.basis)
+        assert laurent_normal_form(nf, ctx.basis) == nf
         assert nf.is_zero() == normal_form(ctx.embed(g), ctx.basis).is_zero()
         for v in rng.sample(vectors, min(3, len(vectors))):
             shift = tuple(rng.randint(-2, 2) for _ in range(amb.nvars))
             moved = g + v.scale_translate(rng.choice((-2, -1, 1, 2)), shift)
-            assert _normal_form(moved, ctx) == nf
+            assert laurent_normal_form(moved, ctx.basis) == nf

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_kernel_word, render_ordered_word)
 from metabelian import collection
-from metabelian.collection import (_BLOCK, _SWAP_CASES, CostLedger,
+from metabelian.collection import (_BLOCK, CostLedger,
                                    _block_charge, _cancel, _charge_merge,
                                    _collect_units,
                                    _inversion_charge, _merge_price,
@@ -148,6 +148,17 @@ def _reference_cancel_units(units):
     return out
 
 
+# One adjacent swap t_j^delta * t_s^eps -> t_s^eps * t_j^delta * c^g with
+# c = [t_s, t_j], keyed (eps, delta): the sign of c and the letters of g in
+# s/j slots.  Written out case by case, apart from the library's rule.
+_REFERENCE_SWAPS = {
+    (1, 1): (-1, ()),
+    (1, -1): (1, (("j", -1),)),
+    (-1, 1): (1, (("s", -1),)),
+    (-1, -1): (-1, (("j", -1), ("s", -1))),
+}
+
+
 def _reference_collect_units(tail: GroupWord, p):
     """The tail step on unit letters: the working word is exploded into
     units and freely reduced again after each unit is moved to the front;
@@ -179,7 +190,7 @@ def _reference_collect_units(tail: GroupWord, p):
             cut += 1
         for q in range(pos, front, -1):
             other, delta = letters[q - 1]
-            sign, template = _SWAP_CASES[(eps, delta)]
+            sign, template = _REFERENCE_SWAPS[(eps, delta)]
             head = [(name if slot == "s" else other, e) for slot, e in template]
             k = min(cut, pos - q)
             body = letters[q:pos - k] + rest[k:]

@@ -114,7 +114,7 @@ class TestRankTwoSampling:
         # so the sampled minimum equals the exact constant
         from metabelian.geometry import _directions, _f_value, support_vectors
         datum = datum1("3*t^2", co=("3*t^-2",))
-        family = support_vectors(datum, (0,))
+        family = support_vectors(datum, 1)
         exact = geometry_constants(datum, 1)
         sampled = min(_f_value(u, family) for u in _directions(1, 2))
         assert sampled == exact.C
