@@ -8,7 +8,7 @@ from .errors import (AmbientMismatch, BudgetExceeded, ExponentSumError,
 from .geometry import GeometryReport, geometry_constants, tameness_check
 from .groebner import (DivisionCertificate, GroebnerBasis, buchberger_strong,
                        divide_with_certificate, growth_function, laurent_embed,
-                       normal_form, verify_certificate)
+                       normal_form, scope, verify_certificate)
 from .presentation import (GroupWord, Presentation, TamenessDatum,
                            exponent_sums, parse_presentation, parse_word)
 from .presets import PresetSpec, build, norm_growth, witness_family

@@ -12,13 +12,14 @@ and torsion problems embed via inverse variables and unit relators.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import add, le, neg, sub
-from threading import Lock
 
 from .bounds import Bound, _decimal
 from .elements import INVERSE_SUFFIX, Ambient, ModuleElement, _product, _sum
@@ -119,13 +120,44 @@ def _add_multiple(terms: dict, table, c: int, u: tuple):
             del terms[key]
 
 
-def _spend(budget: list, steps: int, what: str):
-    """Charge ``steps`` to ``budget``, a one-element list of steps left
-    shared across the calls of one construction or division: the step
-    after it runs out raises BudgetExceeded naming ``what``."""
-    budget[0] -= steps
-    if budget[0] < 0:
-        raise BudgetExceeded(f"{what} exceeded its step budget")
+class _Budget:
+    """The steps ``left`` to one scope or one call, and ``what`` now spends
+    them: the step after they run out raises BudgetExceeded naming it."""
+
+    __slots__ = ("left", "what")
+
+    def __init__(self, left: int, what: str = ""):
+        self.left, self.what = left, what
+
+    def spend(self, steps: int):
+        self.left -= steps
+        if self.left < 0:
+            raise BudgetExceeded(f"{self.what} exceeded its step budget")
+
+
+_scope: ContextVar = ContextVar("metabelian.scope", default=None)
+
+
+@contextmanager
+def scope(steps: int):
+    """One budget of ``steps`` steps, yielded, for every basis construction,
+    division and normal form inside the ``with`` block, in this thread or
+    task.  Outside any scope each call gets ``DEFAULT_STEP_BUDGET`` steps
+    of its own."""
+    budget = _Budget(steps)
+    token = _scope.set(budget)
+    try:
+        yield budget
+    finally:
+        _scope.reset(token)
+
+
+def _open(what: str) -> _Budget:
+    """The open scope's budget, or a fresh default one outside any scope,
+    now spent by ``what``: read once per entry point, not once per step."""
+    budget = _scope.get() or _Budget(DEFAULT_STEP_BUDGET)
+    budget.what = what
+    return budget
 
 
 def _descending(key):
@@ -134,7 +166,7 @@ def _descending(key):
     return (-sum(exps), tuple(map(neg, exps)), basis, key)
 
 
-def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
+def _reduce(ambient: Ambient, terms: dict, tables, budget: _Budget,
             alphas=None) -> ModuleElement:
     """Reduce ``terms`` modulo the generators of ``tables`` until irreducible.
 
@@ -145,7 +177,7 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     that could reduce it could reduce the term too, leaving a smaller
     remainder.  A reduction only changes terms below the one it reduces, so
     this is the fixed point of ``_reduce_step``, step for step, each step
-    charged by ``_spend(budget, 1, what)``.  With ``alphas`` (the term dicts
+    charged by ``budget.spend(1)``.  With ``alphas`` (the term dicts
     of ring elements, aligned with ``tables``) each quotient term is added
     to the alpha of the generator it used.  ``_divide`` first takes off the terms on basis vectors the basis
     kills outright (``_split_killed``), which this loop would reduce one
@@ -171,7 +203,7 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
                 best = (r, idx, q)
         if best is not None:
             r, idx, q = best
-            _spend(budget, 1, what)
+            budget.spend(1)
             lead, _, _, tail = tables[idx]
             u = tuple(map(sub, exps, lead))
             for texps, b, coeff in tail:
@@ -197,7 +229,7 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: list, what: str,
     return ModuleElement._of(ambient, residue)
 
 
-def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
+def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: _Budget,
                   alphas=None) -> dict:
     """The terms of ``g`` for ``_reduce``, after sending each term on a basis
     vector that ``G`` kills outright (``G._killed``) to its generator.
@@ -220,11 +252,11 @@ def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
             rest[key] = c
         elif alphas is not None:
             alphas[idx][key[0], None] = c
-    _spend(budget, len(g._raw) - len(rest), what)
+    budget.spend(len(g._raw) - len(rest))
     return rest
 
 
-def _divide(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
+def _divide(g: ModuleElement, G: "GroebnerBasis", budget: _Budget,
             alphas=None) -> ModuleElement:
     """The residue of ``g`` modulo ``G`` (``_split_killed``, then
     ``_reduce``), after checking that ``g`` lives in the basis' polynomial
@@ -232,15 +264,14 @@ def _divide(g: ModuleElement, G: "GroebnerBasis", budget: list, what: str,
     if G.generators and g.ambient != G.ambient:
         raise AmbientMismatch("element and basis live in different ambients")
     _check_polynomial(g)
-    terms = _split_killed(g, G, budget, what, alphas)
-    return _reduce(g.ambient, terms, G._tables, budget, what, alphas)
+    terms = _split_killed(g, G, budget, alphas)
+    return _reduce(g.ambient, terms, G._tables, budget, alphas)
 
 
-def normal_form(g: ModuleElement, G: "GroebnerBasis",
-                step_budget=DEFAULT_STEP_BUDGET) -> ModuleElement:
+def normal_form(g: ModuleElement, G: "GroebnerBasis") -> ModuleElement:
     """NF(g) modulo the basis ``G``: the fixed point of ``_reduce_step``,
     by the reduction ``divide_with_certificate`` makes, with no alphas."""
-    return _divide(g, G, [step_budget], "normal form")
+    return _divide(g, G, _open("normal form"))
 
 
 @dataclass(frozen=True)
@@ -328,71 +359,23 @@ def growth_function(k: int, n: int) -> int:
     return math.comb(n + k, k)
 
 
-# Runs kept by ``_runs``: about 2.6 MB when full.  Four for each of the 64
-# contexts ``module_context`` keeps; a many-groups context has at most three.
-_RUNS = 256
-
-_RunInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _RunTable:
-    """The ``maxsize`` strong-basis runs used last, for the whole process:
-    ``{key: (run's basis, its steps)}``.  ``cache_info()`` and
-    ``cache_clear()`` count and empty it as they do an ``lru_cache``; a lock
-    keeps the counts and the eviction whole across threads."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._lock = Lock()
-        self.cache_clear()
-
-    def get(self, key):
-        """The run of ``key``, now the most recent, or None."""
-        with self._lock:
-            run = self._runs.pop(key, None)
-            if run is None:
-                self._misses += 1
-                return None
-            self._hits += 1
-            self._runs[key] = run
-            return run
-
-    def put(self, key, run):
-        with self._lock:
-            self._runs[key] = run
-            if len(self._runs) > self.maxsize:
-                del self._runs[next(iter(self._runs))]
-
-    def cache_info(self):
-        with self._lock:
-            return _RunInfo(self._hits, self._misses, self.maxsize,
-                            len(self._runs))
-
-    def cache_clear(self):
-        with self._lock:
-            self._runs, self._hits, self._misses = {}, 0, 0
-
-
-_runs = _RunTable(_RUNS)
-
-
-def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
+def buchberger_strong(F) -> GroebnerBasis:
     """Strong Groebner basis of the submodule generated by ``F`` over ZZ.
 
     The nonzero generators are grouped by basis vector, in input order, or
     kept as one group when a generator has terms on two basis vectors.
     ``_strong`` runs once per distinct group, distinct up to the basis
-    index, and a group equal to one run before gets that run's basis moved
-    onto its own vector.  Runs are kept across calls in ``_runs``, keyed by
-    the ambient's variables and torsion and the group's term lists without
-    the basis index; a joint group is run every time and not kept.  That
-    is the basis one run over all of ``F`` computes: a pair never spans two
-    basis vectors, a term on ``e_b`` reduces only by generators on ``e_b``,
-    and the tie rules keep each group's generators in their relative
-    order, so each group's run is the joint run's subsequence, step for
-    step.  A copied group is charged its run's steps again, so the step
-    budget runs out at the joint run's total; a run that raises is not
-    kept.  The union is sorted by leading monomial, ``origin`` is ``F``.
+    index, and each group gets its run's basis moved onto its own vector.
+    Runs are kept across calls in ``_runs``, keyed by the ambient's
+    variables and torsion and the group's term lists without the basis
+    index; a joint group is run every time and not kept.  That is the
+    basis one run over all of ``F`` computes: a pair never spans two basis
+    vectors, a term on ``e_b`` reduces only by generators on ``e_b``, and
+    the tie rules keep each group's generators in their relative order, so
+    each group's run is the joint run's subsequence, step for step.  A
+    copied group is charged its run's steps again, so the step budget runs
+    out at the joint run's total; a run that raises is not kept.  The union
+    is sorted by leading monomial, ``origin`` is ``F``.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -402,8 +385,6 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
     if any(f.ambient != ambient for f in F):
         raise AmbientMismatch("generators live in different ambients")
 
-    what = "Groebner construction"
-    budget = [step_budget]
     groups: dict = {}
     for f in F:
         vectors = {b for _, b in f._raw}
@@ -411,38 +392,53 @@ def buchberger_strong(F, step_budget=DEFAULT_STEP_BUDGET) -> GroebnerBasis:
             groups = None
             break
         groups.setdefault(vectors.pop(), []).append(f)
-    if groups is None:
-        basis = _strong(ambient, F, budget, what)  # one joint group, not kept
-    else:
-        basis = []
-        for b, group in groups.items():
-            basis += _run(ambient, b, group, budget, what)
+    budget = _open("Groebner construction")
+    token = _scope.set(budget)  # where a miss in ``_runs`` finds it
+    try:
+        if groups is None:
+            basis = _strong(ambient, F, budget)  # one joint group, not kept
+        else:
+            basis = []
+            for b, group in groups.items():
+                basis += _run(ambient, b, group, budget)
+    finally:
+        _scope.reset(token)
     basis.sort(key=lambda entry: monomial_key(entry[1]))
     return GroebnerBasis(ambient=ambient, generators=tuple(f for f, _ in basis),
                          origin=tuple(F))
 
 
-def _run(ambient: Ambient, b, group, budget: list, what: str) -> list:
+# The 256 runs used last, for the whole process: about 2.6 MB when full.
+# Four for each of the 64 contexts ``module_context`` keeps; a many-groups
+# context has at most three.
+@lru_cache(maxsize=256)
+def _runs(variables: tuple, torsion: tuple, group: tuple) -> tuple:
+    """``(basis, steps)`` of ``_strong`` over the generators whose term
+    sets ``{(exponents, coefficient)}`` are ``group``, on ``e1`` of a
+    rank-one polynomial ambient, charging the budget of the open scope."""
+    ambient = Ambient(variables, torsion, 1, ("e1",), laurent=False)
+    budget = _scope.get()
+    left = budget.left
+    found = _strong(ambient, [ModuleElement._of(ambient, {
+        (exps, 1): c for exps, c in terms}) for terms in group], budget)
+    return found, left - budget.left
+
+
+def _run(ambient: Ambient, b, group, budget: _Budget) -> list:
     """``_strong`` of the generators ``group``, all on the basis vector
-    ``b``, taken from ``_runs`` when that holds the same run on any vector:
-    its basis moved onto ``b`` in ``ambient``, charged its steps again."""
-    key = (ambient.variables, ambient.torsion,
-           tuple(frozenset((exps, c) for (exps, _), c in f._raw.items())
-                 for f in group))
-    run = _runs.get(key)
-    if run is None:
-        left = budget[0]
-        found = _strong(ambient, group, budget, what)
-        _runs.put(key, (found, left - budget[0]))
-        return found
-    found, steps = run
-    _spend(budget, steps, what)
+    ``b``, through ``_runs``: its basis moved onto ``b`` in ``ambient``.  A
+    hit leaves ``budget`` as it was and is charged the run's steps."""
+    left = budget.left
+    found, steps = _runs(ambient.variables, ambient.torsion, tuple(
+        frozenset((exps, c) for (exps, _), c in f._raw.items()) for f in group))
+    if budget.left == left:
+        budget.spend(steps)
     return [(ModuleElement._of(ambient, {(exps, b): c for (exps, _), c
                                          in f._raw.items()}), (lead, b))
             for f, (lead, _) in found]
 
 
-def _strong(ambient: Ambient, F, budget: list, what: str) -> list:
+def _strong(ambient: Ambient, F, budget: _Budget) -> list:
     """The tail-autoreduced strong basis of the nonzero generators ``F``, as
     ``(generator, (lead exponents, lead basis))`` in the order the run
     leaves them.
@@ -472,7 +468,7 @@ def _strong(ambient: Ambient, F, budget: list, what: str) -> list:
     unit_single: list[bool] = []
 
     def add_element(terms: dict):
-        f = _reduce(ambient, terms, tables, budget, what)
+        f = _reduce(ambient, terms, tables, budget)
         if f.is_zero():
             return
         f, table = _positive(f)
@@ -515,7 +511,7 @@ def _strong(ambient: Ambient, F, budget: list, what: str) -> list:
         changed = False
         for idx in range(len(basis)):
             reduced = _reduce(ambient, basis[idx].as_dict(),
-                              tables[:idx] + tables[idx + 1:], budget, what)
+                              tables[:idx] + tables[idx + 1:], budget)
             if reduced.is_zero():
                 del basis[idx], tables[idx]
                 changed = True
@@ -542,8 +538,7 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
-                            step_budget=DEFAULT_STEP_BUDGET) -> DivisionCertificate:
+def divide_with_certificate(g: ModuleElement, G: GroebnerBasis) -> DivisionCertificate:
     """Divide ``g`` by the basis, with coefficients aligned to its generators.
 
     Always cancels the largest reducible term; the bound field evaluates the
@@ -555,12 +550,13 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis,
     with no new term, so the steps, alphas and residue are the heap's.
     """
     alphas = [{} for _ in G.generators]
-    budget = [step_budget]
-    residue = _divide(g, G, budget, "division", alphas)
+    budget = _open("division")
+    left = budget.left
+    residue = _divide(g, G, budget, alphas)
     ring = g.ambient.ring()
     coefficients = tuple(ModuleElement._of(ring, alpha) for alpha in alphas)
     size = sum(a.length for a in coefficients)
-    return DivisionCertificate(coefficients, residue, step_budget - budget[0],
+    return DivisionCertificate(coefficients, residue, left - budget.left,
                                size, certificate_bound(g, G))
 
 

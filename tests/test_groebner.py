@@ -10,17 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import element_key, random_element, terms
+from metabelian import groebner
 from metabelian.collection import relator_module
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.errors import AmbientMismatch, BudgetExceeded
-from metabelian.groebner import (GroebnerBasis, buchberger_strong,
+from metabelian.groebner import (GroebnerBasis, _Budget, buchberger_strong,
                                  certificate_bound, divide_with_certificate,
                                  _reduce, _reduce_step, _runs, _strong, _table,
                                  growth_function, laurent_embed, normal_form,
-                                 verify_certificate)
+                                 scope, verify_certificate)
 from metabelian.order import monomial_key
+from metabelian.presentation import parse_word
 from metabelian.presets import PresetSpec, build
-from metabelian.wordproblem import brute_force_min_certificate
+from metabelian.wordproblem import (brute_force_min_certificate, is_identity,
+                                    module_context)
 
 POLY1 = Ambient(("x",), (0,), 1, ("e1",), laurent=False)
 LAUR1 = Ambient(("t",), (0,), 1, ("a",), laurent=True)
@@ -259,7 +262,7 @@ def test_strong_basis_per_basis_vector(case):
     amb, gens = case
     gens = [f for f in gens if not f.is_zero()]
     gb = buchberger_strong(gens)
-    joint = _strong(amb, gens, [10 ** 6], "joint")
+    joint = _strong(amb, gens, _Budget(10 ** 6, "joint"))
     assert list(gb.generators) == [
         f for f, _ in sorted(joint, key=lambda entry: monomial_key(entry[1]))]
     one = Ambient(("x", "y"), (0, 0), 1, ("e1",), laurent=False)
@@ -385,7 +388,7 @@ def random_generators(rng, amb, big):
 def _reduce_list(g, gens, step_budget=10 ** 6):
     """``_reduce`` of ``g`` by a generator list, no basis and no alphas."""
     return _reduce(g.ambient, g.as_dict(), [_table(f) for f in gens],
-                   [step_budget], "normal form")
+                   _Budget(step_budget, "normal form"))
 
 
 class TestKernelDifferential:
@@ -412,14 +415,16 @@ class TestKernelDifferential:
             assert list(cert.coefficients) == alphas
             assert cert.steps == steps
             assert _reduce_list(g, gens) == residue
-            assert normal_form(g, basis, step_budget=steps) == residue
+            with scope(steps):
+                assert normal_form(g, basis) == residue
             checked += steps > 0
             if steps:
                 budget = rng.randrange(steps)
                 with pytest.raises(BudgetExceeded):
                     reference_division(g, gens, budget)
                 with pytest.raises(BudgetExceeded, match="division exceeded"):
-                    divide_with_certificate(g, basis, step_budget=budget)
+                    with scope(budget):
+                        divide_with_certificate(g, basis)
                 with pytest.raises(BudgetExceeded, match="normal form exceeded"):
                     _reduce_list(g, gens, step_budget=steps - 1)
                 raised += 1
@@ -491,9 +496,11 @@ class TestKilledVectors:
             assert normal_form(g, basis) == residue
             for budget in range(steps):
                 with pytest.raises(BudgetExceeded, match="division exceeded"):
-                    divide_with_certificate(g, basis, step_budget=budget)
+                    with scope(budget):
+                        divide_with_certificate(g, basis)
                 with pytest.raises(BudgetExceeded, match="normal form exceeded"):
-                    normal_form(g, basis, step_budget=budget)
+                    with scope(budget):
+                        normal_form(g, basis)
         assert killed == 40 and refused == 100
 
     def test_z2_commutator_skips_the_heap(self, monkeypatch):
@@ -607,15 +614,15 @@ class TestBudgets:
         gens = [parse_element("2*x*e1 + 3*y*e1", amb),
                 parse_element("3*x^2*e1 + 2*e1", amb),
                 parse_element("5*y^2*e1 + x*e1", amb)]
-        with pytest.raises(BudgetExceeded):
-            buchberger_strong(gens, step_budget=2)
+        with pytest.raises(BudgetExceeded), scope(2):
+            buchberger_strong(gens)
 
     def test_division_budget(self):
         from metabelian.errors import BudgetExceeded
         gb = buchberger_strong([const(2)])
         g = ModuleElement.from_dict(POLY1, {((i,), 1): 2 for i in range(10)})
-        with pytest.raises(BudgetExceeded):
-            divide_with_certificate(g, gb, step_budget=3)
+        with pytest.raises(BudgetExceeded), scope(3):
+            divide_with_certificate(g, gb)
 
     def test_construction_budget_boundary_with_copies(self):
         """The relator module of wf(r=2) holds the same ideal on a1 and a2:
@@ -624,23 +631,24 @@ class TestBudgets:
         message, whether the table is cold or warm from earlier calls."""
         p = build(PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1))))
         _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
-        budget = [10 ** 6]
-        _strong(gens[0].ambient, [f for f in gens if not f.is_zero()],
-                budget, "joint")
-        steps = 10 ** 6 - budget[0]
+        budget = _Budget(10 ** 6, "joint")
+        _strong(gens[0].ambient, [f for f in gens if not f.is_zero()], budget)
+        steps = 10 ** 6 - budget.left
         assert steps > 1
         message = "Groebner construction exceeded its step budget"
         _runs.cache_clear()
-        with pytest.raises(BudgetExceeded, match=message):
-            buchberger_strong(gens, step_budget=steps - 1)
+        with pytest.raises(BudgetExceeded, match=message), scope(steps - 1):
+            buchberger_strong(gens)
         _runs.cache_clear()
-        cold = buchberger_strong(gens, step_budget=steps)
+        with scope(steps):
+            cold = buchberger_strong(gens)
         assert cold == buchberger_strong(gens)
         # warm from the earlier calls: every group is a copy, charged again
         misses = _runs.cache_info().misses
-        assert buchberger_strong(gens, step_budget=steps) == cold
-        with pytest.raises(BudgetExceeded, match=message):
-            buchberger_strong(gens, step_budget=steps - 1)
+        with scope(steps):
+            assert buchberger_strong(gens) == cold
+        with pytest.raises(BudgetExceeded, match=message), scope(steps - 1):
+            buchberger_strong(gens)
         assert _runs.cache_info().misses == misses
 
     @pytest.mark.parametrize("run", [normal_form, divide_with_certificate])
@@ -653,11 +661,13 @@ class TestBudgets:
         while (out := _reduce_step(h, gb.generators)) is not None:
             h, steps = out[0], steps + 1
         assert steps > 1
-        run(g, gb, step_budget=steps)
-        with pytest.raises(BudgetExceeded):
-            run(g, gb, step_budget=steps - 1)
+        with scope(steps):
+            run(g, gb)
+        with pytest.raises(BudgetExceeded), scope(steps - 1):
+            run(g, gb)
         if run is divide_with_certificate:
-            assert run(g, gb, step_budget=steps).steps == steps
+            with scope(steps):
+                assert run(g, gb).steps == steps
 
 
 def _wf_pool():
@@ -725,12 +735,12 @@ class TestRunTable:
                 parse_element("3*x^2*e1 + 2*e1", amb),
                 parse_element("5*y^2*e1 + x*e1", amb)]
         _runs.cache_clear()
-        size = _runs.maxsize
-        with pytest.raises(BudgetExceeded):
-            buchberger_strong(gens, step_budget=2)
+        size = _runs.cache_info().maxsize
+        with pytest.raises(BudgetExceeded), scope(2):
+            buchberger_strong(gens)
         assert _runs.cache_info() == (0, 1, size, 0)
-        with pytest.raises(BudgetExceeded):
-            buchberger_strong(gens, step_budget=2)
+        with pytest.raises(BudgetExceeded), scope(2):
+            buchberger_strong(gens)
         assert _runs.cache_info() == (0, 2, size, 0)
         basis = buchberger_strong(gens)
         assert _runs.cache_info() == (0, 3, size, 1)
@@ -740,7 +750,7 @@ class TestRunTable:
         """More distinct runs than the bound keep the size at the bound,
         evicting the run used longest ago; clearing empties the table."""
         _runs.cache_clear()
-        size = _runs.maxsize
+        size = _runs.cache_info().maxsize
         for c in range(2, size + 12):
             buchberger_strong([const(c)])
             assert _runs.cache_info().currsize <= size
@@ -756,7 +766,7 @@ class TestRunTable:
         """Four threads look runs up at once, with a short switch interval:
         every lookup is counted once and the size stays at the bound."""
         _runs.cache_clear()
-        size, errors = _runs.maxsize, []
+        size, errors = _runs.cache_info().maxsize, []
 
         def work(offset):
             try:
@@ -781,3 +791,107 @@ class TestRunTable:
         info = _runs.cache_info()
         assert info.hits + info.misses == 4 * 2 * size
         assert info.currsize == size
+
+    def test_key_holds_variables_and_torsion(self):
+        """One ideal in polynomial ambients that differ in their variable
+        names or torsion alone is run once per ambient, each basis in the
+        ambient it was asked in."""
+        _runs.cache_clear()
+        bases = []
+        for variables, torsion in ((("x",), (0,)), (("y",), (0,)), (("x",), (2,))):
+            amb = Ambient(variables, torsion, 1, ("e1",), laurent=False)
+            x = variables[0]
+            bases.append(buchberger_strong([parse_element(f"2*{x}*e1 + 3*e1", amb),
+                                            parse_element(f"3*{x}^2*e1", amb)]))
+            assert all(f.ambient == amb for f in bases[-1].generators)
+        assert _runs.cache_info()[:2] == (0, 3)
+        assert ([f.as_dict() for f in bases[0].generators]
+                == [f.as_dict() for f in bases[2].generators])
+
+
+def _division_case():
+    """A basis, an element and the steps of its division."""
+    gb = buchberger_strong([const(2), parse_element("x*e1", POLY1)])
+    g = ModuleElement.from_dict(POLY1, {((i,), 1): 3 + i for i in range(6)})
+    return gb, g, divide_with_certificate(g, gb).steps
+
+
+class TestScope:
+    """``scope(steps)`` opens one budget that every basis construction,
+    division and normal form inside it draws from, in its own thread only;
+    outside a scope each call gets ``DEFAULT_STEP_BUDGET`` of its own."""
+
+    def test_one_scope_spans_a_request(self):
+        """A cold BS(1,2) context takes c construction steps and the word
+        d division steps: c + d pass in one scope, one less fails in the
+        division and c - 1 in the construction; warm, d pass."""
+        p = build(PresetSpec("bs", n=2))
+        w = parse_word("t^3*a*t^-3*a^-8", p)
+        _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
+        budget = _Budget(10 ** 6, "joint")
+        _strong(gens[0].ambient, [f for f in gens if not f.is_zero()], budget)
+        c = 10 ** 6 - budget.left
+        d = is_identity(w, p)[1].membership.steps
+        assert c > 0 and d > 0
+        module_context.cache_clear()
+        _runs.cache_clear()
+        with scope(c + d) as budget:
+            identity, cert = is_identity(w, p)
+        assert identity and cert.membership.steps == d and budget.left == 0
+        for steps, message in ((c + d - 1, "division exceeded"),
+                               (c - 1, "Groebner construction exceeded")):
+            module_context.cache_clear()
+            _runs.cache_clear()
+            with pytest.raises(BudgetExceeded, match=message), scope(steps):
+                is_identity(w, p)
+        module_context(p)
+        with scope(d):
+            assert is_identity(w, p)[0]
+        with pytest.raises(BudgetExceeded, match="division exceeded"), scope(d - 1):
+            is_identity(w, p)
+
+    def test_nested_scope_restores_the_outer(self):
+        gb, g, steps = _division_case()
+        with scope(3 * steps) as outer:
+            with scope(steps) as inner:
+                divide_with_certificate(g, gb)
+            assert (inner.left, outer.left) == (0, 3 * steps)
+            with pytest.raises(BudgetExceeded), scope(steps - 1):
+                divide_with_certificate(g, gb)
+            assert outer.left == 3 * steps
+            assert divide_with_certificate(g, gb).steps == steps
+            assert outer.left == 2 * steps
+
+    def test_scope_does_not_reach_another_thread(self, monkeypatch):
+        """A worker thread's call takes the default budget, neither the
+        main thread's small scope nor its large one."""
+        gb, g, steps = _division_case()
+        results = []
+
+        def worker():
+            try:
+                results.append(divide_with_certificate(g, gb).steps)
+            except BudgetExceeded as exc:
+                results.append(str(exc))
+
+        for default, scoped, expected in (
+                (steps, steps - 1, steps),
+                (steps - 1, steps, "division exceeded its step budget")):
+            monkeypatch.setattr(groebner, "DEFAULT_STEP_BUDGET", default)
+            results.clear()
+            with scope(scoped):
+                thread = threading.Thread(target=worker)
+                thread.start()
+                thread.join(timeout=60)
+            assert results == [expected]
+
+    def test_call_after_a_failed_scope_gets_the_default(self, monkeypatch):
+        gb, g, steps = _division_case()
+        with pytest.raises(BudgetExceeded), scope(steps - 1):
+            divide_with_certificate(g, gb)
+        monkeypatch.setattr(groebner, "DEFAULT_STEP_BUDGET", steps)
+        for _ in range(2):  # each call has a default of its own
+            assert divide_with_certificate(g, gb).steps == steps
+        monkeypatch.setattr(groebner, "DEFAULT_STEP_BUDGET", steps - 1)
+        with pytest.raises(BudgetExceeded, match="division exceeded"):
+            divide_with_certificate(g, gb)
