@@ -85,27 +85,27 @@ def _reduce_step(g: ModuleElement, F, rng=None):
     return g - F[idx].scale_translate(q, u), idx, (q, u)
 
 
-def _table(f: ModuleElement):
-    """``(lead exponents, lead basis, lead coefficient, tail)`` of a generator:
-    the lead is its largest monomial, the tail its other terms as
+def _table(terms: dict):
+    """``(lead exponents, lead basis, lead coefficient, tail)`` of a term
+    dict: the lead is its largest monomial, the tail its other terms as
     ``(exponents, basis, coefficient)`` tuples in no particular order; None
     for zero."""
-    raw = f._raw
-    if not raw:
+    if not terms:
         return None
-    lead = max(raw, key=monomial_key)
-    return (*lead, raw[lead],
-            tuple((*m, c) for m, c in raw.items() if m != lead))
+    lead = max(terms, key=monomial_key)
+    return (*lead, terms[lead],
+            tuple((*m, c) for m, c in terms.items() if m != lead))
 
 
-def _positive(f: ModuleElement):
-    """``(g, table of g)`` for the one ``g = ±f`` whose leading coefficient
-    is positive; ``f`` is nonzero."""
-    table = _table(f)
+def _positive(terms: dict):
+    """``(g, table of g)`` for the one term dict ``g = ±terms`` whose
+    leading coefficient is positive; ``terms`` is nonzero."""
+    table = _table(terms)
     lead, basis, lc, tail = table
     if lc > 0:
-        return f, table
-    return -f, (lead, basis, -lc, tuple((e, b, -c) for e, b, c in tail))
+        return terms, table
+    return ({m: -c for m, c in terms.items()},
+            (lead, basis, -lc, tuple((e, b, -c) for e, b, c in tail)))
 
 
 def _add_multiple(terms: dict, table, c: int, u: tuple):
@@ -166,9 +166,8 @@ def _descending(key):
     return (-sum(exps), tuple(map(neg, exps)), basis, key)
 
 
-def _reduce(ambient: Ambient, terms: dict, tables, budget: _Budget,
-            alphas=None) -> ModuleElement:
-    """Reduce ``terms`` modulo the generators of ``tables`` until irreducible.
+def _reduce(terms: dict, tables, budget: _Budget, alphas=None) -> dict:
+    """The residue of ``terms`` modulo the generators of ``tables``.
 
     ``terms`` maps ``(exponents, basis)`` to a nonzero coefficient and is
     consumed.  A max-heap of monomials gives the next term; a reducible
@@ -226,7 +225,7 @@ def _reduce(ambient: Ambient, terms: dict, tables, budget: _Budget,
             c = r
         if c:
             residue[key] = c
-    return ModuleElement._of(ambient, residue)
+    return residue
 
 
 def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: _Budget,
@@ -265,7 +264,7 @@ def _divide(g: ModuleElement, G: "GroebnerBasis", budget: _Budget,
         raise AmbientMismatch("element and basis live in different ambients")
     _check_polynomial(g)
     terms = _split_killed(g, G, budget, alphas)
-    return _reduce(g.ambient, terms, G._tables, budget, alphas)
+    return ModuleElement._of(g.ambient, _reduce(terms, G._tables, budget, alphas))
 
 
 def normal_form(g: ModuleElement, G: "GroebnerBasis") -> ModuleElement:
@@ -291,7 +290,7 @@ class GroebnerBasis:
     @cached_property
     def _tables(self):
         """Reduction tables of the generators, built once per basis."""
-        return [_table(f) for f in self.generators]
+        return [_table(f._raw) for f in self.generators]
 
     @cached_property
     def _killed(self) -> dict:
@@ -362,20 +361,19 @@ def growth_function(k: int, n: int) -> int:
 def buchberger_strong(F) -> GroebnerBasis:
     """Strong Groebner basis of the submodule generated by ``F`` over ZZ.
 
-    The nonzero generators are grouped by basis vector, in input order, or
-    kept as one group when a generator has terms on two basis vectors.
-    ``_strong`` runs once per distinct group, distinct up to the basis
-    index, and each group gets its run's basis moved onto its own vector.
-    Runs are kept across calls in ``_runs``, keyed by the ambient's
-    variables and torsion and the group's term lists without the basis
-    index; a joint group is run every time and not kept.  That is the
+    The nonzero generators are split into components that share no basis
+    vector, each in input order: a generator with terms on several vectors
+    joins their components.  ``_run`` runs each component once, on its
+    vectors numbered from 1 in ascending order, and ``_runs`` keeps every
+    run across calls, keyed by the component's terms alone.  That is the
     basis one run over all of ``F`` computes: a pair never spans two basis
-    vectors, a term on ``e_b`` reduces only by generators on ``e_b``, and
-    the tie rules keep each group's generators in their relative order, so
-    each group's run is the joint run's subsequence, step for step.  A
-    copied group is charged its run's steps again, so the step budget runs
-    out at the joint run's total; a run that raises is not kept.  The union
-    is sorted by leading monomial, ``origin`` is ``F``.
+    vectors, a term on ``e_b`` reduces only by generators led on ``e_b``,
+    the tie rules keep each component's generators in their relative order
+    and the numbering keeps the order of its vectors, so each component's
+    run is the joint run's subsequence, step for step.  A run taken from
+    ``_runs`` is charged its steps again, so the step budget runs out at
+    the joint run's total; a run that raises is not kept.  The union is
+    sorted by leading monomial, ``origin`` is ``F``.
     """
     F = [f for f in F if not f.is_zero()]
     if not F:
@@ -385,22 +383,20 @@ def buchberger_strong(F) -> GroebnerBasis:
     if any(f.ambient != ambient for f in F):
         raise AmbientMismatch("generators live in different ambients")
 
-    groups: dict = {}
+    parts: dict = {}  # basis vector -> the vectors of its component so far
     for f in F:
         vectors = {b for _, b in f._raw}
-        if len(vectors) > 1:
-            groups = None
-            break
-        groups.setdefault(vectors.pop(), []).append(f)
+        vectors = vectors.union(*(parts[b] for b in vectors if b in parts))
+        parts.update(dict.fromkeys(vectors, vectors))
+    components: dict = {}
+    for f in F:
+        components.setdefault(min(parts[next(iter(f._raw))[1]]), []).append(f)
     budget = _open("Groebner construction")
     token = _scope.set(budget)  # where a miss in ``_runs`` finds it
     try:
-        if groups is None:
-            basis = _strong(ambient, F, budget)  # one joint group, not kept
-        else:
-            basis = []
-            for b, group in groups.items():
-                basis += _run(ambient, b, group, budget)
+        basis = []
+        for b, group in components.items():
+            basis += _run(ambient, sorted(parts[b]), group, budget)
     finally:
         _scope.reset(token)
     basis.sort(key=lambda entry: monomial_key(entry[1]))
@@ -408,40 +404,42 @@ def buchberger_strong(F) -> GroebnerBasis:
                          origin=tuple(F))
 
 
-# The 256 runs used last, for the whole process: about 2.6 MB when full.
+# The 256 runs used last, for the whole process: about 2.2 MB when full.
 # Four for each of the 64 contexts ``module_context`` keeps; a many-groups
 # context has at most three.
 @lru_cache(maxsize=256)
-def _runs(variables: tuple, torsion: tuple, group: tuple) -> tuple:
+def _runs(group: tuple) -> tuple:
     """``(basis, steps)`` of ``_strong`` over the generators whose term
-    sets ``{(exponents, coefficient)}`` are ``group``, on ``e1`` of a
-    rank-one polynomial ambient, charging the budget of the open scope."""
-    ambient = Ambient(variables, torsion, 1, ("e1",), laurent=False)
+    sets ``{(exponents, basis, coefficient)}`` are ``group``, charging the
+    budget of the open scope."""
     budget = _scope.get()
     left = budget.left
-    found = _strong(ambient, [ModuleElement._of(ambient, {
-        (exps, 1): c for exps, c in terms}) for terms in group], budget)
+    found = _strong([{(exps, b): c for exps, b, c in terms} for terms in group],
+                    budget)
     return found, left - budget.left
 
 
-def _run(ambient: Ambient, b, group, budget: _Budget) -> list:
-    """``_strong`` of the generators ``group``, all on the basis vector
-    ``b``, through ``_runs``: its basis moved onto ``b`` in ``ambient``.  A
-    hit leaves ``budget`` as it was and is charged the run's steps."""
+def _run(ambient: Ambient, vectors: list, group, budget: _Budget) -> list:
+    """``_strong`` of the component ``group`` through ``_runs``, on its
+    basis ``vectors`` (ascending) numbered from 1, back on ``vectors`` in
+    ``ambient``.  A hit leaves ``budget`` as it was and is charged its steps."""
+    local = {b: i for i, b in enumerate(vectors, 1)}
     left = budget.left
-    found, steps = _runs(ambient.variables, ambient.torsion, tuple(
-        frozenset((exps, c) for (exps, _), c in f._raw.items()) for f in group))
+    found, steps = _runs(tuple(
+        frozenset((exps, local[b], c) for (exps, b), c in f._raw.items())
+        for f in group))
     if budget.left == left:
         budget.spend(steps)
-    return [(ModuleElement._of(ambient, {(exps, b): c for (exps, _), c
-                                         in f._raw.items()}), (lead, b))
-            for f, (lead, _) in found]
+    return [(ModuleElement._of(ambient, {(exps, vectors[b - 1]): c
+                                         for (exps, b), c in terms.items()}),
+             (lead, vectors[b - 1]))
+            for terms, (lead, b) in found]
 
 
-def _strong(ambient: Ambient, F, budget: _Budget) -> list:
-    """The tail-autoreduced strong basis of the nonzero generators ``F``, as
-    ``(generator, (lead exponents, lead basis))`` in the order the run
-    leaves them.
+def _strong(F, budget: _Budget) -> list:
+    """The tail-autoreduced strong basis of the nonzero term dicts ``F``,
+    which it consumes, as ``(term dict, (lead exponents, lead basis))`` in
+    the order the run leaves them.
 
     Pairs are processed smallest lcm first; both the S-polynomial (lcm of
     leading coefficients) and, when neither leading coefficient divides the
@@ -457,7 +455,7 @@ def _strong(ambient: Ambient, F, budget: _Budget) -> list:
     basis vector has no such representation: ``x*e1 + e2`` and ``y*e1``
     leave ``y*e2``.
     """
-    basis: list[ModuleElement] = []
+    basis: list[dict] = []
     tables: list = []
     # heap of ((sum(lcm), lcm), insertion number, i, j): pops in the order of
     # a stable sort on the lcm key; basis entries do not change until the
@@ -468,8 +466,8 @@ def _strong(ambient: Ambient, F, budget: _Budget) -> list:
     unit_single: list[bool] = []
 
     def add_element(terms: dict):
-        f = _reduce(ambient, terms, tables, budget)
-        if f.is_zero():
+        f = _reduce(terms, tables, budget)
+        if not f:
             return
         f, table = _positive(f)
         basis.append(f)
@@ -485,7 +483,7 @@ def _strong(ambient: Ambient, F, budget: _Budget) -> list:
             heappush(pairs, ((sum(lcm), lcm), next(inserted), i, len(tables) - 1))
 
     for f in F:
-        add_element(f.as_dict())
+        add_element(f)
 
     while pairs:
         (_, lcm), _, i, j = heappop(pairs)
@@ -510,9 +508,9 @@ def _strong(ambient: Ambient, F, budget: _Budget) -> list:
     while changed:
         changed = False
         for idx in range(len(basis)):
-            reduced = _reduce(ambient, basis[idx].as_dict(),
+            reduced = _reduce(dict(basis[idx]),
                               tables[:idx] + tables[idx + 1:], budget)
-            if reduced.is_zero():
+            if not reduced:
                 del basis[idx], tables[idx]
                 changed = True
                 break

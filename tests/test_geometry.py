@@ -89,7 +89,8 @@ class TestTameness:
 class TestRankTwoSampling:
     def test_sampled_constants_lower_bound(self):
         # supports at the four diagonal corners: f(u) = |u1| + |u2| on the
-        # circle, so C = sqrt(2) exactly; the sampled bound sits below it.
+        # circle, whose infimum is 1, at the axes, so C = 1 exactly; the
+        # sampled bound sits below it.
         datum = TamenessDatum(
             centralizer=tuple(parse_element(x, RING2)
                               for x in ("s*t", "s*t^-1")),
@@ -97,7 +98,7 @@ class TestRankTwoSampling:
                                  for x in ("s^-1*t", "s^-1*t^-1")))
         report = geometry_constants(datum, 2)
         assert report.method.startswith("sampled")
-        assert 0 < report.C <= math.sqrt(2) + 1e-9
+        assert 0 < report.C <= 1
         assert report.C >= 0.9  # Lipschitz correction is not wildly loose
         assert report.D == pytest.approx(math.sqrt(2))
         assert report.R is not None

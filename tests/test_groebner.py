@@ -1,5 +1,6 @@
 """Reduction, strong basis construction, division certificates, embedding."""
 
+import json
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ import threading
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _helpers import element_key, random_element, terms
 from metabelian import groebner
@@ -20,7 +21,7 @@ from metabelian.groebner import (GroebnerBasis, _Budget, buchberger_strong,
                                  growth_function, laurent_embed, normal_form,
                                  scope, verify_certificate)
 from metabelian.order import monomial_key
-from metabelian.presentation import parse_word
+from metabelian.presentation import parse_presentation, parse_word
 from metabelian.presets import PresetSpec, build
 from metabelian.wordproblem import (brute_force_min_certificate, is_identity,
                                     module_context)
@@ -217,30 +218,65 @@ def test_strong_basis_checked_by_reduce_step(gens):
                            for h in _pair_polynomials(f, g))
 
 
-def _on(f, ambient, b):
-    """``f``, whose terms lie on one basis vector, moved onto ``e_b`` of
-    ``ambient``."""
-    return ModuleElement.from_dict(ambient, {(exps, b): c
-                                             for (exps, _), c in f.as_dict().items()})
+def _on(f, ambient, vectors):
+    """``f`` moved into ``ambient``, each term on ``e_b`` onto
+    ``e_vectors[b]``."""
+    return ModuleElement.from_dict(ambient, {
+        (exps, vectors[b]): c for (exps, b), c in f.as_dict().items()})
+
+
+def _joint(gens):
+    """One ``_strong`` run over all of the nonzero ``gens``: its basis in
+    their ambient, sorted by leading monomial, and the steps it took."""
+    budget = _Budget(10 ** 6, "joint")
+    found = _strong([f.as_dict() for f in gens if not f.is_zero()], budget)
+    found.sort(key=lambda entry: monomial_key(entry[1]))
+    amb = gens[0].ambient
+    return [ModuleElement._of(amb, f) for f, _ in found], 10 ** 6 - budget.left
+
+
+def _components(gens):
+    """The basis vectors of each component of ``gens``: two generators with
+    a term on one vector are in one component."""
+    parts = []
+    for f in gens:
+        vectors = {b for _, b in f.as_dict()}
+        for part in [part for part in parts if part & vectors]:
+            parts.remove(part)
+            vectors |= part
+        parts.append(vectors)
+    return parts
 
 
 @st.composite
 def copied_components(draw):
     """Generators on up to four basis vectors, each vector's set drawn from
     two templates over ``e1``, so that some vectors carry copies of one
-    another, sometimes with one generator of their own added."""
+    another, sometimes with one generator of their own added.  Some
+    generators take terms on one or two other vectors too, and a generator
+    drawn last may bridge the components of two vectors drawn before it."""
     rank = draw(st.integers(2, 4))
     amb = Ambient(("x", "y"), (0, 0), rank,
                   tuple(f"e{b}" for b in range(1, rank + 1)), laurent=False)
     monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
 
-    def generator():
-        raw = {(draw(st.sampled_from(monomials)), 1):
+    def generator(b=1, others=()):
+        raw = {(draw(st.sampled_from(monomials)), b):
                draw(st.sampled_from([1, 1, -1, 2, 3, 6]))}
         for _ in range(draw(st.integers(0, 2))):
-            raw.setdefault((draw(st.sampled_from(monomials[:3])), 1),
+            raw.setdefault((draw(st.sampled_from(monomials[:3])), b),
+                           draw(st.integers(-3, 3)))
+        for other in others:
+            raw.setdefault((draw(st.sampled_from(monomials)), other),
                            draw(st.integers(-3, 3)))
         return ModuleElement.from_dict(amb, raw)
+
+    def spread(f, b):
+        """``f`` on ``e_b``, sometimes with a term on one or two others."""
+        others = draw(st.permutations([c for c in range(1, rank + 1) if c != b]))
+        return _on(f, amb, {1: b}) + ModuleElement.from_dict(amb, {
+            (draw(st.sampled_from(monomials)), c): draw(st.integers(-3, 3))
+            for c in others[:draw(st.sampled_from([0, 0, 0, 1, 2]))]})
 
     templates = [[generator() for _ in range(draw(st.integers(1, 3)))]
                  for _ in range(2)]
@@ -249,30 +285,56 @@ def copied_components(draw):
         own = templates[draw(st.integers(0, 1))]
         if draw(st.integers(0, 3)) == 0:
             own = own + [generator()]
-        gens += [_on(f, amb, b) for f in own]
-    return amb, draw(st.permutations(gens)) if draw(st.booleans()) else gens
+        gens += [spread(f, b) for f in own]
+    if draw(st.booleans()):
+        gens = draw(st.permutations(gens))
+    if draw(st.booleans()):
+        b, c = draw(st.permutations(range(1, rank + 1)))[:2]
+        gens.append(generator(b, (c,)))
+    return amb, gens
 
 
+XY3 = Ambient(("x", "y"), (0, 0), 3, ("e1", "e2", "e3"), laurent=False)
+
+
+# the bridge x*e3 + 2*y*e2 joins the components of e2 and e3, whose
+# generators interleave before it: in the input order the component takes
+# the joint run's 10 steps, with e2's generators first 9
+@example((XY3, [parse_element(text, XY3) for text in (
+    "2*y^2*e2", "x*y*e3", "-y^2*e2 - 3*x*e2", "x*e3 + 2*y*e2", "x^2*e1",
+    "x*y*e1 + 3*x*e1")]))
 @settings(max_examples=150, deadline=None)
 @given(copied_components())
 def test_strong_basis_per_basis_vector(case):
     """A basis over several basis vectors, some carrying copies of others'
-    generators, is the joint run's basis and each vector's own basis,
-    computed over ``e1`` alone and moved back."""
+    generators and some generators spanning vectors, is the joint run's
+    basis, charged the joint run's steps, and each component's own basis,
+    computed on its vectors numbered from 1 and moved back.  Asked again,
+    every component is a hit in the run table."""
     amb, gens = case
     gens = [f for f in gens if not f.is_zero()]
-    gb = buchberger_strong(gens)
-    joint = _strong(amb, gens, _Budget(10 ** 6, "joint"))
-    assert list(gb.generators) == [
-        f for f, _ in sorted(joint, key=lambda entry: monomial_key(entry[1]))]
-    one = Ambient(("x", "y"), (0, 0), 1, ("e1",), laurent=False)
+    joint, steps = _joint(gens)
+    with scope(10 ** 6) as budget:
+        gb = buchberger_strong(gens)
+    assert list(gb.generators) == joint
+    assert 10 ** 6 - budget.left == steps
     own = []
-    for b in dict.fromkeys(next(iter(f.as_dict()))[1] for f in gens):
-        part = [_on(f, one, 1) for f in gens if next(iter(f.as_dict()))[1] == b]
-        own += [_on(f, amb, b) for f in buchberger_strong(part).generators]
+    for vectors in _components(gens):
+        vectors = sorted(vectors)
+        local = Ambient(("x", "y"), (0, 0), len(vectors),
+                        tuple(f"e{b}" for b in range(1, len(vectors) + 1)),
+                        laurent=False)
+        part = [_on(f, local, {b: i for i, b in enumerate(vectors, 1)})
+                for f in gens if {b for _, b in f.as_dict()} <= set(vectors)]
+        back = dict(enumerate(vectors, 1))
+        own += [_on(f, amb, back) for f in buchberger_strong(part).generators]
     assert list(gb.generators) == sorted(
         own, key=lambda f: monomial_key(terms(f)[0][0]))
     assert gb.origin == tuple(gens)
+    info = _runs.cache_info()
+    assert buchberger_strong(gens) == gb
+    assert _runs.cache_info()[:2] == (info.hits + len(_components(gens)),
+                                      info.misses)
 
 
 class TestDivision:
@@ -387,8 +449,9 @@ def random_generators(rng, amb, big):
 
 def _reduce_list(g, gens, step_budget=10 ** 6):
     """``_reduce`` of ``g`` by a generator list, no basis and no alphas."""
-    return _reduce(g.ambient, g.as_dict(), [_table(f) for f in gens],
-                   _Budget(step_budget, "normal form"))
+    return ModuleElement._of(g.ambient, _reduce(
+        g.as_dict(), [_table(f.as_dict()) for f in gens],
+        _Budget(step_budget, "normal form")))
 
 
 class TestKernelDifferential:
@@ -631,9 +694,7 @@ class TestBudgets:
         message, whether the table is cold or warm from earlier calls."""
         p = build(PresetSpec("wf", r=2, k=2, fs=((1, 2, 1), (1, 1))))
         _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
-        budget = _Budget(10 ** 6, "joint")
-        _strong(gens[0].ambient, [f for f in gens if not f.is_zero()], budget)
-        steps = 10 ** 6 - budget.left
+        steps = _joint(gens)[1]
         assert steps > 1
         message = "Groebner construction exceeded its step budget"
         _runs.cache_clear()
@@ -721,7 +782,7 @@ class TestRunTable:
                           if next(iter(f._raw))[1] == b)
 
         def moved(b, to):
-            return sorted(element_key(_on(f, two.ambient, to))
+            return sorted(element_key(_on(f, two.ambient, {b: to}))
                           for f in one.generators if next(iter(f._raw))[1] == b)
 
         assert on(two, 1) == moved(1, 1) and on(two, 2) == moved(1, 2)
@@ -792,10 +853,12 @@ class TestRunTable:
         assert info.hits + info.misses == 4 * 2 * size
         assert info.currsize == size
 
-    def test_key_holds_variables_and_torsion(self):
+    def test_key_holds_terms_alone(self):
         """One ideal in polynomial ambients that differ in their variable
-        names or torsion alone is run once per ambient, each basis in the
-        ambient it was asked in."""
+        names or torsion alone is run once, each basis in the ambient it was
+        asked in; terms that differ in their basis vectors alone are run
+        apart.  A BS(1,2) presentation file with every generator renamed
+        builds its context with no new miss."""
         _runs.cache_clear()
         bases = []
         for variables, torsion in ((("x",), (0,)), (("y",), (0,)), (("x",), (2,))):
@@ -804,9 +867,27 @@ class TestRunTable:
             bases.append(buchberger_strong([parse_element(f"2*{x}*e1 + 3*e1", amb),
                                             parse_element(f"3*{x}^2*e1", amb)]))
             assert all(f.ambient == amb for f in bases[-1].generators)
-        assert _runs.cache_info()[:2] == (0, 3)
+        assert _runs.cache_info()[:2] == (2, 1)
         assert ([f.as_dict() for f in bases[0].generators]
                 == [f.as_dict() for f in bases[2].generators])
+        amb = Ambient(("x",), (0,), 2, ("e1", "e2"), laurent=False)
+        for text in ("x*e1 + e2", "e1 + x*e2"):
+            f = parse_element(text, amb)
+            assert buchberger_strong([f]).generators == (f,)
+        assert _runs.cache_info()[:2] == (2, 3)
+        p = build(PresetSpec("bs", n=2))
+        module_context.cache_clear()
+        module_context(p)
+        renamed = parse_presentation(json.dumps({
+            "module_generators": ["b"], "free_generators": ["s"],
+            "relators": ["s*b*s^-1*b^-2"],
+            "lambda": {"centralizer": ["2*s"], "co_centralizer": ["2*s^-1"]}}))
+        assert p.relators[0].render() == "t*a*t^-1*a^-2"
+        misses = _runs.cache_info().misses
+        basis = module_context(renamed).basis
+        assert _runs.cache_info().misses == misses
+        assert basis.ambient.variables == ("s", "s__inv")
+        assert all(f.ambient == basis.ambient for f in basis.generators)
 
 
 def _division_case():
@@ -828,9 +909,7 @@ class TestScope:
         p = build(PresetSpec("bs", n=2))
         w = parse_word("t^3*a*t^-3*a^-8", p)
         _, gens, _ = laurent_embed(relator_module(p), p.module_ambient())
-        budget = _Budget(10 ** 6, "joint")
-        _strong(gens[0].ambient, [f for f in gens if not f.is_zero()], budget)
-        c = 10 ** 6 - budget.left
+        c = _joint(gens)[1]
         d = is_identity(w, p)[1].membership.steps
         assert c > 0 and d > 0
         module_context.cache_clear()

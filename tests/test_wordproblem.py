@@ -4,15 +4,19 @@ import itertools
 import json
 import random
 import weakref
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
                       random_element, random_kernel_word, render_ordered_word)
 from metabelian.bounds import _decimal
 from metabelian.collection import CostLedger
 from metabelian.elements import Ambient, parse_element
-from metabelian.presentation import parse_presentation, parse_word
+from metabelian.presentation import (GroupWord, Presentation,
+                                     parse_presentation, parse_word)
 from metabelian.presets import PresetSpec, build, witness_family
 from metabelian.wordproblem import (AreaCertificate, _monomial_pool,
                                     brute_force_min_certificate, dehn_profile,
@@ -428,3 +432,81 @@ def test_certificate_sorts_only_what_it_renders(monkeypatch):
     text = json.dumps(cert.to_json())
     assert '"identity": true' in text
     assert sorts == [terms, 1, terms]
+
+
+def _t_word(draw, names):
+    """A word of up to three t-letters."""
+    return GroupWord.from_letters(
+        [(draw(st.sampled_from(names)), draw(st.sampled_from((-1, 1))))
+         for _ in range(draw(st.integers(0, 3)))])
+
+
+@st.composite
+def module_presentations(draw):
+    """One or two free letters, in some a torsion letter of order 2 or 3;
+    a commutator-table letter for each pair of t-letters and one or two
+    module letters besides; one or two relators, each a product of two or
+    three conjugated module letters, so that a relator's vector mixes
+    basis vectors."""
+    free = ("t1", "t2")[:draw(st.integers(1, 2))]
+    torsion = (("u", draw(st.sampled_from((2, 3)))),) if draw(st.booleans()) else ()
+    names = free + tuple(n for n, _ in torsion)
+    table = tuple(((s, t), f"c{s}{t}")
+                  for i, s in enumerate(names) for t in names[i + 1:])
+    module = tuple(c for _, c in table) + ("a1", "a2")[:draw(st.integers(1, 2))]
+
+    def relator():
+        w = GroupWord(())
+        for _ in range(draw(st.integers(2, 3))):
+            letter = GroupWord(((draw(st.sampled_from(module)),
+                                 draw(st.sampled_from((-1, 1)))),))
+            w = w * letter.conjugate_by(_t_word(draw, names))
+        return w
+
+    return Presentation(module_gens=module, free_gens=free, torsion_gens=torsion,
+                        relators=tuple(relator() for _ in range(draw(st.integers(1, 2)))),
+                        commutator_table=table)
+
+
+@st.composite
+def relator_moves(draw, p):
+    """``p`` with its relators moved by Tietze moves that keep their normal
+    closure: shuffled, each conjugated by a t-word and maybe inverted, one
+    multiplied by a conjugate of another, and a consequence added."""
+    names = p.t_names
+
+    def conjugate(w):
+        w = w.conjugate_by(_t_word(draw, names))
+        return w.inverse() if draw(st.booleans()) else w
+
+    relators = [conjugate(r) for r in draw(st.permutations(p.relators))]
+    if len(relators) > 1:
+        i, j = draw(st.permutations(range(len(relators))))[:2]
+        relators[i] = relators[i] * conjugate(relators[j])
+    consequence = GroupWord(())
+    for _ in range(draw(st.integers(1, 2))):
+        consequence = consequence * conjugate(draw(st.sampled_from(relators)))
+    relators.insert(draw(st.integers(0, len(relators))), consequence)
+    return replace(p, relators=tuple(relators))
+
+
+def test_relator_moves_keep_verdicts():
+    """A presentation and its relators moved by Tietze moves present one
+    group, so every random kernel word gets one verdict over both; both
+    verdicts occur."""
+    verdicts = Counter()
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(module_presentations())
+        moved = data.draw(relator_moves(p))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        for _ in range(6):
+            w = random_kernel_word(p, rng, rng.randrange(0, 12))
+            identity = is_identity(w, p)[0]
+            assert is_identity(w, moved)[0] == identity, (p, moved, w)
+            verdicts[identity] += 1
+
+    check()
+    assert verdicts[True] and verdicts[False], verdicts
