@@ -229,9 +229,11 @@ def _reduce(terms: dict, tables, budget: _Budget, alphas=None) -> dict:
 
 
 def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: _Budget,
-                  alphas=None) -> dict:
-    """The terms of ``g`` for ``_reduce``, after sending each term on a basis
-    vector that ``G`` kills outright (``G._killed``) to its generator.
+                  alphas=None):
+    """``(terms, length, degree)``: the terms of ``g`` for ``_reduce``, after
+    sending each term on a basis vector that ``G`` kills outright
+    (``G._killed``) to its generator, and the length and degree of ``g``,
+    all read in one pass over ``g``.
 
     A term ``c*x^u*e_b`` on such a ``b`` is one reduction step by ``1*e_b``:
     it is the only generator with a term on ``b``, so it is the only
@@ -240,37 +242,43 @@ def _split_killed(g: ModuleElement, G: "GroebnerBasis", budget: _Budget,
     quotient ``c``; and its empty tail, like the other generators, adds no
     term on ``b``.  Each such term is charged one step and, with ``alphas``,
     becomes the term ``c*x^u`` of that generator's alpha, as in the heap.
+    ``g`` is polynomial, so its degree is the largest exponent sum.
     """
     killed = G._killed
-    if not killed:
-        return g.as_dict()
-    rest = {}
+    rest, length, degree = {}, 0, 0
     for key, c in g._raw.items():
-        idx = killed.get(key[1])
+        exps, basis = key
+        length += abs(c)
+        d = sum(exps)
+        if d > degree:
+            degree = d
+        idx = killed.get(basis)
         if idx is None:
             rest[key] = c
         elif alphas is not None:
-            alphas[idx][key[0], None] = c
+            alphas[idx][exps, None] = c
     budget.spend(len(g._raw) - len(rest))
-    return rest
+    return rest, length, degree
 
 
 def _divide(g: ModuleElement, G: "GroebnerBasis", budget: _Budget,
-            alphas=None) -> ModuleElement:
-    """The residue of ``g`` modulo ``G`` (``_split_killed``, then
-    ``_reduce``), after checking that ``g`` lives in the basis' polynomial
-    ambient; ``budget`` and ``alphas`` are ``_reduce``'s."""
+            alphas=None):
+    """``(residue, length, degree)``: the residue of ``g`` modulo ``G``
+    (``_split_killed``, then ``_reduce``), after checking that ``g`` lives
+    in the basis' polynomial ambient, and the length and degree of ``g``;
+    ``budget`` and ``alphas`` are ``_reduce``'s."""
     if G.generators and g.ambient != G.ambient:
         raise AmbientMismatch("element and basis live in different ambients")
     _check_polynomial(g)
-    terms = _split_killed(g, G, budget, alphas)
-    return ModuleElement._of(g.ambient, _reduce(terms, G._tables, budget, alphas))
+    terms, length, degree = _split_killed(g, G, budget, alphas)
+    residue = ModuleElement._of(g.ambient, _reduce(terms, G._tables, budget, alphas))
+    return residue, length, degree
 
 
 def normal_form(g: ModuleElement, G: "GroebnerBasis") -> ModuleElement:
     """NF(g) modulo the basis ``G``: the fixed point of ``_reduce_step``,
     by the reduction ``divide_with_certificate`` makes, with no alphas."""
-    return _divide(g, G, _open("normal form"))
+    return _divide(g, G, _open("normal form"))[0]
 
 
 @dataclass(frozen=True)
@@ -310,6 +318,11 @@ class GroebnerBasis:
                 units[basis] = idx
             touched.update({basis, *(b for _, b, _ in tail)})
         return {b: idx for b, idx in units.items() if touched[b] == 1}
+
+    @cached_property
+    def _ring(self) -> Ambient:
+        """The ring ambient of the division's alphas."""
+        return self.ambient.ring()
 
     @cached_property
     def _max_length(self) -> int:
@@ -541,31 +554,39 @@ def divide_with_certificate(g: ModuleElement, G: GroebnerBasis) -> DivisionCerti
 
     Always cancels the largest reducible term; the bound field evaluates the
     chain |a_j| <= p(1+C)^(j-1) over at most m*G_k(deg g) steps with
-    C = max generator length.  The terms on a basis vector that the basis
-    kills outright (one generator is ``1*e_b``, no other has a term on
-    ``b``) go to that generator's alpha in one dict pass before the heap:
-    the heap would reduce each of them by ``1*e_b`` alone, in one step and
-    with no new term, so the steps, alphas and residue are the heap's.
+    C = max generator length (``certificate_bound``).  One pass over ``g``
+    reads its length and degree for the bound and sends the terms on a
+    basis vector that the basis kills outright (one generator is ``1*e_b``,
+    no other has a term on ``b``) to that generator's alpha: the heap would
+    reduce each of them by ``1*e_b`` alone, in one step and with no new
+    term, so the steps, alphas and residue are the heap's.  ``size`` is
+    summed from the alphas' term dicts.
     """
     alphas = [{} for _ in G.generators]
     budget = _open("division")
     left = budget.left
-    residue = _divide(g, G, budget, alphas)
-    ring = g.ambient.ring()
+    residue, length, degree = _divide(g, G, budget, alphas)
+    size = sum(sum(map(abs, alpha.values())) for alpha in alphas)
+    ring = G._ring if alphas else None
     coefficients = tuple(ModuleElement._of(ring, alpha) for alpha in alphas)
-    size = sum(a.length for a in coefficients)
-    return DivisionCertificate(coefficients, residue, left - budget.left,
-                               size, certificate_bound(g, G))
+    return DivisionCertificate(coefficients, residue, left - budget.left, size,
+                               _bound(length, degree, G, g.ambient))
 
 
 def certificate_bound(g: ModuleElement, G: GroebnerBasis) -> Bound:
-    """p * sum_{j<R} (1+C)^j with R = m*G_k(deg g), C = max generator length."""
-    p = max(g.length, 1)
+    """p * sum_{j<R} (1+C)^j with p = max(|g|, 1), R = m*G_k(deg g),
+    C = max generator length."""
+    return _bound(g.length, g.degree, G, g.ambient)
+
+
+def _bound(length: int, degree: int, G: GroebnerBasis, ambient: Ambient) -> Bound:
+    """``certificate_bound`` of an element of ``ambient`` with this length
+    and degree."""
+    p = max(length, 1)
     if not G.generators:
         return Bound.of(p)
     c = max(1, G._max_length)
-    m = g.ambient.rank
-    r = m * growth_function(g.ambient.nvars, g.degree)
+    r = ambient.rank * growth_function(ambient.nvars, degree)
     # geometric series 1 + (1+C) + ... + (1+C)^(R-1) = ((1+C)^R - 1)/C
     return Bound(((p, 1 + c, r), (-p, 1, 1)), c)
 

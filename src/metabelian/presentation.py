@@ -29,6 +29,10 @@ _SYLLABLE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(?:(-)\s*)?(\d+))
 # condensing: powers, commutators and conjugations grow a word faster than
 # its text, so a short text could otherwise ask for any amount of memory.
 _MAX_SYLLABLES = 10 ** 6
+# The most parts a syllable table keeps (``_scan``); a full table is emptied
+# before its next entry, also inside one word, so words with ever new
+# exponents cannot grow it.
+_MAX_PARTS = 256
 
 
 def _condense(letters):
@@ -186,6 +190,12 @@ class Presentation:
         """Every generator name a word over this presentation may use."""
         return frozenset(self.module_gens + self.t_names)
 
+    @cached_property
+    def _syllables(self) -> dict:
+        """The syllable table (``_scan``) of every word read over this
+        presentation, its file's relators first."""
+        return {}
+
     def t_index(self, name: str) -> int:
         try:
             return self._t_positions[name]
@@ -322,21 +332,25 @@ def _room(size: int):
 
 
 def parse_word(text: str, p: Optional[Presentation] = None) -> GroupWord:
-    """A flat product of known names in one split scan; any other text, and
-    every error, through the grammar."""
-    names = None if p is None else p._names
-    scanned = _scan(text, names, {}, {})
-    if scanned is not None:
-        return scanned[0]
+    """A flat product of known names in one split scan, each part read
+    through the syllable table of ``p`` (a table of its own without ``p``);
+    any other text, and every error, through the grammar."""
+    names, table = (None, {}) if p is None else (p._names, p._syllables)
     try:
-        return _WordParser(text, names).parse()
+        return _word(text, names, table)
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
 
 
-def _syllable(part: str, names, index):
-    """``((name, exp), index.get(name))`` for a part ``name^int`` whose name
-    ``names`` allows (None allows any); False for any other part."""
+def _word(text: str, names, table) -> GroupWord:
+    """``_scan`` of ``text`` through ``table``, else the grammar."""
+    word = _scan(text, names, table)
+    return word if word is not None else _WordParser(text, names).parse()
+
+
+def _syllable(part: str, names):
+    """The letter ``(name, exp)`` of a part ``name^int`` whose name ``names``
+    allows (None allows any); False for any other part."""
     m = _SYLLABLE.fullmatch(part)
     if m is None:
         return False
@@ -347,25 +361,24 @@ def _syllable(part: str, names, index):
         exp = (-int(digits) if sign else int(digits)) if digits else 1
     except ValueError:  # too long for int(): the grammar reports where
         return False
-    return (name, exp), index.get(name)
+    return name, exp
 
 
-def _scan(text: str, names, index, table):
-    """The word of a flat product of known names and its raw exponent sums
-    over ``index`` (name -> position), read in one pass; None for any other
-    text.  ``table`` maps the parts already read to their ``_syllable``, and
-    lives for one word or one presentation file."""
-    letters, sums = [], [0] * len(index)
+def _scan(text: str, names, table):
+    """The word of a flat product of known names, read in one pass; None
+    for any other text.  ``table`` maps the parts already read to their
+    ``_syllable``, holds at most ``_MAX_PARTS`` of them and lives for one
+    presentation, or for one word read without one."""
+    letters = []
     for part in text.split("*"):
-        entry = table.get(part)
-        if entry is None:
-            entry = table[part] = _syllable(part, names, index)
-        if not entry:
+        letter = table.get(part)
+        if letter is None:
+            if len(table) >= _MAX_PARTS:
+                table.clear()
+            letter = table[part] = _syllable(part, names)
+        if not letter:
             return None
-        letter, pos = entry
         name, exp = letter
-        if pos is not None:
-            sums[pos] += exp
         if not exp:
             continue
         # free reduction as in ``_condense``
@@ -375,7 +388,7 @@ def _scan(text: str, names, index, table):
                 letters.append((name, merged))
         else:
             letters.append(letter)
-    return GroupWord(tuple(letters)), sums
+    return GroupWord(tuple(letters))
 
 
 def exponent_sums(w: GroupWord, p: Presentation) -> tuple[int, ...]:
@@ -475,17 +488,12 @@ def _parse(text) -> Presentation:
         if p.t_index(pair[0]) >= p.t_index(pair[1]):
             raise ParseError(f"commutator table pair {pair} must be ordered (i < j)")
 
-    # One syllable table serves every relator of the file.
-    names, index, table = p._names, p._t_positions, {}
+    # The relators are the first words read through the file's table.
+    names, table = p._names, p._syllables
     relators = []
     for rtext in _list(doc, "relators"):
-        scanned = _scan(rtext, names, index, table)
-        if scanned is None:
-            w = _WordParser(rtext, names).parse()
-            sums = exponent_sums(w, p)
-        else:
-            w, sums = scanned
-            sums = p.module_ambient().wrap(sums)
+        w = _word(rtext, names, table)
+        sums = exponent_sums(w, p)
         if any(sums):
             raise ParseError(
                 f"relator {rtext!r} has nonzero t-exponent sum {sums}")

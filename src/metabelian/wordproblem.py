@@ -26,11 +26,13 @@ from .presentation import GroupWord, Presentation
 
 @dataclass(frozen=True)
 class ModuleContext:
-    """Cached relator-submodule data for one presentation."""
+    """Cached relator-submodule data for one presentation, with its
+    constant K (``constant_k``)."""
 
     relator_vectors: tuple[ModuleElement, ...]
     basis: GroebnerBasis
     embed: callable
+    k: Optional[int]
 
 
 # The contexts of the last 64 presentations used.  A repeated file text
@@ -41,7 +43,8 @@ class ModuleContext:
 def module_context(p: Presentation) -> ModuleContext:
     vectors = tuple(relator_module(p))
     _, embedded, embed = laurent_embed(list(vectors), p.module_ambient())
-    return ModuleContext(vectors, buchberger_strong(embedded), embed)
+    return ModuleContext(vectors, buchberger_strong(embedded), embed,
+                         constant_k(p))
 
 
 # The floor K1 of the constant K.
@@ -126,7 +129,10 @@ def is_identity(w: GroupWord, p: Presentation) -> tuple[bool, AreaCertificate]:
     """Decide w = 1, returning the decision with its certificate.  A word
     off the kernel, whose nonzero t-exponent sums ``ordered_form`` refuses
     with ExponentSumError before it prices any conjugator, gets False and
-    an empty certificate."""
+    an empty certificate.  A kernel word's embedded vector is divided once
+    (``divide_with_certificate``, whose one pass over it also reads the
+    bound's length and degree); the basis and the constant K come from
+    ``module_context``, built once per presentation."""
     n = w.length
     try:
         vector, ledger = ordered_form(w, p)
@@ -136,7 +142,7 @@ def is_identity(w: GroupWord, p: Presentation) -> tuple[bool, AreaCertificate]:
     ctx = module_context(p)
     membership = divide_with_certificate(ctx.embed(vector), ctx.basis)
     identity = membership.residue.is_zero()
-    bound = _assembly_bound(n, constant_k(p), ctx.basis, len(p.module_gens),
+    bound = _assembly_bound(n, ctx.k, ctx.basis, len(p.module_gens),
                             p.free_rank)
     rel = _relative_bound(n, membership.size)
     cert = AreaCertificate(n, identity, vector, ledger, membership, bound, rel)
@@ -307,7 +313,6 @@ def dehn_profile(p: Presentation, n_max: int, samples: int = 10, seed: int = 0,
     if samples < 0:
         raise ValueError(f"profile needs samples >= 0, got samples = {samples}")
     rng = random.Random(seed)
-    K = constant_k(p)
     ctx = module_context(p)
     rows = []
     for n in range(2, n_max + 1):
@@ -322,7 +327,7 @@ def dehn_profile(p: Presentation, n_max: int, samples: int = 10, seed: int = 0,
                 raise AssertionError(f"profile word {w} is not an identity")
             max_cost = max(max_cost, cert.witnessed_cost)
             max_size = max(max_size, cert.membership.size)
-        bound = _assembly_bound(n, K, ctx.basis, len(p.module_gens), p.free_rank)
+        bound = _assembly_bound(n, ctx.k, ctx.basis, len(p.module_gens), p.free_rank)
         rows.append((n, max_cost, max_size, str(bound) if bound is not None else ""))
     return rows
 

@@ -7,6 +7,8 @@ from contextlib import contextmanager
 
 from metabelian.bounds import Bound, _decimal, _json_int
 from metabelian.elements import Ambient, ModuleElement
+from metabelian.errors import BudgetExceeded
+from metabelian.groebner import _reduce_step
 from metabelian.order import int_key, monomial_key
 from metabelian.presentation import GroupWord, Presentation, exponent_sums
 from metabelian.presets import PresetSpec, build
@@ -72,6 +74,21 @@ def random_kernel_word(p, rng: random.Random, n: int) -> GroupWord:
         elif s:
             fix.append((name, -s))
     return w * GroupWord.from_letters(fix)
+
+
+def reference_division(g, gens, step_budget):
+    """Loop _reduce_step: (residue, alphas, steps), raising BudgetExceeded
+    at the step after ``step_budget`` steps."""
+    ring = g.ambient.ring()
+    alphas = [ModuleElement.zero(ring) for _ in gens]
+    steps = 0
+    while (out := _reduce_step(g, gens)) is not None:
+        steps += 1
+        if steps > step_budget:
+            raise BudgetExceeded("reference exceeded its step budget")
+        g, idx, (q, u) = out
+        alphas[idx] = alphas[idx] + ModuleElement.from_dict(ring, {(u, None): q})
+    return g, alphas, steps
 
 
 def render_ordered_word(vector: ModuleElement, p: Presentation) -> GroupWord:

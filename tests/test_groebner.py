@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _helpers import element_key, random_element, terms
+from _helpers import element_key, random_element, reference_division, terms
 from metabelian import groebner
 from metabelian.collection import relator_module
 from metabelian.elements import Ambient, ModuleElement, parse_element
@@ -400,21 +400,6 @@ class TestDivision:
         g = const(9)
         # p * ((1+C)^(m*G_k(0)) - 1)/C with p=9, C=2, m=1, G_1(0)=1
         assert certificate_bound(g, gb) == 9 * ((3 ** 1 - 1) // 2)
-
-
-def reference_division(g, gens, step_budget):
-    """Loop _reduce_step: (residue, alphas, steps), raising BudgetExceeded
-    at the step after ``step_budget`` steps."""
-    ring = g.ambient.ring()
-    alphas = [ModuleElement.zero(ring) for _ in gens]
-    steps = 0
-    while (out := _reduce_step(g, gens)) is not None:
-        steps += 1
-        if steps > step_budget:
-            raise BudgetExceeded("reference exceeded its step budget")
-        g, idx, (q, u) = out
-        alphas[idx] = alphas[idx] + ModuleElement.from_dict(ring, {(u, None): q})
-    return g, alphas, steps
 
 
 def random_polynomial(rng, amb, max_terms=4, max_degree=3, big=True):

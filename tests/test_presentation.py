@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 from _helpers import BS2, GAMMA, LAMPLIGHTER2, WF11, random_kernel_word
 from metabelian.elements import Ambient, ModuleElement, parse_element
 from metabelian.errors import ParseError
+from metabelian import presentation
 from metabelian.collection import relator_module
-from metabelian.presentation import (GroupWord, Presentation, _WordParser,
-                                     exponent_sums, parse_presentation,
-                                     parse_word)
+from metabelian.presentation import (_MAX_PARTS, GroupWord, Presentation,
+                                     _WordParser, exponent_sums,
+                                     parse_presentation, parse_word)
 from metabelian.presets import PresetSpec, build
 
 BS_FILE = """
@@ -297,6 +298,69 @@ def test_syllable_table_lives_for_one_file():
     with pytest.raises(ParseError) as ref:
         _WordParser("t^-1*c*t*a", {"a", "t"}).parse()
     assert str(exc.value) == str(ref.value)
+
+
+class TestSyllableTable:
+    """Each presentation reads its words through a syllable table of its own,
+    its file's relators first, of at most ``_MAX_PARTS`` parts."""
+
+    def test_words_reuse_the_relators_parts(self, monkeypatch):
+        parse_presentation.cache_clear()
+        p = parse_presentation(json.dumps(
+            {"module_generators": ["a"], "free_generators": ["t"],
+             "relators": ["t^-1*a*t*a^-2"]}))
+        calls = Counter()
+        syllable = presentation._syllable
+
+        def counted(part, names):
+            calls[part] += 1
+            return syllable(part, names)
+
+        monkeypatch.setattr(presentation, "_syllable", counted)
+        assert parse_word("t*a^-2*t^-1*a", p).letters == (
+            ("t", 1), ("a", -2), ("t", -1), ("a", 1))
+        assert parse_word("a^3*t", p).letters == (("a", 3), ("t", 1))
+        assert parse_word("t*a^3", p).letters == (("t", 1), ("a", 3))
+        assert calls == {"a^3": 1}
+
+    def test_cap_holds_across_words_and_inside_one(self):
+        p = replace(BS2)
+        for n in range(1, 3 * _MAX_PARTS):
+            assert parse_word(f"t^{n}*a*t^-{n}", p).letters == (
+                ("t", n), ("a", 1), ("t", -n))
+            assert len(p._syllables) <= _MAX_PARTS
+        q = replace(BS2)
+        exps = range(1, 3 * _MAX_PARTS)
+        word = parse_word("*".join(f"a^{n}" for n in exps), q)
+        assert word.letters == (("a", sum(exps)),)
+        assert 0 < len(q._syllables) <= _MAX_PARTS
+
+    @pytest.mark.parametrize("text", [
+        "a*t^-1*q*s^2", "t^-1*s^2*a^", "a * t^-1*s^^2", "s^2*t^-1*a^(t",
+        "a*t^-1*" + "9" * 5000])
+    def test_errors_after_the_neighbours_are_read(self, text):
+        """An unknown name or a malformed part raises the message and the
+        position it raises on a presentation that has read nothing."""
+        warm, fresh = replace(GAMMA), replace(GAMMA)
+        parse_word("a*t^-1*s^2", warm)
+        parse_word("s^2*t^-1*a", warm)
+        assert {"a", "t^-1", "s^2"} <= set(warm._syllables)
+        got = _outcome(lambda: parse_word(text, warm))
+        assert got[0] == "ParseError"
+        assert got == _outcome(lambda: parse_word(text, fresh))
+
+    @pytest.mark.parametrize("first", ["bs", "gamma"])
+    def test_no_entry_crosses_presentations(self, first):
+        """``b`` is a generator of Gamma and not of BS(1,2), whichever of
+        the two reads it first; a presentation that has read nothing has
+        an empty table."""
+        ps = {"bs": replace(BS2), "gamma": replace(GAMMA)}
+        assert ps["bs"]._syllables == ps["gamma"]._syllables == {}
+        order = [first] + [name for name in ps if name != first]
+        got = {name: _outcome(lambda: parse_word("b", ps[name]))
+               for name in order}
+        assert got == {"bs": ("ParseError", "unknown generator 'b' (at position 0)"),
+                       "gamma": ("letters", (("b", 1),))}
 
 
 # wf(1,2) with a torsion generator of order 3: u1, u2, t1, t2, t3

@@ -11,13 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _helpers import (BS2, FREE_ABELIAN, GAMMA, LAMPLIGHTER2, WF11,
-                      random_element, random_kernel_word, render_ordered_word)
+                      random_element, random_kernel_word, reference_division,
+                      render_ordered_word)
 from metabelian.bounds import _decimal
 from metabelian.collection import CostLedger
 from metabelian.elements import Ambient, parse_element
+from metabelian.errors import BudgetExceeded
+from metabelian.groebner import (certificate_bound, divide_with_certificate,
+                                 scope)
 from metabelian.presentation import (GroupWord, Presentation,
                                      parse_presentation, parse_word)
-from metabelian.presets import PresetSpec, build, witness_family
+from metabelian.presets import PRESET_NAMES, PresetSpec, build, witness_family
 from metabelian.wordproblem import (AreaCertificate, _monomial_pool,
                                     brute_force_min_certificate, dehn_profile,
                                     fit_exp, fit_power, is_identity,
@@ -510,3 +514,47 @@ def test_relator_moves_keep_verdicts():
 
     check()
     assert verdicts[True] and verdicts[False], verdicts
+
+
+# Every preset, torsion wf included: free_abelian, baumslag_gamma and wf
+# bases kill a basis vector outright, the others kill none.
+_EVERY_PRESET = [build(PresetSpec(name)) for name in PRESET_NAMES] + [
+    build(PresetSpec("wf", r=2, k=2, torsion_orders=(3,)))]
+
+
+def test_division_walk_matches_the_reference():
+    """One pass over the embedded vector splits off the killed terms, charges
+    their steps and reads the bound's length and degree: over random kernel
+    words, the certificate's size is its alphas' length, its bound is
+    ``certificate_bound`` of the embedded vector, its residue, alphas and
+    steps are the ``_reduce_step`` loop's, and with killed terms a scope of
+    exactly ``steps`` steps is enough and one less is not.  Bases with and
+    without a killed vector both occur."""
+    seen = Counter()
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from(_EVERY_PRESET) | module_presentations())
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        w = random_kernel_word(p, rng, rng.randrange(0, 10))
+        cert = is_identity(w, p)[1]
+        ctx = module_context(p)
+        g, m = ctx.embed(cert.ordered), cert.membership
+        assert m.size == sum(a.length for a in m.coefficients)
+        assert m.bound == certificate_bound(g, ctx.basis)
+        residue, alphas, steps = reference_division(g, ctx.basis.generators,
+                                                    10 ** 6)
+        assert (m.residue, list(m.coefficients), m.steps) == (residue, alphas, steps)
+        killed = sum(b in ctx.basis._killed for _, b in g.as_dict())
+        if killed:
+            with scope(m.steps):
+                assert divide_with_certificate(g, ctx.basis) == m
+            with pytest.raises(BudgetExceeded,
+                               match="division exceeded its step budget"):
+                with scope(m.steps - 1):
+                    divide_with_certificate(g, ctx.basis)
+        seen[bool(ctx.basis._killed), bool(killed)] += 1
+
+    check()
+    assert seen[True, True] and seen[False, False], seen
